@@ -2,7 +2,9 @@
 
 Sweeps run from the terminal step of the nominal trajectory down through an
 optional prefix of negative-time knots, so every candidate horizon in the
-selection window has a value expansion and gains available.
+selection window has a value expansion and gains available.  Every knot is
+linearized once, before the recursion: the expansions along a fixed nominal
+do not depend on each other, and a regularization retry reuses them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import (DynamicsExpansion, SystemModel, expand_cost,
-                    expand_dynamics, expand_terminal, sym)
+from .model import (CostExpansion, DynamicsExpansion, SystemModel,
+                    expand_cost, expand_dynamics, expand_terminal, sym)
 from .trajectory import Trajectory
 
 
@@ -148,34 +150,43 @@ def value_recurrence(q: QExpansion):
     return ValueExpansion(V_xx=V_xx, V_x=V_x, V_0=V_0), K, k
 
 
-def _sweep_once(model: SystemModel, pairs, terminal_state, gamma, second_order):
-    phi, phi_x, phi_xx = expand_terminal(model, terminal_state)
-    value = [ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)]
-    Ks, ks, djs = [], [], []
-    for x, u in reversed(pairs):
-        cost = expand_cost(model, x, u)
+def _linearize(model: SystemModel, states, controls, second_order):
+    """Per-knot (cost, dynamics) expansions at stacked states and controls."""
+    cost = expand_cost(model, states, controls)
+    costs = [CostExpansion(*knot) for knot in zip(
+        cost.l, cost.l_x, cost.l_u, cost.l_xx, cost.l_ux, cost.l_uu)]
+    if model.stacked_derivatives and not second_order:
+        f_x, f_u = model.dynamics_jacobians(states, controls)
+        dyns = [DynamicsExpansion(f0=None, f_x=a, f_u=b) for a, b in
+                zip(np.asarray(f_x, dtype=float), np.asarray(f_u, dtype=float))]
+        return costs, dyns
+    dyns = []
+    for x, u in zip(states, controls):
         # the sweep only needs Jacobians (and tensors in second-order mode);
         # skip the extra dynamics evaluation when the model provides them
         jac = None if second_order else model.dynamics_jacobians(x, u)
         if jac is None:
-            dyn = expand_dynamics(model, x, u, want_second_order=second_order)
+            dyns.append(expand_dynamics(model, x, u, want_second_order=second_order))
         else:
-            dyn = DynamicsExpansion(f0=None,
-                                    f_x=np.asarray(jac[0], dtype=float),
-                                    f_u=np.asarray(jac[1], dtype=float))
-        q = regularize(q_expansion(cost, dyn, value[-1], second_order), gamma)
+            dyns.append(DynamicsExpansion(f0=None,
+                                          f_x=np.asarray(jac[0], dtype=float),
+                                          f_u=np.asarray(jac[1], dtype=float)))
+    return costs, dyns
+
+
+def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, second_order):
+    n_knots = len(costs)
+    value = [None] * n_knots + [terminal]
+    Ks, ks, djs = [None] * n_knots, [None] * n_knots, [None] * n_knots
+    for i in range(n_knots - 1, -1, -1):
+        q = regularize(q_expansion(costs[i], dyns[i], value[i + 1], second_order),
+                       gamma)
         v, K, k = value_recurrence(q)
         # a diverging recursion only gets worse; escalate gamma right away
         if not np.isfinite(v.V_0) or np.max(np.abs(v.V_xx)) > 1e12:
             raise NeedsRegularization(_min_eig(q.Q_uu))
-        value.append(v)
-        Ks.append(K)
-        ks.append(k)
-        djs.append(float(k @ q.Q_u + 0.5 * k @ q.Q_uu @ k))
-    value.reverse()
-    Ks.reverse()
-    ks.reverse()
-    djs.reverse()
+        value[i], Ks[i], ks[i] = v, K, k
+        djs[i] = float(k @ q.Q_u + 0.5 * k @ q.Q_uu @ k)
     return value, Ks, ks, djs
 
 
@@ -185,22 +196,27 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     """Value expansions and gains for t from the terminal step down to -S.
 
     ``prefix`` is a (states, controls) pair of negative-time knots ordered
-    t = -S..-1 (both may be empty).  On factorization failure gamma is
-    escalated tenfold until it exceeds gamma_max.
+    t = -S..-1 (both may be empty).  The prefix and nominal knots are
+    linearized in one stacked call; on factorization failure gamma is
+    escalated tenfold until it exceeds gamma_max, reusing that
+    linearization.
     """
     pre_states, pre_controls = prefix
     pre_states = np.asarray(pre_states, dtype=float).reshape(-1, model.dim_x)
     pre_controls = np.asarray(pre_controls, dtype=float).reshape(-1, model.dim_u)
     if pre_states.shape[0] != pre_controls.shape[0]:
         raise ValueError("prefix states and controls must have equal length")
-    pairs = ([(pre_states[i], pre_controls[i]) for i in range(pre_states.shape[0])]
-             + [(traj.states[t], traj.controls[t]) for t in range(traj.horizon)])
+    phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
+    terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
+    costs, dyns = _linearize(model, np.vstack([pre_states, traj.states[:-1]]),
+                             np.vstack([pre_controls, traj.controls]),
+                             second_order)
 
     g = float(gamma)
     while True:
         try:
-            value, Ks, ks, djs = _sweep_once(model, pairs, traj.states[-1],
-                                             g, second_order)
+            value, Ks, ks, djs = _sweep_once(costs, dyns, terminal, g,
+                                             second_order)
             break
         except NeedsRegularization:
             g *= 10.0

@@ -29,8 +29,8 @@ class InverseStepError(RuntimeError):
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetrize a square matrix."""
-    return 0.5 * (M + M.T)
+    """Symmetrize a square matrix, or each matrix of a stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 class SystemModel:
@@ -47,6 +47,12 @@ class SystemModel:
 
     #: whether the dynamics map can be inverted (exactly or by Newton)
     has_inverse_step: bool = False
+
+    #: whether ``running_cost``, ``running_cost_derivatives`` and
+    #: ``dynamics_jacobians`` also take states (N, dim_x) and controls
+    #: (N, dim_u) and return each result with a leading knot axis; such a
+    #: model must provide both derivative methods analytically
+    stacked_derivatives: bool = False
 
     # -- required interface -------------------------------------------------
 
@@ -119,9 +125,10 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class CostExpansion:
-    """Quadratic running-cost model at a nominal pair."""
+    """Quadratic running-cost model at a nominal pair, or at a stack of
+    pairs with a leading knot axis on every field."""
 
-    l: float
+    l: float | np.ndarray
     l_x: np.ndarray
     l_u: np.ndarray
     l_xx: np.ndarray
@@ -263,9 +270,25 @@ def _dynamics_jacobians_any(model: SystemModel, x, u):
 
 
 def expand_cost(model: SystemModel, x, u) -> CostExpansion:
-    """Quadratic expansion of the running cost at (x, u)."""
+    """Quadratic expansion of the running cost at (x, u).
+
+    Given states (N, n) and controls (N, m), every field gains a leading
+    knot axis: one vectorized call when the model declares
+    ``stacked_derivatives``, one expansion per knot otherwise.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if x.ndim == 2:
+        if not model.stacked_derivatives:
+            knots = [expand_cost(model, xi, ui) for xi, ui in zip(x, u)]
+            return CostExpansion(*(np.array([getattr(k, f) for k in knots])
+                                   for f in CostExpansion.__dataclass_fields__))
+        l = _require_finite(np.asarray(model.running_cost(x, u), dtype=float),
+                            "running_cost at nominal")
+        l_x, l_u, l_xx, l_ux, l_uu = (
+            np.asarray(a, dtype=float) for a in model.running_cost_derivatives(x, u))
+        return CostExpansion(l=l, l_x=l_x, l_u=l_u, l_xx=sym(l_xx), l_ux=l_ux,
+                             l_uu=sym(l_uu))
     l = float(_require_finite(model.running_cost(x, u), "running_cost at nominal"))
     analytic = model.running_cost_derivatives(x, u)
     if analytic is not None:

@@ -36,9 +36,11 @@ def rk4_step_with_jacobian(deriv, jac, x, u, dt):
     """RK4 step plus the exact Jacobians of the discrete map.
 
     ``jac(x, u)`` must return the continuous-time (df/dx, df/du); the
-    discrete Jacobians follow by chain rule through the four stages.
+    discrete Jacobians follow by chain rule through the four stages.  With
+    a leading knot axis on x, u and the kernels' results, every knot is
+    propagated at once.
     """
-    n = x.size
+    n = x.shape[-1]
     eye = np.eye(n)
 
     k1 = deriv(x, u)
@@ -68,6 +70,30 @@ def rk4_step_with_jacobian(deriv, jac, x, u, dt):
     return x_next, f_x, f_u
 
 
+# The stacked forms below round exactly as the single-point forms do, so a
+# stacked expansion equals the per-knot one to the bit: a batched matmul of
+# vectors runs the same BLAS dot as ``a @ b``, and numpy's vectorized exp can
+# differ from math.exp in the last bit.
+
+def _dot(a, b):
+    """Dot product over the last axis, row by row for stacked arguments."""
+    if a.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _exp(v):
+    """math.exp of a number, or of each element of a 1-D array."""
+    if not isinstance(v, np.ndarray):
+        return math.exp(v)
+    return np.array([math.exp(t) for t in v.tolist()])
+
+
+def _per_knot(M, x):
+    """Constant M repeated along the knot axes of x (a read-only view)."""
+    return np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
+
+
 # ---------------------------------------------------------------------------
 # double integrator
 # ---------------------------------------------------------------------------
@@ -77,6 +103,7 @@ class DoubleIntegratorModel(SystemModel):
     """1-D double integrator with quadratic costs; exactly an LTI problem."""
 
     has_inverse_step = True
+    stacked_derivatives = True
 
     def __init__(self, dt=0.1, Q=None, R=None, Qf=None, c_t=0.0):
         if dt <= 0:
@@ -97,20 +124,21 @@ class DoubleIntegratorModel(SystemModel):
     def running_cost(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return 0.5 * float(x @ self.Q @ x + u @ self.R @ u) + self.c_t
+        return 0.5 * (_dot(x @ self.Q, x) + _dot(u @ self.R, u)) + self.c_t
 
     def terminal_cost(self, x):
         x = np.asarray(x, dtype=float)
         return 0.5 * float(x @ self.Qf @ x)
 
     def dynamics_jacobians(self, x, u):
-        return self.A, self.B
+        return _per_knot(self.A, x), _per_knot(self.B, x)
 
     def running_cost_derivatives(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return (self.Q @ x, self.R @ u, self.Q,
-                np.zeros((self.dim_u, self.dim_x)), self.R)
+        return (x @ self.Q, u @ self.R, _per_knot(self.Q, x),
+                np.zeros(x.shape[:-1] + (self.dim_u, self.dim_x)),
+                _per_knot(self.R, x))
 
     def terminal_cost_derivatives(self, x):
         x = np.asarray(x, dtype=float)
@@ -147,6 +175,7 @@ class CartpoleModel(SystemModel):
     """
 
     has_inverse_step = True  # RK4 map inverted by Newton for small dt
+    stacked_derivatives = True
 
     def __init__(self, cart_mass=1.0, pole_mass=0.1, pole_length=0.5,
                  gravity=GRAVITY, dt=0.02, w_xdot=0.1, w_thetadot=0.1,
@@ -171,11 +200,18 @@ class CartpoleModel(SystemModel):
 
     # equations of motion in manipulator form, solved for the accelerations
     def _deriv(self, x, u):
-        _, xdot, theta, thetadot = x
+        # plain floats: numpy scalar arithmetic costs several times more
+        _, xdot, theta, thetadot = x.tolist()
         force = float(u[0])
-        s, c = math.sin(theta), math.cos(theta)
+        try:
+            s, c = math.sin(theta), math.cos(theta)
+            spin = thetadot ** 2
+        except (ValueError, OverflowError):
+            # an overflowed state: math.sin rejects inf, and float ** raises
+            # where a numpy scalar would return inf
+            raise FloatingPointError("cartpole state became non-finite") from None
         den = self.mc + self.mp * s * s
-        xddot = (force + self.mp * s * (self.length * thetadot ** 2
+        xddot = (force + self.mp * s * (self.length * spin
                                         + self.gravity * c)) / den
         thddot = -(xddot * c + self.gravity * s) / self.length
         return np.array([xdot, xddot, thetadot, thddot])
@@ -209,26 +245,65 @@ class CartpoleModel(SystemModel):
         fu = np.array([[0.0], [dxdd_du], [0.0], [dtdd_du]])
         return fx, fu
 
+    # the same two kernels over knots stacked along axis 0
+    def _stacked_deriv(self, x, u):
+        xdot, theta, thetadot = x[:, 1], x[:, 2], x[:, 3]
+        s, c = np.sin(theta), np.cos(theta)
+        den = self.mc + self.mp * s * s
+        xddot = (u[:, 0] + self.mp * s * (self.length * thetadot ** 2
+                                          + self.gravity * c)) / den
+        thddot = -(xddot * c + self.gravity * s) / self.length
+        return np.stack([xdot, xddot, thetadot, thddot], axis=-1)
+
+    def _stacked_deriv_jacobians(self, x, u):
+        theta, thetadot = x[:, 2], x[:, 3]
+        s, c = np.sin(theta), np.cos(theta)
+        g, l, mp = self.gravity, self.length, self.mp
+        den = self.mc + mp * s * s
+        num = u[:, 0] + mp * s * (l * thetadot ** 2 + g * c)
+        xddot = num / den
+
+        dnum_dth = mp * (c * l * thetadot ** 2 + g * (c * c - s * s))
+        dden_dth = 2.0 * mp * s * c
+        dxdd_dth = (dnum_dth * den - num * dden_dth) / (den * den)
+        dxdd_dtd = 2.0 * mp * l * thetadot * s / den
+        dxdd_du = 1.0 / den
+
+        fx = np.zeros((x.shape[0], 4, 4))
+        fx[:, 0, 1] = 1.0
+        fx[:, 1, 2] = dxdd_dth
+        fx[:, 1, 3] = dxdd_dtd
+        fx[:, 2, 3] = 1.0
+        fx[:, 3, 2] = -(dxdd_dth * c - xddot * s + g * c) / l
+        fx[:, 3, 3] = -(dxdd_dtd * c) / l
+        fu = np.zeros((x.shape[0], 4, 1))
+        fu[:, 1, 0] = dxdd_du
+        fu[:, 3, 0] = -(dxdd_du * c) / l
+        return fx, fu
+
     def step(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         out = rk4_step(self._deriv, x, u, self.dt)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FloatingPointError("cartpole state became non-finite")
         return out
 
     def dynamics_jacobians(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        _, fx, fu = rk4_step_with_jacobian(self._deriv, self._deriv_jacobians,
-                                           x, u, self.dt)
+        if x.ndim == 1:
+            kernels = self._deriv, self._deriv_jacobians
+        else:
+            kernels = self._stacked_deriv, self._stacked_deriv_jacobians
+        _, fx, fu = rk4_step_with_jacobian(*kernels, x, u, self.dt)
         return fx, fu
 
     def running_cost(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return (0.5 * (self.w_xdot * x[1] ** 2 + self.w_thetadot * x[3] ** 2
-                       + self.w_u * float(u @ u)) + self.c_t)
+        return (0.5 * (self.w_xdot * x[..., 1] ** 2 + self.w_thetadot * x[..., 3] ** 2
+                       + self.w_u * _dot(u, u)) + self.c_t)
 
     def terminal_cost(self, x):
         x = np.asarray(x, dtype=float)
@@ -239,11 +314,12 @@ class CartpoleModel(SystemModel):
     def running_cost_derivatives(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        l_x = np.array([0.0, self.w_xdot * x[1], 0.0, self.w_thetadot * x[3]])
+        l_x = np.zeros(x.shape)
+        l_x[..., 1] = self.w_xdot * x[..., 1]
+        l_x[..., 3] = self.w_thetadot * x[..., 3]
         l_xx = np.diag([0.0, self.w_xdot, 0.0, self.w_thetadot])
-        l_u = self.w_u * u
-        l_uu = self.w_u * np.eye(1)
-        return l_x, l_u, l_xx, np.zeros((1, 4)), l_uu
+        return (l_x, self.w_u * u, _per_knot(l_xx, x),
+                np.zeros(x.shape[:-1] + (1, 4)), _per_knot(self.w_u * np.eye(1), x))
 
     def terminal_cost_derivatives(self, x):
         x = np.asarray(x, dtype=float)
@@ -276,6 +352,7 @@ class QuadrotorModel(SystemModel):
     """
 
     has_inverse_step = True
+    stacked_derivatives = True
 
     def __init__(self, mass=1.0, inertia=(0.01, 0.01, 0.02), gravity=GRAVITY,
                  dt=0.05, goal=None, w_pos=1.0, w_att=1.0, w_vel=0.1,
@@ -296,33 +373,33 @@ class QuadrotorModel(SystemModel):
         self.u_hover = np.array([self.mass * self.gravity, 0.0, 0.0, 0.0])
 
     def _deriv(self, x, u):
-        phi, th, psi = x[3], x[4], x[5]
-        vel = x[6:9]
-        p, q, r = x[9], x[10], x[11]
-        thrust, tx, ty, tz = u
-        jx, jy, jz = self.inertia
-
-        sph, cph = math.sin(phi), math.cos(phi)
-        sth, cth = math.sin(th), math.cos(th)
-        sps, cps = math.sin(psi), math.cos(psi)
+        # plain floats: numpy scalar arithmetic costs several times more
+        _, _, _, phi, th, psi, vx, vy, vz, p, q, r = x.tolist()
+        thrust, tx, ty, tz = u.tolist()
+        jx, jy, jz = self.inertia.tolist()
+        try:
+            sph, cph = math.sin(phi), math.cos(phi)
+            sth, cth = math.sin(th), math.cos(th)
+            sps, cps = math.sin(psi), math.cos(psi)
+        except ValueError:  # an overflowed state: math.sin rejects inf
+            raise FloatingPointError("quadrotor state became non-finite") from None
         tth = sth / cth
 
-        acc = np.array([
-            (thrust / self.mass) * (cph * sth * cps + sph * sps),
-            (thrust / self.mass) * (cph * sth * sps - sph * cps),
-            (thrust / self.mass) * (cph * cth) - self.gravity,
-        ])
-        euler_rates = np.array([
+        return np.array([
+            vx, vy, vz,
+            # Euler-angle rates
             p + (q * sph + r * cph) * tth,
             q * cph - r * sph,
             (q * sph + r * cph) / cth,
-        ])
-        body_acc = np.array([
+            # linear acceleration
+            (thrust / self.mass) * (cph * sth * cps + sph * sps),
+            (thrust / self.mass) * (cph * sth * sps - sph * cps),
+            (thrust / self.mass) * (cph * cth) - self.gravity,
+            # angular acceleration
             ((jy - jz) * q * r + tx) / jx,
             ((jz - jx) * p * r + ty) / jy,
             ((jx - jy) * p * q + tz) / jz,
         ])
-        return np.concatenate([vel, euler_rates, acc, body_acc])
 
     def _deriv_jacobians(self, x, u):
         phi, th, psi = x[3], x[4], x[5]
@@ -384,25 +461,106 @@ class QuadrotorModel(SystemModel):
 
         return fx, fu
 
+    # the same two kernels over knots stacked along axis 0
+    def _stacked_deriv(self, x, u):
+        phi, th, psi = x[:, 3], x[:, 4], x[:, 5]
+        p, q, r = x[:, 9], x[:, 10], x[:, 11]
+        thrust, tx, ty, tz = u.T
+        jx, jy, jz = self.inertia
+
+        sph, cph = np.sin(phi), np.cos(phi)
+        sth, cth = np.sin(th), np.cos(th)
+        sps, cps = np.sin(psi), np.cos(psi)
+        tth = sth / cth
+
+        return np.stack([
+            x[:, 6], x[:, 7], x[:, 8],
+            p + (q * sph + r * cph) * tth,
+            q * cph - r * sph,
+            (q * sph + r * cph) / cth,
+            (thrust / self.mass) * (cph * sth * cps + sph * sps),
+            (thrust / self.mass) * (cph * sth * sps - sph * cps),
+            (thrust / self.mass) * (cph * cth) - self.gravity,
+            ((jy - jz) * q * r + tx) / jx,
+            ((jz - jx) * p * r + ty) / jy,
+            ((jx - jy) * p * q + tz) / jz,
+        ], axis=-1)
+
+    def _stacked_deriv_jacobians(self, x, u):
+        phi, th, psi = x[:, 3], x[:, 4], x[:, 5]
+        p, q, r = x[:, 9], x[:, 10], x[:, 11]
+        jx, jy, jz = self.inertia
+        m = self.mass
+
+        sph, cph = np.sin(phi), np.cos(phi)
+        sth, cth = np.sin(th), np.cos(th)
+        sps, cps = np.sin(psi), np.cos(psi)
+        tth = sth / cth
+        sec2 = 1.0 / (cth * cth)
+
+        fx = np.zeros((x.shape[0], 12, 12))
+        fu = np.zeros((x.shape[0], 12, 4))
+        fx[:, 0:3, 6:9] = np.eye(3)
+
+        fx[:, 3, 3] = (q * cph - r * sph) * tth
+        fx[:, 3, 4] = (q * sph + r * cph) * sec2
+        fx[:, 3, 9] = 1.0
+        fx[:, 3, 10] = sph * tth
+        fx[:, 3, 11] = cph * tth
+        fx[:, 4, 3] = -q * sph - r * cph
+        fx[:, 4, 10] = cph
+        fx[:, 4, 11] = -sph
+        fx[:, 5, 3] = (q * cph - r * sph) / cth
+        fx[:, 5, 4] = (q * sph + r * cph) * sth * sec2
+        fx[:, 5, 10] = sph / cth
+        fx[:, 5, 11] = cph / cth
+
+        k = u[:, 0] / m
+        fx[:, 6, 3] = k * (-sph * sth * cps + cph * sps)
+        fx[:, 6, 4] = k * (cph * cth * cps)
+        fx[:, 6, 5] = k * (-cph * sth * sps + sph * cps)
+        fx[:, 7, 3] = k * (-sph * sth * sps - cph * cps)
+        fx[:, 7, 4] = k * (cph * cth * sps)
+        fx[:, 7, 5] = k * (cph * sth * cps + sph * sps)
+        fx[:, 8, 3] = k * (-sph * cth)
+        fx[:, 8, 4] = k * (-cph * sth)
+        fu[:, 6, 0] = (cph * sth * cps + sph * sps) / m
+        fu[:, 7, 0] = (cph * sth * sps - sph * cps) / m
+        fu[:, 8, 0] = (cph * cth) / m
+
+        fx[:, 9, 10] = (jy - jz) * r / jx
+        fx[:, 9, 11] = (jy - jz) * q / jx
+        fx[:, 10, 9] = (jz - jx) * r / jy
+        fx[:, 10, 11] = (jz - jx) * p / jy
+        fx[:, 11, 9] = (jx - jy) * q / jz
+        fx[:, 11, 10] = (jx - jy) * p / jz
+        fu[:, 9, 1] = 1.0 / jx
+        fu[:, 10, 2] = 1.0 / jy
+        fu[:, 11, 3] = 1.0 / jz
+        return fx, fu
+
     def step(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         out = rk4_step(self._deriv, x, u, self.dt)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FloatingPointError("quadrotor state became non-finite")
         return out
 
     def dynamics_jacobians(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        _, fx, fu = rk4_step_with_jacobian(self._deriv, self._deriv_jacobians,
-                                           x, u, self.dt)
+        if x.ndim == 1:
+            kernels = self._deriv, self._deriv_jacobians
+        else:
+            kernels = self._stacked_deriv, self._stacked_deriv_jacobians
+        _, fx, fu = rk4_step_with_jacobian(*kernels, x, u, self.dt)
         return fx, fu
 
     def running_cost(self, x, u):
         dx = np.asarray(x, dtype=float) - self.goal
         du = np.asarray(u, dtype=float) - self.u_hover
-        return 0.5 * float(dx @ self.Q @ dx + du @ self.R @ du) + self.c_t
+        return 0.5 * (_dot(dx @ self.Q, dx) + _dot(du @ self.R, du)) + self.c_t
 
     def terminal_cost(self, x):
         dx = np.asarray(x, dtype=float) - self.goal
@@ -411,8 +569,8 @@ class QuadrotorModel(SystemModel):
     def running_cost_derivatives(self, x, u):
         dx = np.asarray(x, dtype=float) - self.goal
         du = np.asarray(u, dtype=float) - self.u_hover
-        return (self.Q @ dx, self.R @ du, self.Q,
-                np.zeros((4, 12)), self.R)
+        return (dx @ self.Q, du @ self.R, _per_knot(self.Q, dx),
+                np.zeros(dx.shape[:-1] + (4, 12)), _per_knot(self.R, dx))
 
     def terminal_cost_derivatives(self, x):
         dx = np.asarray(x, dtype=float) - self.goal
@@ -472,16 +630,28 @@ class Obstacle:
             remaining -= dt
         return disp
 
-    def cost(self, pos: np.ndarray) -> float:
-        d2 = float(np.sum((pos - np.asarray(self.center)) ** 2))
-        return self.weight * math.exp(-d2 / (2.0 * self.radius ** 2))
+    def cost(self, pos: np.ndarray):
+        """Cost at a position (2,), or at each row of positions (N, 2)."""
+        pos = np.asarray(pos, dtype=float)
+        if pos.ndim == 1:
+            # every rollout step lands here: plain floats, same rounding
+            px, py = pos.tolist()
+            dx, dy = px - self.center[0], py - self.center[1]
+            d2 = dx * dx + dy * dy
+        else:
+            d2 = np.sum((pos - np.asarray(self.center)) ** 2, axis=-1)
+        return self.weight * _exp(-d2 / (2.0 * self.radius ** 2))
 
     def cost_derivatives(self, pos: np.ndarray):
+        """(cost, gradient, Hessian) at a position (2,), or stacked over
+        the rows of positions (N, 2)."""
         delta = pos - np.asarray(self.center)
         r2 = self.radius ** 2
-        c = self.weight * math.exp(-float(delta @ delta) / (2.0 * r2))
-        grad = -(c / r2) * delta
-        hess = (c / (r2 * r2)) * np.outer(delta, delta) - (c / r2) * _EYE2
+        c = self.weight * _exp(-_dot(delta, delta) / (2.0 * r2))
+        ck = np.expand_dims(c, -1)
+        grad = -(ck / r2) * delta
+        hess = (np.expand_dims(ck / (r2 * r2), -1) * (delta[..., :, None] * delta[..., None, :])
+                - np.expand_dims(ck / r2, -1) * _EYE2)
         return c, grad, hess
 
 
@@ -489,6 +659,7 @@ class PointMassNavModel(SystemModel):
     """Planar double integrator steering to a goal through soft obstacles."""
 
     has_inverse_step = True
+    stacked_derivatives = True
 
     def __init__(self, dt=0.1, goal=(8.0, 0.0), w_u=0.5, w_vel=0.05,
                  wf_pos=50.0, wf_vel=50.0, obstacles=(), c_t=0.0,
@@ -521,14 +692,15 @@ class PointMassNavModel(SystemModel):
         return self.A @ np.asarray(x, dtype=float) + self.B @ np.asarray(u, dtype=float)
 
     def dynamics_jacobians(self, x, u):
-        return self.A, self.B
+        return _per_knot(self.A, x), _per_knot(self.B, x)
 
     def running_cost(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        total = 0.5 * (self.w_u * float(u @ u) + self.w_vel * float(x[2:] @ x[2:]))
+        vel = x[..., 2:]
+        total = 0.5 * (self.w_u * _dot(u, u) + self.w_vel * _dot(vel, vel))
         for obs in self.obstacles:
-            total += obs.cost(x[:2])
+            total += obs.cost(x[..., :2])
         return total + self.c_t
 
     def terminal_cost(self, x):
@@ -540,15 +712,17 @@ class PointMassNavModel(SystemModel):
     def running_cost_derivatives(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        l_x = np.concatenate([np.zeros(2), self.w_vel * x[2:]])
-        l_xx = self._l_xx_base
+        l_x = np.zeros(x.shape)
+        l_x[..., 2:] = self.w_vel * x[..., 2:]
+        l_xx = _per_knot(self._l_xx_base, x)
         if self.obstacles:
             l_xx = l_xx.copy()
             for obs in self.obstacles:
-                _, grad, hess = obs.cost_derivatives(x[:2])
-                l_x[:2] += grad
-                l_xx[:2, :2] += hess
-        return l_x, self.w_u * u, l_xx, self._l_ux, self._l_uu
+                _, grad, hess = obs.cost_derivatives(x[..., :2])
+                l_x[..., :2] += grad
+                l_xx[..., :2, :2] += hess
+        return (l_x, self.w_u * u, l_xx, _per_knot(self._l_ux, x),
+                _per_knot(self._l_uu, x))
 
     def terminal_cost_derivatives(self, x):
         x = np.asarray(x, dtype=float)

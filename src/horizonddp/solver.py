@@ -197,7 +197,7 @@ def rollout(model: SystemModel, back: BackwardResult, states_ext: np.ndarray,
             cost += model.running_cost(states[t], u)
         except FloatingPointError:
             return None, math.inf
-        if not np.all(np.isfinite(x_next)) or np.max(np.abs(x_next)) > 1e8:
+        if not np.isfinite(x_next).all() or np.abs(x_next).max() > 1e8:
             return None, math.inf
         states[t + 1] = x_next
     cost += model.terminal_cost(states[-1])
@@ -260,7 +260,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
         record = {
             "iteration": it, "t_bar": t_bar, "j": J, "gamma": gamma,
-            "t_star": t_star, "alpha": None, "accepted": False,
+            "t_star": t_star, "t_tried": t_star, "rejected": None,
+            "alpha": None, "accepted": False,
             "candidates": [(c.T, c.J_T, c.admissible) for c in candidates],
         }
 
@@ -289,6 +290,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             return False, None, math.inf, a
 
         accepted, new_traj, j_new, alpha = line_search(t0)
+        if not accepted:
+            record["rejected"] = "no_decrease"
         if not accepted and t_star != t_bar:
             # mispriced candidate; retry at the current horizon before
             # shrinking the window
@@ -343,7 +346,14 @@ def trace_csv_rows(result: SolverResult):
 
 
 def trace_json(result: SolverResult) -> list:
-    """Full per-iteration candidate tables as JSON-ready data."""
+    """Full per-iteration candidate tables as JSON-ready data.
+
+    ``t_tried`` is the horizon the line search tried first and ``t_star``
+    the one the iteration ended on: T-bar when a shifted try was rejected
+    and retried.  ``rejected`` is None unless the first try failed, and
+    then names why: "no_decrease" when no step size down to the alpha
+    floor lowered the cost.
+    """
     out = []
     for rec in result.trace:
         out.append({
@@ -353,6 +363,8 @@ def trace_json(result: SolverResult) -> list:
             "alpha": rec["alpha"],
             "gamma": rec["gamma"],
             "t_star": rec["t_star"],
+            "t_tried": rec["t_tried"],
+            "rejected": rec["rejected"],
             "accepted": rec["accepted"],
             "candidates": [
                 {"T": T, "J_T": j_t, "admissible": adm}

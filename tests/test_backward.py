@@ -1,20 +1,88 @@
 """Backward sweep: Q-expansion, regularization, value recurrence, gains."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.optimize
 
 from conftest import random_lq
-from horizonddp import (CartpoleModel, QExpansion, ValueExpansion,
-                        backward_sweep, initial_trajectory,
-                        optimize_trajectory, regularize, riccati_sweep,
-                        value_recurrence, SolverConfig, trajectory_cost)
+from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
+                        ValueExpansion, backward, backward_sweep, expand_cost,
+                        expand_dynamics, expand_terminal, initial_trajectory,
+                        optimize_trajectory, q_expansion, regularize,
+                        riccati_sweep, rollout_controls, value_recurrence,
+                        ExpansionError, SolverConfig, Trajectory,
+                        trajectory_cost)
 from horizonddp.backward import NeedsRegularization
+from test_model_api import CubicModel
 
 
 def empty_prefix(model):
     return (np.zeros((0, model.dim_x)), np.zeros((0, model.dim_u)))
+
+
+def per_knot_sweep(model, traj, prefix, gamma, second_order=False):
+    """Reference sweep: each knot expanded inside the recursion, one at a
+    time, with no gamma escalation."""
+    pairs = (list(zip(*prefix))
+             + list(zip(traj.states[:-1], traj.controls)))
+    phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
+    value = [ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)]
+    Ks, ks = [], []
+    for x, u in reversed(pairs):
+        dyn = expand_dynamics(model, x, u, want_second_order=second_order)
+        q = regularize(q_expansion(expand_cost(model, x, u), dyn, value[0],
+                                   second_order), gamma)
+        v, K, k = value_recurrence(q)
+        value.insert(0, v)
+        Ks.insert(0, K)
+        ks.insert(0, k)
+    return value, Ks, ks
+
+
+def _cubic_case(rng):
+    m = CubicModel()
+    x0 = np.array([0.3])
+    traj = rollout_controls(m, x0, 0.1 * rng.standard_normal((6, 1)))
+    return m, traj, (np.tile(x0, (3, 1)), np.zeros((3, 1)))
+
+
+def _lq_case(rng):
+    m = random_lq(rng)
+    traj = initial_trajectory(m, rng.standard_normal(m.dim_x), 8)
+    u0 = traj.controls[0]
+    return m, traj, (np.array([m.inverse_step(traj.states[0], u0)]),
+                     u0[None, :])
+
+
+def _cartpole_case(rng):
+    m = CartpoleModel(c_t=3.0)
+    traj = rollout_controls(m, np.zeros(4), 3.0 * rng.standard_normal((20, 1)))
+    return m, traj, empty_prefix(m)
+
+
+@pytest.mark.parametrize("case,second_order", [
+    (_lq_case, False), (_cubic_case, False), (_cubic_case, True),
+    (_cartpole_case, False)])
+def test_sweep_matches_per_knot_reference(case, second_order, rng):
+    # models without stacked derivatives are expanded knot by knot, so the
+    # sweep is the reference to the bit; stacked models agree to rounding
+    model, traj, prefix = case(rng)
+    back = backward_sweep(model, traj, prefix, gamma=1e-6,
+                          second_order=second_order)
+    assert back.gamma_used == 1e-6
+    value, Ks, ks = per_knot_sweep(model, traj, prefix, 1e-6, second_order)
+    got = [(v.V_xx, v.V_x, v.V_0) for v in back.value] + [back.policy.K, back.policy.k]
+    want = [(v.V_xx, v.V_x, v.V_0) for v in value] + [Ks, ks]
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            if model.stacked_derivatives:
+                npt.assert_allclose(x, y, rtol=1e-12,
+                                    atol=1e-12 * max(1.0, np.max(np.abs(y))))
+            else:
+                npt.assert_array_equal(x, y)
 
 
 def test_regularize_hand_example():
@@ -167,6 +235,42 @@ def test_gamma_escalation_recovers_from_indefinite_quu():
     traj = initial_trajectory(m, np.array([1.0, 0.0]), 4)
     back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6)
     assert back.gamma_used >= 1.0  # escalated well past the initial floor
+
+
+@pytest.mark.parametrize("model", [CartpoleModel(), CubicModel()])
+def test_sweep_rejects_non_finite_running_cost(model):
+    states = np.zeros((6, model.dim_x))
+    states[2] = np.nan
+    traj = Trajectory(states=states, controls=np.zeros((5, model.dim_u)))
+    with pytest.raises(ExpansionError, match="running_cost"):
+        backward_sweep(model, traj, empty_prefix(model))
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_gamma_escalation_reuses_one_linearization(stacked, monkeypatch):
+    counts = Counter()
+    expand = backward.expand_cost
+
+    def counting_expand_cost(model, x, u):
+        counts["expand_cost"] += 1
+        return expand(model, x, u)
+
+    class Counting(DoubleIntegratorModel):
+        stacked_derivatives = stacked
+
+        def dynamics_jacobians(self, x, u):
+            counts["dynamics_jacobians"] += 1
+            return super().dynamics_jacobians(x, u)
+
+    monkeypatch.setattr(backward, "expand_cost", counting_expand_cost)
+    # a control cost concave enough that the sweep escalates gamma
+    m = Counting(dt=1.0, R=-np.eye(1))
+    traj = initial_trajectory(m, np.array([1.0, 0.0]), 4)
+    counts.clear()
+    back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6)
+    assert back.gamma_used >= 1e-4        # at least two escalations
+    assert counts["expand_cost"] == 1
+    assert counts["dynamics_jacobians"] == (1 if stacked else traj.horizon)
 
 
 def test_value_zero_order_matches_cost_on_converged_cartpole():

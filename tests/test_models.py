@@ -6,9 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from horizonddp import (CartpoleModel, DoubleIntegratorModel, Obstacle,
-                        PointMassNavModel, QuadrotorModel, check_derivatives,
-                        make_model, obstacle_schedule_advance, rk4_step,
+from horizonddp import (CartpoleModel, CostExpansion, DoubleIntegratorModel,
+                        Obstacle, PointMassNavModel, QuadrotorModel,
+                        check_derivatives, expand_cost, make_model,
+                        obstacle_schedule_advance, rk4_step,
                         rk4_step_with_jacobian)
 
 
@@ -212,23 +213,55 @@ def test_nav_running_cost_includes_obstacles():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,builder", [
+BUILTIN_MODELS = [
     ("double_integrator", lambda: DoubleIntegratorModel()),
     ("cartpole", lambda: CartpoleModel()),
     ("quadrotor", lambda: QuadrotorModel()),
     ("pointmass_nav", lambda: PointMassNavModel(
-        obstacles=(Obstacle(center=(1.0, 1.0), radius=0.7, weight=2.0),))),
-])
-def test_analytic_derivatives_verified(name, builder, rng):
-    m = builder()
+        obstacles=(Obstacle(center=(1.0, 1.0), radius=0.7, weight=2.0),
+                   Obstacle(center=(-0.5, 0.2), radius=0.4, weight=5.0)))),
+]
+
+
+def _random_knots(m, rng, count, scale=0.4):
     samples = []
-    while len(samples) < 25:
-        x = 0.4 * rng.standard_normal(m.dim_x)
-        u = m.nominal_control(x) + 0.4 * rng.standard_normal(m.dim_u)
+    while len(samples) < count:
+        x = scale * rng.standard_normal(m.dim_x)
+        u = m.nominal_control(x) + scale * rng.standard_normal(m.dim_u)
         if m.admissible(x):
             samples.append((x, u))
-    report = check_derivatives(m, samples)
+    return samples
+
+
+@pytest.mark.parametrize("name,builder", BUILTIN_MODELS)
+def test_analytic_derivatives_verified(name, builder, rng):
+    m = builder()
+    report = check_derivatives(m, _random_knots(m, rng, 25))
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("name,builder", BUILTIN_MODELS)
+def test_stacked_expansions_match_per_knot(name, builder, rng):
+    m = builder()
+    assert m.stacked_derivatives
+    states, controls = map(np.array, zip(*_random_knots(m, rng, 30, scale=1.0)))
+    n, k = m.dim_x, m.dim_u
+    cost = expand_cost(m, states, controls)
+    f_x, f_u = m.dynamics_jacobians(states, controls)
+    assert cost.l.shape == (30,) and cost.l_ux.shape == (30, k, n)
+    assert f_x.shape == (30, n, n) and f_u.shape == (30, n, k)
+
+    def close(stacked, knot):
+        npt.assert_allclose(stacked, knot, rtol=1e-12,
+                            atol=1e-12 * max(1.0, np.max(np.abs(knot))))
+
+    for i, (x, u) in enumerate(zip(states, controls)):
+        knot = expand_cost(m, x, u)
+        for field in CostExpansion.__dataclass_fields__:
+            close(getattr(cost, field)[i], getattr(knot, field))
+        knot_fx, knot_fu = m.dynamics_jacobians(x, u)
+        close(f_x[i], knot_fx)
+        close(f_u[i], knot_fu)
 
 
 def test_registry_builds_models():

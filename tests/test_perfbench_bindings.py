@@ -1,0 +1,50 @@
+"""The benchmark tracer patches names in the package; these tests fail fast
+when a refactor drops or bypasses one of those bindings."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from horizonddp import (CartpoleModel, backward, initial_trajectory, models,
+                        mpc, oracle, solver, trajectory)
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def _bindings():
+    owners = (solver, mpc, oracle, backward, trajectory, trajectory.Trajectory,
+              models.Obstacle, models.QuadrotorModel, models.CartpoleModel,
+              models.PointMassNavModel)
+    return {(owner.__name__, name): value
+            for owner in owners for name, value in vars(owner).items()}
+
+
+def test_tracer_installs_and_uninstalls():
+    before = _bindings()
+    tracer = _tracer()
+    tracer.install()      # raises if a patched binding no longer exists
+    try:
+        assert _bindings() != before
+        m = CartpoleModel(c_t=30.0)
+        traj = initial_trajectory(m, np.zeros(4), 20)
+        prefix = solver.extend_backward(m, traj, 5)
+        with tracer.recording():
+            solver.backward_sweep(m, traj, (prefix.states, prefix.controls),
+                                  gamma=1e-6)
+    finally:
+        tracer.uninstall()
+    assert _bindings() == before
+    counts = tracer.counts()
+    assert counts["backward.sweeps"] == 1
+    assert counts["backward.knots"] == 25
+    # one stacked linearization per sweep, not one per knot
+    assert counts["models.jacobian_calls"] == 1
+    assert tracer.calls["model.expand_cost"] == 1

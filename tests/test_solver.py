@@ -189,6 +189,26 @@ def test_rollout_flags_divergence():
     assert cost == np.inf
 
 
+@pytest.mark.parametrize("feedforward", [1e308, 1e200])
+def test_rollout_returns_inf_when_step_raises(feedforward):
+    # the cartpole step raises FloatingPointError once its state overflows:
+    # to inf at once (1e308), or past float range in a squared rate (1e200)
+    from horizonddp import CartpoleModel
+    from horizonddp.backward import BackwardResult, FeedbackPolicy
+
+    m = CartpoleModel()
+    T = 5
+    policy = FeedbackPolicy(K=tuple(np.zeros((1, 4)) for _ in range(T)),
+                            k=tuple(np.full(1, feedforward) for _ in range(T)),
+                            t0_offset=0)
+    back = BackwardResult(value=(), policy=policy, gamma_used=0.0,
+                          prefix_len=0, horizon=T, dj=(0.0,) * T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rollout(m, back, np.zeros((T + 1, 4)), np.zeros((T, 1)), 0, 1.0,
+                      np.zeros(4))
+    assert out == (None, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # full solves
 # ---------------------------------------------------------------------------
@@ -249,6 +269,30 @@ def test_initial_horizon_out_of_bounds_rejected():
     cfg = SolverConfig(horizon_bounds=(5, 10), window_s=2)
     with pytest.raises(ValueError, match="bounds"):
         optimize_trajectory(m, initial_trajectory(m, np.ones(2), 20), cfg)
+
+
+def test_trace_keeps_rejected_horizon_on_quadrotor():
+    # criterion-5 start: most iterations first try a shifted horizon, find
+    # no decrease, and then accept a step at T-bar
+    from horizonddp import QuadrotorModel
+    from horizonddp.solver import trace_json
+
+    m = QuadrotorModel(c_t=1.0)
+    x0 = np.zeros(12)
+    x0[:3] = [1.5, 1.0, -1.0]
+    res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
+                              SolverConfig(horizon_bounds=(5, 150), window_s=10))
+    assert res.converged and res.iterations == 22 and res.t_star == 34
+    rows = trace_json(res)
+    retried = [r for r in rows if r["t_tried"] != r["t_star"]]
+    assert retried
+    for r in retried:
+        assert r["rejected"] == "no_decrease"
+        assert r["t_star"] == r["t_bar"]
+    for r in rows:
+        if r["rejected"] is None:
+            assert r["t_tried"] == r["t_star"]
+            assert r["accepted"] or r is rows[-1]   # the last may converge
 
 
 def test_deterministic_reruns_bitwise(rng):
