@@ -16,14 +16,14 @@ from .lti import (IllPosedStepError, LtiProblem, RiccatiSequence,
 from .model import (CostExpansion, DerivativeReport, DynamicsExpansion,
                     ExpansionError, InverseStepError, SystemModel,
                     check_derivatives, expand_cost, expand_dynamics,
-                    expand_terminal, with_time_penalty)
+                    expand_terminal)
 from .models import (CartpoleModel, DoubleIntegratorModel, MODEL_REGISTRY,
                      Obstacle, PointMassNavModel, QuadrotorModel, make_model,
                      obstacle_schedule_advance, rk4_step,
                      rk4_step_with_jacobian)
 from .mpc import EpisodeLog, MpcConfig, StepRecord, mpc_step, run_episode
-from .oracle import (HorizonRecord, HorizonSweepResult, exhaustive_horizon,
-                     fixed_horizon_ddp)
+from .oracle import (HorizonRecord, HorizonSweepResult, bracketed_horizon,
+                     exhaustive_horizon, fixed_horizon_ddp)
 from .solver import (CandidateEvaluation, SolverConfig, SolverResult,
                      evaluate_candidates, extend_backward, optimize_trajectory,
                      select_horizon)
@@ -39,13 +39,13 @@ __all__ = [
     "lti_optimal_horizon", "lti_to_json", "riccati_step", "riccati_sweep",
     "CostExpansion", "DerivativeReport", "DynamicsExpansion", "ExpansionError",
     "InverseStepError", "SystemModel", "check_derivatives", "expand_cost",
-    "expand_dynamics", "expand_terminal", "with_time_penalty",
+    "expand_dynamics", "expand_terminal",
     "CartpoleModel", "DoubleIntegratorModel", "MODEL_REGISTRY", "Obstacle",
     "PointMassNavModel", "QuadrotorModel", "make_model",
     "obstacle_schedule_advance", "rk4_step", "rk4_step_with_jacobian",
     "EpisodeLog", "MpcConfig", "StepRecord", "mpc_step", "run_episode",
-    "HorizonRecord", "HorizonSweepResult", "exhaustive_horizon",
-    "fixed_horizon_ddp",
+    "HorizonRecord", "HorizonSweepResult", "bracketed_horizon",
+    "exhaustive_horizon", "fixed_horizon_ddp",
     "CandidateEvaluation", "SolverConfig", "SolverResult",
     "evaluate_candidates", "extend_backward", "optimize_trajectory",
     "select_horizon",

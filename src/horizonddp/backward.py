@@ -18,6 +18,9 @@ from .model import (CostExpansion, DynamicsExpansion, SystemModel,
                     expand_cost, expand_dynamics, expand_terminal, sym)
 from .trajectory import Trajectory
 
+# Q_uu regularization ceiling: a sweep that still fails above it gives up
+GAMMA_MAX = 1e6
+
 
 class NeedsRegularization(RuntimeError):
     """Quu factorization failed; carries the estimated smallest eigenvalue."""
@@ -157,20 +160,11 @@ def _linearize(model: SystemModel, states, controls, second_order):
         cost.l, cost.l_x, cost.l_u, cost.l_xx, cost.l_ux, cost.l_uu)]
     if model.stacked_derivatives and not second_order:
         f_x, f_u = model.dynamics_jacobians(states, controls)
-        dyns = [DynamicsExpansion(f0=None, f_x=a, f_u=b) for a, b in
+        dyns = [DynamicsExpansion(f_x=a, f_u=b) for a, b in
                 zip(np.asarray(f_x, dtype=float), np.asarray(f_u, dtype=float))]
-        return costs, dyns
-    dyns = []
-    for x, u in zip(states, controls):
-        # the sweep only needs Jacobians (and tensors in second-order mode);
-        # skip the extra dynamics evaluation when the model provides them
-        jac = None if second_order else model.dynamics_jacobians(x, u)
-        if jac is None:
-            dyns.append(expand_dynamics(model, x, u, want_second_order=second_order))
-        else:
-            dyns.append(DynamicsExpansion(f0=None,
-                                          f_x=np.asarray(jac[0], dtype=float),
-                                          f_u=np.asarray(jac[1], dtype=float)))
+    else:
+        dyns = [expand_dynamics(model, x, u, want_second_order=second_order)
+                for x, u in zip(states, controls)]
     return costs, dyns
 
 
@@ -191,14 +185,14 @@ def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, second_order):
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
-                   gamma: float = 1e-6, gamma_max: float = 1e6,
+                   gamma: float = 1e-6,
                    second_order: bool = False) -> BackwardResult:
     """Value expansions and gains for t from the terminal step down to -S.
 
     ``prefix`` is a (states, controls) pair of negative-time knots ordered
     t = -S..-1 (both may be empty).  The prefix and nominal knots are
     linearized in one stacked call; on factorization failure gamma is
-    escalated tenfold until it exceeds gamma_max, reusing that
+    escalated tenfold until it exceeds GAMMA_MAX, reusing that
     linearization.
     """
     pre_states, pre_controls = prefix
@@ -220,9 +214,9 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
             break
         except NeedsRegularization:
             g *= 10.0
-            if g > gamma_max:
+            if g > GAMMA_MAX:
                 raise BackwardSweepError(
-                    f"backward sweep failed up to gamma = {gamma_max:g}") from None
+                    f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
 
     prefix_len = pre_states.shape[0]
     return BackwardResult(

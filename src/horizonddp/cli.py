@@ -21,7 +21,7 @@ import numpy as np
 from .model import check_derivatives
 from .models import MODEL_REGISTRY, make_model
 from .mpc import MpcConfig, run_episode
-from .oracle import exhaustive_horizon
+from .oracle import bracketed_horizon, exhaustive_horizon
 from .solver import SolverConfig, optimize_trajectory, trace_csv_rows, trace_json
 from .trajectory import initial_trajectory
 
@@ -135,19 +135,8 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int, mode: str) -> int:
             rows.append((c_t, result.t_star, result.t_star * dt, "", result.cost,
                          "", "", 0))
             continue
-        # exhaustive sweep bracketing the solver's answer; widen if the
-        # argmin lands on the bracket edge
-        lo_bound, hi_bound = solver_cfg.horizon_bounds
-        lo = max(lo_bound, result.t_star - oracle_margin)
-        hi = min(hi_bound, result.t_star + oracle_margin)
-        while True:
-            sweep = exhaustive_horizon(model, range(lo, hi + 1), solver_cfg, x0)
-            at_edge = ((sweep.t_exact == lo and lo > lo_bound)
-                       or (sweep.t_exact == hi and hi < hi_bound))
-            if not at_edge:
-                break
-            lo = max(lo_bound, lo - oracle_margin)
-            hi = min(hi_bound, hi + oracle_margin)
+        sweep = bracketed_horizon(model, solver_cfg, x0, result.t_star,
+                                  oracle_margin)
         err_pct = 100.0 * (result.cost - sweep.j_exact) / sweep.j_exact
         rows.append((c_t, result.t_star, result.t_star * dt, sweep.t_exact,
                      result.cost, sweep.j_exact, err_pct, 1))

@@ -138,14 +138,13 @@ class CostExpansion:
 
 @dataclass(frozen=True)
 class DynamicsExpansion:
-    """Local dynamics model: value, Jacobians, optional second-order tensors.
+    """Local dynamics model: Jacobians, optional second-order tensors.
 
     Tensor index convention: ``f_xx[i, j, k] = d2 f_i / dx_j dx_k``,
     ``f_ux[i, j, k] = d2 f_i / du_j dx_k``, ``f_uu[i, j, k] = d2 f_i / du_j du_k``.
     """
 
-    f0: np.ndarray | None  # next state; may be omitted when only the
-    f_x: np.ndarray         # derivatives are needed
+    f_x: np.ndarray
     f_u: np.ndarray
     f_xx: np.ndarray | None = None
     f_ux: np.ndarray | None = None
@@ -308,13 +307,11 @@ def expand_dynamics(model: SystemModel, x, u,
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    f0 = _require_finite(np.asarray(model.step(x, u), dtype=float), "step at nominal")
     f_x, f_u = _dynamics_jacobians_any(model, x, u)
     f_xx = f_ux = f_uu = None
     if want_second_order:
         f_xx, f_ux, f_uu = _dynamics_second_order(model, x, u)
-    return DynamicsExpansion(f0=f0, f_x=f_x, f_u=f_u, f_xx=f_xx, f_ux=f_ux,
-                             f_uu=f_uu)
+    return DynamicsExpansion(f_x=f_x, f_u=f_u, f_xx=f_xx, f_ux=f_ux, f_uu=f_uu)
 
 
 def _dynamics_second_order(model: SystemModel, x, u):
@@ -354,56 +351,6 @@ def expand_terminal(model: SystemModel, x):
     else:
         phi_x, phi_xx = _fd_terminal_derivatives(model, x)
     return phi, phi_x, sym(phi_xx)
-
-
-# ---------------------------------------------------------------------------
-# time penalty wrapper
-# ---------------------------------------------------------------------------
-
-
-class _TimePenaltyModel(SystemModel):
-    """Wraps a model so the running cost gains a constant per-step term."""
-
-    def __init__(self, base: SystemModel, c_t: float):
-        self.base = base
-        self.c_t = float(c_t)
-        self.dim_x = base.dim_x
-        self.dim_u = base.dim_u
-        self.has_inverse_step = base.has_inverse_step
-
-    def step(self, x, u):
-        return self.base.step(x, u)
-
-    def running_cost(self, x, u):
-        return self.base.running_cost(x, u) + self.c_t
-
-    def terminal_cost(self, x):
-        return self.base.terminal_cost(x)
-
-    def dynamics_jacobians(self, x, u):
-        return self.base.dynamics_jacobians(x, u)
-
-    def running_cost_derivatives(self, x, u):
-        return self.base.running_cost_derivatives(x, u)
-
-    def terminal_cost_derivatives(self, x):
-        return self.base.terminal_cost_derivatives(x)
-
-    def admissible(self, x):
-        return self.base.admissible(x)
-
-    def nominal_control(self, x):
-        return self.base.nominal_control(x)
-
-    def inverse_step(self, x_next, u):
-        return self.base.inverse_step(x_next, u)
-
-
-def with_time_penalty(model: SystemModel, c_t: float) -> SystemModel:
-    """Return a model whose running cost is ``l(x, u) + c_t``."""
-    if c_t < 0:
-        raise ValueError("c_t must be >= 0")
-    return _TimePenaltyModel(model, c_t)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,37 @@ def _per_knot(M, x):
     return np.broadcast_to(M, np.shape(x)[:-1] + M.shape)
 
 
+# The cartpole and quadrotor kernels serve one knot and stacked knots with one
+# body.  A single knot runs on plain floats and math.sin/cos, because numpy
+# scalar arithmetic costs several times more; stacked knots (N, k) run on
+# columns and np.sin/cos.
+
+def _kernel_inputs(x, u):
+    """State and control coordinates, and the sin and cos to apply to them."""
+    if x.ndim == 1:
+        return x.tolist(), u.tolist(), math.sin, math.cos
+    return x.T, u.T, np.sin, np.cos
+
+
+def _knot_rows(entries):
+    """Kernel results as a vector (k,), or as rows (N, k) when each entry
+    holds N knots."""
+    v = np.array(entries)
+    return v if v.ndim == 1 else v.T
+
+
+def _jacobian_buffers(x, n, m):
+    """Zeroed (f_x, f_u), with a leading knot axis for stacked x, and views
+    of both indexed [i, j] with any knot axis last: a kernel writes entry
+    (i, j) of every knot at once, and a single knot keeps numpy's fast
+    integer indexing."""
+    fx = np.zeros(x.shape[:-1] + (n, n))
+    fu = np.zeros(x.shape[:-1] + (n, m))
+    if x.ndim == 1:
+        return fx, fu, fx, fu
+    return fx, fu, fx.transpose(1, 2, 0), fu.transpose(1, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # double integrator
 # ---------------------------------------------------------------------------
@@ -200,11 +231,9 @@ class CartpoleModel(SystemModel):
 
     # equations of motion in manipulator form, solved for the accelerations
     def _deriv(self, x, u):
-        # plain floats: numpy scalar arithmetic costs several times more
-        _, xdot, theta, thetadot = x.tolist()
-        force = float(u[0])
+        (_, xdot, theta, thetadot), (force,), sin, cos = _kernel_inputs(x, u)
         try:
-            s, c = math.sin(theta), math.cos(theta)
+            s, c = sin(theta), cos(theta)
             spin = thetadot ** 2
         except (ValueError, OverflowError):
             # an overflowed state: math.sin rejects inf, and float ** raises
@@ -214,12 +243,11 @@ class CartpoleModel(SystemModel):
         xddot = (force + self.mp * s * (self.length * spin
                                         + self.gravity * c)) / den
         thddot = -(xddot * c + self.gravity * s) / self.length
-        return np.array([xdot, xddot, thetadot, thddot])
+        return _knot_rows([xdot, xddot, thetadot, thddot])
 
     def _deriv_jacobians(self, x, u):
-        _, xdot, theta, thetadot = x
-        force = float(u[0])
-        s, c = math.sin(theta), math.cos(theta)
+        (_, _, theta, thetadot), (force,), sin, cos = _kernel_inputs(x, u)
+        s, c = sin(theta), cos(theta)
         g, l, mp = self.gravity, self.length, self.mp
         den = self.mc + mp * s * s
         num = force + mp * s * (l * thetadot ** 2 + g * c)
@@ -231,54 +259,15 @@ class CartpoleModel(SystemModel):
         dxdd_dtd = 2.0 * mp * l * thetadot * s / den
         dxdd_du = 1.0 / den
 
-        dtdd_dth = -(dxdd_dth * c - xddot * s + g * c) / l
-        dtdd_dtd = -(dxdd_dtd * c) / l
-        dtdd_du = -(dxdd_du * c) / l
-
-        fx = np.zeros((4, 4))
-        fx[0, 1] = 1.0
-        fx[1, 2] = dxdd_dth
-        fx[1, 3] = dxdd_dtd
-        fx[2, 3] = 1.0
-        fx[3, 2] = dtdd_dth
-        fx[3, 3] = dtdd_dtd
-        fu = np.array([[0.0], [dxdd_du], [0.0], [dtdd_du]])
-        return fx, fu
-
-    # the same two kernels over knots stacked along axis 0
-    def _stacked_deriv(self, x, u):
-        xdot, theta, thetadot = x[:, 1], x[:, 2], x[:, 3]
-        s, c = np.sin(theta), np.cos(theta)
-        den = self.mc + self.mp * s * s
-        xddot = (u[:, 0] + self.mp * s * (self.length * thetadot ** 2
-                                          + self.gravity * c)) / den
-        thddot = -(xddot * c + self.gravity * s) / self.length
-        return np.stack([xdot, xddot, thetadot, thddot], axis=-1)
-
-    def _stacked_deriv_jacobians(self, x, u):
-        theta, thetadot = x[:, 2], x[:, 3]
-        s, c = np.sin(theta), np.cos(theta)
-        g, l, mp = self.gravity, self.length, self.mp
-        den = self.mc + mp * s * s
-        num = u[:, 0] + mp * s * (l * thetadot ** 2 + g * c)
-        xddot = num / den
-
-        dnum_dth = mp * (c * l * thetadot ** 2 + g * (c * c - s * s))
-        dden_dth = 2.0 * mp * s * c
-        dxdd_dth = (dnum_dth * den - num * dden_dth) / (den * den)
-        dxdd_dtd = 2.0 * mp * l * thetadot * s / den
-        dxdd_du = 1.0 / den
-
-        fx = np.zeros((x.shape[0], 4, 4))
-        fx[:, 0, 1] = 1.0
-        fx[:, 1, 2] = dxdd_dth
-        fx[:, 1, 3] = dxdd_dtd
-        fx[:, 2, 3] = 1.0
-        fx[:, 3, 2] = -(dxdd_dth * c - xddot * s + g * c) / l
-        fx[:, 3, 3] = -(dxdd_dtd * c) / l
-        fu = np.zeros((x.shape[0], 4, 1))
-        fu[:, 1, 0] = dxdd_du
-        fu[:, 3, 0] = -(dxdd_du * c) / l
+        fx, fu, Fx, Fu = _jacobian_buffers(x, 4, 1)
+        Fx[0, 1] = 1.0
+        Fx[1, 2] = dxdd_dth
+        Fx[1, 3] = dxdd_dtd
+        Fx[2, 3] = 1.0
+        Fx[3, 2] = -(dxdd_dth * c - xddot * s + g * c) / l
+        Fx[3, 3] = -(dxdd_dtd * c) / l
+        Fu[1, 0] = dxdd_du
+        Fu[3, 0] = -(dxdd_du * c) / l
         return fx, fu
 
     def step(self, x, u):
@@ -290,13 +279,9 @@ class CartpoleModel(SystemModel):
         return out
 
     def dynamics_jacobians(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.ndim == 1:
-            kernels = self._deriv, self._deriv_jacobians
-        else:
-            kernels = self._stacked_deriv, self._stacked_deriv_jacobians
-        _, fx, fu = rk4_step_with_jacobian(*kernels, x, u, self.dt)
+        _, fx, fu = rk4_step_with_jacobian(
+            self._deriv, self._deriv_jacobians, np.asarray(x, dtype=float),
+            np.asarray(u, dtype=float), self.dt)
         return fx, fu
 
     def running_cost(self, x, u):
@@ -373,19 +358,18 @@ class QuadrotorModel(SystemModel):
         self.u_hover = np.array([self.mass * self.gravity, 0.0, 0.0, 0.0])
 
     def _deriv(self, x, u):
-        # plain floats: numpy scalar arithmetic costs several times more
-        _, _, _, phi, th, psi, vx, vy, vz, p, q, r = x.tolist()
-        thrust, tx, ty, tz = u.tolist()
+        ((_, _, _, phi, th, psi, vx, vy, vz, p, q, r), (thrust, tx, ty, tz),
+         sin, cos) = _kernel_inputs(x, u)
         jx, jy, jz = self.inertia.tolist()
         try:
-            sph, cph = math.sin(phi), math.cos(phi)
-            sth, cth = math.sin(th), math.cos(th)
-            sps, cps = math.sin(psi), math.cos(psi)
+            sph, cph = sin(phi), cos(phi)
+            sth, cth = sin(th), cos(th)
+            sps, cps = sin(psi), cos(psi)
         except ValueError:  # an overflowed state: math.sin rejects inf
             raise FloatingPointError("quadrotor state became non-finite") from None
         tth = sth / cth
 
-        return np.array([
+        return _knot_rows([
             vx, vy, vz,
             # Euler-angle rates
             p + (q * sph + r * cph) * tth,
@@ -402,141 +386,61 @@ class QuadrotorModel(SystemModel):
         ])
 
     def _deriv_jacobians(self, x, u):
-        phi, th, psi = x[3], x[4], x[5]
-        p, q, r = x[9], x[10], x[11]
-        thrust = u[0]
-        jx, jy, jz = self.inertia
+        ((_, _, _, phi, th, psi, _, _, _, p, q, r), (thrust, _, _, _),
+         sin, cos) = _kernel_inputs(x, u)
+        jx, jy, jz = self.inertia.tolist()
         m = self.mass
 
-        sph, cph = math.sin(phi), math.cos(phi)
-        sth, cth = math.sin(th), math.cos(th)
-        sps, cps = math.sin(psi), math.cos(psi)
+        sph, cph = sin(phi), cos(phi)
+        sth, cth = sin(th), cos(th)
+        sps, cps = sin(psi), cos(psi)
         tth = sth / cth
         sec2 = 1.0 / (cth * cth)
 
-        fx = np.zeros((12, 12))
-        fu = np.zeros((12, 4))
+        fx, fu, Fx, Fu = _jacobian_buffers(x, 12, 4)
 
         # position rates
-        fx[0:3, 6:9] = np.eye(3)
+        Fx[0, 6] = Fx[1, 7] = Fx[2, 8] = 1.0
 
         # Euler-angle rates
-        fx[3, 3] = (q * cph - r * sph) * tth
-        fx[3, 4] = (q * sph + r * cph) * sec2
-        fx[3, 9] = 1.0
-        fx[3, 10] = sph * tth
-        fx[3, 11] = cph * tth
-        fx[4, 3] = -q * sph - r * cph
-        fx[4, 10] = cph
-        fx[4, 11] = -sph
-        fx[5, 3] = (q * cph - r * sph) / cth
-        fx[5, 4] = (q * sph + r * cph) * sth * sec2
-        fx[5, 10] = sph / cth
-        fx[5, 11] = cph / cth
+        Fx[3, 3] = (q * cph - r * sph) * tth
+        Fx[3, 4] = (q * sph + r * cph) * sec2
+        Fx[3, 9] = 1.0
+        Fx[3, 10] = sph * tth
+        Fx[3, 11] = cph * tth
+        Fx[4, 3] = -q * sph - r * cph
+        Fx[4, 10] = cph
+        Fx[4, 11] = -sph
+        Fx[5, 3] = (q * cph - r * sph) / cth
+        Fx[5, 4] = (q * sph + r * cph) * sth * sec2
+        Fx[5, 10] = sph / cth
+        Fx[5, 11] = cph / cth
 
         # linear acceleration
         k = thrust / m
-        fx[6, 3] = k * (-sph * sth * cps + cph * sps)
-        fx[6, 4] = k * (cph * cth * cps)
-        fx[6, 5] = k * (-cph * sth * sps + sph * cps)
-        fx[7, 3] = k * (-sph * sth * sps - cph * cps)
-        fx[7, 4] = k * (cph * cth * sps)
-        fx[7, 5] = k * (cph * sth * cps + sph * sps)
-        fx[8, 3] = k * (-sph * cth)
-        fx[8, 4] = k * (-cph * sth)
-        fu[6, 0] = (cph * sth * cps + sph * sps) / m
-        fu[7, 0] = (cph * sth * sps - sph * cps) / m
-        fu[8, 0] = (cph * cth) / m
+        Fx[6, 3] = k * (-sph * sth * cps + cph * sps)
+        Fx[6, 4] = k * (cph * cth * cps)
+        Fx[6, 5] = k * (-cph * sth * sps + sph * cps)
+        Fx[7, 3] = k * (-sph * sth * sps - cph * cps)
+        Fx[7, 4] = k * (cph * cth * sps)
+        Fx[7, 5] = k * (cph * sth * cps + sph * sps)
+        Fx[8, 3] = k * (-sph * cth)
+        Fx[8, 4] = k * (-cph * sth)
+        Fu[6, 0] = (cph * sth * cps + sph * sps) / m
+        Fu[7, 0] = (cph * sth * sps - sph * cps) / m
+        Fu[8, 0] = (cph * cth) / m
 
         # angular acceleration
-        fx[9, 10] = (jy - jz) * r / jx
-        fx[9, 11] = (jy - jz) * q / jx
-        fx[10, 9] = (jz - jx) * r / jy
-        fx[10, 11] = (jz - jx) * p / jy
-        fx[11, 9] = (jx - jy) * q / jz
-        fx[11, 10] = (jx - jy) * p / jz
-        fu[9, 1] = 1.0 / jx
-        fu[10, 2] = 1.0 / jy
-        fu[11, 3] = 1.0 / jz
+        Fx[9, 10] = (jy - jz) * r / jx
+        Fx[9, 11] = (jy - jz) * q / jx
+        Fx[10, 9] = (jz - jx) * r / jy
+        Fx[10, 11] = (jz - jx) * p / jy
+        Fx[11, 9] = (jx - jy) * q / jz
+        Fx[11, 10] = (jx - jy) * p / jz
+        Fu[9, 1] = 1.0 / jx
+        Fu[10, 2] = 1.0 / jy
+        Fu[11, 3] = 1.0 / jz
 
-        return fx, fu
-
-    # the same two kernels over knots stacked along axis 0
-    def _stacked_deriv(self, x, u):
-        phi, th, psi = x[:, 3], x[:, 4], x[:, 5]
-        p, q, r = x[:, 9], x[:, 10], x[:, 11]
-        thrust, tx, ty, tz = u.T
-        jx, jy, jz = self.inertia
-
-        sph, cph = np.sin(phi), np.cos(phi)
-        sth, cth = np.sin(th), np.cos(th)
-        sps, cps = np.sin(psi), np.cos(psi)
-        tth = sth / cth
-
-        return np.stack([
-            x[:, 6], x[:, 7], x[:, 8],
-            p + (q * sph + r * cph) * tth,
-            q * cph - r * sph,
-            (q * sph + r * cph) / cth,
-            (thrust / self.mass) * (cph * sth * cps + sph * sps),
-            (thrust / self.mass) * (cph * sth * sps - sph * cps),
-            (thrust / self.mass) * (cph * cth) - self.gravity,
-            ((jy - jz) * q * r + tx) / jx,
-            ((jz - jx) * p * r + ty) / jy,
-            ((jx - jy) * p * q + tz) / jz,
-        ], axis=-1)
-
-    def _stacked_deriv_jacobians(self, x, u):
-        phi, th, psi = x[:, 3], x[:, 4], x[:, 5]
-        p, q, r = x[:, 9], x[:, 10], x[:, 11]
-        jx, jy, jz = self.inertia
-        m = self.mass
-
-        sph, cph = np.sin(phi), np.cos(phi)
-        sth, cth = np.sin(th), np.cos(th)
-        sps, cps = np.sin(psi), np.cos(psi)
-        tth = sth / cth
-        sec2 = 1.0 / (cth * cth)
-
-        fx = np.zeros((x.shape[0], 12, 12))
-        fu = np.zeros((x.shape[0], 12, 4))
-        fx[:, 0:3, 6:9] = np.eye(3)
-
-        fx[:, 3, 3] = (q * cph - r * sph) * tth
-        fx[:, 3, 4] = (q * sph + r * cph) * sec2
-        fx[:, 3, 9] = 1.0
-        fx[:, 3, 10] = sph * tth
-        fx[:, 3, 11] = cph * tth
-        fx[:, 4, 3] = -q * sph - r * cph
-        fx[:, 4, 10] = cph
-        fx[:, 4, 11] = -sph
-        fx[:, 5, 3] = (q * cph - r * sph) / cth
-        fx[:, 5, 4] = (q * sph + r * cph) * sth * sec2
-        fx[:, 5, 10] = sph / cth
-        fx[:, 5, 11] = cph / cth
-
-        k = u[:, 0] / m
-        fx[:, 6, 3] = k * (-sph * sth * cps + cph * sps)
-        fx[:, 6, 4] = k * (cph * cth * cps)
-        fx[:, 6, 5] = k * (-cph * sth * sps + sph * cps)
-        fx[:, 7, 3] = k * (-sph * sth * sps - cph * cps)
-        fx[:, 7, 4] = k * (cph * cth * sps)
-        fx[:, 7, 5] = k * (cph * sth * cps + sph * sps)
-        fx[:, 8, 3] = k * (-sph * cth)
-        fx[:, 8, 4] = k * (-cph * sth)
-        fu[:, 6, 0] = (cph * sth * cps + sph * sps) / m
-        fu[:, 7, 0] = (cph * sth * sps - sph * cps) / m
-        fu[:, 8, 0] = (cph * cth) / m
-
-        fx[:, 9, 10] = (jy - jz) * r / jx
-        fx[:, 9, 11] = (jy - jz) * q / jx
-        fx[:, 10, 9] = (jz - jx) * r / jy
-        fx[:, 10, 11] = (jz - jx) * p / jy
-        fx[:, 11, 9] = (jx - jy) * q / jz
-        fx[:, 11, 10] = (jx - jy) * p / jz
-        fu[:, 9, 1] = 1.0 / jx
-        fu[:, 10, 2] = 1.0 / jy
-        fu[:, 11, 3] = 1.0 / jz
         return fx, fu
 
     def step(self, x, u):
@@ -548,13 +452,9 @@ class QuadrotorModel(SystemModel):
         return out
 
     def dynamics_jacobians(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.ndim == 1:
-            kernels = self._deriv, self._deriv_jacobians
-        else:
-            kernels = self._stacked_deriv, self._stacked_deriv_jacobians
-        _, fx, fu = rk4_step_with_jacobian(*kernels, x, u, self.dt)
+        _, fx, fu = rk4_step_with_jacobian(
+            self._deriv, self._deriv_jacobians, np.asarray(x, dtype=float),
+            np.asarray(u, dtype=float), self.dt)
         return fx, fu
 
     def running_cost(self, x, u):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import SystemModel
 from .models import PointMassNavModel, obstacle_schedule_advance
-from .solver import SolverConfig, optimize_trajectory
+from .solver import GAMMA_MIN, SolverConfig, optimize_trajectory
 from .trajectory import Trajectory, rollout_controls, initial_trajectory
 
 
@@ -112,7 +112,7 @@ def mpc_step(plan: Trajectory, observed_x0, model_snapshot: SystemModel,
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     if gamma_init is not None:
         inner_cfg = replace(inner_cfg,
-                            gamma_init=max(gamma_init, inner_cfg.gamma_min))
+                            gamma_init=max(gamma_init, GAMMA_MIN))
     try:
         warm = rollout_controls(model_snapshot, observed_x0, plan.controls)
         result = optimize_trajectory(model_snapshot, warm, inner_cfg)

@@ -69,3 +69,20 @@ def exhaustive_horizon(model: SystemModel, t_range, cfg: SolverConfig,
     best = min(usable, key=lambda r: (r.J, r.T))
     return HorizonSweepResult(records=tuple(records), t_exact=best.T,
                               j_exact=best.J)
+
+
+def bracketed_horizon(model: SystemModel, cfg: SolverConfig, x0,
+                      t_center: int, margin: int) -> HorizonSweepResult:
+    """exhaustive_horizon over t_center +- margin within the bounds; while
+    the argmin lands on an edge that the bounds do not fix, the bracket
+    widens by margin on both sides and is swept again."""
+    if margin < 1:
+        raise ValueError("margin must be >= 1")
+    t_min, t_max = cfg.horizon_bounds
+    lo, hi = max(t_min, t_center - margin), min(t_max, t_center + margin)
+    while True:
+        sweep = exhaustive_horizon(model, range(lo, hi + 1), cfg, x0)
+        if not ((sweep.t_exact == lo and lo > t_min)
+                or (sweep.t_exact == hi and hi < t_max)):
+            return sweep
+        lo, hi = max(t_min, lo - margin), min(t_max, hi + margin)

@@ -15,12 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import BackwardResult, BackwardSweepError, backward_sweep
+from .backward import (GAMMA_MAX, BackwardResult, BackwardSweepError,
+                       backward_sweep)
 from .model import InverseStepError, SystemModel
 from .trajectory import Trajectory, trajectory_cost
 
 _FIXED_POINT_TOL = 1e-8
 _EXACT_MODEL_RTOL = 1e-12
+# line search: step sizes 1, 1/2, 1/4, ... down to the floor
+_ALPHA_BACKTRACK = 0.5
+_ALPHA_FLOOR = 1e-3
+# regularization never relaxes below this floor between iterations
+GAMMA_MIN = 1e-6
 
 
 @dataclass
@@ -29,13 +35,8 @@ class SolverConfig:
 
     horizon_bounds: tuple = (1, 200)
     window_s: int = 10
-    alpha_init: float = 1.0
-    alpha_backtrack: float = 0.5
-    alpha_floor: float = 1e-3
     trust_radius: float | None = None  # None: 10x RMS state magnitude
     gamma_init: float = 1e-6
-    gamma_min: float = 1e-6
-    gamma_max: float = 1e6
     max_iterations: int = 100
     convergence_tol: float = 1e-6
     k_tol: float = 1e-6
@@ -48,8 +49,6 @@ class SolverConfig:
             raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
         if self.window_s < 0:
             raise ValueError("window_s must be >= 0")
-        if not (0.0 < self.alpha_backtrack < 1.0):
-            raise ValueError("alpha backtrack factor must be in (0, 1)")
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
@@ -137,23 +136,30 @@ def _default_trust_radius(traj: Trajectory) -> float:
     return 10.0 * max(rms, 1.0)
 
 
+def _selection_window(cfg: SolverConfig, t_bar: int, window_s: int,
+                      prefix: Prefix):
+    """Horizons [lo, hi] a pass prices: T-bar - S to T-bar + S within the
+    bounds, and above T-bar only as far as the prefix reaches."""
+    t_min, t_max = cfg.horizon_bounds
+    return (max(t_min, t_bar - window_s),
+            min(t_max, t_bar + min(window_s, len(prefix))))
+
+
 def evaluate_candidates(back: BackwardResult, x0: np.ndarray,
                         cfg: SolverConfig, t_bar: int,
                         nominal_states: np.ndarray, prefix: Prefix,
                         window_s: int, trust_radius: float):
     """Price every horizon in [T-bar - S, T-bar + S] within the bounds."""
-    t_min, t_max = cfg.horizon_bounds
-    lo = max(t_min, t_bar - window_s)
-    hi = min(t_max, t_bar + min(window_s, len(prefix)))
+    lo, hi = _selection_window(cfg, t_bar, window_s, prefix)
     out = []
     for T in range(lo, hi + 1):
         t0 = t_bar - T
         x_ref = prefix.states[t0 + len(prefix)] if t0 < 0 else nominal_states[t0]
         dx = np.asarray(x0, dtype=float) - x_ref
         J_T = back.value_at(t0).evaluate(dx)
-        admissible = (np.linalg.norm(dx) < trust_radius
-                      and math.isfinite(J_T)
-                      and (t0 >= 0 or prefix.feasible))
+        admissible = bool(np.linalg.norm(dx) < trust_radius
+                          and math.isfinite(J_T)
+                          and (t0 >= 0 or prefix.feasible))
         out.append(CandidateEvaluation(T=T, t0=t0, J_T=J_T, admissible=admissible))
     return out
 
@@ -236,12 +242,11 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         prefix = extend_backward(model, traj, window)
         try:
             back = backward_sweep(model, traj, (prefix.states, prefix.controls),
-                                  gamma=gamma, gamma_max=cfg.gamma_max,
-                                  second_order=cfg.second_order)
+                                  gamma=gamma, second_order=cfg.second_order)
         except BackwardSweepError:
             status = "backward_failure"
             break
-        gamma = max(back.gamma_used, cfg.gamma_min)
+        gamma = max(back.gamma_used, GAMMA_MIN)
 
         trust = cfg.trust_radius
         if trust is None:
@@ -253,8 +258,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         j_pred = next((c.J_T for c in candidates if c.T == t_star), math.inf)
         t0 = t_bar - t_star
         # a horizon clamped at the window edge may still improve next pass
-        lo_w = max(t_min, t_bar - window)
-        hi_w = min(t_max, t_bar + min(window, len(prefix)))
+        lo_w, hi_w = _selection_window(cfg, t_bar, window, prefix)
         at_window_edge = window > 0 and ((t_star == lo_w and lo_w > t_min)
                                          or (t_star == hi_w and hi_w < t_max))
 
@@ -280,13 +284,13 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         if len(prefix) else traj.controls)
 
         def line_search(t0_try):
-            a = cfg.alpha_init
-            while a >= cfg.alpha_floor:
+            a = 1.0
+            while a >= _ALPHA_FLOOR:
                 cand_traj, j_try = rollout(model, back, states_ext,
                                            controls_ext, t0_try, a, x0)
                 if j_try < J:
                     return True, cand_traj, j_try, a
-                a *= cfg.alpha_backtrack
+                a *= _ALPHA_BACKTRACK
             return False, None, math.inf, a
 
         accepted, new_traj, j_new, alpha = line_search(t0)
@@ -303,13 +307,13 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
         if accepted:
             rel = (J - j_new) / scale
-            exact_model = (alpha == cfg.alpha_init
+            exact_model = (alpha == 1.0
                            and abs(j_new - j_pred)
                            <= _EXACT_MODEL_RTOL * max(1.0, abs(j_new)))
             traj, J, t_bar = new_traj, j_new, t_star
             record.update(alpha=alpha, accepted=True, j=J)
             trace.append(record)
-            gamma = max(gamma / 2.0, cfg.gamma_min)
+            gamma = max(gamma / 2.0, GAMMA_MIN)
             window = min(window + 1, cfg.window_s)
             if not at_window_edge and (
                     exact_model or (rel < cfg.convergence_tol
@@ -319,11 +323,11 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                 break
         else:
             trace.append(record)
-            if window == 0 and gamma >= cfg.gamma_max:
+            if window == 0 and gamma >= GAMMA_MAX:
                 status = "line_search_failure"
                 break
             window = window // 2
-            gamma = min(gamma * 10.0, cfg.gamma_max)
+            gamma = min(gamma * 10.0, GAMMA_MAX)
 
     return SolverResult(trajectory=traj, t_star=t_bar, cost=J,
                         iterations=iterations, converged=converged,

@@ -14,10 +14,10 @@ from conftest import random_lq
 from horizonddp import (CartpoleModel, DoubleIntegratorModel, MpcConfig,
                         Obstacle, PointMassNavModel, QuadrotorModel,
                         SolverConfig, augment_time_penalty, backward_sweep,
-                        check_derivatives, exhaustive_horizon,
-                        initial_trajectory, lti_optimal_horizon,
-                        optimize_trajectory, riccati_sweep, rollout_controls,
-                        run_episode)
+                        bracketed_horizon, check_derivatives,
+                        exhaustive_horizon, initial_trajectory,
+                        lti_optimal_horizon, optimize_trajectory,
+                        riccati_sweep, rollout_controls, run_episode)
 from horizonddp.solver import evaluate_candidates, extend_backward
 
 CARTPOLE_CT = (1.0, 3.0, 10.0, 30.0, 100.0)
@@ -36,15 +36,7 @@ def cartpole_sweep():
         res = optimize_trajectory(model, initial_trajectory(model, x0, 150),
                                   cfg)
         assert res.converged, f"c_t={c_t}: {res.status}"
-        lo = max(10, res.t_star - 25)
-        hi = min(400, res.t_star + 25)
-        while True:
-            sweep = exhaustive_horizon(model, range(lo, hi + 1), cfg, x0)
-            at_edge = ((sweep.t_exact == lo and lo > 10)
-                       or (sweep.t_exact == hi and hi < 400))
-            if not at_edge:
-                break
-            lo, hi = max(10, lo - 25), min(400, hi + 25)
+        sweep = bracketed_horizon(model, cfg, x0, res.t_star, 25)
         rows.append((c_t, res, sweep))
     return rows, time.perf_counter() - tic
 

@@ -42,6 +42,17 @@ def test_solve_writes_artifacts(tmp_path):
     assert len(trace) == summary["iterations"] + 1
 
 
+def test_solve_reports_candidates_outside_trust_radius(tmp_path):
+    doc = di_solve_config()
+    doc["solver"]["trust_radius"] = 0.5
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    assert any(not cand["admissible"]
+               for rec in summary["trace"] for cand in rec["candidates"])
+
+
 def test_solve_ddp_mode(tmp_path):
     cfg = write_config(tmp_path, di_solve_config())
     out = tmp_path / "out"

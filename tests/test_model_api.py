@@ -1,4 +1,4 @@
-"""Expansion machinery: finite differences, wrappers, derivative checking."""
+"""Expansion machinery: finite differences, derivative checking."""
 
 import math
 
@@ -10,7 +10,7 @@ import horizonddp.model as model_api
 from conftest import LinearQuadraticModel, random_lq
 from horizonddp import (ExpansionError, InverseStepError, SystemModel,
                         check_derivatives, expand_cost, expand_dynamics,
-                        expand_terminal, with_time_penalty)
+                        expand_terminal)
 
 
 class NumericLq(LinearQuadraticModel):
@@ -98,24 +98,6 @@ def test_expansion_error_names_the_evaluation():
 
     with pytest.raises(ExpansionError, match="running_cost"):
         expand_cost(BadCost(), np.array([0.75]), np.zeros(1))
-
-
-def test_with_time_penalty_shifts_cost_only(rng):
-    base = random_lq(rng)
-    wrapped = with_time_penalty(base, 2.5)
-    x = rng.standard_normal(base.dim_x)
-    u = rng.standard_normal(base.dim_u)
-    assert wrapped.running_cost(x, u) == pytest.approx(
-        base.running_cost(x, u) + 2.5)
-    assert wrapped.terminal_cost(x) == base.terminal_cost(x)
-    npt.assert_array_equal(wrapped.step(x, u), base.step(x, u))
-    cw = expand_cost(wrapped, x, u)
-    cb = expand_cost(base, x, u)
-    npt.assert_array_equal(cw.l_x, cb.l_x)
-    npt.assert_array_equal(cw.l_xx, cb.l_xx)
-    assert cw.l == pytest.approx(cb.l + 2.5)
-    with pytest.raises(ValueError):
-        with_time_penalty(base, -1.0)
 
 
 def test_newton_inverse_step():

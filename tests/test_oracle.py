@@ -6,10 +6,10 @@ import scipy.optimize
 
 from conftest import random_lq
 from horizonddp import (DoubleIntegratorModel, SolverConfig,
-                        augment_time_penalty, exhaustive_horizon,
-                        fixed_horizon_ddp, initial_trajectory,
-                        lti_optimal_horizon, optimize_trajectory,
-                        riccati_sweep)
+                        augment_time_penalty, bracketed_horizon,
+                        exhaustive_horizon, fixed_horizon_ddp,
+                        initial_trajectory, lti_optimal_horizon, oracle,
+                        optimize_trajectory, riccati_sweep)
 
 
 def test_single_step_matches_scalar_minimization():
@@ -52,6 +52,30 @@ def test_solver_never_beats_oracle(rng):
     lo, hi = max(1, res.t_star - 10), min(120, res.t_star + 10)
     sweep = exhaustive_horizon(m, range(lo, hi + 1), cfg, x0)
     assert res.cost >= sweep.j_exact - 1e-9
+
+
+def test_bracket_widens_until_argmin_is_inside(monkeypatch):
+    m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
+    x0 = np.array([2.0, 0.0])
+    aug = augment_time_penalty(m.to_lti_problem((1, 120)))
+    t_exact, j_exact, _ = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    brackets = []
+    sweep_range = oracle.exhaustive_horizon
+
+    def recording(model, t_range, cfg, x0):
+        brackets.append((min(t_range), max(t_range)))
+        return sweep_range(model, t_range, cfg, x0)
+
+    monkeypatch.setattr(oracle, "exhaustive_horizon", recording)
+    cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    # the first bracket [t_exact + 2, t_exact + 8] has its argmin on its
+    # lower edge, so the bracket widens once to take t_exact in
+    sweep = bracketed_horizon(m, cfg, x0, t_exact + 5, 3)
+    assert brackets == [(t_exact + 2, t_exact + 8), (t_exact - 1, t_exact + 11)]
+    assert sweep.t_exact == t_exact
+    assert sweep.j_exact == pytest.approx(j_exact, abs=1e-9 * max(1.0, j_exact))
+    with pytest.raises(ValueError):
+        bracketed_horizon(m, cfg, x0, t_exact, 0)
 
 
 def test_degenerate_single_horizon_range(rng):
