@@ -11,8 +11,7 @@ from .backward import (BackwardResult, BackwardSweepError, FeedbackPolicy,
                        regularize, value_recurrence)
 from .lti import (IllPosedStepError, LtiProblem, RiccatiSequence,
                   augment_time_penalty, lqr_gain, lqr_rollout_cost,
-                  lti_from_json, lti_optimal_horizon, lti_to_json,
-                  riccati_step, riccati_sweep)
+                  lti_optimal_horizon, riccati_step, riccati_sweep)
 from .model import (CostExpansion, DerivativeReport, DynamicsExpansion,
                     ExpansionError, InverseStepError, SystemModel,
                     check_derivatives, expand_cost, expand_dynamics,
@@ -35,8 +34,8 @@ __all__ = [
     "ValueExpansion", "backward_sweep", "q_expansion", "regularize",
     "value_recurrence",
     "IllPosedStepError", "LtiProblem", "RiccatiSequence",
-    "augment_time_penalty", "lqr_gain", "lqr_rollout_cost", "lti_from_json",
-    "lti_optimal_horizon", "lti_to_json", "riccati_step", "riccati_sweep",
+    "augment_time_penalty", "lqr_gain", "lqr_rollout_cost",
+    "lti_optimal_horizon", "riccati_step", "riccati_sweep",
     "CostExpansion", "DerivativeReport", "DynamicsExpansion", "ExpansionError",
     "InverseStepError", "SystemModel", "check_derivatives", "expand_cost",
     "expand_dynamics", "expand_terminal",

@@ -3,26 +3,29 @@
 Subcommands: solve, sweep-ct, mpc, oracle, check.  Every command reads a
 JSON config, writes machine-readable artifacts (CSV tables plus a JSON
 summary embedding the resolved config) into --out, and uses exit codes
-0 = success, 1 = usage/config error, 2 = non-convergence.
+0 = success, 1 = usage/config error, 2 = non-convergence.  This is the only
+module that formats artifacts: the library returns records, and two
+writers here turn them into JSON and CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .model import check_derivatives
-from .models import MODEL_REGISTRY, make_model
+from .models import make_model
 from .mpc import MpcConfig, run_episode
 from .oracle import bracketed_horizon, exhaustive_horizon
-from .solver import SolverConfig, optimize_trajectory, trace_csv_rows, trace_json
+from .solver import SolverConfig, optimize_trajectory
 from .trajectory import initial_trajectory
 
 EXIT_OK = 0
@@ -57,32 +60,50 @@ def _build(cfg: dict, mode: str, c_t=None):
     model = make_model(model_cfg)
     solver_cfg = SolverConfig.from_json(cfg.get("solver", {}))
     if mode == "ddp":
-        solver_cfg = replace(solver_cfg, second_order=True)
+        solver_cfg = dataclasses.replace(solver_cfg, second_order=True)
     x0 = np.asarray(_require(cfg, "x0"), dtype=float)
     if x0.size != model.dim_x:
         raise ConfigError(f"x0 has size {x0.size}, model expects {model.dim_x}")
     return model, solver_cfg, x0
 
 
-def _write_csv(path: Path, rows):
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return " ".join(f"{v:.9g}" for v in value)
+    return "" if value is None else value
+
+
+def _write_table(path: Path, header, rows):
+    """CSV with one cell rule: bool -> 0/1, array -> space-joined %.9g,
+    None -> empty."""
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, doc):
-    path.write_text(json.dumps(doc, indent=2))
+    path.write_text(json.dumps(doc, indent=2, default=_json_default))
 
 
-def _trajectory_rows(traj, dt):
-    dim_u = traj.controls.shape[1]
-    header = (["t", "time"]
-              + [f"x{i}" for i in range(traj.states.shape[1])]
-              + [f"u{i}" for i in range(dim_u)])
-    rows = [header]
-    for t in range(traj.states.shape[0]):
-        u = traj.controls[t] if t < traj.controls.shape[0] else [""] * dim_u
-        rows.append([t, t * dt] + list(traj.states[t]) + list(u))
-    return rows
+def _write_trajectory(path: Path, traj, dt):
+    n, m = traj.states.shape[1], traj.controls.shape[1]
+    header = (["t", "time"] + [f"x{i}" for i in range(n)]
+              + [f"u{i}" for i in range(m)])
+    _write_table(path, header, (
+        [t, t * dt, *traj.states[t],
+         *(traj.controls[t] if t < traj.horizon else [None] * m)]
+        for t in range(traj.horizon + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +120,11 @@ def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
     result = optimize_trajectory(model, initial, solver_cfg)
     wall = time.perf_counter() - tic
 
-    dt = getattr(model, "dt", 1.0)
-    _write_csv(out / "trajectory.csv", _trajectory_rows(result.trajectory, dt))
-    _write_csv(out / "trace.csv", trace_csv_rows(result))
+    _write_trajectory(out / "trajectory.csv", result.trajectory,
+                      getattr(model, "dt", 1.0))
+    columns = ("iteration", "t_bar", "j", "alpha", "gamma")
+    _write_table(out / "trace.csv", columns,
+                 map(itemgetter(*columns), result.trace))
     _write_json(out / "summary.json", {
         "t_star": result.t_star,
         "cost": result.cost,
@@ -112,7 +135,7 @@ def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
         "config": cfg,
         "seed": seed,
         "mode": mode,
-        "trace": trace_json(result),
+        "trace": result.trace,
     })
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
@@ -120,8 +143,7 @@ def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
 def cmd_sweep_ct(cfg: dict, out: Path, seed: int, mode: str) -> int:
     c_t_list = _require(cfg, "c_t_list")
     oracle_margin = int(cfg.get("oracle_margin", 25))
-    rows = [("c_t", "T_ours_steps", "T_ours_seconds", "T_exact",
-             "cost_ours", "cost_exact", "cost_error_pct", "converged")]
+    rows = []
     all_ok = True
     for c_t in c_t_list:
         model, solver_cfg, x0 = _build(cfg, mode, c_t=c_t)
@@ -132,15 +154,18 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int, mode: str) -> int:
                                      solver_cfg)
         if not result.converged:
             all_ok = False
-            rows.append((c_t, result.t_star, result.t_star * dt, "", result.cost,
-                         "", "", 0))
+            rows.append((c_t, result.t_star, result.t_star * dt, None,
+                         result.cost, None, None, False))
             continue
         sweep = bracketed_horizon(model, solver_cfg, x0, result.t_star,
                                   oracle_margin)
         err_pct = 100.0 * (result.cost - sweep.j_exact) / sweep.j_exact
         rows.append((c_t, result.t_star, result.t_star * dt, sweep.t_exact,
-                     result.cost, sweep.j_exact, err_pct, 1))
-    _write_csv(out / "sweep_ct.csv", rows)
+                     result.cost, sweep.j_exact, err_pct, True))
+    _write_table(out / "sweep_ct.csv",
+                 ("c_t", "T_ours_steps", "T_ours_seconds", "T_exact",
+                  "cost_ours", "cost_exact", "cost_error_pct", "converged"),
+                 rows)
     _write_json(out / "sweep_ct_summary.json", {"config": cfg, "seed": seed,
                                                 "mode": mode})
     return EXIT_OK if all_ok else EXIT_NONCONVERGED
@@ -151,7 +176,9 @@ def cmd_oracle(cfg: dict, out: Path, seed: int, mode: str) -> int:
     t_range = _require(cfg, "t_range")
     sweep = exhaustive_horizon(model, range(int(t_range[0]), int(t_range[1]) + 1),
                                solver_cfg, x0)
-    _write_csv(out / "horizon_sweep.csv", sweep.csv_rows())
+    columns = ("T", "J", "iterations", "converged")
+    _write_table(out / "horizon_sweep.csv", columns,
+                 map(attrgetter(*columns), sweep.records))
     _write_json(out / "oracle_summary.json", {
         "t_exact": sweep.t_exact, "j_exact": sweep.j_exact,
         "config": cfg, "seed": seed, "mode": mode,
@@ -186,9 +213,13 @@ def cmd_mpc(cfg: dict, out: Path, seed: int, mode: str) -> int:
         times = [rec.solve_time for rec in log.steps]
         return float(np.mean(times)) if times else 0.0
 
+    columns = ("sim_time", "planned_horizon", "solve_time", "running_cost",
+               "inner_iterations", "degraded", "state", "action")
     for name, log in (("optimal", log_opt), ("receding", log_rec)):
-        _write_csv(out / f"episode_{name}.csv", log.csv_rows())
-        _write_json(out / f"episode_{name}.json", log.to_json())
+        _write_table(out / f"episode_{name}.csv", ("step",) + columns,
+                     ((i, *attrgetter(*columns)(rec))
+                      for i, rec in enumerate(log.steps)))
+        _write_json(out / f"episode_{name}.json", log)
     _write_json(out / "mpc_summary.json", {
         "optimal": {"terminated": log_opt.terminated,
                     "steps": log_opt.steps_used,
@@ -207,10 +238,6 @@ def cmd_mpc(cfg: dict, out: Path, seed: int, mode: str) -> int:
 
 def cmd_check(cfg: dict, out: Path, seed: int, mode: str) -> int:
     model_cfg = _require(cfg, "model")
-    name = model_cfg.get("model")
-    if name not in MODEL_REGISTRY:
-        valid = ", ".join(sorted(MODEL_REGISTRY))
-        raise ConfigError(f"unknown model {name!r}; valid names: {valid}")
     model = make_model(dict(model_cfg))
     rng = np.random.default_rng(seed)
     n_samples = int(cfg.get("samples", 100))
@@ -223,7 +250,7 @@ def cmd_check(cfg: dict, out: Path, seed: int, mode: str) -> int:
             samples.append((x, u))
     report = check_derivatives(model, samples)
     _write_json(out / "derivative_report.json", {
-        "model": name,
+        "model": model_cfg["model"],
         "passed": report.passed,
         "tol": report.tol,
         "discrepancies": report.discrepancies,

@@ -207,40 +207,3 @@ def lqr_rollout_cost(problem: LtiProblem, x0: np.ndarray, T: int) -> float:
         x = problem.A @ x + problem.B @ u
     total += 0.5 * float(x @ problem.Qf @ x)
     return total
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-
-def lti_to_json(problem: LtiProblem) -> dict:
-    """Serialize to a plain dict with row-major matrix arrays."""
-    return {
-        "n": problem.n,
-        "m": problem.m,
-        "t_min": problem.horizon_bounds[0],
-        "t_max": problem.horizon_bounds[1],
-        "c_t": problem.c_t,
-        "A": problem.A.flatten().tolist(),
-        "B": problem.B.flatten().tolist(),
-        "Q": problem.Q.flatten().tolist(),
-        "R": problem.R.flatten().tolist(),
-        "Qf": problem.Qf.flatten().tolist(),
-    }
-
-
-def lti_from_json(doc: dict) -> LtiProblem:
-    """Inverse of :func:`lti_to_json`."""
-    n = int(doc["n"])
-    m = int(doc["m"])
-
-    def mat(key, rows, cols):
-        return np.asarray(doc[key], dtype=float).reshape(rows, cols)
-
-    return LtiProblem(
-        A=mat("A", n, n), B=mat("B", n, m), Q=mat("Q", n, n),
-        R=mat("R", m, m), Qf=mat("Qf", n, n),
-        horizon_bounds=(int(doc["t_min"]), int(doc["t_max"])),
-        c_t=float(doc.get("c_t", 0.0)),
-    )

@@ -55,39 +55,6 @@ class EpisodeLog:
     steps_used: int = 0
     terminated: bool = False
 
-    def csv_rows(self):
-        rows = [("step", "sim_time", "planned_horizon", "solve_time",
-                 "running_cost", "inner_iterations", "degraded",
-                 "state", "action")]
-        for i, rec in enumerate(self.steps):
-            rows.append((i, rec.sim_time, rec.planned_horizon, rec.solve_time,
-                         rec.running_cost, rec.inner_iterations,
-                         int(rec.degraded),
-                         " ".join(f"{v:.9g}" for v in rec.state),
-                         " ".join(f"{v:.9g}" for v in rec.action)))
-        return rows
-
-    def to_json(self) -> dict:
-        return {
-            "steps": [
-                {"sim_time": rec.sim_time,
-                 "state": list(map(float, rec.state)),
-                 "planned_horizon": rec.planned_horizon,
-                 "action": list(map(float, rec.action)),
-                 "solve_time": rec.solve_time,
-                 "running_cost": rec.running_cost,
-                 "inner_iterations": rec.inner_iterations,
-                 "degraded": rec.degraded}
-                for rec in self.steps
-            ],
-            "final_state": (None if self.final_state is None
-                            else list(map(float, self.final_state))),
-            "total_cost": self.total_cost,
-            "terminal_cost": self.terminal_cost,
-            "steps_used": self.steps_used,
-            "terminated": self.terminated,
-        }
-
 
 def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
     """World state the plant and planner see at sim_time.
@@ -146,6 +113,10 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     receding = mode == "receding-horizon"
     if receding and (t_fixed is None or t_fixed < 1):
         raise ValueError("receding-horizon mode requires t_fixed >= 1")
+    if not receding and cfg.solver.horizon_bounds[0] > 1:
+        # the horizon counts down to one, and every replan below the lower
+        # bound would fail
+        raise ValueError("optimal-horizon mode requires horizon_bounds[0] == 1")
 
     rng = np.random.default_rng(cfg.seed)
     dt = getattr(model, "dt", 1.0)

@@ -30,12 +30,6 @@ class HorizonSweepResult:
     t_exact: int
     j_exact: float
 
-    def csv_rows(self):
-        rows = [("T", "J", "iterations", "converged")]
-        for rec in self.records:
-            rows.append((rec.T, rec.J, rec.iterations, int(rec.converged)))
-        return rows
-
 
 def fixed_horizon_ddp(model: SystemModel, T: int, cfg: SolverConfig,
                       x0=None, initial: Trajectory | None = None):
@@ -51,18 +45,14 @@ def fixed_horizon_ddp(model: SystemModel, T: int, cfg: SolverConfig,
     return result.trajectory, result.cost, result
 
 
-def exhaustive_horizon(model: SystemModel, t_range, cfg: SolverConfig,
-                       x0) -> HorizonSweepResult:
-    """fixed_horizon_ddp per T; argmin over converged entries, ties toward
-    the smaller horizon.  Each solve is cold-started for independence."""
-    t_values = sorted(set(int(t) for t in t_range))
-    if not t_values:
-        raise ValueError("non-empty horizon range required")
-    records = []
-    for T in t_values:
-        _, J, result = fixed_horizon_ddp(model, T, cfg, x0=x0)
-        records.append(HorizonRecord(T=T, J=J, iterations=result.iterations,
-                                     converged=result.converged))
+def _solve_horizon(model, T, cfg, x0) -> HorizonRecord:
+    _, J, result = fixed_horizon_ddp(model, T, cfg, x0=x0)
+    return HorizonRecord(T=T, J=J, iterations=result.iterations,
+                         converged=result.converged)
+
+
+def _argmin(records) -> HorizonSweepResult:
+    """Argmin over converged records, ties toward the smaller horizon."""
     usable = [r for r in records if r.converged]
     if not usable:
         raise RuntimeError("no fixed-horizon solve converged in the given range")
@@ -71,17 +61,32 @@ def exhaustive_horizon(model: SystemModel, t_range, cfg: SolverConfig,
                               j_exact=best.J)
 
 
+def exhaustive_horizon(model: SystemModel, t_range, cfg: SolverConfig,
+                       x0) -> HorizonSweepResult:
+    """fixed_horizon_ddp per T; argmin over converged entries, ties toward
+    the smaller horizon.  Each solve is cold-started for independence."""
+    t_values = sorted(set(int(t) for t in t_range))
+    if not t_values:
+        raise ValueError("non-empty horizon range required")
+    return _argmin([_solve_horizon(model, T, cfg, x0) for T in t_values])
+
+
 def bracketed_horizon(model: SystemModel, cfg: SolverConfig, x0,
                       t_center: int, margin: int) -> HorizonSweepResult:
-    """exhaustive_horizon over t_center +- margin within the bounds; while
+    """Fixed-horizon sweep over t_center +- margin within the bounds; while
     the argmin lands on an edge that the bounds do not fix, the bracket
-    widens by margin on both sides and is swept again."""
+    widens by margin on both sides.  Each horizon is solved once: the
+    cold-started solves are deterministic, so a widening reuses them."""
     if margin < 1:
         raise ValueError("margin must be >= 1")
     t_min, t_max = cfg.horizon_bounds
     lo, hi = max(t_min, t_center - margin), min(t_max, t_center + margin)
+    solved = {}
     while True:
-        sweep = exhaustive_horizon(model, range(lo, hi + 1), cfg, x0)
+        for T in range(lo, hi + 1):
+            if T not in solved:
+                solved[T] = _solve_horizon(model, T, cfg, x0)
+        sweep = _argmin([solved[T] for T in range(lo, hi + 1)])
         if not ((sweep.t_exact == lo and lo > t_min)
                 or (sweep.t_exact == hi and hi < t_max)):
             return sweep

@@ -74,6 +74,20 @@ class CandidateEvaluation:
 
 @dataclass
 class SolverResult:
+    """Outcome of a solve.
+
+    ``trace`` holds one dict per iteration: ``iteration``, ``t_bar`` (the
+    horizon the pass started from), ``j`` (the cost it ended on), ``alpha``
+    (the accepted step size, or None), ``gamma``, ``t_star``, ``t_tried``,
+    ``rejected``, ``accepted`` and ``candidates``, the
+    :class:`CandidateEvaluation` list the pass priced.  ``t_tried`` is the
+    horizon the line search tried first and ``t_star`` the one the
+    iteration ended on: T-bar when a shifted try was rejected and retried.
+    ``rejected`` is None unless the first try failed, and then names why:
+    "no_decrease" when no step size down to the alpha floor lowered the
+    cost.
+    """
+
     trajectory: Trajectory
     t_star: int
     cost: float
@@ -263,10 +277,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                                          or (t_star == hi_w and hi_w < t_max))
 
         record = {
-            "iteration": it, "t_bar": t_bar, "j": J, "gamma": gamma,
-            "t_star": t_star, "t_tried": t_star, "rejected": None,
-            "alpha": None, "accepted": False,
-            "candidates": [(c.T, c.J_T, c.admissible) for c in candidates],
+            "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
+            "gamma": gamma, "t_star": t_star, "t_tried": t_star,
+            "rejected": None, "accepted": False, "candidates": candidates,
         }
 
         # stationary at the current horizon: nothing left to do
@@ -333,46 +346,3 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         iterations=iterations, converged=converged,
                         status=status if not converged else "converged",
                         trace=trace, gamma_final=gamma)
-
-
-# ---------------------------------------------------------------------------
-# trace export
-# ---------------------------------------------------------------------------
-
-
-def trace_csv_rows(result: SolverResult):
-    """Rows (iteration, t_bar, j, alpha, gamma) for the solver trace."""
-    rows = [("iteration", "t_bar", "j", "alpha", "gamma")]
-    for rec in result.trace:
-        rows.append((rec["iteration"], rec["t_bar"], rec["j"],
-                     "" if rec["alpha"] is None else rec["alpha"], rec["gamma"]))
-    return rows
-
-
-def trace_json(result: SolverResult) -> list:
-    """Full per-iteration candidate tables as JSON-ready data.
-
-    ``t_tried`` is the horizon the line search tried first and ``t_star``
-    the one the iteration ended on: T-bar when a shifted try was rejected
-    and retried.  ``rejected`` is None unless the first try failed, and
-    then names why: "no_decrease" when no step size down to the alpha
-    floor lowered the cost.
-    """
-    out = []
-    for rec in result.trace:
-        out.append({
-            "iteration": rec["iteration"],
-            "t_bar": rec["t_bar"],
-            "j": rec["j"],
-            "alpha": rec["alpha"],
-            "gamma": rec["gamma"],
-            "t_star": rec["t_star"],
-            "t_tried": rec["t_tried"],
-            "rejected": rec["rejected"],
-            "accepted": rec["accepted"],
-            "candidates": [
-                {"T": T, "J_T": j_t, "admissible": adm}
-                for T, j_t, adm in rec["candidates"]
-            ],
-        })
-    return out

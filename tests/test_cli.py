@@ -3,9 +3,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from horizonddp.cli import main
+from horizonddp import CandidateEvaluation
+from horizonddp.cli import _write_json, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -154,8 +156,31 @@ def test_mpc_command(tmp_path):
     assert not summary["receding"]["terminated"]
     assert summary["optimal"]["final_goal_distance"] is not None
     for name in ("optimal", "receding"):
-        assert (out / f"episode_{name}.csv").exists()
-        assert (out / f"episode_{name}.json").exists()
+        rows = read_csv(out / f"episode_{name}.csv")
+        assert rows[0][0] == "step"
+        assert len(rows) == summary[name]["steps"] + 1
+        assert rows[1][6] in ("0", "1")                  # degraded
+        assert len(rows[1][7].split()) == 4              # state
+        log = json.loads((out / f"episode_{name}.json").read_text())
+        assert log["terminated"] is summary[name]["terminated"]
+        assert len(log["steps"]) == log["steps_used"] == summary[name]["steps"]
+        assert log["total_cost"] == summary[name]["total_cost"]
+        assert len(log["final_state"]) == 4
+        assert len(log["steps"][0]["action"]) == 2
+
+
+def test_write_json_encodes_numpy_and_dataclasses(tmp_path):
+    path = tmp_path / "doc.json"
+    _write_json(path, {
+        "flag": np.bool_(True), "count": np.int64(7), "cost": np.float64(0.1),
+        "state": np.array([1.5, -2.0]),
+        "candidate": CandidateEvaluation(T=np.int64(3), t0=-1, J_T=2.5,
+                                         admissible=np.bool_(False)),
+    })
+    assert json.loads(path.read_text()) == {
+        "flag": True, "count": 7, "cost": 0.1, "state": [1.5, -2.0],
+        "candidate": {"T": 3, "t0": -1, "J_T": 2.5, "admissible": False},
+    }
 
 
 def test_requires_config_flag(capsys):

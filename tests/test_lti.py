@@ -1,16 +1,13 @@
 """Exact LQ machinery: Riccati recursion, augmentation, horizon pricing."""
 
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import random_lq
 from horizonddp import (IllPosedStepError, LtiProblem, augment_time_penalty,
-                        lqr_gain, lqr_rollout_cost, lti_from_json,
-                        lti_optimal_horizon, lti_to_json, riccati_step,
-                        riccati_sweep)
+                        lqr_gain, lqr_rollout_cost, lti_optimal_horizon,
+                        riccati_step, riccati_sweep)
 
 
 def scalar_problem(q=1.0, r=1.0, qf=1.0, t_max=10, c_t=0.0):
@@ -222,14 +219,3 @@ def test_ill_posed_step_reported():
     prob = scalar_problem()
     with pytest.raises(IllPosedStepError):
         riccati_step(np.array([[-5.0]]), prob)
-
-
-def test_json_round_trip(rng):
-    model = random_lq(rng, c_t=0.3)
-    prob = model.to_lti_problem((2, 17))
-    doc = json.loads(json.dumps(lti_to_json(prob)))
-    back = lti_from_json(doc)
-    for name in ("A", "B", "Q", "R", "Qf"):
-        npt.assert_array_equal(getattr(back, name), getattr(prob, name))
-    assert back.horizon_bounds == prob.horizon_bounds
-    assert back.c_t == prob.c_t

@@ -113,15 +113,14 @@ def test_gamma_carries_between_steps(rng):
 
 
 def test_log_serialization(rng):
+    # the CLI writes the log as it stands; test_cli checks the artifacts
     model, cfg = lq_mpc_setup(rng)
     log = run_episode(model, rng.standard_normal(model.dim_x), cfg)
-    rows = log.csv_rows()
-    assert rows[0][0] == "step" and len(rows) == log.steps_used + 1
-    d = log.to_json()
-    assert d["terminated"] is True
-    assert len(d["steps"]) == log.steps_used
-    assert d["total_cost"] == pytest.approx(log.total_cost)
-    assert len(d["final_state"]) == model.dim_x
+    assert log.terminated is True
+    assert len(log.steps) == log.steps_used
+    assert log.total_cost == pytest.approx(
+        sum(rec.running_cost for rec in log.steps) + log.terminal_cost)
+    assert log.final_state.shape == (model.dim_x,)
 
 
 def test_config_and_mode_validation(rng):
@@ -133,3 +132,7 @@ def test_config_and_mode_validation(rng):
     with pytest.raises(ValueError, match="t_fixed"):
         run_episode(model, np.zeros(model.dim_x), cfg,
                     mode="receding-horizon")
+    # the horizon counts down to one, below a lower bound above one
+    with pytest.raises(ValueError, match="horizon_bounds"):
+        run_episode(model, np.zeros(model.dim_x), MpcConfig(
+            solver=SolverConfig(horizon_bounds=(10, 60), window_s=5)))

@@ -59,19 +59,24 @@ def test_bracket_widens_until_argmin_is_inside(monkeypatch):
     x0 = np.array([2.0, 0.0])
     aug = augment_time_penalty(m.to_lti_problem((1, 120)))
     t_exact, j_exact, _ = lti_optimal_horizon(aug, np.append(x0, 1.0))
-    brackets = []
-    sweep_range = oracle.exhaustive_horizon
-
-    def recording(model, t_range, cfg, x0):
-        brackets.append((min(t_range), max(t_range)))
-        return sweep_range(model, t_range, cfg, x0)
-
-    monkeypatch.setattr(oracle, "exhaustive_horizon", recording)
     cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    reference = exhaustive_horizon(m, range(t_exact - 1, t_exact + 12), cfg, x0)
+    solved = []
+    fixed = oracle.fixed_horizon_ddp
+
+    def recording(model, T, cfg, x0=None, initial=None):
+        solved.append(T)
+        return fixed(model, T, cfg, x0=x0, initial=initial)
+
+    monkeypatch.setattr(oracle, "fixed_horizon_ddp", recording)
     # the first bracket [t_exact + 2, t_exact + 8] has its argmin on its
-    # lower edge, so the bracket widens once to take t_exact in
+    # lower edge, so the bracket widens once to [t_exact - 1, t_exact + 11];
+    # the widening solves only the six horizons it adds
     sweep = bracketed_horizon(m, cfg, x0, t_exact + 5, 3)
-    assert brackets == [(t_exact + 2, t_exact + 8), (t_exact - 1, t_exact + 11)]
+    assert solved == (list(range(t_exact + 2, t_exact + 9))
+                      + list(range(t_exact - 1, t_exact + 2))
+                      + list(range(t_exact + 9, t_exact + 12)))
+    assert sweep == reference
     assert sweep.t_exact == t_exact
     assert sweep.j_exact == pytest.approx(j_exact, abs=1e-9 * max(1.0, j_exact))
     with pytest.raises(ValueError):
@@ -96,13 +101,3 @@ def test_fixed_horizon_rejects_bad_T(rng):
         fixed_horizon_ddp(model, 0, cfg, x0=np.zeros(model.dim_x))
     with pytest.raises(ValueError):
         fixed_horizon_ddp(model, 5, cfg)  # neither x0 nor initial
-
-
-def test_csv_rows_shape(rng):
-    model = random_lq(rng)
-    cfg = SolverConfig(horizon_bounds=(1, 10), window_s=0)
-    sweep = exhaustive_horizon(model, range(1, 5),
-                               cfg, np.zeros(model.dim_x))
-    rows = sweep.csv_rows()
-    assert rows[0] == ("T", "J", "iterations", "converged")
-    assert len(rows) == 5

@@ -48,3 +48,27 @@ def test_tracer_installs_and_uninstalls():
     # one stacked linearization per sweep, not one per knot
     assert counts["models.jacobian_calls"] == 1
     assert tracer.calls["model.expand_cost"] == 1
+
+
+def test_tracer_hooks_read_solve_and_episode_records():
+    m = models.DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2),
+                                     Qf=10 * np.eye(2))
+    cfg = solver.SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    x0 = np.array([2.0, 0.0])
+    tracer = _tracer()
+    tracer.install()
+    try:
+        with tracer.recording():
+            res = solver.optimize_trajectory(m, initial_trajectory(m, x0, 40),
+                                             cfg)
+        solve_counts = tracer.counts()
+        with tracer.recording():
+            log = mpc.run_episode(m, x0, mpc.MpcConfig(solver=cfg,
+                                                       step_limit=10))
+    finally:
+        tracer.uninstall()
+    assert solve_counts["solver.iterations"] == res.iterations
+    assert solve_counts["solver.accepted_iterations"] == sum(
+        r["accepted"] for r in res.trace)
+    assert solve_counts["solver.accepted_iterations"] > 0
+    assert tracer.counts()["mpc.replans"] == log.steps_used == 10

@@ -247,8 +247,8 @@ def test_accepted_costs_monotone_on_cartpole():
     assert all(b <= a + 1e-12 for a, b in zip(accepted, accepted[1:]))
     # horizon moves stay inside the selection window
     for r in res.trace:
-        for T, _, _ in r["candidates"]:
-            assert abs(T - r["t_bar"]) <= cfg.window_s
+        for c in r["candidates"]:
+            assert abs(c.T - r["t_bar"]) <= cfg.window_s
 
 
 def test_fixed_horizon_mode():
@@ -273,7 +273,6 @@ def test_trace_keeps_rejected_horizon_on_quadrotor():
     # criterion-5 start: most iterations first try a shifted horizon, find
     # no decrease, and then accept a step at T-bar
     from horizonddp import QuadrotorModel
-    from horizonddp.solver import trace_json
 
     m = QuadrotorModel(c_t=1.0)
     x0 = np.zeros(12)
@@ -281,16 +280,15 @@ def test_trace_keeps_rejected_horizon_on_quadrotor():
     res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
                               SolverConfig(horizon_bounds=(5, 150), window_s=10))
     assert res.converged and res.iterations == 22 and res.t_star == 34
-    rows = trace_json(res)
-    retried = [r for r in rows if r["t_tried"] != r["t_star"]]
+    retried = [r for r in res.trace if r["t_tried"] != r["t_star"]]
     assert retried
     for r in retried:
         assert r["rejected"] == "no_decrease"
         assert r["t_star"] == r["t_bar"]
-    for r in rows:
+    for r in res.trace:
         if r["rejected"] is None:
             assert r["t_tried"] == r["t_star"]
-            assert r["accepted"] or r is rows[-1]   # the last may converge
+            assert r["accepted"] or r is res.trace[-1]   # the last may converge
 
 
 def test_deterministic_reruns_bitwise(rng):
