@@ -9,9 +9,9 @@ exhaustive fixed-horizon baseline and a closed-loop MPC harness.
 from .backward import (BackwardResult, BackwardSweepError, FeedbackPolicy,
                        QExpansion, ValueExpansion, backward_sweep, q_expansion,
                        regularize, value_recurrence)
-from .lti import (IllPosedStepError, LtiProblem, RiccatiSequence,
-                  augment_time_penalty, lqr_gain, lqr_rollout_cost,
-                  lti_optimal_horizon, riccati_step, riccati_sweep)
+from .lti import (IllPosedStepError, LtiProblem, augment_time_penalty,
+                  lqr_gain, lqr_rollout_cost, lti_optimal_horizon,
+                  riccati_step, riccati_sweep)
 from .model import (CostExpansion, DerivativeReport, DynamicsExpansion,
                     ExpansionError, InverseStepError, SystemModel,
                     check_derivatives, expand_cost, expand_dynamics,
@@ -33,9 +33,8 @@ __all__ = [
     "BackwardResult", "BackwardSweepError", "FeedbackPolicy", "QExpansion",
     "ValueExpansion", "backward_sweep", "q_expansion", "regularize",
     "value_recurrence",
-    "IllPosedStepError", "LtiProblem", "RiccatiSequence",
-    "augment_time_penalty", "lqr_gain", "lqr_rollout_cost",
-    "lti_optimal_horizon", "riccati_step", "riccati_sweep",
+    "IllPosedStepError", "LtiProblem", "augment_time_penalty", "lqr_gain",
+    "lqr_rollout_cost", "lti_optimal_horizon", "riccati_step", "riccati_sweep",
     "CostExpansion", "DerivativeReport", "DynamicsExpansion", "ExpansionError",
     "InverseStepError", "SystemModel", "check_derivatives", "expand_cost",
     "expand_dynamics", "expand_terminal",

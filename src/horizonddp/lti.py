@@ -9,7 +9,6 @@ candidate horizon at once.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +92,6 @@ class LtiProblem:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
-class RiccatiSequence:
-    """Value matrices indexed by steps-to-go: P[s] with s remaining steps."""
-
-    P: tuple
-
-    def __getitem__(self, s: int) -> np.ndarray:
-        return self.P[s]
-
-    def __len__(self) -> int:
-        return len(self.P)
-
-
 def riccati_step(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
     """One backward step of the discrete Riccati recursion."""
     A, B, Q, R = problem.A, problem.B, problem.Q, problem.R
@@ -124,26 +110,16 @@ def riccati_step(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
     return sym(P)
 
 
-# Riccati sweeps are pure functions of the (immutable) problem, so the
-# sequence is computed once per problem instance and shared across queries.
-_sweep_cache: "weakref.WeakKeyDictionary[LtiProblem, RiccatiSequence]" = (
-    weakref.WeakKeyDictionary())
-
-
-def riccati_sweep(problem: LtiProblem) -> RiccatiSequence:
-    """Backward sweep from P[0] = Qf up to t_max steps-to-go."""
-    cached = _sweep_cache.get(problem)
-    if cached is not None:
-        return cached
+def riccati_sweep(problem: LtiProblem) -> tuple:
+    """Backward sweep from P[0] = Qf up to t_max steps-to-go: read-only
+    value matrices indexed by steps-to-go, P[s] with s remaining steps."""
     P = [sym(problem.Qf)]
     for s in range(1, problem.horizon_bounds[1] + 1):
         try:
             P.append(riccati_step(P[-1], problem))
         except IllPosedStepError as exc:
             raise IllPosedStepError(f"at steps-to-go {s}: {exc}") from exc
-    seq = RiccatiSequence(P=tuple(_frozen_array(p) for p in P))
-    _sweep_cache[problem] = seq
-    return seq
+    return tuple(_frozen_array(p) for p in P)
 
 
 def augment_time_penalty(problem: LtiProblem, c_t: float | None = None) -> LtiProblem:

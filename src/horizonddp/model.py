@@ -8,7 +8,7 @@ and from central finite differences otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,24 @@ class InverseStepError(RuntimeError):
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize a square matrix, or each matrix of a stack."""
     return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def from_fields(cls, doc: dict, what: str):
+    """``cls(**doc)`` for a dataclass ``cls`` built from a config document;
+    raises ValueError naming each key of ``doc`` that is not a field, and
+    each field without a default that ``doc`` lacks."""
+    known = [f for f in fields(cls) if f.init]
+    unknown = sorted(set(doc) - {f.name for f in known})
+    missing = [f.name for f in known if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    problems = []
+    if unknown:
+        problems.append(f"unknown {what} fields: {unknown}")
+    if missing:
+        problems.append(f"missing {what} fields: {missing}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return cls(**doc)
 
 
 class SystemModel:
@@ -82,6 +100,9 @@ class SystemModel:
     # -- optional hooks ------------------------------------------------------
 
     def admissible(self, x) -> bool:
+        """Whether x lies in the region the derivative checks sample from
+        (the CLI ``check`` command, acceptance criterion 8); ``rollout``
+        does not enforce it."""
         return bool(np.all(np.isfinite(x)))
 
     def nominal_control(self, x) -> np.ndarray:

@@ -1,19 +1,23 @@
 """Benchmark systems: double integrator, cartpole, quadrotor, point-mass nav.
 
-Cartpole and quadrotor integrate their continuous equations of motion with
-fixed-step RK4; the two double-integrator variants use the exact discrete
-map.  Every model carries its own cost weights and per-step time penalty.
+Each model is a dataclass whose fields are its parameters, and so the keys
+of its config document.  Cartpole and quadrotor integrate their continuous
+equations of motion with fixed-step RK4 (``_RK4Dynamics``); the two
+double-integrator variants use the exact discrete map (``_LinearDynamics``).
+The double integrator and the quadrotor share one quadratic tracking cost
+(``_QuadraticCost``).  Every model carries its own cost weights and
+per-step time penalty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .lti import LtiProblem
-from .model import SystemModel, sym
+from .model import SystemModel, from_fields, sym
 
 GRAVITY = 9.81
 
@@ -125,71 +129,125 @@ def _jacobian_buffers(x, n, m):
     return fx, fu, fx.transpose(1, 2, 0), fu.transpose(1, 2, 0)
 
 
+def _as_floats(model):
+    """Store each field whose default is a float as a float: the one-knot
+    kernels run on plain floats, and a config may give an int."""
+    for f in fields(model):
+        if isinstance(f.default, float):
+            setattr(model, f.name, float(getattr(model, f.name)))
+
+
 # ---------------------------------------------------------------------------
-# double integrator
+# shared dynamics and cost
 # ---------------------------------------------------------------------------
 
 
-class DoubleIntegratorModel(SystemModel):
-    """1-D double integrator with quadratic costs; exactly an LTI problem."""
+class _RK4Dynamics(SystemModel):
+    """One fixed RK4 step of ``dt`` through the continuous dynamics
+    ``_deriv`` and their Jacobians ``_deriv_jacobians``, which take one knot
+    or stacked knots; the map is inverted by Newton.  The costs of the
+    models built on it stack too."""
 
     has_inverse_step = True
     stacked_derivatives = True
 
-    def __init__(self, dt=0.1, Q=None, R=None, Qf=None, c_t=0.0):
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
-        self.dt = float(dt)
-        self.Q = sym(np.asarray(Q if Q is not None else np.eye(2), dtype=float))
-        self.R = sym(np.asarray(R if R is not None else np.eye(1), dtype=float))
-        self.Qf = sym(np.asarray(Qf if Qf is not None else np.eye(2), dtype=float))
-        self.c_t = float(c_t)
-        self.dim_x = 2
-        self.dim_u = 1
-        self.A = np.array([[1.0, self.dt], [0.0, 1.0]])
-        self.B = np.array([[0.0], [self.dt]])
+    def step(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        out = rk4_step(self._deriv, x, u, self.dt)
+        if not np.isfinite(out).all():
+            raise FloatingPointError(
+                f"{type(self).__name__} state became non-finite")
+        return out
+
+    def dynamics_jacobians(self, x, u):
+        _, fx, fu = rk4_step_with_jacobian(
+            self._deriv, self._deriv_jacobians, np.asarray(x, dtype=float),
+            np.asarray(u, dtype=float), self.dt)
+        return fx, fu
+
+
+class _LinearDynamics(SystemModel):
+    """Exact discrete map x' = A x + B u with invertible A.  The costs of
+    the models built on it stack too."""
+
+    has_inverse_step = True
+    stacked_derivatives = True
 
     def step(self, x, u):
         return self.A @ np.asarray(x, dtype=float) + self.B @ np.asarray(u, dtype=float)
 
-    def running_cost(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return 0.5 * (_dot(x @ self.Q, x) + _dot(u @ self.R, u)) + self.c_t
-
-    def terminal_cost(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ self.Qf @ x)
-
     def dynamics_jacobians(self, x, u):
         return _per_knot(self.A, x), _per_knot(self.B, x)
-
-    def running_cost_derivatives(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return (x @ self.Q, u @ self.R, _per_knot(self.Q, x),
-                np.zeros(x.shape[:-1] + (self.dim_u, self.dim_x)),
-                _per_knot(self.R, x))
-
-    def terminal_cost_derivatives(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.Qf @ x, self.Qf
 
     def inverse_step(self, x_next, u):
         return np.linalg.solve(self.A, np.asarray(x_next, dtype=float)
                                - self.B @ np.asarray(u, dtype=float))
 
+
+class _QuadraticCost(SystemModel):
+    """0.5 dx' Q dx + 0.5 du' R du + c_t per step and 0.5 dx' Qf dx at the
+    end, with dx = x - goal and du = u - u_ref; u_ref seeds the initial
+    trajectories."""
+
+    def running_cost(self, x, u):
+        dx = np.asarray(x, dtype=float) - self.goal
+        du = np.asarray(u, dtype=float) - self.u_ref
+        return 0.5 * (_dot(dx @ self.Q, dx) + _dot(du @ self.R, du)) + self.c_t
+
+    def terminal_cost(self, x):
+        dx = np.asarray(x, dtype=float) - self.goal
+        return 0.5 * float(dx @ self.Qf @ dx)
+
+    def running_cost_derivatives(self, x, u):
+        dx = np.asarray(x, dtype=float) - self.goal
+        du = np.asarray(u, dtype=float) - self.u_ref
+        return (dx @ self.Q, du @ self.R, _per_knot(self.Q, dx),
+                np.zeros(dx.shape[:-1] + (self.dim_u, self.dim_x)),
+                _per_knot(self.R, dx))
+
+    def terminal_cost_derivatives(self, x):
+        dx = np.asarray(x, dtype=float) - self.goal
+        return self.Qf @ dx, self.Qf
+
+    def nominal_control(self, x):
+        return self.u_ref.copy()
+
+
+# ---------------------------------------------------------------------------
+# double integrator
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
+    """1-D double integrator with quadratic costs about the origin; exactly
+    an LTI problem.  Q, R and Qf default to identities."""
+
+    dt: float = 0.1
+    Q: np.ndarray | None = None
+    R: np.ndarray | None = None
+    Qf: np.ndarray | None = None
+    c_t: float = 0.0
+
+    dim_x = 2
+    dim_u = 1
+
+    def __post_init__(self):
+        _as_floats(self)
+        if self.dt <= 0:
+            raise ValueError("dt must be > 0")
+        self.Q = sym(np.asarray(self.Q if self.Q is not None else np.eye(2), dtype=float))
+        self.R = sym(np.asarray(self.R if self.R is not None else np.eye(1), dtype=float))
+        self.Qf = sym(np.asarray(self.Qf if self.Qf is not None else np.eye(2), dtype=float))
+        self.goal = np.zeros(2)
+        self.u_ref = np.zeros(1)
+        self.A = np.array([[1.0, self.dt], [0.0, 1.0]])
+        self.B = np.array([[0.0], [self.dt]])
+
     def to_lti_problem(self, horizon_bounds) -> LtiProblem:
         return LtiProblem(A=self.A, B=self.B, Q=self.Q, R=self.R, Qf=self.Qf,
                           horizon_bounds=horizon_bounds, c_t=self.c_t)
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "DoubleIntegratorModel":
-        return cls(dt=cfg.get("dt", 0.1),
-                   Q=np.asarray(cfg["Q"], dtype=float) if "Q" in cfg else None,
-                   R=np.asarray(cfg["R"], dtype=float) if "R" in cfg else None,
-                   Qf=np.asarray(cfg["Qf"], dtype=float) if "Qf" in cfg else None,
-                   c_t=cfg.get("c_t", 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +255,8 @@ class DoubleIntegratorModel(SystemModel):
 # ---------------------------------------------------------------------------
 
 
-class CartpoleModel(SystemModel):
+@dataclass(eq=False)
+class CartpoleModel(_RK4Dynamics):
     """Cart with a hanging pole; force on the cart is the only control.
 
     State (x, xdot, theta, thetadot) with theta = 0 hanging down and
@@ -205,29 +264,26 @@ class CartpoleModel(SystemModel):
     while running, arrival angle/velocities at the end, and time via c_t.
     """
 
-    has_inverse_step = True  # RK4 map inverted by Newton for small dt
-    stacked_derivatives = True
+    cart_mass: float = 1.0
+    pole_mass: float = 0.1
+    pole_length: float = 0.5
+    gravity: float = GRAVITY
+    dt: float = 0.02
+    w_xdot: float = 0.1
+    w_thetadot: float = 0.1
+    w_u: float = 0.01
+    wf_theta: float = 10000.0
+    wf_xdot: float = 2500.0
+    wf_thetadot: float = 2500.0
+    c_t: float = 0.0
 
-    def __init__(self, cart_mass=1.0, pole_mass=0.1, pole_length=0.5,
-                 gravity=GRAVITY, dt=0.02, w_xdot=0.1, w_thetadot=0.1,
-                 w_u=0.01, wf_theta=10000.0, wf_xdot=2500.0, wf_thetadot=2500.0,
-                 c_t=0.0):
-        if min(cart_mass, pole_mass, pole_length, dt) <= 0:
+    dim_x = 4
+    dim_u = 1
+
+    def __post_init__(self):
+        _as_floats(self)
+        if min(self.cart_mass, self.pole_mass, self.pole_length, self.dt) <= 0:
             raise ValueError("masses, length and dt must be > 0")
-        self.mc = float(cart_mass)
-        self.mp = float(pole_mass)
-        self.length = float(pole_length)
-        self.gravity = float(gravity)
-        self.dt = float(dt)
-        self.w_xdot = float(w_xdot)
-        self.w_thetadot = float(w_thetadot)
-        self.w_u = float(w_u)
-        self.wf_theta = float(wf_theta)
-        self.wf_xdot = float(wf_xdot)
-        self.wf_thetadot = float(wf_thetadot)
-        self.c_t = float(c_t)
-        self.dim_x = 4
-        self.dim_u = 1
 
     # equations of motion in manipulator form, solved for the accelerations
     def _deriv(self, x, u):
@@ -239,17 +295,17 @@ class CartpoleModel(SystemModel):
             # an overflowed state: math.sin rejects inf, and float ** raises
             # where a numpy scalar would return inf
             raise FloatingPointError("cartpole state became non-finite") from None
-        den = self.mc + self.mp * s * s
-        xddot = (force + self.mp * s * (self.length * spin
-                                        + self.gravity * c)) / den
-        thddot = -(xddot * c + self.gravity * s) / self.length
+        den = self.cart_mass + self.pole_mass * s * s
+        xddot = (force + self.pole_mass * s * (self.pole_length * spin
+                                               + self.gravity * c)) / den
+        thddot = -(xddot * c + self.gravity * s) / self.pole_length
         return _knot_rows([xdot, xddot, thetadot, thddot])
 
     def _deriv_jacobians(self, x, u):
         (_, _, theta, thetadot), (force,), sin, cos = _kernel_inputs(x, u)
         s, c = sin(theta), cos(theta)
-        g, l, mp = self.gravity, self.length, self.mp
-        den = self.mc + mp * s * s
+        g, l, mp = self.gravity, self.pole_length, self.pole_mass
+        den = self.cart_mass + mp * s * s
         num = force + mp * s * (l * thetadot ** 2 + g * c)
         xddot = num / den
 
@@ -268,20 +324,6 @@ class CartpoleModel(SystemModel):
         Fx[3, 3] = -(dxdd_dtd * c) / l
         Fu[1, 0] = dxdd_du
         Fu[3, 0] = -(dxdd_du * c) / l
-        return fx, fu
-
-    def step(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = rk4_step(self._deriv, x, u, self.dt)
-        if not np.isfinite(out).all():
-            raise FloatingPointError("cartpole state became non-finite")
-        return out
-
-    def dynamics_jacobians(self, x, u):
-        _, fx, fu = rk4_step_with_jacobian(
-            self._deriv, self._deriv_jacobians, np.asarray(x, dtype=float),
-            np.asarray(u, dtype=float), self.dt)
         return fx, fu
 
     def running_cost(self, x, u):
@@ -314,48 +356,52 @@ class CartpoleModel(SystemModel):
         phi_xx = np.diag([0.0, self.wf_xdot, self.wf_theta, self.wf_thetadot])
         return phi_x, phi_xx
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "CartpoleModel":
-        keys = ("cart_mass", "pole_mass", "pole_length", "gravity", "dt",
-                "w_xdot", "w_thetadot", "w_u", "wf_theta", "wf_xdot",
-                "wf_thetadot", "c_t")
-        return cls(**{k: cfg[k] for k in keys if k in cfg})
-
 
 # ---------------------------------------------------------------------------
 # quadrotor
 # ---------------------------------------------------------------------------
 
 
-class QuadrotorModel(SystemModel):
+@dataclass(eq=False)
+class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
     """Euler-angle rigid-body quadrotor: 12 states, 4 controls.
 
     State: position (3), attitude roll/pitch/yaw (3), world-frame linear
     velocity (3), body angular rates (3).  Controls: total thrust plus the
-    three body torques.  Hovering level at thrust m*g is a fixed point.
-    The admissible region keeps |roll|, |pitch| < pi/2.
+    three body torques.  Hovering level at thrust m*g is a fixed point, and
+    the cost is the weighted quadratic deviation from the goal state and
+    from hover (``u_ref``).  ``admissible`` keeps |roll|, |pitch| < pi/2:
+    that is the region the derivative checks sample from (CLI ``check``,
+    acceptance criterion 8), not a constraint that ``rollout`` enforces.
     """
 
-    has_inverse_step = True
-    stacked_derivatives = True
+    mass: float = 1.0
+    inertia: tuple = (0.01, 0.01, 0.02)
+    gravity: float = GRAVITY
+    dt: float = 0.05
+    goal: np.ndarray | None = None
+    w_pos: float = 1.0
+    w_att: float = 1.0
+    w_vel: float = 0.1
+    w_rate: float = 0.1
+    w_thrust: float = 0.5
+    w_torque: float = 5.0
+    wf: float = 500.0
+    c_t: float = 0.0
 
-    def __init__(self, mass=1.0, inertia=(0.01, 0.01, 0.02), gravity=GRAVITY,
-                 dt=0.05, goal=None, w_pos=1.0, w_att=1.0, w_vel=0.1,
-                 w_rate=0.1, w_thrust=0.5, w_torque=5.0, wf=500.0, c_t=0.0):
-        self.mass = float(mass)
-        self.inertia = np.asarray(inertia, dtype=float)
-        self.gravity = float(gravity)
-        self.dt = float(dt)
-        self.goal = (np.zeros(12) if goal is None
-                     else np.asarray(goal, dtype=float))
-        self.dim_x = 12
-        self.dim_u = 4
-        self.c_t = float(c_t)
-        # 0.5 * weighted quadratic deviation from the goal state and from hover
-        self.Q = np.diag([w_pos] * 3 + [w_att] * 3 + [w_vel] * 3 + [w_rate] * 3)
-        self.R = np.diag([w_thrust] + [w_torque] * 3)
-        self.Qf = wf * np.eye(12)
-        self.u_hover = np.array([self.mass * self.gravity, 0.0, 0.0, 0.0])
+    dim_x = 12
+    dim_u = 4
+
+    def __post_init__(self):
+        _as_floats(self)
+        self.inertia = np.asarray(self.inertia, dtype=float)
+        self.goal = (np.zeros(12) if self.goal is None
+                     else np.asarray(self.goal, dtype=float))
+        self.Q = np.diag([self.w_pos] * 3 + [self.w_att] * 3
+                         + [self.w_vel] * 3 + [self.w_rate] * 3)
+        self.R = np.diag([self.w_thrust] + [self.w_torque] * 3)
+        self.Qf = self.wf * np.eye(12)
+        self.u_ref = np.array([self.mass * self.gravity, 0.0, 0.0, 0.0])
 
     def _deriv(self, x, u):
         ((_, _, _, phi, th, psi, vx, vy, vz, p, q, r), (thrust, tx, ty, tz),
@@ -443,52 +489,10 @@ class QuadrotorModel(SystemModel):
 
         return fx, fu
 
-    def step(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = rk4_step(self._deriv, x, u, self.dt)
-        if not np.isfinite(out).all():
-            raise FloatingPointError("quadrotor state became non-finite")
-        return out
-
-    def dynamics_jacobians(self, x, u):
-        _, fx, fu = rk4_step_with_jacobian(
-            self._deriv, self._deriv_jacobians, np.asarray(x, dtype=float),
-            np.asarray(u, dtype=float), self.dt)
-        return fx, fu
-
-    def running_cost(self, x, u):
-        dx = np.asarray(x, dtype=float) - self.goal
-        du = np.asarray(u, dtype=float) - self.u_hover
-        return 0.5 * (_dot(dx @ self.Q, dx) + _dot(du @ self.R, du)) + self.c_t
-
-    def terminal_cost(self, x):
-        dx = np.asarray(x, dtype=float) - self.goal
-        return 0.5 * float(dx @ self.Qf @ dx)
-
-    def running_cost_derivatives(self, x, u):
-        dx = np.asarray(x, dtype=float) - self.goal
-        du = np.asarray(u, dtype=float) - self.u_hover
-        return (dx @ self.Q, du @ self.R, _per_knot(self.Q, dx),
-                np.zeros(dx.shape[:-1] + (4, 12)), _per_knot(self.R, dx))
-
-    def terminal_cost_derivatives(self, x):
-        dx = np.asarray(x, dtype=float) - self.goal
-        return self.Qf @ dx, self.Qf
-
     def admissible(self, x):
         x = np.asarray(x, dtype=float)
         return bool(np.all(np.isfinite(x))
                     and abs(x[3]) < 0.5 * math.pi and abs(x[4]) < 0.5 * math.pi)
-
-    def nominal_control(self, x):
-        return self.u_hover.copy()
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "QuadrotorModel":
-        keys = ("mass", "inertia", "gravity", "dt", "goal", "w_pos", "w_att",
-                "w_vel", "w_rate", "w_thrust", "w_torque", "wf", "c_t")
-        return cls(**{k: cfg[k] for k in keys if k in cfg})
 
 
 # ---------------------------------------------------------------------------
@@ -555,26 +559,33 @@ class Obstacle:
         return c, grad, hess
 
 
-class PointMassNavModel(SystemModel):
-    """Planar double integrator steering to a goal through soft obstacles."""
+@dataclass(eq=False)
+class PointMassNavModel(_LinearDynamics):
+    """Planar double integrator steering to a goal through soft obstacles.
 
-    has_inverse_step = True
-    stacked_derivatives = True
+    ``obstacles`` holds :class:`Obstacle` objects, or config entries with
+    the fields of one.
+    """
 
-    def __init__(self, dt=0.1, goal=(8.0, 0.0), w_u=0.5, w_vel=0.05,
-                 wf_pos=50.0, wf_vel=50.0, obstacles=(), c_t=0.0,
-                 arena_scale=10.0):
-        self.dt = float(dt)
-        self.goal = np.asarray(goal, dtype=float)
-        self.w_u = float(w_u)
-        self.w_vel = float(w_vel)
-        self.wf_pos = float(wf_pos)
-        self.wf_vel = float(wf_vel)
-        self.obstacles = tuple(obstacles)
-        self.c_t = float(c_t)
-        self.arena_scale = float(arena_scale)
-        self.dim_x = 4
-        self.dim_u = 2
+    dt: float = 0.1
+    goal: tuple = (8.0, 0.0)
+    w_u: float = 0.5
+    w_vel: float = 0.05
+    wf_pos: float = 50.0
+    wf_vel: float = 50.0
+    obstacles: tuple = ()
+    c_t: float = 0.0
+    arena_scale: float = 10.0
+
+    dim_x = 4
+    dim_u = 2
+
+    def __post_init__(self):
+        _as_floats(self)
+        self.goal = np.asarray(self.goal, dtype=float)
+        self.obstacles = tuple(
+            o if isinstance(o, Obstacle) else from_fields(Obstacle, o, "obstacle")
+            for o in self.obstacles)
         dt_ = self.dt
         self.A = np.array([[1.0, 0.0, dt_, 0.0],
                            [0.0, 1.0, 0.0, dt_],
@@ -587,12 +598,6 @@ class PointMassNavModel(SystemModel):
         self._l_uu = self.w_u * np.eye(2)
         for M in (self._l_xx_base, self._l_ux, self._l_uu):
             M.setflags(write=False)
-
-    def step(self, x, u):
-        return self.A @ np.asarray(x, dtype=float) + self.B @ np.asarray(u, dtype=float)
-
-    def dynamics_jacobians(self, x, u):
-        return _per_knot(self.A, x), _per_knot(self.B, x)
 
     def running_cost(self, x, u):
         x = np.asarray(x, dtype=float)
@@ -631,29 +636,6 @@ class PointMassNavModel(SystemModel):
         phi_xx = np.diag([self.wf_pos, self.wf_pos, self.wf_vel, self.wf_vel])
         return phi_x, phi_xx
 
-    def inverse_step(self, x_next, u):
-        return np.linalg.solve(self.A, np.asarray(x_next, dtype=float)
-                               - self.B @ np.asarray(u, dtype=float))
-
-    def with_obstacles(self, obstacles) -> "PointMassNavModel":
-        out = PointMassNavModel(dt=self.dt, goal=self.goal, w_u=self.w_u,
-                                w_vel=self.w_vel, wf_pos=self.wf_pos,
-                                wf_vel=self.wf_vel, obstacles=obstacles,
-                                c_t=self.c_t, arena_scale=self.arena_scale)
-        return out
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "PointMassNavModel":
-        obstacles = tuple(
-            Obstacle(center=tuple(o["center"]), radius=o["radius"],
-                     weight=o.get("weight", 1.0),
-                     schedule=tuple((seg[0], tuple(seg[1]))
-                                    for seg in o.get("schedule", ())))
-            for o in cfg.get("obstacles", ()))
-        keys = ("dt", "goal", "w_u", "w_vel", "wf_pos", "wf_vel", "c_t",
-                "arena_scale")
-        return cls(obstacles=obstacles, **{k: cfg[k] for k in keys if k in cfg})
-
 
 def obstacle_schedule_advance(model: PointMassNavModel,
                               sim_time: float) -> PointMassNavModel:
@@ -669,7 +651,7 @@ def obstacle_schedule_advance(model: PointMassNavModel,
         Obstacle(center=tuple(np.asarray(o.center) + o.displacement(sim_time)),
                  radius=o.radius, weight=o.weight, schedule=())
         for o in model.obstacles)
-    return model.with_obstacles(moved)
+    return replace(model, obstacles=moved)
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +668,11 @@ MODEL_REGISTRY = {
 
 
 def make_model(config: dict) -> SystemModel:
-    """Build a benchmark model from a JSON-style config document."""
-    name = config.get("model")
+    """Build a benchmark model from a JSON-style config document: its
+    ``model`` name plus any of that model's fields."""
+    params = dict(config)
+    name = params.pop("model", None)
     if name not in MODEL_REGISTRY:
         valid = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(f"unknown model {name!r}; valid names: {valid}")
-    params = {k: v for k, v in config.items() if k != "model"}
-    return MODEL_REGISTRY[name].from_config(params)
+    return from_fields(MODEL_REGISTRY[name], params, f"{name} model")

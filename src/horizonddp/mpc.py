@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import SystemModel
+from .model import ExpansionError, SystemModel
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import GAMMA_MIN, SolverConfig, optimize_trajectory
 from .trajectory import Trajectory, rollout_controls, initial_trajectory
@@ -73,8 +73,10 @@ def mpc_step(plan: Trajectory, observed_x0, model_snapshot: SystemModel,
 
     ``gamma_init`` carries the regularization level from the previous step
     so the schedule is not re-escalated from scratch every replan.  Returns
-    (action, new_plan, new_horizon, info).  On solver failure the previous
-    plan's first action is applied and the step is flagged.
+    (action, new_plan, new_horizon, info).  When the replan meets a numeric
+    failure (a non-finite expansion or state, or a failed factorization) the
+    previous plan's first action is applied and the step is flagged; any
+    other exception propagates.
     """
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     if gamma_init is not None:
@@ -87,7 +89,7 @@ def mpc_step(plan: Trajectory, observed_x0, model_snapshot: SystemModel,
                 "gamma": result.gamma_final}
         new_plan = result.trajectory
         return new_plan.controls[0], new_plan, new_plan.horizon, info
-    except (RuntimeError, FloatingPointError, ValueError):
+    except (ExpansionError, FloatingPointError, np.linalg.LinAlgError):
         info = {"iterations": 0, "degraded": True, "gamma": gamma_init}
         return plan.controls[0], plan, plan.horizon, info
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backward import (GAMMA_MAX, BackwardResult, BackwardSweepError,
                        backward_sweep)
-from .model import InverseStepError, SystemModel
+from .model import InverseStepError, SystemModel, from_fields
 from .trajectory import Trajectory, trajectory_cost
 
 _FIXED_POINT_TOL = 1e-8
@@ -52,14 +52,7 @@ class SolverConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
-        if bad:
-            raise ValueError(f"unknown solver config fields: {sorted(bad)}")
-        cfg = dict(doc)
-        if "horizon_bounds" in cfg:
-            cfg["horizon_bounds"] = tuple(cfg["horizon_bounds"])
-        return cls(**cfg)
+        return from_fields(cls, doc, "solver config")
 
 
 @dataclass(frozen=True)

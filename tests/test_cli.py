@@ -91,6 +91,14 @@ def test_unknown_solver_field_exits_1(tmp_path, capsys):
     assert "trust_region" in capsys.readouterr().err
 
 
+def test_unknown_model_field_exits_1(tmp_path, capsys):
+    doc = di_solve_config()
+    doc["model"]["c_T"] = 0.02
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "c_T" in capsys.readouterr().err
+
+
 def test_wrong_x0_size_exits_1(tmp_path, capsys):
     doc = di_solve_config()
     doc["x0"] = [1.0, 2.0, 3.0]

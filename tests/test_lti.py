@@ -107,7 +107,7 @@ def test_riccati_sweep_grid_value_iteration():
 def test_riccati_matrices_are_psd(rng):
     model = random_lq(rng)
     seq = riccati_sweep(model.to_lti_problem((1, 40)))
-    for P in seq.P:
+    for P in seq:
         assert np.min(np.linalg.eigvalsh(P)) > -1e-8
 
 

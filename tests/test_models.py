@@ -127,8 +127,8 @@ def test_cartpole_rejects_bad_params():
 def test_quadrotor_hover_is_fixed_point():
     m = QuadrotorModel()
     x = np.zeros(12)
-    npt.assert_allclose(m.step(x, m.u_hover), x, atol=1e-12)
-    npt.assert_array_equal(m.nominal_control(x), m.u_hover)
+    npt.assert_allclose(m.step(x, m.u_ref), x, atol=1e-12)
+    npt.assert_array_equal(m.nominal_control(x), m.u_ref)
 
 
 def test_quadrotor_free_fall_without_thrust():
@@ -277,3 +277,15 @@ def test_registry_builds_models():
 def test_registry_rejects_unknown_model():
     with pytest.raises(ValueError, match="cartpole"):
         make_model({"model": "unicycle"})
+
+
+@pytest.mark.parametrize("config,bad_key", [
+    ({"model": "cartpole", "c_T": 30.0}, "c_T"),
+    ({"model": "pointmass_nav",
+      "obstacles": [{"centre": [1.0, 2.0], "radius": 0.5}]}, "centre"),
+    ({"model": "pointmass_nav", "obstacles": [{"center": [1.0, 2.0]}]},
+     "radius"),
+])
+def test_registry_rejects_unknown_or_missing_fields(config, bad_key):
+    with pytest.raises(ValueError, match=bad_key):
+        make_model(config)

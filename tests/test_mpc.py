@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_lq
-from horizonddp import (MpcConfig, SolverConfig, initial_trajectory,
-                        mpc_step, optimize_trajectory, run_episode)
+from horizonddp import (ExpansionError, MpcConfig, SolverConfig,
+                        initial_trajectory, mpc_step, optimize_trajectory,
+                        run_episode)
 import horizonddp.mpc as mpc_mod
 
 
@@ -92,7 +93,7 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
         cfg.solver).trajectory
 
     def boom(*args, **kwargs):
-        raise RuntimeError("solver knocked out")
+        raise ExpansionError("solver knocked out")
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", boom)
     action, new_plan, t_bar, info = mpc_step(plan, np.ones(model.dim_x),
@@ -100,6 +101,20 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, plan.controls[0])
     assert t_bar == plan.horizon
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, RuntimeError])
+def test_non_numeric_replan_error_propagates(rng, monkeypatch, error):
+    # a bug in the replan is raised, not hidden as a degraded step
+    model, cfg = lq_mpc_setup(rng)
+    plan = initial_trajectory(model, np.ones(model.dim_x), 20)
+
+    def bug(*args, **kwargs):
+        raise error("not a numeric failure")
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", bug)
+    with pytest.raises(error):
+        mpc_step(plan, np.ones(model.dim_x), model, cfg)
 
 
 def test_gamma_carries_between_steps(rng):

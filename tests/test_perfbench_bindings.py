@@ -39,10 +39,23 @@ def test_tracer_installs_and_uninstalls():
         with tracer.recording():
             solver.backward_sweep(m, traj, (prefix.states, prefix.controls),
                                   gamma=1e-6)
+        counts = tracer.counts()
+        # step and dynamics_jacobians come from shared bases: the tracer
+        # must still see them on each traced class
+        for model in (models.QuadrotorModel(), m, models.PointMassNavModel()):
+            x = np.zeros(model.dim_x)
+            u = model.nominal_control(x)
+            before_calls = tracer.calls.copy()
+            with tracer.recording():
+                model.step(x, u)
+                model.dynamics_jacobians(x, u)
+            added = tracer.calls - before_calls
+            assert added["models.step"] == 1, type(model).__name__
+            assert added["models.dynamics_jacobians"] == 1, type(model).__name__
     finally:
         tracer.uninstall()
+    # the wrappers of inherited methods are removed, not left behind
     assert _bindings() == before
-    counts = tracer.counts()
     assert counts["backward.sweeps"] == 1
     assert counts["backward.knots"] == 25
     # one stacked linearization per sweep, not one per knot
