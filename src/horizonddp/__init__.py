@@ -6,9 +6,9 @@ state), plus exact linear-quadratic machinery, benchmark systems, an
 exhaustive fixed-horizon baseline and a closed-loop MPC harness.
 """
 
-from .backward import (BackwardResult, BackwardSweepError, FeedbackPolicy,
-                       QExpansion, ValueExpansion, backward_sweep, q_expansion,
-                       regularize, value_recurrence)
+from .backward import (BackwardResult, BackwardSweepError, QExpansion,
+                       ValueExpansion, backward_sweep, q_expansion, regularize,
+                       value_recurrence)
 from .lti import (IllPosedStepError, LtiProblem, augment_time_penalty,
                   lqr_gain, lqr_rollout_cost, lti_optimal_horizon,
                   riccati_step, riccati_sweep)
@@ -30,9 +30,8 @@ from .trajectory import (Trajectory, initial_trajectory, rollout_controls,
                          trajectory_cost)
 
 __all__ = [
-    "BackwardResult", "BackwardSweepError", "FeedbackPolicy", "QExpansion",
-    "ValueExpansion", "backward_sweep", "q_expansion", "regularize",
-    "value_recurrence",
+    "BackwardResult", "BackwardSweepError", "QExpansion", "ValueExpansion",
+    "backward_sweep", "q_expansion", "regularize", "value_recurrence",
     "IllPosedStepError", "LtiProblem", "augment_time_penalty", "lqr_gain",
     "lqr_rollout_cost", "lti_optimal_horizon", "riccati_step", "riccati_sweep",
     "CostExpansion", "DerivativeReport", "DynamicsExpansion", "ExpansionError",

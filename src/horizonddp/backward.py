@@ -58,41 +58,34 @@ class QExpansion:
 
 
 @dataclass(frozen=True)
-class FeedbackPolicy:
-    """Time-indexed affine policy; index g = t + t0_offset into K/k."""
-
-    K: tuple
-    k: tuple
-    t0_offset: int
-
-    def gains(self, t: int):
-        return self.K[t + self.t0_offset], self.k[t + self.t0_offset]
-
-
-@dataclass(frozen=True)
 class BackwardResult:
-    """Sweep output over t in [-prefix_len, T]; index g = t + prefix_len."""
+    """Sweep output over t in [-prefix_len, T], row g = t + prefix_len.
 
-    value: tuple         # ValueExpansion per swept time, length prefix_len+T+1
-    policy: FeedbackPolicy
+    ``states`` (N+1 rows) and ``controls`` (N rows) are the extended
+    nominal the sweep linearized along: the prefix, then the trajectory.
+    ``V_xx``, ``V_x`` and ``V_0`` hold the value expansion at each of the
+    N+1 states, and ``K``, ``k`` the gains of the N steps, so the policy at
+    time t is ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
+    """
+
+    states: np.ndarray
+    controls: np.ndarray
+    V_xx: np.ndarray
+    V_x: np.ndarray
+    V_0: np.ndarray
+    K: np.ndarray
+    k: np.ndarray
     gamma_used: float
     prefix_len: int
-    horizon: int
-    dj: tuple            # per-step model-predicted cost change at alpha = 1
 
     def value_at(self, t: int) -> ValueExpansion:
-        return self.value[t + self.prefix_len]
-
-    def expected_improvement(self, t0: int = 0) -> float:
-        """Model-predicted cost change of applying (K, k) at alpha = 1."""
-        return float(sum(self.dj[t0 + self.prefix_len:]))
+        g = t + self.prefix_len
+        return ValueExpansion(V_xx=self.V_xx[g], V_x=self.V_x[g],
+                              V_0=float(self.V_0[g]))
 
     def max_feedforward(self, t0: int = 0) -> float:
         """Largest ||k_t||_inf over the policy from t0 onward."""
-        worst = 0.0
-        for g in range(t0 + self.prefix_len, len(self.policy.k)):
-            worst = max(worst, float(np.max(np.abs(self.policy.k[g]))))
-        return worst
+        return float(np.max(np.abs(self.k[t0 + self.prefix_len:]), initial=0.0))
 
 
 def q_expansion(cost, dyn, nxt: ValueExpansion,
@@ -168,20 +161,18 @@ def _linearize(model: SystemModel, states, controls, second_order):
     return costs, dyns
 
 
-def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, second_order):
-    n_knots = len(costs)
-    value = [None] * n_knots + [terminal]
-    Ks, ks, djs = [None] * n_knots, [None] * n_knots, [None] * n_knots
-    for i in range(n_knots - 1, -1, -1):
-        q = regularize(q_expansion(costs[i], dyns[i], value[i + 1], second_order),
-                       gamma)
-        v, K, k = value_recurrence(q)
+def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, second_order,
+                out):
+    """Fill the rows of ``out = (V_xx, V_x, V_0, K, k)`` below the terminal."""
+    V_xx, V_x, V_0, K, k = out
+    nxt = terminal
+    for i in range(len(costs) - 1, -1, -1):
+        q = regularize(q_expansion(costs[i], dyns[i], nxt, second_order), gamma)
+        nxt, K[i], k[i] = value_recurrence(q)
         # a diverging recursion only gets worse; escalate gamma right away
-        if not np.isfinite(v.V_0) or np.max(np.abs(v.V_xx)) > 1e12:
+        if not np.isfinite(nxt.V_0) or np.max(np.abs(nxt.V_xx)) > 1e12:
             raise NeedsRegularization(_min_eig(q.Q_uu))
-        value[i], Ks[i], ks[i] = v, K, k
-        djs[i] = float(k @ q.Q_u + 0.5 * k @ q.Q_uu @ k)
-    return value, Ks, ks, djs
+        V_xx[i], V_x[i], V_0[i] = nxt.V_xx, nxt.V_x, nxt.V_0
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
@@ -195,22 +186,30 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     escalated tenfold until it exceeds GAMMA_MAX, reusing that
     linearization.
     """
+    n, m = model.dim_x, model.dim_u
     pre_states, pre_controls = prefix
-    pre_states = np.asarray(pre_states, dtype=float).reshape(-1, model.dim_x)
-    pre_controls = np.asarray(pre_controls, dtype=float).reshape(-1, model.dim_u)
+    pre_states = np.asarray(pre_states, dtype=float).reshape(-1, n)
+    pre_controls = np.asarray(pre_controls, dtype=float).reshape(-1, m)
     if pre_states.shape[0] != pre_controls.shape[0]:
         raise ValueError("prefix states and controls must have equal length")
+    states = np.vstack([pre_states, traj.states])
+    controls = np.vstack([pre_controls, traj.controls])
+    N = controls.shape[0]
     phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
     terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
-    costs, dyns = _linearize(model, np.vstack([pre_states, traj.states[:-1]]),
-                             np.vstack([pre_controls, traj.controls]),
-                             second_order)
+    costs, dyns = _linearize(model, states[:-1], controls, second_order)
 
+    V_xx, V_x, V_0 = np.empty((N + 1, n, n)), np.empty((N + 1, n)), np.empty(N + 1)
+    V_xx[N], V_x[N], V_0[N] = phi_xx, phi_x, phi
+    # each K[i] column-major, as cho_solve returns it, so K[i] @ dx sums in
+    # the same order as with the returned gain (a C-ordered copy changes
+    # last bits when m = 2)
+    K, k = np.empty((N, n, m)).transpose(0, 2, 1), np.empty((N, m))
     g = float(gamma)
     while True:
         try:
-            value, Ks, ks, djs = _sweep_once(costs, dyns, terminal, g,
-                                             second_order)
+            _sweep_once(costs, dyns, terminal, g, second_order,
+                        (V_xx, V_x, V_0, K, k))
             break
         except NeedsRegularization:
             g *= 10.0
@@ -218,12 +217,6 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
                 raise BackwardSweepError(
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
 
-    prefix_len = pre_states.shape[0]
-    return BackwardResult(
-        value=tuple(value),
-        policy=FeedbackPolicy(K=tuple(Ks), k=tuple(ks), t0_offset=prefix_len),
-        gamma_used=g,
-        prefix_len=prefix_len,
-        horizon=traj.horizon,
-        dj=tuple(djs),
-    )
+    return BackwardResult(states=states, controls=controls, V_xx=V_xx,
+                          V_x=V_x, V_0=V_0, K=K, k=k, gamma_used=g,
+                          prefix_len=pre_states.shape[0])

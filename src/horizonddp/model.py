@@ -191,22 +191,9 @@ def _require_finite(value, what: str):
     return value
 
 
-def _fd_gradient(fun, v, what):
-    """Central-difference gradient of a scalar function of a vector."""
-    v = np.asarray(v, dtype=float)
-    h = _h_first(v)
-    g = np.zeros(v.size)
-    for i in range(v.size):
-        e = np.zeros(v.size)
-        e[i] = h[i]
-        fp = _require_finite(fun(v + e), f"{what} at +e_{i}")
-        fm = _require_finite(fun(v - e), f"{what} at -e_{i}")
-        g[i] = (fp - fm) / (2.0 * h[i])
-    return g
-
-
 def _fd_jacobian(fun, v, what):
-    """Central-difference Jacobian of a vector function of a vector."""
+    """Central-difference Jacobian of a function of a vector; of a scalar
+    function, its gradient."""
     v = np.asarray(v, dtype=float)
     h = _h_first(v)
     cols = []
@@ -252,7 +239,7 @@ def _fd_cost_derivatives(model: SystemModel, x, u):
     def cost_z(zz):
         return model.running_cost(zz[:n], zz[n:])
 
-    g = _fd_gradient(cost_z, z, "running_cost")
+    g = _fd_jacobian(cost_z, z, "running_cost")
     H = _fd_hessian(cost_z, z, "running_cost")
     l_x, l_u = g[:n], g[n:]
     l_xx = sym(H[:n, :n])
@@ -271,7 +258,7 @@ def _fd_dynamics_jacobians(model: SystemModel, x, u):
 
 def _fd_terminal_derivatives(model: SystemModel, x):
     x = np.asarray(x, dtype=float)
-    phi_x = _fd_gradient(model.terminal_cost, x, "terminal_cost")
+    phi_x = _fd_jacobian(model.terminal_cost, x, "terminal_cost")
     phi_xx = sym(_fd_hessian(model.terminal_cost, x, "terminal_cost"))
     return phi_x, phi_xx
 

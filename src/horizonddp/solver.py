@@ -49,6 +49,8 @@ class SolverConfig:
             raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
         if self.window_s < 0:
             raise ValueError("window_s must be >= 0")
+        if self.trust_radius is not None and not self.trust_radius > 0:
+            raise ValueError("trust_radius must be > 0")
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
@@ -153,16 +155,14 @@ def _selection_window(cfg: SolverConfig, t_bar: int, window_s: int,
 
 
 def evaluate_candidates(back: BackwardResult, x0: np.ndarray,
-                        cfg: SolverConfig, t_bar: int,
-                        nominal_states: np.ndarray, prefix: Prefix,
+                        cfg: SolverConfig, t_bar: int, prefix: Prefix,
                         window_s: int, trust_radius: float):
     """Price every horizon in [T-bar - S, T-bar + S] within the bounds."""
     lo, hi = _selection_window(cfg, t_bar, window_s, prefix)
     out = []
     for T in range(lo, hi + 1):
         t0 = t_bar - T
-        x_ref = prefix.states[t0 + len(prefix)] if t0 < 0 else nominal_states[t0]
-        dx = np.asarray(x0, dtype=float) - x_ref
+        dx = np.asarray(x0, dtype=float) - back.states[t0 + back.prefix_len]
         J_T = back.value_at(t0).evaluate(dx)
         admissible = bool(np.linalg.norm(dx) < trust_radius
                           and math.isfinite(J_T)
@@ -171,30 +171,29 @@ def evaluate_candidates(back: BackwardResult, x0: np.ndarray,
     return out
 
 
-def select_horizon(candidates, t_bar: int):
+def select_horizon(candidates, t_bar: int) -> int:
     """Cheapest admissible candidate, ties toward the smaller horizon.
 
-    With no admissible candidate the current horizon is kept and the
-    second return value is False so the outer loop can adapt.
+    With no admissible candidate the current horizon is kept.  The outer
+    loop never meets that case: T-bar is always in the window, priced at
+    dx = 0, which a positive trust radius admits.
     """
-    best_T, best_J = None, math.inf
+    best_T, best_J = t_bar, math.inf
     for cand in sorted(candidates, key=lambda c: c.T):
         if cand.admissible and cand.J_T < best_J:
             best_T, best_J = cand.T, cand.J_T
-    if best_T is None:
-        return t_bar, False
-    return best_T, True
+    return best_T
 
 
-def rollout(model: SystemModel, back: BackwardResult, states_ext: np.ndarray,
-            controls_ext: np.ndarray, t0: int, alpha: float, x0: np.ndarray):
+def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
+            x0: np.ndarray):
     """Forward simulation applying the shifted affine policy from x0.
 
     Returns (trajectory, cost); a non-finite excursion yields cost inf so
     the line search rejects the step.
     """
     g0 = t0 + back.prefix_len
-    T = back.horizon - t0
+    T = back.controls.shape[0] - g0
     n = model.dim_x
     states = np.zeros((T + 1, n))
     controls = np.zeros((T, model.dim_u))
@@ -202,8 +201,8 @@ def rollout(model: SystemModel, back: BackwardResult, states_ext: np.ndarray,
     cost = 0.0
     for t in range(T):
         g = g0 + t
-        dx = states[t] - states_ext[g]
-        u = controls_ext[g] + alpha * back.policy.k[g] + back.policy.K[g] @ dx
+        dx = states[t] - back.states[g]
+        u = back.controls[g] + alpha * back.k[g] + back.K[g] @ dx
         controls[t] = u
         try:
             x_next = model.step(states[t], u)
@@ -259,9 +258,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         if trust is None:
             trust = _default_trust_radius(traj)
         x0 = traj.states[0]
-        candidates = evaluate_candidates(back, x0, cfg, t_bar, traj.states,
-                                         prefix, window, trust)
-        t_star, found = select_horizon(candidates, t_bar)
+        candidates = evaluate_candidates(back, x0, cfg, t_bar, prefix, window,
+                                         trust)
+        t_star = select_horizon(candidates, t_bar)
         j_pred = next((c.J_T for c in candidates if c.T == t_star), math.inf)
         t0 = t_bar - t_star
         # a horizon clamped at the window edge may still improve next pass
@@ -285,15 +284,12 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             trace.append(record)
             break
 
-        states_ext = np.vstack([prefix.states, traj.states])
-        controls_ext = (np.vstack([prefix.controls, traj.controls])
-                        if len(prefix) else traj.controls)
-
         def line_search(t0_try):
             a = 1.0
             while a >= _ALPHA_FLOOR:
-                cand_traj, j_try = rollout(model, back, states_ext,
-                                           controls_ext, t0_try, a, x0)
+                # t0 by keyword: perfbench/tracing.py reads it from the call
+                cand_traj, j_try = rollout(model, back, t0=t0_try, alpha=a,
+                                           x0=x0)
                 if j_try < J:
                     return True, cand_traj, j_try, a
                 a *= _ALPHA_BACKTRACK

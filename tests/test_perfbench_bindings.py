@@ -75,6 +75,7 @@ def test_tracer_hooks_read_solve_and_episode_records():
             res = solver.optimize_trajectory(m, initial_trajectory(m, x0, 40),
                                              cfg)
         solve_counts = tracer.counts()
+        shifts_tried = tracer.events["shift_tried"]
         with tracer.recording():
             log = mpc.run_episode(m, x0, mpc.MpcConfig(solver=cfg,
                                                        step_limit=10))
@@ -84,4 +85,8 @@ def test_tracer_hooks_read_solve_and_episode_records():
     assert solve_counts["solver.accepted_iterations"] == sum(
         r["accepted"] for r in res.trace)
     assert solve_counts["solver.accepted_iterations"] > 0
+    # the rollout hook reads t0 from the call: each iteration that first
+    # tried a shifted horizon counts once
+    assert shifts_tried == sum(r["t_tried"] != r["t_bar"] for r in res.trace)
+    assert shifts_tried > 0
     assert tracer.counts()["mpc.replans"] == log.steps_used == 10

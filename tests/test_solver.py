@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import LinearQuadraticModel, random_lq
-from horizonddp import (CandidateEvaluation, DoubleIntegratorModel,
-                        SolverConfig, augment_time_penalty, backward_sweep,
+from horizonddp import (BackwardResult, CandidateEvaluation,
+                        DoubleIntegratorModel, SolverConfig,
+                        augment_time_penalty, backward_sweep,
                         initial_trajectory, lti_optimal_horizon,
                         optimize_trajectory, riccati_sweep,
                         select_horizon, trajectory_cost)
@@ -15,6 +16,16 @@ from horizonddp.solver import evaluate_candidates, extend_backward, rollout
 
 def empty_prefix(model):
     return (np.zeros((0, model.dim_x)), np.zeros((0, model.dim_u)))
+
+
+def open_loop(states, controls, k):
+    """Sweep record whose policy is u = controls + alpha * k, no feedback."""
+    T, m = controls.shape
+    n = states.shape[1]
+    return BackwardResult(states=states, controls=controls,
+                          V_xx=np.zeros((T + 1, n, n)), V_x=np.zeros((T + 1, n)),
+                          V_0=np.zeros(T + 1), K=np.zeros((T, m, n)), k=k,
+                          gamma_used=0.0, prefix_len=0)
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +40,9 @@ def test_config_validation():
         SolverConfig(horizon_bounds=(6, 5))
     with pytest.raises(ValueError):
         SolverConfig(window_s=-1)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="trust_radius"):
+            SolverConfig(trust_radius=radius)
 
 
 def test_config_from_json_rejects_unknown_fields():
@@ -101,8 +115,7 @@ def test_candidate_prices_match_riccati(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(1, 40), window_s=5)
-    cands = evaluate_candidates(back, x0, cfg, T_bar, traj.states, prefix,
-                                5, 1e9)
+    cands = evaluate_candidates(back, x0, cfg, T_bar, prefix, 5, 1e9)
     aug = augment_time_penalty(model.to_lti_problem((1, 40)))
     seq = riccati_sweep(aug)
     x_hat = np.append(x0, 1.0)
@@ -120,8 +133,7 @@ def test_candidates_respect_bounds_and_window(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(3, 5), window_s=2)
-    cands = evaluate_candidates(back, traj.states[0], cfg, 4, traj.states,
-                                prefix, 2, 1e9)
+    cands = evaluate_candidates(back, traj.states[0], cfg, 4, prefix, 2, 1e9)
     assert [c.T for c in cands] == [3, 4, 5]
 
 
@@ -133,7 +145,7 @@ def test_trust_radius_marks_far_candidates(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(1, 20), window_s=4)
-    tiny = evaluate_candidates(back, x0, cfg, 8, traj.states, prefix, 4, 1e-12)
+    tiny = evaluate_candidates(back, x0, cfg, 8, prefix, 4, 1e-12)
     # dx = 0 at the current horizon stays admissible, moved knots do not
     by_T = {c.T: c for c in tiny}
     assert by_T[8].admissible
@@ -144,11 +156,11 @@ def test_select_horizon_argmin_and_ties():
     cands = [CandidateEvaluation(T=3, t0=2, J_T=5.0, admissible=True),
              CandidateEvaluation(T=4, t0=1, J_T=4.0, admissible=True),
              CandidateEvaluation(T=5, t0=0, J_T=4.0, admissible=True)]
-    assert select_horizon(cands, 5) == (4, True)  # tie -> smaller T
+    assert select_horizon(cands, 5) == 4  # tie -> smaller T
     cands[0] = CandidateEvaluation(T=3, t0=2, J_T=1.0, admissible=False)
-    assert select_horizon(cands, 5) == (4, True)  # inadmissible skipped
+    assert select_horizon(cands, 5) == 4  # inadmissible skipped
     none = [CandidateEvaluation(T=3, t0=0, J_T=1.0, admissible=False)]
-    assert select_horizon(none, 3) == (3, False)
+    assert select_horizon(none, 3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +173,24 @@ def test_rollout_alpha_zero_reproduces_nominal(rng):
     x0 = rng.standard_normal(model.dim_x)
     traj = initial_trajectory(model, x0, 6)
     back = backward_sweep(model, traj, empty_prefix(model), gamma=0.0)
-    new, cost = rollout(model, back, traj.states, traj.controls, 0, 0.0, x0)
+    new, cost = rollout(model, back, 0, 0.0, x0)
     npt.assert_allclose(new.states, traj.states, atol=1e-12)
     assert cost == pytest.approx(trajectory_cost(model, traj))
+
+
+@pytest.mark.parametrize("t0", [-3, 2])
+def test_rollout_alpha_zero_follows_extended_nominal(t0, rng):
+    # from the extended nominal's state at t0, alpha = 0 replays its tail:
+    # prefix knots for t0 < 0, a suffix of the trajectory for t0 > 0
+    model = random_lq(rng)
+    traj = initial_trajectory(model, rng.standard_normal(model.dim_x), 6)
+    prefix = extend_backward(model, traj, 3)
+    back = backward_sweep(model, traj, (prefix.states, prefix.controls),
+                          gamma=0.0)
+    g = t0 + back.prefix_len
+    new, _ = rollout(model, back, t0, 0.0, back.states[g])
+    npt.assert_allclose(new.states, back.states[g:], atol=1e-10)
+    npt.assert_allclose(new.controls, back.controls[g:], atol=1e-10)
 
 
 def test_rollout_flags_divergence():
@@ -173,17 +200,8 @@ def test_rollout_flags_divergence():
 
     m = Exploding(np.eye(2), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1),
                   np.eye(2))
-    traj_states = np.ones((12, 2))
-    traj_controls = np.zeros((11, 1))
-    from horizonddp.backward import BackwardResult, FeedbackPolicy
-
-    policy = FeedbackPolicy(K=tuple(np.zeros((1, 2)) for _ in range(11)),
-                            k=tuple(np.zeros(1) for _ in range(11)),
-                            t0_offset=0)
-    back = BackwardResult(value=(), policy=policy, gamma_used=0.0,
-                          prefix_len=0, horizon=11, dj=(0.0,) * 11)
-    _, cost = rollout(m, back, traj_states, traj_controls, 0, 1.0,
-                      np.ones(2))
+    back = open_loop(np.ones((12, 2)), np.zeros((11, 1)), np.zeros((11, 1)))
+    _, cost = rollout(m, back, 0, 1.0, np.ones(2))
     assert cost == np.inf
 
 
@@ -192,18 +210,13 @@ def test_rollout_returns_inf_when_step_raises(feedforward):
     # the cartpole step raises FloatingPointError once its state overflows:
     # to inf at once (1e308), or past float range in a squared rate (1e200)
     from horizonddp import CartpoleModel
-    from horizonddp.backward import BackwardResult, FeedbackPolicy
 
     m = CartpoleModel()
     T = 5
-    policy = FeedbackPolicy(K=tuple(np.zeros((1, 4)) for _ in range(T)),
-                            k=tuple(np.full(1, feedforward) for _ in range(T)),
-                            t0_offset=0)
-    back = BackwardResult(value=(), policy=policy, gamma_used=0.0,
-                          prefix_len=0, horizon=T, dj=(0.0,) * T)
+    back = open_loop(np.zeros((T + 1, 4)), np.zeros((T, 1)),
+                     np.full((T, 1), feedforward))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rollout(m, back, np.zeros((T + 1, 4)), np.zeros((T, 1)), 0, 1.0,
-                      np.zeros(4))
+        out = rollout(m, back, 0, 1.0, np.zeros(4))
     assert out == (None, np.inf)
 
 
