@@ -120,7 +120,7 @@ def _min_eig(M: np.ndarray) -> float:
 
 def regularize(q: QExpansion, gamma: float) -> QExpansion:
     """Lift the smallest eigenvalue of Q_uu to at least gamma."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
     lam_min = _min_eig(q.Q_uu)
     shift = max(0.0, gamma - lam_min)

@@ -33,23 +33,19 @@ EXIT_CONFIG = 1
 EXIT_NONCONVERGED = 2
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
+        raise ValueError(f"config file not found: {p}")
     try:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {p}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {p}: {exc}") from exc
 
 
 def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"missing config field: {key!r}")
+        raise ValueError(f"missing config field: {key!r}")
     return cfg[key]
 
 
@@ -63,8 +59,13 @@ def _build(cfg: dict, mode: str, c_t=None):
         solver_cfg = dataclasses.replace(solver_cfg, second_order=True)
     x0 = np.asarray(_require(cfg, "x0"), dtype=float)
     if x0.size != model.dim_x:
-        raise ConfigError(f"x0 has size {x0.size}, model expects {model.dim_x}")
+        raise ValueError(f"x0 has size {x0.size}, model expects {model.dim_x}")
     return model, solver_cfg, x0
+
+
+def _initial_horizon(cfg: dict, solver_cfg: SolverConfig) -> int:
+    return int(cfg.get("initial_horizon",
+                       sum(solver_cfg.horizon_bounds) // 2))
 
 
 def _cell(value):
@@ -113,9 +114,7 @@ def _write_trajectory(path: Path, traj, dt):
 
 def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
     model, solver_cfg, x0 = _build(cfg, mode)
-    t_init = int(cfg.get("initial_horizon",
-                         sum(solver_cfg.horizon_bounds) // 2))
-    initial = initial_trajectory(model, x0, t_init)
+    initial = initial_trajectory(model, x0, _initial_horizon(cfg, solver_cfg))
     tic = time.perf_counter()
     result = optimize_trajectory(model, initial, solver_cfg)
     wall = time.perf_counter() - tic
@@ -148,10 +147,9 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int, mode: str) -> int:
     for c_t in c_t_list:
         model, solver_cfg, x0 = _build(cfg, mode, c_t=c_t)
         dt = getattr(model, "dt", 1.0)
-        t_init = int(cfg.get("initial_horizon",
-                             sum(solver_cfg.horizon_bounds) // 2))
-        result = optimize_trajectory(model, initial_trajectory(model, x0, t_init),
-                                     solver_cfg)
+        initial = initial_trajectory(model, x0,
+                                     _initial_horizon(cfg, solver_cfg))
+        result = optimize_trajectory(model, initial, solver_cfg)
         if not result.converged:
             all_ok = False
             rows.append((c_t, result.t_star, result.t_star * dt, None,
@@ -186,6 +184,20 @@ def cmd_oracle(cfg: dict, out: Path, seed: int, mode: str) -> int:
     return EXIT_OK
 
 
+def _episode_summary(model, log) -> dict:
+    """One episode's entry of mpc_summary.json."""
+    goal = getattr(model, "goal", None)
+    goal_distance = None
+    if goal is not None:
+        goal = np.asarray(goal, dtype=float)
+        goal_distance = float(np.linalg.norm(log.final_state[:goal.size] - goal))
+    times = [rec.solve_time for rec in log.steps]
+    return {"terminated": log.terminated, "steps": log.steps_used,
+            "total_cost": log.total_cost,
+            "final_goal_distance": goal_distance,
+            "mean_solve_time_s": float(np.mean(times)) if times else 0.0}
+
+
 def cmd_mpc(cfg: dict, out: Path, seed: int, mode: str) -> int:
     model, solver_cfg, x0 = _build(cfg, mode)
     mpc_cfg = MpcConfig(
@@ -198,41 +210,22 @@ def cmd_mpc(cfg: dict, out: Path, seed: int, mode: str) -> int:
     )
     t_fixed = int(cfg.get("receding_horizon", 40))
 
-    log_opt = run_episode(model, x0, mpc_cfg, mode="optimal-horizon")
-    log_rec = run_episode(model, x0, mpc_cfg, mode="receding-horizon",
-                          t_fixed=t_fixed)
-
-    def goal_distance(log):
-        goal = getattr(model, "goal", None)
-        if goal is None or log.final_state is None:
-            return None
-        goal = np.asarray(goal, dtype=float)
-        return float(np.linalg.norm(log.final_state[:goal.size] - goal))
-
-    def mean_solve_time(log):
-        times = [rec.solve_time for rec in log.steps]
-        return float(np.mean(times)) if times else 0.0
+    logs = {
+        "optimal": run_episode(model, x0, mpc_cfg, mode="optimal-horizon"),
+        "receding": run_episode(model, x0, mpc_cfg, mode="receding-horizon",
+                                t_fixed=t_fixed),
+    }
 
     columns = ("sim_time", "planned_horizon", "solve_time", "running_cost",
                "inner_iterations", "degraded", "state", "action")
-    for name, log in (("optimal", log_opt), ("receding", log_rec)):
+    for name, log in logs.items():
         _write_table(out / f"episode_{name}.csv", ("step",) + columns,
                      ((i, *attrgetter(*columns)(rec))
                       for i, rec in enumerate(log.steps)))
         _write_json(out / f"episode_{name}.json", log)
     _write_json(out / "mpc_summary.json", {
-        "optimal": {"terminated": log_opt.terminated,
-                    "steps": log_opt.steps_used,
-                    "total_cost": log_opt.total_cost,
-                    "final_goal_distance": goal_distance(log_opt),
-                    "mean_solve_time_s": mean_solve_time(log_opt)},
-        "receding": {"terminated": log_rec.terminated,
-                     "steps": log_rec.steps_used,
-                     "total_cost": log_rec.total_cost,
-                     "final_goal_distance": goal_distance(log_rec),
-                     "mean_solve_time_s": mean_solve_time(log_rec)},
-        "config": cfg, "seed": seed, "mode": mode,
-    })
+        **{name: _episode_summary(model, log) for name, log in logs.items()},
+        "config": cfg, "seed": seed, "mode": mode})
     return EXIT_OK
 
 
@@ -286,7 +279,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out, args.seed, args.mode)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -122,16 +122,12 @@ def riccati_sweep(problem: LtiProblem) -> tuple:
     return tuple(_frozen_array(p) for p in P)
 
 
-def augment_time_penalty(problem: LtiProblem, c_t: float | None = None) -> LtiProblem:
-    """Fold a constant per-step cost into the LQR data via state augmentation.
+def augment_time_penalty(problem: LtiProblem) -> LtiProblem:
+    """Fold the problem's per-step cost c_t into the LQR data.
 
     The augmented state is (x; 1); the extra coordinate is preserved by the
     dynamics and charged c_t per step through the running cost.
     """
-    if c_t is None:
-        c_t = problem.c_t
-    if c_t < 0:
-        raise ValueError("c_t must be >= 0")
     n, m = problem.n, problem.m
     A_hat = np.zeros((n + 1, n + 1))
     A_hat[:n, :n] = problem.A
@@ -139,7 +135,8 @@ def augment_time_penalty(problem: LtiProblem, c_t: float | None = None) -> LtiPr
     B_hat = np.vstack([problem.B, np.zeros((1, m))])
     Q_hat = np.zeros((n + 1, n + 1))
     Q_hat[:n, :n] = problem.Q
-    Q_hat[n, n] = 2.0 * c_t  # cost is 0.5 x'Qx, so the constant term needs 2c_t
+    # cost is 0.5 x'Qx, so the constant term needs 2c_t
+    Q_hat[n, n] = 2.0 * problem.c_t
     Qf_hat = np.zeros((n + 1, n + 1))
     Qf_hat[:n, :n] = problem.Qf
     return LtiProblem(A=A_hat, B=B_hat, Q=Q_hat, R=problem.R, Qf=Qf_hat,

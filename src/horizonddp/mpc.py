@@ -68,20 +68,19 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
 
 
 def mpc_step(plan: Trajectory, observed_x0, model_snapshot: SystemModel,
-             cfg: MpcConfig, gamma_init: float | None = None):
+             cfg: MpcConfig, gamma_init: float):
     """One budgeted replan from the shifted previous plan.
 
-    ``gamma_init`` carries the regularization level from the previous step
-    so the schedule is not re-escalated from scratch every replan.  Returns
+    ``gamma_init`` is the regularization level carried from the previous
+    step (floored at GAMMA_MIN), so the schedule is not re-escalated from
+    scratch every replan; ``info["gamma"]`` is the level to carry on.  Returns
     (action, new_plan, new_horizon, info).  When the replan meets a numeric
     failure (a non-finite expansion or state, or a failed factorization) the
     previous plan's first action is applied and the step is flagged; any
     other exception propagates.
     """
-    inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
-    if gamma_init is not None:
-        inner_cfg = replace(inner_cfg,
-                            gamma_init=max(gamma_init, GAMMA_MIN))
+    inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations,
+                        gamma_init=max(gamma_init, GAMMA_MIN))
     try:
         warm = rollout_controls(model_snapshot, observed_x0, plan.controls)
         result = optimize_trajectory(model_snapshot, warm, inner_cfg)
@@ -148,19 +147,17 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
             log.terminated = True
             break
         snapshot = _snapshot(model, sim_time)
-        controls = plan.controls
         if receding:
-            controls = _pad_controls(controls, t_fixed)
-        shifted = Trajectory(states=np.vstack([plan.states[:controls.shape[0]],
-                                               plan.states[-1:]]),
-                             controls=controls)
+            controls = _pad_controls(plan.controls, t_fixed)
+            plan = Trajectory(states=np.vstack([plan.states[:controls.shape[0]],
+                                                plan.states[-1:]]),
+                              controls=controls)
 
         tic = time.perf_counter()
-        action, plan, t_bar, info = mpc_step(shifted, x, snapshot, step_cfg,
+        action, plan, t_bar, info = mpc_step(plan, x, snapshot, step_cfg,
                                              gamma_init=gamma)
         solve_time = time.perf_counter() - tic
-        if info.get("gamma") is not None:
-            gamma = info["gamma"]
+        gamma = info["gamma"]
 
         running = snapshot.running_cost(x, action)
         log.steps.append(StepRecord(

@@ -22,9 +22,8 @@ from .trajectory import Trajectory, trajectory_cost
 
 _FIXED_POINT_TOL = 1e-8
 _EXACT_MODEL_RTOL = 1e-12
-# line search: step sizes 1, 1/2, 1/4, ... down to the floor
-_ALPHA_BACKTRACK = 0.5
-_ALPHA_FLOOR = 1e-3
+# line search: step sizes 1, 1/2, 1/4, ... down to a 1e-3 floor
+_STEP_SIZES = tuple(0.5 ** i for i in range(10))
 # regularization never relaxes below this floor between iterations
 GAMMA_MIN = 1e-6
 
@@ -51,6 +50,8 @@ class SolverConfig:
             raise ValueError("window_s must be >= 0")
         if self.trust_radius is not None and not self.trust_radius > 0:
             raise ValueError("trust_radius must be > 0")
+        if not self.gamma_init >= 0:
+            raise ValueError("gamma_init must be >= 0")
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
@@ -78,9 +79,16 @@ class SolverResult:
     :class:`CandidateEvaluation` list the pass priced.  ``t_tried`` is the
     horizon the line search tried first and ``t_star`` the one the
     iteration ended on: T-bar when a shifted try was rejected and retried.
-    ``rejected`` is None unless the first try failed, and then names why:
+    ``rejected`` is None unless a try failed, and then names why:
     "no_decrease" when no step size down to the alpha floor lowered the
     cost.
+
+    ``status`` is "converged"; "max_iterations" when the iteration budget
+    ran out first; "backward_failure" when a sweep still failed at the
+    regularization ceiling (the pass leaves no trace record); or
+    "line_search_failure" when no step lowered the cost with the window
+    shrunk to zero and regularization at its ceiling.  ``converged`` is
+    ``status == "converged"``.
     """
 
     trajectory: Trajectory
@@ -106,11 +114,11 @@ class Prefix:
 
 
 def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
-    """Dynamically feasible prefix so candidate horizons above T-bar exist.
+    """Dynamically feasible S-knot prefix so horizons above T-bar exist.
 
     Preference order: the model's inverse dynamics; constant extension when
     the start is a fixed point; otherwise a constant-state extension whose
-    candidates are marked inadmissible.
+    candidates are marked inadmissible.  The prefix always has S knots.
     """
     S = int(S)
     n, m = model.dim_x, model.dim_u
@@ -145,28 +153,27 @@ def _default_trust_radius(traj: Trajectory) -> float:
     return 10.0 * max(rms, 1.0)
 
 
-def _selection_window(cfg: SolverConfig, t_bar: int, window_s: int,
-                      prefix: Prefix):
-    """Horizons [lo, hi] a pass prices: T-bar - S to T-bar + S within the
-    bounds, and above T-bar only as far as the prefix reaches."""
-    t_min, t_max = cfg.horizon_bounds
-    return (max(t_min, t_bar - window_s),
-            min(t_max, t_bar + min(window_s, len(prefix))))
+def evaluate_candidates(back: BackwardResult, horizon_bounds,
+                        trust_radius: float, prefix_feasible: bool):
+    """Price every horizon in [T-bar - S, T-bar + S] within the bounds.
 
-
-def evaluate_candidates(back: BackwardResult, x0: np.ndarray,
-                        cfg: SolverConfig, t_bar: int, prefix: Prefix,
-                        window_s: int, trust_radius: float):
-    """Price every horizon in [T-bar - S, T-bar + S] within the bounds."""
-    lo, hi = _selection_window(cfg, t_bar, window_s, prefix)
+    S is the sweep's prefix length and T-bar the horizon of the nominal it
+    extends.  Horizon T is priced by the value expansion at t0 = T-bar - T,
+    evaluated at the nominal's initial state.  Candidates come in
+    increasing T.
+    """
+    S = back.prefix_len
+    t_bar = back.controls.shape[0] - S
+    x0 = back.states[S]
+    t_min, t_max = horizon_bounds
     out = []
-    for T in range(lo, hi + 1):
+    for T in range(max(t_min, t_bar - S), min(t_max, t_bar + S) + 1):
         t0 = t_bar - T
-        dx = np.asarray(x0, dtype=float) - back.states[t0 + back.prefix_len]
+        dx = x0 - back.states[t0 + S]
         J_T = back.value_at(t0).evaluate(dx)
         admissible = bool(np.linalg.norm(dx) < trust_radius
                           and math.isfinite(J_T)
-                          and (t0 >= 0 or prefix.feasible))
+                          and (t0 >= 0 or prefix_feasible))
         out.append(CandidateEvaluation(T=T, t0=t0, J_T=J_T, admissible=admissible))
     return out
 
@@ -239,7 +246,6 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     gamma = cfg.gamma_init
     window = cfg.window_s
     trace: list = []
-    converged = False
     status = "max_iterations"
     iterations = 0
 
@@ -257,81 +263,67 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         trust = cfg.trust_radius
         if trust is None:
             trust = _default_trust_radius(traj)
-        x0 = traj.states[0]
-        candidates = evaluate_candidates(back, x0, cfg, t_bar, prefix, window,
-                                         trust)
-        t_star = select_horizon(candidates, t_bar)
-        j_pred = next((c.J_T for c in candidates if c.T == t_star), math.inf)
-        t0 = t_bar - t_star
-        # a horizon clamped at the window edge may still improve next pass
-        lo_w, hi_w = _selection_window(cfg, t_bar, window, prefix)
-        at_window_edge = window > 0 and ((t_star == lo_w and lo_w > t_min)
-                                         or (t_star == hi_w and hi_w < t_max))
-
+        candidates = evaluate_candidates(back, cfg.horizon_bounds, trust,
+                                         prefix.feasible)
+        lo, hi = candidates[0].T, candidates[-1].T
+        t_tried = select_horizon(candidates, t_bar)
         record = {
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
-            "gamma": gamma, "t_star": t_star, "t_tried": t_star,
+            "gamma": gamma, "t_star": t_tried, "t_tried": t_tried,
             "rejected": None, "accepted": False, "candidates": candidates,
         }
+        trace.append(record)
 
-        # stationary at the current horizon: nothing left to do
+        # stationary at the current horizon: nothing left to do (T-bar sits
+        # at a window edge only where that edge is a bound)
         scale = max(1.0, abs(J))
-        if (t_star == t_bar and not at_window_edge
-                and back.max_feedforward(0) < cfg.k_tol
-                and (J - j_pred) < cfg.convergence_tol * scale):
-            converged = True
+        if (t_tried == t_bar and back.max_feedforward(0) < cfg.k_tol
+                and (J - candidates[t_bar - lo].J_T)
+                < cfg.convergence_tol * scale):
             status = "converged"
-            trace.append(record)
             break
 
-        def line_search(t0_try):
-            a = 1.0
-            while a >= _ALPHA_FLOOR:
-                # t0 by keyword: perfbench/tracing.py reads it from the call
-                cand_traj, j_try = rollout(model, back, t0=t0_try, alpha=a,
-                                           x0=x0)
-                if j_try < J:
-                    return True, cand_traj, j_try, a
-                a *= _ALPHA_BACKTRACK
-            return False, None, math.inf, a
-
-        accepted, new_traj, j_new, alpha = line_search(t0)
-        if not accepted:
-            record["rejected"] = "no_decrease"
-        if not accepted and t_star != t_bar:
-            # mispriced candidate; retry at the current horizon before
-            # shrinking the window
-            t_star, t0 = t_bar, 0
-            j_pred = next((c.J_T for c in candidates if c.T == t_bar), math.inf)
-            at_window_edge = False
+        # a mispriced shifted horizon is retried at T-bar before the
+        # window shrinks
+        for t_star in dict.fromkeys((t_tried, t_bar)):
             record["t_star"] = t_star
-            accepted, new_traj, j_new, alpha = line_search(0)
-
-        if accepted:
-            rel = (J - j_new) / scale
-            exact_model = (alpha == 1.0
-                           and abs(j_new - j_pred)
-                           <= _EXACT_MODEL_RTOL * max(1.0, abs(j_new)))
-            traj, J, t_bar = new_traj, j_new, t_star
-            record.update(alpha=alpha, accepted=True, j=J)
-            trace.append(record)
-            gamma = max(gamma / 2.0, GAMMA_MIN)
-            window = min(window + 1, cfg.window_s)
-            if not at_window_edge and (
-                    exact_model or (rel < cfg.convergence_tol
-                                    and back.max_feedforward(t0) < cfg.k_tol)):
-                converged = True
-                status = "converged"
+            for alpha in _STEP_SIZES:
+                # t0 by keyword: perfbench/tracing.py reads it from the call
+                new_traj, j_new = rollout(model, back, t0=t_bar - t_star,
+                                          alpha=alpha, x0=traj.states[0])
+                if j_new < J:
+                    break
+            if j_new < J:
                 break
-        else:
-            trace.append(record)
+            record["rejected"] = "no_decrease"
+
+        if not j_new < J:
             if window == 0 and gamma >= GAMMA_MAX:
                 status = "line_search_failure"
                 break
             window = window // 2
             gamma = min(gamma * 10.0, GAMMA_MAX)
+            continue
+
+        rel = (J - j_new) / scale
+        exact_model = (alpha == 1.0
+                       and abs(j_new - candidates[t_star - lo].J_T)
+                       <= _EXACT_MODEL_RTOL * max(1.0, abs(j_new)))
+        # a horizon clamped at the window edge may still improve next pass
+        at_window_edge = window > 0 and ((t_star == lo and lo > t_min)
+                                         or (t_star == hi and hi < t_max))
+        t0 = t_bar - t_star
+        traj, J, t_bar = new_traj, j_new, t_star
+        record.update(alpha=alpha, accepted=True, j=J)
+        gamma = max(gamma / 2.0, GAMMA_MIN)
+        window = min(window + 1, cfg.window_s)
+        if not at_window_edge and (
+                exact_model or (rel < cfg.convergence_tol
+                                and back.max_feedforward(t0) < cfg.k_tol)):
+            status = "converged"
+            break
 
     return SolverResult(trajectory=traj, t_star=t_bar, cost=J,
-                        iterations=iterations, converged=converged,
-                        status=status if not converged else "converged",
+                        iterations=iterations,
+                        converged=status == "converged", status=status,
                         trace=trace, gamma_final=gamma)

@@ -101,8 +101,9 @@ def test_regularize_hand_example():
                                Q_uu=np.diag([0.5, 2.0]), Q_x=np.zeros(2),
                                Q_u=np.zeros(2), Q_0=0.0), 0.1)
     npt.assert_array_equal(ok.Q_uu, np.diag([0.5, 2.0]))
-    with pytest.raises(ValueError):
-        regularize(q, -1.0)
+    for gamma in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            regularize(q, gamma)
 
 
 def test_value_recurrence_matches_numeric_minimization(rng):

@@ -97,7 +97,7 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", boom)
     action, new_plan, t_bar, info = mpc_step(plan, np.ones(model.dim_x),
-                                             model, cfg)
+                                             model, cfg, cfg.solver.gamma_init)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, plan.controls[0])
     assert t_bar == plan.horizon
@@ -114,7 +114,7 @@ def test_non_numeric_replan_error_propagates(rng, monkeypatch, error):
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", bug)
     with pytest.raises(error):
-        mpc_step(plan, np.ones(model.dim_x), model, cfg)
+        mpc_step(plan, np.ones(model.dim_x), model, cfg, cfg.solver.gamma_init)
 
 
 def test_gamma_carries_between_steps(rng):

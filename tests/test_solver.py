@@ -11,6 +11,7 @@ from horizonddp import (BackwardResult, CandidateEvaluation,
                         initial_trajectory, lti_optimal_horizon,
                         optimize_trajectory, riccati_sweep,
                         select_horizon, trajectory_cost)
+import horizonddp.solver as solver_mod
 from horizonddp.solver import evaluate_candidates, extend_backward, rollout
 
 
@@ -40,6 +41,9 @@ def test_config_validation():
         SolverConfig(horizon_bounds=(6, 5))
     with pytest.raises(ValueError):
         SolverConfig(window_s=-1)
+    for gamma in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="gamma_init"):
+            SolverConfig(gamma_init=gamma)
     for radius in (0.0, -1.0):
         with pytest.raises(ValueError, match="trust_radius"):
             SolverConfig(trust_radius=radius)
@@ -115,7 +119,7 @@ def test_candidate_prices_match_riccati(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(1, 40), window_s=5)
-    cands = evaluate_candidates(back, x0, cfg, T_bar, prefix, 5, 1e9)
+    cands = evaluate_candidates(back, cfg.horizon_bounds, 1e9, prefix.feasible)
     aug = augment_time_penalty(model.to_lti_problem((1, 40)))
     seq = riccati_sweep(aug)
     x_hat = np.append(x0, 1.0)
@@ -133,7 +137,7 @@ def test_candidates_respect_bounds_and_window(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(3, 5), window_s=2)
-    cands = evaluate_candidates(back, traj.states[0], cfg, 4, prefix, 2, 1e9)
+    cands = evaluate_candidates(back, cfg.horizon_bounds, 1e9, prefix.feasible)
     assert [c.T for c in cands] == [3, 4, 5]
 
 
@@ -141,11 +145,10 @@ def test_trust_radius_marks_far_candidates(rng):
     model = random_lq(rng)
     x0 = rng.standard_normal(model.dim_x) + 5.0
     traj = initial_trajectory(model, x0, 8)
-    prefix = extend_backward(model, traj, 0)
+    prefix = extend_backward(model, traj, 4)
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
-    cfg = SolverConfig(horizon_bounds=(1, 20), window_s=4)
-    tiny = evaluate_candidates(back, x0, cfg, 8, prefix, 4, 1e-12)
+    tiny = evaluate_candidates(back, (1, 20), 1e-12, prefix.feasible)
     # dx = 0 at the current horizon stays admissible, moved knots do not
     by_T = {c.T: c for c in tiny}
     assert by_T[8].admissible
@@ -302,6 +305,53 @@ def test_trace_keeps_rejected_horizon_on_quadrotor():
         if r["rejected"] is None:
             assert r["t_tried"] == r["t_star"]
             assert r["accepted"] or r is res.trace[-1]   # the last may converge
+
+
+def test_line_search_failure_status(monkeypatch):
+    # no rollout lowers the cost: each pass retries at T-bar, then halves
+    # the window and raises gamma tenfold until both run out
+    m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
+    init = initial_trajectory(m, np.array([2.0, 0.0]), 40)
+    monkeypatch.setattr(solver_mod, "rollout",
+                        lambda *args, **kwargs: (None, np.inf))
+    res = optimize_trajectory(m, init, SolverConfig(horizon_bounds=(1, 120),
+                                                    window_s=10))
+    assert res.status == "line_search_failure" and not res.converged
+    assert res.iterations == len(res.trace) == 13
+    windows = [(r["candidates"][0].T, r["candidates"][-1].T)
+               for r in res.trace]
+    assert windows == [(30, 50), (35, 45), (38, 42), (39, 41)] + [(40, 40)] * 9
+    assert [r["t_tried"] for r in res.trace[:4]] == [50, 45, 42, 41]
+    for r in res.trace:
+        assert r["rejected"] == "no_decrease" and not r["accepted"]
+        assert r["t_star"] == 40 and r["alpha"] is None
+    assert res.gamma_final == 1e6
+    assert res.t_star == 40 and res.cost == trajectory_cost(m, init)
+    npt.assert_array_equal(res.trajectory.states, init.states)
+    npt.assert_array_equal(res.trajectory.controls, init.controls)
+
+
+def test_backward_failure_status():
+    # a state weight this large trips the sweep's 1e12 divergence check at
+    # every gamma up to the ceiling
+    m = DoubleIntegratorModel(Q=1e13 * np.eye(2))
+    init = initial_trajectory(m, np.array([2.0, 0.0]), 40)
+    res = optimize_trajectory(m, init, SolverConfig(horizon_bounds=(1, 120),
+                                                    window_s=10))
+    assert res.status == "backward_failure" and not res.converged
+    assert res.iterations == 1 and res.trace == []
+    npt.assert_array_equal(res.trajectory.states, init.states)
+
+
+def test_max_iterations_status():
+    from horizonddp import CartpoleModel
+
+    m = CartpoleModel(c_t=10.0)
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10, max_iterations=3)
+    res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
+    assert res.status == "max_iterations" and not res.converged
+    assert res.iterations == 3
+    assert [r["accepted"] for r in res.trace] == [True] * 3
 
 
 def test_deterministic_reruns_bitwise(rng):

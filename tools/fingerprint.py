@@ -1,0 +1,141 @@
+"""One sha256 over a fixed set of solves and MPC episodes of a source tree.
+
+Usage: python3 tools/fingerprint.py <tree>
+
+Imports ``horizonddp`` from ``<tree>/src`` and runs:
+- the cartpole solves at c_t = 1, 3, 10, 30 and 100 (bounds (10, 400),
+  initial horizon 150);
+- the quadrotor solve of acceptance criterion 5;
+- the second-order (DDP) cartpole solve at c_t = 10;
+- the criterion-6 navigation episode, optimal-horizon and receding-horizon.
+
+The digest covers every trajectory, cost, trace record and candidate, and
+every MPC step record except its wall-clock solve time, so two trees with
+the same digest solve these problems bit for bit alike.  One summary line
+per run goes to stderr; the digest goes to stdout.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+# wall-clock fields, the only ones that differ between identical runs
+_SKIP_FIELDS = {"solve_time"}
+
+
+def _feed(h, obj) -> None:
+    """Hash obj by type and exact value."""
+    if obj is None:
+        h.update(b"N")
+    elif isinstance(obj, (bool, np.bool_)):
+        h.update(b"B1" if obj else b"B0")
+    elif isinstance(obj, (int, np.integer)):
+        h.update(b"I" + str(int(obj)).encode() + b";")
+    elif isinstance(obj, (float, np.floating)):
+        h.update(b"F" + struct.pack("<d", float(obj)))
+    elif isinstance(obj, str):
+        h.update(b"S" + str(len(obj)).encode() + b":" + obj.encode())
+    elif isinstance(obj, np.ndarray):
+        arr = np.ascontiguousarray(obj, dtype=float)
+        h.update(b"A" + repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"L" + str(len(obj)).encode() + b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    elif isinstance(obj, dict):
+        h.update(b"D" + str(len(obj)).encode() + b"{")
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+        h.update(b"}")
+    elif dataclasses.is_dataclass(obj):
+        h.update(b"C" + type(obj).__name__.encode() + b"(")
+        for f in dataclasses.fields(obj):
+            if f.name not in _SKIP_FIELDS:
+                _feed(h, f.name)
+                _feed(h, getattr(obj, f.name))
+        h.update(b")")
+    else:
+        raise TypeError(f"cannot fingerprint {type(obj).__name__}")
+
+
+def _runs(hd):
+    """Yield (label, result) for every fingerprinted run."""
+    cartpole = hd.SolverConfig(horizon_bounds=(10, 400), window_s=10,
+                               max_iterations=300)
+    for c_t in (1.0, 3.0, 10.0, 30.0, 100.0):
+        model = hd.CartpoleModel(c_t=c_t)
+        yield f"cartpole c_t={c_t:g}", hd.optimize_trajectory(
+            model, hd.initial_trajectory(model, np.zeros(4), 150), cartpole)
+
+    model = hd.QuadrotorModel(c_t=1.0)
+    x0 = np.zeros(12)
+    x0[:3] = [1.5, 1.0, -1.0]
+    yield "quadrotor", hd.optimize_trajectory(
+        model, hd.initial_trajectory(model, x0, 40),
+        hd.SolverConfig(horizon_bounds=(5, 150), window_s=10))
+
+    model = hd.CartpoleModel(c_t=10.0)
+    yield "cartpole ddp c_t=10", hd.optimize_trajectory(
+        model, hd.initial_trajectory(model, np.zeros(4), 150),
+        dataclasses.replace(cartpole, second_order=True))
+
+    obstacles = (
+        hd.Obstacle(center=(3.0, 0.5), radius=0.8, weight=30.0,
+                    schedule=((2.0, (0.0, -0.4)), (3.0, (0.2, 0.3)))),
+        hd.Obstacle(center=(5.5, -0.8), radius=0.7, weight=30.0,
+                    schedule=((4.0, (0.0, 0.35)),)),
+    )
+    model = hd.PointMassNavModel(obstacles=obstacles, c_t=5.0,
+                                 wf_pos=400.0, wf_vel=200.0)
+    solver = hd.SolverConfig(horizon_bounds=(1, 120), window_s=5,
+                             max_iterations=100, convergence_tol=1e-4,
+                             k_tol=1e-3)
+    cfg = hd.MpcConfig(solver=solver, inner_iterations=5, noise_scale=0.01,
+                       step_limit=200, seed=0, initial_horizon=40)
+    yield "nav optimal-horizon", hd.run_episode(
+        model, np.zeros(4), cfg, mode="optimal-horizon")
+    yield "nav receding-horizon", hd.run_episode(
+        model, np.zeros(4), cfg, mode="receding-horizon", t_fixed=40)
+
+
+def _summary(result) -> str:
+    if hasattr(result, "steps_used"):
+        return f"steps={result.steps_used} cost={result.total_cost!r}"
+    return (f"iterations={result.iterations} T*={result.t_star} "
+            f"status={result.status}")
+
+
+def fingerprint(tree: Path) -> str:
+    sys.path.insert(0, str(tree / "src"))
+    import horizonddp as hd
+
+    if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
+        raise ImportError(f"horizonddp was imported from {hd.__file__}")
+    h = hashlib.sha256()
+    for label, result in _runs(hd):
+        print(f"{label}: {_summary(result)}", file=sys.stderr)
+        _feed(h, label)
+        _feed(h, result)
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: fingerprint.py <tree>", file=sys.stderr)
+        return 1
+    print(fingerprint(Path(argv[0])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
