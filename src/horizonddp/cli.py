@@ -121,7 +121,7 @@ def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
 
     _write_trajectory(out / "trajectory.csv", result.trajectory,
                       getattr(model, "dt", 1.0))
-    columns = ("iteration", "t_bar", "j", "alpha", "gamma")
+    columns = ("iteration", "t_bar", "j", "alpha", "gamma", "trust_radius")
     _write_table(out / "trace.csv", columns,
                  map(itemgetter(*columns), result.trace))
     _write_json(out / "summary.json", {

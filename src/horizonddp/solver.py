@@ -4,8 +4,11 @@ Each outer pass expands the value function backward over the nominal
 trajectory plus a negative-time prefix, prices every candidate horizon in
 the selection window by evaluating the per-step quadratics at the initial
 state, picks the cheapest admissible horizon, and rolls the shifted policy
-forward under a backtracking line search.  Window size and regularization
-adapt on failure.
+forward under a backtracking line search.  Window size, regularization
+and a trust radius on the pricing adapt along the solve: a rejected
+shifted horizon sets the radius to half that candidate's initial-state
+gap, so a horizon the quadratic model misprices is not tried again every
+pass.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class SolverConfig:
 
     horizon_bounds: tuple = (1, 200)
     window_s: int = 10
-    trust_radius: float | None = None  # None: 10x RMS state magnitude
+    trust_radius: float | None = None  # starting cap; None: 10x RMS state
     gamma_init: float = 1e-6
     max_iterations: int = 100
     convergence_tol: float = 1e-6
@@ -60,12 +63,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
-    """Predicted cost of one candidate horizon."""
+    """Predicted cost of one candidate horizon.
+
+    ``gap`` is the norm of dx = x0 - states[g], the initial-state offset at
+    which the candidate's value expansion was evaluated.
+    """
 
     T: int
     t0: int
     J_T: float
     admissible: bool
+    gap: float
 
 
 @dataclass
@@ -75,10 +83,11 @@ class SolverResult:
     ``trace`` holds one dict per iteration: ``iteration``, ``t_bar`` (the
     horizon the pass started from), ``j`` (the cost it ended on), ``alpha``
     (the accepted step size, or None), ``gamma``, ``t_star``, ``t_tried``,
-    ``rejected``, ``accepted`` and ``candidates``, the
-    :class:`CandidateEvaluation` list the pass priced.  ``t_tried`` is the
-    horizon the line search tried first and ``t_star`` the one the
-    iteration ended on: T-bar when a shifted try was rejected and retried.
+    ``rejected``, ``accepted``, ``trust_radius`` (the radius the pass
+    priced with) and ``candidates``, the :class:`CandidateEvaluation` list
+    the pass priced.  ``t_tried`` is the horizon the line search tried
+    first and ``t_star`` the one the iteration ended on: T-bar when a
+    shifted try was rejected and retried.
     ``rejected`` is None unless a try failed, and then names why:
     "no_decrease" when no step size down to the alpha floor lowered the
     cost.
@@ -171,10 +180,12 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds,
         t0 = t_bar - T
         dx = x0 - back.states[t0 + S]
         J_T = back.value_at(t0).evaluate(dx)
-        admissible = bool(np.linalg.norm(dx) < trust_radius
+        gap = float(np.linalg.norm(dx))
+        admissible = bool(gap < trust_radius
                           and math.isfinite(J_T)
                           and (t0 >= 0 or prefix_feasible))
-        out.append(CandidateEvaluation(T=T, t0=t0, J_T=J_T, admissible=admissible))
+        out.append(CandidateEvaluation(T=T, t0=t0, J_T=J_T,
+                                       admissible=admissible, gap=gap))
     return out
 
 
@@ -245,6 +256,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     J = trajectory_cost(model, traj)
     gamma = cfg.gamma_init
     window = cfg.window_s
+    # trust radius on the initial-state gap, adapted by shifted tries; it
+    # lives for this solve only
+    radius = math.inf
     trace: list = []
     status = "max_iterations"
     iterations = 0
@@ -260,9 +274,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             break
         gamma = max(back.gamma_used, GAMMA_MIN)
 
-        trust = cfg.trust_radius
-        if trust is None:
-            trust = _default_trust_radius(traj)
+        trust = min(cfg.trust_radius or _default_trust_radius(traj), radius)
         candidates = evaluate_candidates(back, cfg.horizon_bounds, trust,
                                          prefix.feasible)
         lo, hi = candidates[0].T, candidates[-1].T
@@ -270,7 +282,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         record = {
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
             "gamma": gamma, "t_star": t_tried, "t_tried": t_tried,
-            "rejected": None, "accepted": False, "candidates": candidates,
+            "rejected": None, "accepted": False, "trust_radius": trust,
+            "candidates": candidates,
         }
         trace.append(record)
 
@@ -296,6 +309,17 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             if j_new < J:
                 break
             record["rejected"] = "no_decrease"
+
+        # a shifted try tests the price at that candidate's gap: a rejection
+        # shrinks the radius inside the gap, an acceptance widens it.  A
+        # zero gap says nothing about the radius, and a zero radius would
+        # shut out T-bar itself
+        if t_tried != t_bar:
+            gap = candidates[t_tried - lo].gap
+            if record["rejected"] is None:
+                radius *= 2.0
+            elif gap > 0:
+                radius = 0.5 * gap
 
         if not j_new < J:
             if window == 0 and gamma >= GAMMA_MAX:

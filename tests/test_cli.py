@@ -42,6 +42,9 @@ def test_solve_writes_artifacts(tmp_path):
     assert len(traj) == summary["t_star"] + 2  # header + T+1 knots
     trace = read_csv(out / "trace.csv")
     assert len(trace) == summary["iterations"] + 1
+    assert trace[0] == ["iteration", "t_bar", "j", "alpha", "gamma",
+                        "trust_radius"]
+    assert all(float(row[5]) > 0 for row in trace[1:])
 
 
 def test_solve_reports_candidates_outside_trust_radius(tmp_path):
@@ -183,11 +186,12 @@ def test_write_json_encodes_numpy_and_dataclasses(tmp_path):
         "flag": np.bool_(True), "count": np.int64(7), "cost": np.float64(0.1),
         "state": np.array([1.5, -2.0]),
         "candidate": CandidateEvaluation(T=np.int64(3), t0=-1, J_T=2.5,
-                                         admissible=np.bool_(False)),
+                                         admissible=np.bool_(False), gap=0.75),
     })
     assert json.loads(path.read_text()) == {
         "flag": True, "count": 7, "cost": 0.1, "state": [1.5, -2.0],
-        "candidate": {"T": 3, "t0": -1, "J_T": 2.5, "admissible": False},
+        "candidate": {"T": 3, "t0": -1, "J_T": 2.5, "admissible": False,
+                      "gap": 0.75},
     }
 
 

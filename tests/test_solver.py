@@ -156,13 +156,18 @@ def test_trust_radius_marks_far_candidates(rng):
 
 
 def test_select_horizon_argmin_and_ties():
-    cands = [CandidateEvaluation(T=3, t0=2, J_T=5.0, admissible=True),
-             CandidateEvaluation(T=4, t0=1, J_T=4.0, admissible=True),
-             CandidateEvaluation(T=5, t0=0, J_T=4.0, admissible=True)]
+    cands = [CandidateEvaluation(T=3, t0=2, J_T=5.0, admissible=True,
+                                 gap=0.2),
+             CandidateEvaluation(T=4, t0=1, J_T=4.0, admissible=True,
+                                 gap=0.1),
+             CandidateEvaluation(T=5, t0=0, J_T=4.0, admissible=True,
+                                 gap=0.0)]
     assert select_horizon(cands, 5) == 4  # tie -> smaller T
-    cands[0] = CandidateEvaluation(T=3, t0=2, J_T=1.0, admissible=False)
+    cands[0] = CandidateEvaluation(T=3, t0=2, J_T=1.0, admissible=False,
+                                   gap=0.2)
     assert select_horizon(cands, 5) == 4  # inadmissible skipped
-    none = [CandidateEvaluation(T=3, t0=0, J_T=1.0, admissible=False)]
+    none = [CandidateEvaluation(T=3, t0=0, J_T=1.0, admissible=False,
+                                gap=0.0)]
     assert select_horizon(none, 3) == 3
 
 
@@ -286,8 +291,9 @@ def test_initial_horizon_out_of_bounds_rejected():
 
 
 def test_trace_keeps_rejected_horizon_on_quadrotor():
-    # criterion-5 start: most iterations first try a shifted horizon, find
-    # no decrease, and then accept a step at T-bar
+    # criterion-5 start: iteration 2 first tries a shifted horizon, finds
+    # no decrease, and then accepts a step at T-bar; the shrunk trust
+    # radius keeps later iterations at T-bar
     from horizonddp import QuadrotorModel
 
     m = QuadrotorModel(c_t=1.0)
@@ -305,6 +311,89 @@ def test_trace_keeps_rejected_horizon_on_quadrotor():
         if r["rejected"] is None:
             assert r["t_tried"] == r["t_star"]
             assert r["accepted"] or r is res.trace[-1]   # the last may converge
+
+
+def test_trust_radius_stops_retrying_mispriced_shift(monkeypatch):
+    # criterion-5 start: the one rejected shift shrinks the radius to half
+    # its gap, so no later pass spends its backtracks on a shifted horizon
+    from horizonddp import QuadrotorModel
+
+    inner = solver_mod.rollout
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["t0"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "rollout", counted)
+    m = QuadrotorModel(c_t=1.0)
+    x0 = np.zeros(12)
+    x0[:3] = [1.5, 1.0, -1.0]
+    res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
+                              SolverConfig(horizon_bounds=(5, 150), window_s=10))
+    assert len(calls) <= 40
+    assert res.converged and res.iterations == 22 and res.t_star == 34
+    assert res.cost == 82.40213661605743
+    rejected = [r for r in res.trace if r["rejected"] is not None]
+    assert [(r["iteration"], r["t_tried"]) for r in rejected] == [(2, 30)]
+    tried = next(c for c in rejected[0]["candidates"] if c.T == 30)
+    assert tried.gap > 0
+    for r in res.trace[2:]:
+        assert r["trust_radius"] == 0.5 * tried.gap
+
+
+def test_zero_gap_rejection_keeps_trust_radius(monkeypatch):
+    # from rest every candidate of the first pass is priced at dx = 0; a
+    # rejected shift there must not shrink the radius to zero, which would
+    # shut out T-bar too and pin the solve at its initial horizon
+    from horizonddp import CartpoleModel
+
+    inner = solver_mod.rollout
+    failed = []
+
+    def fail_first_shifts(*args, **kwargs):
+        if kwargs["t0"] != 0 and len(failed) < 10:
+            failed.append(kwargs["t0"])
+            return None, np.inf
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "rollout", fail_first_shifts)
+    m = CartpoleModel(c_t=10.0)
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
+                       max_iterations=300)
+    res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
+    assert len(failed) == 10
+    first = res.trace[0]
+    assert first["rejected"] == "no_decrease" and first["t_tried"] != 150
+    assert all(c.gap == 0.0 for c in first["candidates"])
+    assert res.converged and res.iterations == 33 and res.t_star == 32
+    assert all(r["trust_radius"] > 0 for r in res.trace)
+
+
+def test_trust_radius_halves_to_gap_and_doubles():
+    # cartpole c_t = 1 alternates rejected and accepted shifts; with a cap
+    # that never binds, each pass's radius follows from the one before
+    from horizonddp import CartpoleModel
+
+    m = CartpoleModel(c_t=1.0)
+    cap = 1e6
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
+                       max_iterations=300, trust_radius=cap)
+    res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
+    assert res.converged
+    shrunk = doubled = 0
+    for r, nxt in zip(res.trace, res.trace[1:]):
+        gap = next(c.gap for c in r["candidates"] if c.T == r["t_tried"])
+        if r["t_tried"] == r["t_bar"]:
+            expected = r["trust_radius"]
+        elif r["rejected"] is None:
+            expected = min(cap, 2.0 * r["trust_radius"])
+            doubled += expected < cap
+        else:
+            expected = 0.5 * gap if gap > 0 else r["trust_radius"]
+            shrunk += gap > 0
+        assert nxt["trust_radius"] == expected
+    assert shrunk and doubled
 
 
 def test_line_search_failure_status(monkeypatch):

@@ -12,7 +12,9 @@ Imports ``horizonddp`` from ``<tree>/src`` and runs:
 The digest covers every trajectory, cost, trace record and candidate, and
 every MPC step record except its wall-clock solve time, so two trees with
 the same digest solve these problems bit for bit alike.  One summary line
-per run goes to stderr; the digest goes to stdout.
+per run goes to stderr, with the line-search rollouts the run made and how
+many of them rolled out a shifted horizon (t0 != 0); the digest goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -114,15 +116,32 @@ def _summary(result) -> str:
             f"status={result.status}")
 
 
+def _count_rollouts(solver, counts: dict) -> None:
+    """Wrap ``solver.rollout`` so each call, and each shifted one, is counted."""
+    inner = solver.rollout
+
+    def rollout(*args, **kwargs):
+        counts["rollouts"] += 1
+        counts["shifted"] += kwargs["t0"] != 0
+        return inner(*args, **kwargs)
+
+    solver.rollout = rollout
+
+
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
+    import horizonddp.solver
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
+    counts = {"rollouts": 0, "shifted": 0}
+    _count_rollouts(horizonddp.solver, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
-        print(f"{label}: {_summary(result)}", file=sys.stderr)
+        print(f"{label}: {_summary(result)} rollouts={counts['rollouts']} "
+              f"shifted={counts['shifted']}", file=sys.stderr)
+        counts.update(rollouts=0, shifted=0)
         _feed(h, label)
         _feed(h, result)
     return h.hexdigest()
