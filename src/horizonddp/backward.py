@@ -88,9 +88,11 @@ class BackwardResult:
         return float(np.max(np.abs(self.k[t0 + self.prefix_len:]), initial=0.0))
 
 
-def q_expansion(cost, dyn, nxt: ValueExpansion,
-                second_order: bool = False) -> QExpansion:
-    """Bellman-backup quadratic model of one step plus the next value."""
+def q_expansion(cost, dyn, nxt: ValueExpansion) -> QExpansion:
+    """Bellman-backup quadratic model of one step plus the next value.
+
+    The second-order dynamics terms are added when ``dyn`` carries them.
+    """
     fx, fu = dyn.f_x, dyn.f_u
     Vxx, Vx = nxt.V_xx, nxt.V_x
     Q_xx = cost.l_xx + fx.T @ Vxx @ fx
@@ -99,7 +101,7 @@ def q_expansion(cost, dyn, nxt: ValueExpansion,
     Q_x = cost.l_x + fx.T @ Vx
     Q_u = cost.l_u + fu.T @ Vx
     Q_0 = cost.l + nxt.V_0
-    if second_order and dyn.f_xx is not None:
+    if dyn.f_xx is not None:
         Q_xx = Q_xx + np.tensordot(Vx, dyn.f_xx, axes=1)
         Q_ux = Q_ux + np.tensordot(Vx, dyn.f_ux, axes=1)
         Q_uu = Q_uu + np.tensordot(Vx, dyn.f_uu, axes=1)
@@ -161,13 +163,12 @@ def _linearize(model: SystemModel, states, controls, second_order):
     return costs, dyns
 
 
-def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, second_order,
-                out):
+def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
     """Fill the rows of ``out = (V_xx, V_x, V_0, K, k)`` below the terminal."""
     V_xx, V_x, V_0, K, k = out
     nxt = terminal
     for i in range(len(costs) - 1, -1, -1):
-        q = regularize(q_expansion(costs[i], dyns[i], nxt, second_order), gamma)
+        q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
         nxt, K[i], k[i] = value_recurrence(q)
         # a diverging recursion only gets worse; escalate gamma right away
         if not np.isfinite(nxt.V_0) or np.max(np.abs(nxt.V_xx)) > 1e12:
@@ -208,8 +209,7 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     g = float(gamma)
     while True:
         try:
-            _sweep_once(costs, dyns, terminal, g, second_order,
-                        (V_xx, V_x, V_0, K, k))
+            _sweep_once(costs, dyns, terminal, g, (V_xx, V_x, V_0, K, k))
             break
         except NeedsRegularization:
             g *= 10.0

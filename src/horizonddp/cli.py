@@ -49,14 +49,12 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _build(cfg: dict, mode: str, c_t=None):
+def _build(cfg: dict, c_t=None):
     model_cfg = dict(_require(cfg, "model"))
     if c_t is not None:
         model_cfg["c_t"] = c_t
     model = make_model(model_cfg)
     solver_cfg = SolverConfig.from_json(cfg.get("solver", {}))
-    if mode == "ddp":
-        solver_cfg = dataclasses.replace(solver_cfg, second_order=True)
     x0 = np.asarray(_require(cfg, "x0"), dtype=float)
     if x0.size != model.dim_x:
         raise ValueError(f"x0 has size {x0.size}, model expects {model.dim_x}")
@@ -112,8 +110,8 @@ def _write_trajectory(path: Path, traj, dt):
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
-    model, solver_cfg, x0 = _build(cfg, mode)
+def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
+    model, solver_cfg, x0 = _build(cfg)
     initial = initial_trajectory(model, x0, _initial_horizon(cfg, solver_cfg))
     tic = time.perf_counter()
     result = optimize_trajectory(model, initial, solver_cfg)
@@ -133,19 +131,18 @@ def cmd_solve(cfg: dict, out: Path, seed: int, mode: str) -> int:
         "wall_time_s": wall,
         "config": cfg,
         "seed": seed,
-        "mode": mode,
         "trace": result.trace,
     })
     return EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def cmd_sweep_ct(cfg: dict, out: Path, seed: int, mode: str) -> int:
+def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
     c_t_list = _require(cfg, "c_t_list")
     oracle_margin = int(cfg.get("oracle_margin", 25))
     rows = []
     all_ok = True
     for c_t in c_t_list:
-        model, solver_cfg, x0 = _build(cfg, mode, c_t=c_t)
+        model, solver_cfg, x0 = _build(cfg, c_t=c_t)
         dt = getattr(model, "dt", 1.0)
         initial = initial_trajectory(model, x0,
                                      _initial_horizon(cfg, solver_cfg))
@@ -164,13 +161,12 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int, mode: str) -> int:
                  ("c_t", "T_ours_steps", "T_ours_seconds", "T_exact",
                   "cost_ours", "cost_exact", "cost_error_pct", "converged"),
                  rows)
-    _write_json(out / "sweep_ct_summary.json", {"config": cfg, "seed": seed,
-                                                "mode": mode})
+    _write_json(out / "sweep_ct_summary.json", {"config": cfg, "seed": seed})
     return EXIT_OK if all_ok else EXIT_NONCONVERGED
 
 
-def cmd_oracle(cfg: dict, out: Path, seed: int, mode: str) -> int:
-    model, solver_cfg, x0 = _build(cfg, mode)
+def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
+    model, solver_cfg, x0 = _build(cfg)
     t_range = _require(cfg, "t_range")
     sweep = exhaustive_horizon(model, range(int(t_range[0]), int(t_range[1]) + 1),
                                solver_cfg, x0)
@@ -179,7 +175,7 @@ def cmd_oracle(cfg: dict, out: Path, seed: int, mode: str) -> int:
                  map(attrgetter(*columns), sweep.records))
     _write_json(out / "oracle_summary.json", {
         "t_exact": sweep.t_exact, "j_exact": sweep.j_exact,
-        "config": cfg, "seed": seed, "mode": mode,
+        "config": cfg, "seed": seed,
     })
     return EXIT_OK
 
@@ -198,8 +194,8 @@ def _episode_summary(model, log) -> dict:
             "mean_solve_time_s": float(np.mean(times)) if times else 0.0}
 
 
-def cmd_mpc(cfg: dict, out: Path, seed: int, mode: str) -> int:
-    model, solver_cfg, x0 = _build(cfg, mode)
+def cmd_mpc(cfg: dict, out: Path, seed: int) -> int:
+    model, solver_cfg, x0 = _build(cfg)
     mpc_cfg = MpcConfig(
         solver=solver_cfg,
         inner_iterations=int(cfg.get("inner_iterations", 5)),
@@ -225,11 +221,11 @@ def cmd_mpc(cfg: dict, out: Path, seed: int, mode: str) -> int:
         _write_json(out / f"episode_{name}.json", log)
     _write_json(out / "mpc_summary.json", {
         **{name: _episode_summary(model, log) for name, log in logs.items()},
-        "config": cfg, "seed": seed, "mode": mode})
+        "config": cfg, "seed": seed})
     return EXIT_OK
 
 
-def cmd_check(cfg: dict, out: Path, seed: int, mode: str) -> int:
+def cmd_check(cfg: dict, out: Path, seed: int) -> int:
     model_cfg = _require(cfg, "model")
     model = make_model(dict(model_cfg))
     rng = np.random.default_rng(seed)
@@ -271,14 +267,13 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode", choices=("ilqr", "ddp"), default="ilqr")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     try:
         cfg = _load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.seed, args.mode)
+        return COMMANDS[args.command](cfg, out, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

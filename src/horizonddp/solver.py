@@ -4,11 +4,10 @@ Each outer pass expands the value function backward over the nominal
 trajectory plus a negative-time prefix, prices every candidate horizon in
 the selection window by evaluating the per-step quadratics at the initial
 state, picks the cheapest admissible horizon, and rolls the shifted policy
-forward under a backtracking line search.  Window size, regularization
-and a trust radius on the pricing adapt along the solve: a rejected
-shifted horizon sets the radius to half that candidate's initial-state
-gap, so a horizon the quadratic model misprices is not tried again every
-pass.
+forward under a backtracking line search.  Only regularization and a trust
+radius on the pricing adapt along the solve: a rejected shifted horizon
+sets the radius to half that candidate's initial-state gap, so a horizon
+the quadratic model misprices is not tried again every pass.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class SolverConfig:
 
     horizon_bounds: tuple = (1, 200)
     window_s: int = 10
-    trust_radius: float | None = None  # starting cap; None: 10x RMS state
     gamma_init: float = 1e-6
     max_iterations: int = 100
     convergence_tol: float = 1e-6
@@ -51,8 +49,6 @@ class SolverConfig:
             raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
         if self.window_s < 0:
             raise ValueError("window_s must be >= 0")
-        if self.trust_radius is not None and not self.trust_radius > 0:
-            raise ValueError("trust_radius must be > 0")
         if not self.gamma_init >= 0:
             raise ValueError("gamma_init must be >= 0")
 
@@ -95,9 +91,10 @@ class SolverResult:
     ``status`` is "converged"; "max_iterations" when the iteration budget
     ran out first; "backward_failure" when a sweep still failed at the
     regularization ceiling (the pass leaves no trace record); or
-    "line_search_failure" when no step lowered the cost with the window
-    shrunk to zero and regularization at its ceiling.  ``converged`` is
-    ``status == "converged"``.
+    "line_search_failure" when no step lowered the cost with regularization
+    at its ceiling.  ``converged`` is ``status == "converged"``.  Along the
+    solve only regularization and the trust radius adapt; every pass prices
+    the same ``window_s``.
     """
 
     trajectory: Trajectory
@@ -158,6 +155,7 @@ def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
 
 
 def _default_trust_radius(traj: Trajectory) -> float:
+    """Cap on the trust radius: 10x the nominal's RMS state, at least 10."""
     rms = float(np.sqrt(np.mean(traj.states ** 2)))
     return 10.0 * max(rms, 1.0)
 
@@ -255,7 +253,6 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     t_bar = traj.horizon
     J = trajectory_cost(model, traj)
     gamma = cfg.gamma_init
-    window = cfg.window_s
     # trust radius on the initial-state gap, adapted by shifted tries; it
     # lives for this solve only
     radius = math.inf
@@ -265,7 +262,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        prefix = extend_backward(model, traj, window)
+        prefix = extend_backward(model, traj, cfg.window_s)
         try:
             back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                                   gamma=gamma, second_order=cfg.second_order)
@@ -274,7 +271,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             break
         gamma = max(back.gamma_used, GAMMA_MIN)
 
-        trust = min(cfg.trust_radius or _default_trust_radius(traj), radius)
+        trust = min(_default_trust_radius(traj), radius)
         candidates = evaluate_candidates(back, cfg.horizon_bounds, trust,
                                          prefix.feasible)
         lo, hi = candidates[0].T, candidates[-1].T
@@ -296,8 +293,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             status = "converged"
             break
 
-        # a mispriced shifted horizon is retried at T-bar before the
-        # window shrinks
+        # a mispriced shifted horizon is retried at T-bar before gamma rises
         for t_star in dict.fromkeys((t_tried, t_bar)):
             record["t_star"] = t_star
             for alpha in _STEP_SIZES:
@@ -322,10 +318,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                 radius = 0.5 * gap
 
         if not j_new < J:
-            if window == 0 and gamma >= GAMMA_MAX:
+            if gamma >= GAMMA_MAX:
                 status = "line_search_failure"
                 break
-            window = window // 2
             gamma = min(gamma * 10.0, GAMMA_MAX)
             continue
 
@@ -334,13 +329,12 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                        and abs(j_new - candidates[t_star - lo].J_T)
                        <= _EXACT_MODEL_RTOL * max(1.0, abs(j_new)))
         # a horizon clamped at the window edge may still improve next pass
-        at_window_edge = window > 0 and ((t_star == lo and lo > t_min)
-                                         or (t_star == hi and hi < t_max))
+        at_window_edge = cfg.window_s > 0 and ((t_star == lo and lo > t_min)
+                                                or (t_star == hi and hi < t_max))
         t0 = t_bar - t_star
         traj, J, t_bar = new_traj, j_new, t_star
         record.update(alpha=alpha, accepted=True, j=J)
         gamma = max(gamma / 2.0, GAMMA_MIN)
-        window = min(window + 1, cfg.window_s)
         if not at_window_edge and (
                 exact_model or (rel < cfg.convergence_tol
                                 and back.max_feedforward(t0) < cfg.k_tol)):

@@ -33,15 +33,19 @@ class Trajectory:
         return self.controls.shape[0]
 
     def consistency_error(self, model: SystemModel) -> float:
-        """Max dynamics defect ||x_{t+1} - f(x_t, u_t)||_inf along the path."""
-        worst = 0.0
-        for t in range(self.horizon):
-            defect = self.states[t + 1] - model.step(self.states[t], self.controls[t])
-            worst = max(worst, float(np.max(np.abs(defect))))
-        return worst
+        """Max dynamics defect ||x_{t+1} - f(x_t, u_t)||_inf along the path,
+        non-finite when any defect is."""
+        defects = [self.states[t + 1] - model.step(self.states[t], self.controls[t])
+                   for t in range(self.horizon)]
+        return float(np.max(np.abs(defects), initial=0.0))
 
     def assert_consistent(self, model: SystemModel, tol: float = CONSISTENCY_TOL):
+        """Raise FloatingPointError on a non-finite defect, ValueError on
+        one above tol."""
         err = self.consistency_error(model)
+        if not np.isfinite(err):
+            raise FloatingPointError(
+                f"trajectory dynamically inconsistent: defect {err}")
         if err > tol:
             raise ValueError(f"trajectory dynamically inconsistent: defect {err:.3e}")
 

@@ -33,8 +33,8 @@ def per_knot_sweep(model, traj, prefix, gamma, second_order=False):
     Ks, ks = [], []
     for x, u in reversed(pairs):
         dyn = expand_dynamics(model, x, u, want_second_order=second_order)
-        q = regularize(q_expansion(expand_cost(model, x, u), dyn, value[0],
-                                   second_order), gamma)
+        q = regularize(q_expansion(expand_cost(model, x, u), dyn, value[0]),
+                       gamma)
         v, K, k = value_recurrence(q)
         value.insert(0, v)
         Ks.insert(0, K)

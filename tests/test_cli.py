@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from horizonddp import CandidateEvaluation
+import horizonddp.solver as solver_mod
 from horizonddp.cli import _write_json, main
 
 
@@ -47,10 +48,9 @@ def test_solve_writes_artifacts(tmp_path):
     assert all(float(row[5]) > 0 for row in trace[1:])
 
 
-def test_solve_reports_candidates_outside_trust_radius(tmp_path):
-    doc = di_solve_config()
-    doc["solver"]["trust_radius"] = 0.5
-    cfg = write_config(tmp_path, doc)
+def test_solve_reports_candidates_outside_trust_radius(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver_mod, "_default_trust_radius", lambda traj: 0.5)
+    cfg = write_config(tmp_path, di_solve_config())
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) in (0, 2)
     summary = json.loads((out / "summary.json").read_text())
@@ -59,11 +59,14 @@ def test_solve_reports_candidates_outside_trust_radius(tmp_path):
 
 
 def test_solve_ddp_mode(tmp_path):
-    cfg = write_config(tmp_path, di_solve_config())
+    doc = di_solve_config()
+    doc["solver"]["second_order"] = True
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out),
-                 "--mode", "ddp"]) == 0
-    assert json.loads((out / "summary.json").read_text())["mode"] == "ddp"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["solver"]["second_order"] is True
+    assert "mode" not in summary
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -145,6 +148,21 @@ def test_sweep_ct_command(tmp_path):
     assert len(rows) == 3
     # a larger per-step price shortens the chosen horizon
     assert int(rows[2][1]) <= int(rows[1][1])
+
+
+def test_sweep_ct_reports_non_converged_rows(tmp_path):
+    doc = di_solve_config()
+    doc["solver"]["max_iterations"] = 1
+    doc["c_t_list"] = [0.02, 0.5]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep-ct", "--config", cfg, "--out", str(out)]) == 2
+    rows = read_csv(out / "sweep_ct.csv")
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert row[-1] == "0"
+        # no oracle is run for a solve that did not converge
+        assert row[3] == row[5] == row[6] == ""
 
 
 def test_mpc_command(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 from horizonddp import (CartpoleModel, CostExpansion, DoubleIntegratorModel,
                         Obstacle, PointMassNavModel, QuadrotorModel,
-                        check_derivatives, expand_cost, make_model,
+                        Trajectory, check_derivatives, expand_cost,
+                        initial_trajectory, make_model,
                         obstacle_schedule_advance, rk4_step,
                         rk4_step_with_jacobian)
 
@@ -146,6 +147,21 @@ def test_quadrotor_admissible_region():
     assert not m.admissible(x)
 
 
+@pytest.mark.parametrize("index,value,message", [
+    # hover at an overflowing thrust: the RK4 sum leaves float range
+    (12, 1e308, "QuadrotorModel state became non-finite"),
+    # an infinite roll: the kernel's math.sin rejects it
+    (3, math.inf, "quadrotor state became non-finite"),
+])
+def test_quadrotor_step_raises_on_non_finite_state(index, value, message):
+    m = QuadrotorModel()
+    xu = np.concatenate([np.zeros(12), m.u_ref])
+    xu[index] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=message):
+            m.step(xu[:12], xu[12:])
+
+
 # ---------------------------------------------------------------------------
 # obstacles and navigation
 # ---------------------------------------------------------------------------
@@ -206,6 +222,23 @@ def test_nav_running_cost_includes_obstacles():
     u = np.zeros(2)
     expected = 0.5 * 0.05 * 0.25 + 3.0 + 0.25
     assert m.running_cost(x, u) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("model", [DoubleIntegratorModel(), PointMassNavModel()])
+def test_consistency_check_rejects_nan_and_defects(model):
+    traj = initial_trajectory(model, np.full(model.dim_x, 0.5), 6)
+    assert traj.consistency_error(model) == 0.0
+    traj.assert_consistent(model)
+    states = traj.states.copy()
+    states[3, 0] += 1e-3
+    with pytest.raises(ValueError, match="inconsistent"):
+        Trajectory(states=states, controls=traj.controls).assert_consistent(model)
+    states[3, 0] = np.nan
+    bad = Trajectory(states=states, controls=traj.controls)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(bad.consistency_error(model))
+        with pytest.raises(FloatingPointError, match="inconsistent"):
+            bad.assert_consistent(model)
 
 
 # ---------------------------------------------------------------------------

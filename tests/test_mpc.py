@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_lq
-from horizonddp import (ExpansionError, MpcConfig, SolverConfig,
-                        initial_trajectory, mpc_step, optimize_trajectory,
-                        run_episode)
+from horizonddp import (ExpansionError, MpcConfig, PointMassNavModel,
+                        SolverConfig, initial_trajectory, mpc_step,
+                        optimize_trajectory, run_episode)
 import horizonddp.mpc as mpc_mod
 
 
@@ -101,6 +101,18 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, plan.controls[0])
     assert t_bar == plan.horizon
+
+
+def test_nan_observed_state_is_a_degraded_step():
+    model = PointMassNavModel()
+    plan = initial_trajectory(model, np.zeros(4), 10)
+    cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 20), window_s=3))
+    with np.errstate(invalid="ignore"):
+        action, new_plan, t_bar, info = mpc_step(
+            plan, np.full(4, np.nan), model, cfg, cfg.solver.gamma_init)
+    assert info["degraded"] and info["iterations"] == 0
+    npt.assert_array_equal(action, plan.controls[0])
+    assert new_plan is plan and t_bar == plan.horizon
 
 
 @pytest.mark.parametrize("error", [TypeError, ValueError, RuntimeError])

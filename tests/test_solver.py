@@ -44,9 +44,8 @@ def test_config_validation():
     for gamma in (-1.0, np.nan):
         with pytest.raises(ValueError, match="gamma_init"):
             SolverConfig(gamma_init=gamma)
-    for radius in (0.0, -1.0):
-        with pytest.raises(ValueError, match="trust_radius"):
-            SolverConfig(trust_radius=radius)
+    with pytest.raises(ValueError, match="trust_radius"):
+        SolverConfig.from_json({"trust_radius": 1.0})
 
 
 def test_config_from_json_rejects_unknown_fields():
@@ -228,6 +227,18 @@ def test_rollout_returns_inf_when_step_raises(feedforward):
     assert out == (None, np.inf)
 
 
+def test_rollout_returns_inf_when_cost_overflows():
+    # the states stay finite, but the terminal weight takes the terminal
+    # cost past float range
+    model = DoubleIntegratorModel()
+    x0 = np.array([1.0, 0.0])
+    back = backward_sweep(model, initial_trajectory(model, x0, 5),
+                          empty_prefix(model))
+    with np.errstate(over="ignore", invalid="ignore"):
+        heavy = DoubleIntegratorModel(Qf=1e308 * np.eye(2))
+        assert rollout(heavy, back, 0, 1.0, x0) == (None, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # full solves
 # ---------------------------------------------------------------------------
@@ -370,15 +381,16 @@ def test_zero_gap_rejection_keeps_trust_radius(monkeypatch):
     assert all(r["trust_radius"] > 0 for r in res.trace)
 
 
-def test_trust_radius_halves_to_gap_and_doubles():
+def test_trust_radius_halves_to_gap_and_doubles(monkeypatch):
     # cartpole c_t = 1 alternates rejected and accepted shifts; with a cap
     # that never binds, each pass's radius follows from the one before
     from horizonddp import CartpoleModel
 
     m = CartpoleModel(c_t=1.0)
     cap = 1e6
+    monkeypatch.setattr(solver_mod, "_default_trust_radius", lambda traj: cap)
     cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
-                       max_iterations=300, trust_radius=cap)
+                       max_iterations=300)
     res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
     assert res.converged
     shrunk = doubled = 0
@@ -397,8 +409,9 @@ def test_trust_radius_halves_to_gap_and_doubles():
 
 
 def test_line_search_failure_status(monkeypatch):
-    # no rollout lowers the cost: each pass retries at T-bar, then halves
-    # the window and raises gamma tenfold until both run out
+    # no rollout lowers the cost: each pass retries at T-bar, then raises
+    # gamma tenfold until it reaches its ceiling.  Every candidate is priced
+    # at a zero gap, so the radius never shrinks and the window stays whole
     m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
     init = initial_trajectory(m, np.array([2.0, 0.0]), 40)
     monkeypatch.setattr(solver_mod, "rollout",
@@ -409,8 +422,8 @@ def test_line_search_failure_status(monkeypatch):
     assert res.iterations == len(res.trace) == 13
     windows = [(r["candidates"][0].T, r["candidates"][-1].T)
                for r in res.trace]
-    assert windows == [(30, 50), (35, 45), (38, 42), (39, 41)] + [(40, 40)] * 9
-    assert [r["t_tried"] for r in res.trace[:4]] == [50, 45, 42, 41]
+    assert windows == [(30, 50)] * 13
+    assert [r["t_tried"] for r in res.trace] == [50] * 9 + [30] * 4
     for r in res.trace:
         assert r["rejected"] == "no_decrease" and not r["accepted"]
         assert r["t_star"] == 40 and r["alpha"] is None
