@@ -18,16 +18,15 @@ from .model import (CostExpansion, DynamicsExpansion, SystemModel,
                     expand_cost, expand_dynamics, expand_terminal, sym)
 from .trajectory import Trajectory
 
-# Q_uu regularization ceiling: a sweep that still fails above it gives up
+# Q_uu regularization bounds: gamma never relaxes below the floor, and a
+# sweep that still fails above the ceiling gives up
+GAMMA_MIN = 1e-6
 GAMMA_MAX = 1e6
 
 
 class NeedsRegularization(RuntimeError):
-    """Quu factorization failed; carries the estimated smallest eigenvalue."""
-
-    def __init__(self, lambda_min: float):
-        super().__init__(f"needs regularization (lambda_min ~ {lambda_min:.3e})")
-        self.lambda_min = lambda_min
+    """Q_uu failed to factorize or the value recursion diverged; the sweep
+    escalates gamma tenfold and retries."""
 
 
 class BackwardSweepError(RuntimeError):
@@ -122,8 +121,9 @@ def _min_eig(M: np.ndarray) -> float:
 
 def regularize(q: QExpansion, gamma: float) -> QExpansion:
     """Lift the smallest eigenvalue of Q_uu to at least gamma."""
-    if not gamma >= 0:
-        raise ValueError("gamma must be >= 0")
+    # an infinite gamma zeroes every gain and never relaxes again
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError("gamma must be finite and >= 0")
     lam_min = _min_eig(q.Q_uu)
     shift = max(0.0, gamma - lam_min)
     if shift == 0.0:
@@ -138,7 +138,7 @@ def value_recurrence(q: QExpansion):
     try:
         L = np.linalg.cholesky(q.Q_uu)
     except np.linalg.LinAlgError:
-        raise NeedsRegularization(_min_eig(q.Q_uu)) from None
+        raise NeedsRegularization("Q_uu is not positive definite") from None
     rhs = np.column_stack([q.Q_ux, q.Q_u])
     sol = scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
     K, k = -sol[:, :-1], -sol[:, -1]
@@ -172,12 +172,12 @@ def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
         nxt, K[i], k[i] = value_recurrence(q)
         # a diverging recursion only gets worse; escalate gamma right away
         if not np.isfinite(nxt.V_0) or np.max(np.abs(nxt.V_xx)) > 1e12:
-            raise NeedsRegularization(_min_eig(q.Q_uu))
+            raise NeedsRegularization("value recursion diverged")
         V_xx[i], V_x[i], V_0[i] = nxt.V_xx, nxt.V_x, nxt.V_0
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
-                   gamma: float = 1e-6,
+                   gamma: float = GAMMA_MIN,
                    second_order: bool = False) -> BackwardResult:
     """Value expansions and gains for t from the terminal step down to -S.
 

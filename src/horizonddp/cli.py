@@ -147,13 +147,15 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
         initial = initial_trajectory(model, x0,
                                      _initial_horizon(cfg, solver_cfg))
         result = optimize_trajectory(model, initial, solver_cfg)
-        if not result.converged:
+        sweep = (bracketed_horizon(model, solver_cfg, x0, result.t_star,
+                                   oracle_margin) if result.converged else None)
+        # no oracle is run for a solve that did not converge, and an oracle
+        # with no converged horizon leaves the row unconverged too
+        if sweep is None or sweep.t_exact is None:
             all_ok = False
             rows.append((c_t, result.t_star, result.t_star * dt, None,
                          result.cost, None, None, False))
             continue
-        sweep = bracketed_horizon(model, solver_cfg, x0, result.t_star,
-                                  oracle_margin)
         err_pct = 100.0 * (result.cost - sweep.j_exact) / sweep.j_exact
         rows.append((c_t, result.t_star, result.t_star * dt, sweep.t_exact,
                      result.cost, sweep.j_exact, err_pct, True))
@@ -177,6 +179,10 @@ def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
         "t_exact": sweep.t_exact, "j_exact": sweep.j_exact,
         "config": cfg, "seed": seed,
     })
+    if sweep.t_exact is None:
+        print(f"error: no fixed-horizon solve converged for T in "
+              f"[{t_range[0]}, {t_range[1]}]", file=sys.stderr)
+        return EXIT_NONCONVERGED
     return EXIT_OK
 
 

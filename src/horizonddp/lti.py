@@ -24,26 +24,18 @@ class IllPosedStepError(RuntimeError):
     """The control-weight system (R + B'PB) could not be factorized."""
 
 
-def _check_symmetric(M, name):
+def _check_weight(M, name, semidefinite):
+    """Raise unless M is square, symmetric and positive definite; with
+    ``semidefinite``, positive semidefinite to round-off."""
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got {M.shape}")
     if np.max(np.abs(M - M.T)) > _SYM_TOL * max(1.0, np.max(np.abs(M))):
         raise ValueError(f"{name} must be symmetric")
-
-
-def _check_psd(M, name):
-    _check_symmetric(M, name)
     lam = np.linalg.eigvalsh(sym(M))
-    if lam[0] < -_PSD_TOL * max(1.0, abs(lam[-1])):
-        raise ValueError(f"{name} must be positive semidefinite "
-                         f"(min eigenvalue {lam[0]:.3e})")
-
-
-def _check_pd(M, name):
-    _check_symmetric(M, name)
-    lam = np.linalg.eigvalsh(sym(M))
-    if lam[0] <= 0:
-        raise ValueError(f"{name} must be positive definite "
+    floor = -_PSD_TOL * max(1.0, abs(lam[-1])) if semidefinite else 0.0
+    if not lam[0] > floor:
+        kind = "semidefinite" if semidefinite else "definite"
+        raise ValueError(f"{name} must be positive {kind} "
                          f"(min eigenvalue {lam[0]:.3e})")
 
 
@@ -67,7 +59,10 @@ class LtiProblem:
 
     def __post_init__(self):
         for name in ("A", "B", "Q", "R", "Qf"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+            M = _frozen_array(getattr(self, name))
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, M)
         t_min, t_max = self.horizon_bounds
         object.__setattr__(self, "horizon_bounds", (int(t_min), int(t_max)))
         n = self.A.shape[0]
@@ -75,12 +70,12 @@ class LtiProblem:
             raise ValueError("A must be square")
         if self.B.shape[0] != n:
             raise ValueError("B row count must equal the state dimension")
-        _check_psd(self.Q, "Q")
-        _check_psd(self.Qf, "Qf")
-        _check_pd(self.R, "R")
+        _check_weight(self.Q, "Q", semidefinite=True)
+        _check_weight(self.Qf, "Qf", semidefinite=True)
+        _check_weight(self.R, "R", semidefinite=False)
         if not (1 <= self.horizon_bounds[0] <= self.horizon_bounds[1]):
             raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
-        if self.c_t < 0:
+        if not self.c_t >= 0:
             raise ValueError("c_t must be >= 0")
 
     @property
@@ -92,11 +87,12 @@ class LtiProblem:
         return self.B.shape[1]
 
 
-def riccati_step(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
-    """One backward step of the discrete Riccati recursion."""
-    A, B, Q, R = problem.A, problem.B, problem.Q, problem.R
-    Pnext = sym(np.asarray(Pnext, dtype=float))
-    BtP = B.T @ Pnext
+def lqr_gain(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
+    """Feedback gain K = (R + B'PB)^-1 B'PA, with u = -K x, for the given
+    next-step value matrix; IllPosedStepError when R + B'PB does not
+    factorize."""
+    A, B, R = problem.A, problem.B, problem.R
+    BtP = B.T @ sym(np.asarray(Pnext, dtype=float))
     M = sym(R + BtP @ B)
     try:
         cho = scipy.linalg.cho_factor(M)
@@ -105,9 +101,15 @@ def riccati_step(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
         raise IllPosedStepError(
             f"ill-posed step: R + B'PB not positive definite "
             f"(eigenvalues in [{lam[0]:.3e}, {lam[-1]:.3e}])") from exc
-    BtPA = BtP @ A
-    P = A.T @ Pnext @ A - BtPA.T @ scipy.linalg.cho_solve(cho, BtPA) + Q
-    return sym(P)
+    return scipy.linalg.cho_solve(cho, BtP @ A)
+
+
+def riccati_step(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
+    """One backward step of the discrete Riccati recursion."""
+    A = problem.A
+    Pnext = sym(np.asarray(Pnext, dtype=float))
+    BtPA = problem.B.T @ Pnext @ A
+    return sym(A.T @ Pnext @ A - BtPA.T @ lqr_gain(Pnext, problem) + problem.Q)
 
 
 def riccati_sweep(problem: LtiProblem) -> tuple:
@@ -158,14 +160,6 @@ def lti_optimal_horizon(problem: LtiProblem, x0: np.ndarray):
         if J < j_star:
             t_star, j_star = T, J
     return t_star, j_star, curve
-
-
-def lqr_gain(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
-    """Feedback gain K with u = -K x for the given next-step value matrix."""
-    A, B, R = problem.A, problem.B, problem.R
-    BtP = B.T @ sym(np.asarray(Pnext, dtype=float))
-    M = sym(R + BtP @ B)
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), BtP @ A)
 
 
 def lqr_rollout_cost(problem: LtiProblem, x0: np.ndarray, T: int) -> float:

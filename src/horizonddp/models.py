@@ -137,6 +137,14 @@ def _as_floats(model):
             setattr(model, f.name, float(getattr(model, f.name)))
 
 
+def _check_positive(**values):
+    """Raise ValueError naming each value with an entry not > 0, which a
+    NaN entry is not."""
+    bad = [name for name, v in values.items() if not np.all(np.asarray(v) > 0)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be > 0")
+
+
 # ---------------------------------------------------------------------------
 # shared dynamics and cost
 # ---------------------------------------------------------------------------
@@ -235,8 +243,7 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
 
     def __post_init__(self):
         _as_floats(self)
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        _check_positive(dt=self.dt)
         self.Q = sym(np.asarray(self.Q if self.Q is not None else np.eye(2), dtype=float))
         self.R = sym(np.asarray(self.R if self.R is not None else np.eye(1), dtype=float))
         self.Qf = sym(np.asarray(self.Qf if self.Qf is not None else np.eye(2), dtype=float))
@@ -282,8 +289,8 @@ class CartpoleModel(_RK4Dynamics):
 
     def __post_init__(self):
         _as_floats(self)
-        if min(self.cart_mass, self.pole_mass, self.pole_length, self.dt) <= 0:
-            raise ValueError("masses, length and dt must be > 0")
+        _check_positive(cart_mass=self.cart_mass, pole_mass=self.pole_mass,
+                        pole_length=self.pole_length, dt=self.dt)
 
     # equations of motion in manipulator form, solved for the accelerations
     def _deriv(self, x, u):
@@ -395,6 +402,7 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
     def __post_init__(self):
         _as_floats(self)
         self.inertia = np.asarray(self.inertia, dtype=float)
+        _check_positive(mass=self.mass, inertia=self.inertia, dt=self.dt)
         self.goal = (np.zeros(12) if self.goal is None
                      else np.asarray(self.goal, dtype=float))
         self.Q = np.diag([self.w_pos] * 3 + [self.w_att] * 3
@@ -515,7 +523,7 @@ class Obstacle:
     schedule: tuple = ()  # sequence of (duration, (vx, vy)) segments
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("obstacle radius must be > 0")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(
@@ -582,6 +590,7 @@ class PointMassNavModel(_LinearDynamics):
 
     def __post_init__(self):
         _as_floats(self)
+        _check_positive(dt=self.dt)
         self.goal = np.asarray(self.goal, dtype=float)
         self.obstacles = tuple(
             o if isinstance(o, Obstacle) else from_fields(Obstacle, o, "obstacle")

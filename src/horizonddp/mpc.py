@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import ExpansionError, SystemModel
 from .models import PointMassNavModel, obstacle_schedule_advance
-from .solver import GAMMA_MIN, SolverConfig, optimize_trajectory
+from .solver import SolverConfig, optimize_trajectory
 from .trajectory import Trajectory, rollout_controls, initial_trajectory
 
 
@@ -68,28 +68,27 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
 
 
 def mpc_step(plan: Trajectory, observed_x0, model_snapshot: SystemModel,
-             cfg: MpcConfig, gamma_init: float):
+             cfg: MpcConfig, gamma: float):
     """One budgeted replan from the shifted previous plan.
 
-    ``gamma_init`` is the regularization level carried from the previous
-    step (floored at GAMMA_MIN), so the schedule is not re-escalated from
-    scratch every replan; ``info["gamma"]`` is the level to carry on.  Returns
+    ``gamma`` is the regularization level carried from the previous step,
+    so the schedule is not re-escalated from scratch every replan;
+    ``info["gamma"]`` is the level to carry on.  Returns
     (action, new_plan, new_horizon, info).  When the replan meets a numeric
     failure (a non-finite expansion or state, or a failed factorization) the
     previous plan's first action is applied and the step is flagged; any
     other exception propagates.
     """
-    inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations,
-                        gamma_init=max(gamma_init, GAMMA_MIN))
+    inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     try:
         warm = rollout_controls(model_snapshot, observed_x0, plan.controls)
-        result = optimize_trajectory(model_snapshot, warm, inner_cfg)
+        result = optimize_trajectory(model_snapshot, warm, inner_cfg, gamma)
         info = {"iterations": result.iterations, "degraded": False,
                 "gamma": result.gamma_final}
         new_plan = result.trajectory
         return new_plan.controls[0], new_plan, new_plan.horizon, info
     except (ExpansionError, FloatingPointError, np.linalg.LinAlgError):
-        info = {"iterations": 0, "degraded": True, "gamma": gamma_init}
+        info = {"iterations": 0, "degraded": True, "gamma": gamma}
         return plan.controls[0], plan, plan.horizon, info
 
 
@@ -154,8 +153,7 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
                               controls=controls)
 
         tic = time.perf_counter()
-        action, plan, t_bar, info = mpc_step(plan, x, snapshot, step_cfg,
-                                             gamma_init=gamma)
+        action, plan, t_bar, info = mpc_step(plan, x, snapshot, step_cfg, gamma)
         solve_time = time.perf_counter() - tic
         gamma = info["gamma"]
 

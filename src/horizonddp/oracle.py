@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from .model import SystemModel
 from .solver import SolverConfig, optimize_trajectory
-from .trajectory import Trajectory, initial_trajectory
+from .trajectory import initial_trajectory
 
 
 @dataclass(frozen=True)
@@ -24,24 +24,22 @@ class HorizonRecord:
 
 @dataclass(frozen=True)
 class HorizonSweepResult:
-    """Per-horizon table with the argmin over converged entries."""
+    """Per-horizon table with the argmin over converged entries; t_exact
+    and j_exact are None when no entry converged."""
 
     records: tuple
-    t_exact: int
-    j_exact: float
+    t_exact: int | None
+    j_exact: float | None
 
 
-def fixed_horizon_ddp(model: SystemModel, T: int, cfg: SolverConfig,
-                      x0=None, initial: Trajectory | None = None):
-    """DDP with horizon selection disabled: S = 0 and bounds (T, T)."""
+def fixed_horizon_ddp(model: SystemModel, T: int, cfg: SolverConfig, x0):
+    """DDP with horizon selection disabled: S = 0 and bounds (T, T),
+    cold-started from x0."""
     if T < 1:
         raise ValueError("T must be >= 1")
     fixed_cfg = replace(cfg, window_s=0, horizon_bounds=(T, T))
-    if initial is None:
-        if x0 is None:
-            raise ValueError("either x0 or an initial trajectory is required")
-        initial = initial_trajectory(model, x0, T)
-    result = optimize_trajectory(model, initial, fixed_cfg)
+    result = optimize_trajectory(model, initial_trajectory(model, x0, T),
+                                 fixed_cfg)
     return result.trajectory, result.cost, result
 
 
@@ -53,12 +51,11 @@ def _solve_horizon(model, T, cfg, x0) -> HorizonRecord:
 
 def _argmin(records) -> HorizonSweepResult:
     """Argmin over converged records, ties toward the smaller horizon."""
-    usable = [r for r in records if r.converged]
-    if not usable:
-        raise RuntimeError("no fixed-horizon solve converged in the given range")
-    best = min(usable, key=lambda r: (r.J, r.T))
-    return HorizonSweepResult(records=tuple(records), t_exact=best.T,
-                              j_exact=best.J)
+    best = min((r for r in records if r.converged),
+               key=lambda r: (r.J, r.T), default=None)
+    t_exact, j_exact = (best.T, best.J) if best else (None, None)
+    return HorizonSweepResult(records=tuple(records), t_exact=t_exact,
+                              j_exact=j_exact)
 
 
 def exhaustive_horizon(model: SystemModel, t_range, cfg: SolverConfig,

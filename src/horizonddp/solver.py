@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import (GAMMA_MAX, BackwardResult, BackwardSweepError,
-                       backward_sweep)
+from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
+                       BackwardSweepError, backward_sweep)
 from .model import InverseStepError, SystemModel, from_fields
 from .trajectory import Trajectory, trajectory_cost
 
@@ -26,8 +26,6 @@ _FIXED_POINT_TOL = 1e-8
 _EXACT_MODEL_RTOL = 1e-12
 # line search: step sizes 1, 1/2, 1/4, ... down to a 1e-3 floor
 _STEP_SIZES = tuple(0.5 ** i for i in range(10))
-# regularization never relaxes below this floor between iterations
-GAMMA_MIN = 1e-6
 
 
 @dataclass
@@ -36,7 +34,6 @@ class SolverConfig:
 
     horizon_bounds: tuple = (1, 200)
     window_s: int = 10
-    gamma_init: float = 1e-6
     max_iterations: int = 100
     convergence_tol: float = 1e-6
     k_tol: float = 1e-6
@@ -49,8 +46,6 @@ class SolverConfig:
             raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
         if self.window_s < 0:
             raise ValueError("window_s must be >= 0")
-        if not self.gamma_init >= 0:
-            raise ValueError("gamma_init must be >= 0")
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
@@ -235,7 +230,8 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
 
 
 def optimize_trajectory(model: SystemModel, initial: Trajectory,
-                        cfg: SolverConfig) -> SolverResult:
+                        cfg: SolverConfig,
+                        gamma: float = GAMMA_MIN) -> SolverResult:
     """Outer loop: sweep, select horizon, line-searched forward pass.
 
     Iterations count outer passes (one backward sweep each).  Convergence
@@ -243,6 +239,10 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     when an accepted full step was predicted exactly by the quadratic
     model, or when the relative cost decrease and feedforward gains both
     drop below tolerance.
+
+    ``gamma`` is the Q_uu regularization the first sweep starts from; a
+    warm-started replan passes the previous solve's ``gamma_final``.  The
+    first sweep raises ValueError unless it is finite and >= 0.
     """
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):
@@ -252,7 +252,6 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     traj = initial
     t_bar = traj.horizon
     J = trajectory_cost(model, traj)
-    gamma = cfg.gamma_init
     # trust radius on the initial-state gap, adapted by shifted tries; it
     # lives for this solve only
     radius = math.inf

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from horizonddp import CandidateEvaluation
+import horizonddp.oracle as oracle_mod
 import horizonddp.solver as solver_mod
 from horizonddp.cli import _write_json, main
 
@@ -111,6 +112,23 @@ def test_wrong_x0_size_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "x0" in capsys.readouterr().err
+    del doc["x0"]
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "missing config field: 'x0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,name", [
+    ({"model": "quadrotor", "mass": 0.0}, "mass"),
+    ({"model": "double_integrator", "dt": float("nan")}, "dt"),
+])
+def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
+    # caught by the model's own checks: one error line, no traceback
+    doc = di_solve_config()
+    doc["model"] = model
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {name} must be > 0\n"
 
 
 def test_check_command_reports_clean_model(tmp_path, capsys):
@@ -135,6 +153,23 @@ def test_oracle_command(tmp_path):
     assert len(rows) == 12
     summary = json.loads((out / "oracle_summary.json").read_text())
     assert 20 <= summary["t_exact"] <= 30
+
+
+def test_oracle_without_converged_horizon_exits_2(tmp_path, capsys):
+    doc = {"model": {"model": "cartpole", "c_t": 30.0},
+           "solver": {"max_iterations": 1}, "x0": [0.0] * 4,
+           "t_range": [20, 22]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no fixed-horizon solve converged")
+    assert err.count("\n") == 1
+    rows = read_csv(out / "horizon_sweep.csv")
+    assert [row[0] for row in rows[1:]] == ["20", "21", "22"]
+    assert all(row[3] == "0" for row in rows[1:])
+    summary = json.loads((out / "oracle_summary.json").read_text())
+    assert summary["t_exact"] is None and summary["j_exact"] is None
 
 
 def test_sweep_ct_command(tmp_path):
@@ -163,6 +198,29 @@ def test_sweep_ct_reports_non_converged_rows(tmp_path):
         assert row[-1] == "0"
         # no oracle is run for a solve that did not converge
         assert row[3] == row[5] == row[6] == ""
+
+
+def test_sweep_ct_marks_row_whose_oracle_fails(tmp_path, monkeypatch):
+    # every solve converges, but no fixed-horizon solve of the second
+    # c_t's bracket does: that row is unconverged, the first row is kept
+    fixed = oracle_mod.fixed_horizon_ddp
+
+    def failing_at_high_ct(model, T, cfg, x0):
+        traj, J, result = fixed(model, T, cfg, x0)
+        result.converged = result.converged and model.c_t < 0.1
+        return traj, J, result
+
+    monkeypatch.setattr(oracle_mod, "fixed_horizon_ddp", failing_at_high_ct)
+    doc = di_solve_config()
+    doc["c_t_list"] = [0.02, 0.5]
+    doc["oracle_margin"] = 3
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep-ct", "--config", cfg, "--out", str(out)]) == 2
+    rows = read_csv(out / "sweep_ct.csv")
+    assert rows[1][-1] == "1" and rows[1][3] != ""
+    assert rows[2][-1] == "0"
+    assert rows[2][3] == rows[2][5] == rows[2][6] == ""
 
 
 def test_mpc_command(tmp_path):

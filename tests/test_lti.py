@@ -199,18 +199,23 @@ def test_lqr_gain_shape(rng):
 
 
 def test_validation_rejects_bad_data():
-    with pytest.raises(ValueError, match="symmetric"):
-        LtiProblem(A=np.eye(2), B=np.ones((2, 1)), Q=[[1.0, 0.5], [0.0, 1.0]],
-                   R=[[1.0]], Qf=np.eye(2), horizon_bounds=(1, 5))
-    with pytest.raises(ValueError, match="positive definite"):
-        LtiProblem(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2),
-                   R=[[0.0]], Qf=np.eye(2), horizon_bounds=(1, 5))
-    with pytest.raises(ValueError, match="horizon bounds"):
-        LtiProblem(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2),
-                   R=[[1.0]], Qf=np.eye(2), horizon_bounds=(5, 1))
-    with pytest.raises(ValueError, match="c_t"):
-        LtiProblem(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2),
-                   R=[[1.0]], Qf=np.eye(2), horizon_bounds=(1, 5), c_t=-1.0)
+    data = dict(A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2), R=[[1.0]],
+                Qf=np.eye(2), horizon_bounds=(1, 5))
+    for change, message in [
+        ({"Q": [[1.0, 0.5], [0.0, 1.0]]}, "symmetric"),
+        ({"R": [[0.0]]}, "R must be positive definite"),
+        ({"R": [[np.nan]]}, "R must be finite"),
+        ({"Q": -np.eye(2)}, "Q must be positive semidefinite"),
+        ({"Qf": np.ones((2, 3))}, "Qf must be square"),
+        ({"A": np.ones((2, 3))}, "A must be square"),
+        ({"B": np.ones((3, 1))}, "B row count"),
+        ({"A": [[1.0, np.inf], [0.0, 1.0]]}, "A must be finite"),
+        ({"horizon_bounds": (5, 1)}, "horizon bounds"),
+        ({"c_t": -1.0}, "c_t"),
+        ({"c_t": np.nan}, "c_t"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            LtiProblem(**{**data, **change})
 
 
 def test_ill_posed_step_reported():
@@ -219,3 +224,10 @@ def test_ill_posed_step_reported():
     prob = scalar_problem()
     with pytest.raises(IllPosedStepError):
         riccati_step(np.array([[-5.0]]), prob)
+    # the gain shares the step's factorization, and its error
+    with pytest.raises(IllPosedStepError):
+        lqr_gain(np.array([[-5.0]]), prob)
+    # Qf = -1e-11 passes as semidefinite to round-off, and a tinier R then
+    # leaves R + B'QfB indefinite at the first step
+    with pytest.raises(IllPosedStepError, match="steps-to-go 1"):
+        riccati_sweep(scalar_problem(q=0.0, r=1e-12, qf=-1e-11))

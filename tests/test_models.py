@@ -118,6 +118,25 @@ def test_cartpole_rejects_bad_params():
         CartpoleModel(dt=0.0)
     with pytest.raises(ValueError):
         CartpoleModel(pole_length=-1.0)
+    # min(1.0, nan) is 1.0: each value is checked on its own
+    for name in ("cart_mass", "pole_mass", "pole_length", "dt"):
+        with pytest.raises(ValueError, match=name):
+            CartpoleModel(**{name: np.nan})
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda v: DoubleIntegratorModel(dt=v), "dt"),
+    (lambda v: QuadrotorModel(mass=v), "mass"),
+    (lambda v: QuadrotorModel(inertia=(0.01, v, 0.02)), "inertia"),
+    (lambda v: QuadrotorModel(dt=v), "dt"),
+    (lambda v: PointMassNavModel(dt=v), "dt"),
+    (lambda v: Obstacle(center=(0.0, 0.0), radius=v), "radius"),
+], ids=["integrator-dt", "quadrotor-mass", "quadrotor-inertia", "quadrotor-dt",
+        "nav-dt", "obstacle-radius"])
+def test_model_params_reject_non_positive_and_nan(build, name):
+    for value in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match=name):
+            build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +232,8 @@ def test_schedule_advance_hides_future_motion():
     assert moved.schedule == ()  # the planner can't see where it goes next
     # the original model keeps its schedule for later snapshots
     assert m.obstacles[0].schedule != ()
+    with pytest.raises(ValueError, match="sim_time"):
+        obstacle_schedule_advance(m, -1.0)
 
 
 def test_nav_running_cost_includes_obstacles():
@@ -239,6 +260,10 @@ def test_consistency_check_rejects_nan_and_defects(model):
         assert math.isnan(bad.consistency_error(model))
         with pytest.raises(FloatingPointError, match="inconsistent"):
             bad.assert_consistent(model)
+    with pytest.raises(ValueError, match="2-D"):
+        Trajectory(states=states[0], controls=traj.controls)
+    with pytest.raises(ValueError, match="one more row"):
+        Trajectory(states=states[1:], controls=traj.controls)
 
 
 # ---------------------------------------------------------------------------

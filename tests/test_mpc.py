@@ -9,6 +9,8 @@ from horizonddp import (ExpansionError, MpcConfig, PointMassNavModel,
                         SolverConfig, initial_trajectory, mpc_step,
                         optimize_trajectory, run_episode)
 import horizonddp.mpc as mpc_mod
+from horizonddp.backward import GAMMA_MIN
+from test_acceptance import nav_scenario
 
 
 def lq_mpc_setup(rng, c_t=0.05):
@@ -97,7 +99,7 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", boom)
     action, new_plan, t_bar, info = mpc_step(plan, np.ones(model.dim_x),
-                                             model, cfg, cfg.solver.gamma_init)
+                                             model, cfg, GAMMA_MIN)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, plan.controls[0])
     assert t_bar == plan.horizon
@@ -109,7 +111,7 @@ def test_nan_observed_state_is_a_degraded_step():
     cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 20), window_s=3))
     with np.errstate(invalid="ignore"):
         action, new_plan, t_bar, info = mpc_step(
-            plan, np.full(4, np.nan), model, cfg, cfg.solver.gamma_init)
+            plan, np.full(4, np.nan), model, cfg, GAMMA_MIN)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, plan.controls[0])
     assert new_plan is plan and t_bar == plan.horizon
@@ -126,17 +128,27 @@ def test_non_numeric_replan_error_propagates(rng, monkeypatch, error):
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", bug)
     with pytest.raises(error):
-        mpc_step(plan, np.ones(model.dim_x), model, cfg, cfg.solver.gamma_init)
+        mpc_step(plan, np.ones(model.dim_x), model, cfg, GAMMA_MIN)
 
 
-def test_gamma_carries_between_steps(rng):
-    model, cfg = lq_mpc_setup(rng)
-    plan = optimize_trajectory(
-        model, initial_trajectory(model, np.ones(model.dim_x), 20),
-        cfg.solver).trajectory
-    _, _, _, info = mpc_step(plan, np.ones(model.dim_x), model, cfg,
-                             gamma_init=1e-3)
-    assert info["gamma"] is not None
+def test_gamma_carries_between_steps(monkeypatch):
+    # each replan starts from the regularization the previous solve ended
+    # on; on the nav episode the obstacles keep it above the floor
+    model, cfg = nav_scenario()
+    solves = []
+
+    def recording(model, initial, cfg, gamma=GAMMA_MIN):
+        result = optimize_trajectory(model, initial, cfg, gamma)
+        solves.append((gamma, result.gamma_final))
+        return result
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
+    log = run_episode(model, np.zeros(4), cfg)
+    assert not any(rec.degraded for rec in log.steps)
+    assert len(solves) == log.steps_used + 1
+    starts = [gamma for gamma, _ in solves[1:]]
+    assert starts == [final for _, final in solves[:-1]]
+    assert sum(gamma > GAMMA_MIN for gamma in starts) >= len(starts) // 2
 
 
 def test_log_serialization(rng):

@@ -64,9 +64,9 @@ def test_bracket_widens_until_argmin_is_inside(monkeypatch):
     solved = []
     fixed = oracle.fixed_horizon_ddp
 
-    def recording(model, T, cfg, x0=None, initial=None):
+    def recording(model, T, cfg, x0):
         solved.append(T)
-        return fixed(model, T, cfg, x0=x0, initial=initial)
+        return fixed(model, T, cfg, x0)
 
     monkeypatch.setattr(oracle, "fixed_horizon_ddp", recording)
     # the first bracket [t_exact + 2, t_exact + 8] has its argmin on its
@@ -99,5 +99,7 @@ def test_fixed_horizon_rejects_bad_T(rng):
     cfg = SolverConfig()
     with pytest.raises(ValueError):
         fixed_horizon_ddp(model, 0, cfg, x0=np.zeros(model.dim_x))
-    with pytest.raises(ValueError):
-        fixed_horizon_ddp(model, 5, cfg)  # neither x0 nor initial
+    with pytest.raises(TypeError):
+        fixed_horizon_ddp(model, 5, cfg)  # x0 is required
+    with pytest.raises(ValueError, match="non-empty"):
+        exhaustive_horizon(model, [], cfg, np.zeros(model.dim_x))

@@ -41,11 +41,21 @@ def test_config_validation():
         SolverConfig(horizon_bounds=(6, 5))
     with pytest.raises(ValueError):
         SolverConfig(window_s=-1)
-    for gamma in (-1.0, np.nan):
-        with pytest.raises(ValueError, match="gamma_init"):
-            SolverConfig(gamma_init=gamma)
-    with pytest.raises(ValueError, match="trust_radius"):
-        SolverConfig.from_json({"trust_radius": 1.0})
+    # regularization and the trust radius are solver state, not knobs
+    for key in ("gamma_init", "trust_radius"):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig.from_json({key: 1e-6})
+
+
+def test_gamma_argument_rejects_nan_negative_and_inf():
+    # an infinite gamma zeroes every gain: a cartpole solve then only
+    # shortens its unmoved nominal and reports that as converged
+    m = DoubleIntegratorModel()
+    init = initial_trajectory(m, np.array([1.0, 0.0]), 10)
+    for gamma in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            optimize_trajectory(m, init, SolverConfig(horizon_bounds=(1, 20)),
+                                gamma=gamma)
 
 
 def test_config_from_json_rejects_unknown_fields():
