@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import (CostExpansion, DynamicsExpansion, SystemModel,
                     expand_cost, expand_dynamics, expand_terminal, sym)
@@ -135,12 +134,13 @@ def regularize(q: QExpansion, gamma: float) -> QExpansion:
 
 def value_recurrence(q: QExpansion):
     """Minimize the Q model over the control to get (value, K, k)."""
+    # the Cholesky factor only tests definiteness: numpy has no triangular
+    # solve, so the small (m <= 4) system is factored again to solve it
     try:
-        L = np.linalg.cholesky(q.Q_uu)
+        np.linalg.cholesky(q.Q_uu)
     except np.linalg.LinAlgError:
         raise NeedsRegularization("Q_uu is not positive definite") from None
-    rhs = np.column_stack([q.Q_ux, q.Q_u])
-    sol = scipy.linalg.cho_solve((L, True), rhs, check_finite=False)
+    sol = np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
     K, k = -sol[:, :-1], -sol[:, -1]
     V_xx = sym(q.Q_xx + q.Q_ux.T @ K)           # Q_xx - Q_ux' Quu^-1 Q_ux
     V_x = q.Q_x + q.Q_ux.T @ k                  # Q_x - Q_ux' Quu^-1 Q_u
@@ -202,10 +202,7 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
 
     V_xx, V_x, V_0 = np.empty((N + 1, n, n)), np.empty((N + 1, n)), np.empty(N + 1)
     V_xx[N], V_x[N], V_0[N] = phi_xx, phi_x, phi
-    # each K[i] column-major, as cho_solve returns it, so K[i] @ dx sums in
-    # the same order as with the returned gain (a C-ordered copy changes
-    # last bits when m = 2)
-    K, k = np.empty((N, n, m)).transpose(0, 2, 1), np.empty((N, m))
+    K, k = np.empty((N, m, n)), np.empty((N, m))
     g = float(gamma)
     while True:
         try:

@@ -32,15 +32,32 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NONCONVERGED = 2
 
+# top-level config keys that some command reads: one config file may serve
+# every command, so a key only another command reads is not an error
+CONFIG_KEYS = frozenset({
+    "model", "solver", "x0", "initial_horizon",      # solve and the rest
+    "c_t_list", "oracle_margin",                      # sweep-ct
+    "t_range",                                        # oracle
+    "inner_iterations", "noise_scale", "step_limit",  # mpc
+    "receding_horizon",
+    "samples", "sample_scale",                        # check
+})
+
 
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ValueError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {p}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{p} must hold a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    return cfg
 
 
 def _require(cfg: dict, key: str):

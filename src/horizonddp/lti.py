@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import sym
 
@@ -89,19 +88,22 @@ class LtiProblem:
 
 def lqr_gain(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:
     """Feedback gain K = (R + B'PB)^-1 B'PA, with u = -K x, for the given
-    next-step value matrix; IllPosedStepError when R + B'PB does not
-    factorize."""
+    next-step value matrix; IllPosedStepError when R + B'PB is not finite
+    or does not factorize."""
     A, B, R = problem.A, problem.B, problem.R
     BtP = B.T @ sym(np.asarray(Pnext, dtype=float))
     M = sym(R + BtP @ B)
+    # numpy's Cholesky returns NaN factors for a NaN matrix without raising
+    if not np.isfinite(M).all():
+        raise IllPosedStepError("ill-posed step: R + B'PB is not finite")
     try:
-        cho = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         lam = np.linalg.eigvalsh(M)
         raise IllPosedStepError(
             f"ill-posed step: R + B'PB not positive definite "
             f"(eigenvalues in [{lam[0]:.3e}, {lam[-1]:.3e}])") from exc
-    return scipy.linalg.cho_solve(cho, BtP @ A)
+    return np.linalg.solve(M, BtP @ A)
 
 
 def riccati_step(Pnext: np.ndarray, problem: LtiProblem) -> np.ndarray:

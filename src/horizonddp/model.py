@@ -8,6 +8,7 @@ and from central finite differences otherwise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -31,6 +32,13 @@ class InverseStepError(RuntimeError):
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize a square matrix, or each matrix of a stack."""
     return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer >= low."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def from_fields(cls, doc: dict, what: str):

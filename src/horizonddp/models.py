@@ -523,9 +523,10 @@ class Obstacle:
     schedule: tuple = ()  # sequence of (duration, (vx, vy)) segments
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("obstacle radius must be > 0")
+        _check_positive(radius=self.radius, weight=self.weight)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not np.isfinite(self.center).all():
+            raise ValueError("obstacle center must be finite")
         object.__setattr__(
             self, "schedule",
             tuple((float(d), (float(v[0]), float(v[1]))) for d, v in self.schedule))
@@ -654,7 +655,7 @@ def obstacle_schedule_advance(model: PointMassNavModel,
     sees at that instant; schedules are kept for later advancement but the
     planner never consults them.
     """
-    if sim_time < 0:
+    if not sim_time >= 0:
         raise ValueError("sim_time must be >= 0")
     moved = tuple(
         Obstacle(center=tuple(np.asarray(o.center) + o.displacement(sim_time)),

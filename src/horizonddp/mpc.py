@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import ExpansionError, SystemModel
+from .model import ExpansionError, SystemModel, check_count
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import SolverConfig, optimize_trajectory
 from .trajectory import Trajectory, rollout_controls, initial_trajectory
@@ -32,6 +32,7 @@ class MpcConfig:
     def __post_init__(self):
         if self.step_limit < 1:
             raise ValueError("step limit must be >= 1")
+        check_count("inner_iterations", self.inner_iterations, 1)
 
 
 @dataclass

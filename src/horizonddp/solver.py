@@ -13,13 +13,14 @@ the quadratic model misprices is not tried again every pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
                        BackwardSweepError, backward_sweep)
-from .model import InverseStepError, SystemModel, from_fields
+from .model import InverseStepError, SystemModel, check_count, from_fields
 from .trajectory import Trajectory, trajectory_cost
 
 _FIXED_POINT_TOL = 1e-8
@@ -44,8 +45,12 @@ class SolverConfig:
         self.horizon_bounds = (int(t_min), int(t_max))
         if not (1 <= t_min <= t_max):
             raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
-        if self.window_s < 0:
-            raise ValueError("window_s must be >= 0")
+        check_count("window_s", self.window_s, 0)
+        check_count("max_iterations", self.max_iterations, 1)
+        for name in ("convergence_tol", "k_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,58 @@ def test_wrong_x0_size_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "missing config field: 'x0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_iterations", 2.5), ("window_s", float("nan"))])
+def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
+    # one error line naming the field, not a traceback
+    doc = di_solve_config()
+    doc["solver"][field] = value
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
+
+def test_unknown_top_level_key_exits_1(tmp_path, capsys):
+    for typo in ("initial_horizn", "step_limt"):
+        doc = {**di_solve_config(), typo: 40}
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert typo in capsys.readouterr().err
+    # a key that only another command reads is allowed: one config file
+    # serves every command
+    doc = {**di_solve_config(), "samples": 20, "sample_scale": 0.1,
+           "t_range": [20, 30], "step_limit": 50}
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    cfg = write_config(tmp_path, [1, 2])
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_runtime_loads_no_scipy():
+    # numpy is the only runtime dependency: a solve, an LQR sweep and the
+    # command line load no scipy module
+    script = """
+import sys
+import numpy as np
+import horizonddp as hd
+import horizonddp.cli
+m = hd.DoubleIntegratorModel()
+res = hd.optimize_trajectory(m, hd.initial_trajectory(m, np.ones(2), 10),
+                             hd.SolverConfig(horizon_bounds=(1, 20)))
+assert res.converged
+hd.lti_optimal_horizon(m.to_lti_problem((1, 20)), np.ones(2))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("model,name", [

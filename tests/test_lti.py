@@ -227,6 +227,9 @@ def test_ill_posed_step_reported():
     # the gain shares the step's factorization, and its error
     with pytest.raises(IllPosedStepError):
         lqr_gain(np.array([[-5.0]]), prob)
+    # numpy's Cholesky factors a NaN matrix without raising
+    with pytest.raises(IllPosedStepError, match="not finite"):
+        lqr_gain(np.array([[np.nan]]), prob)
     # Qf = -1e-11 passes as semidefinite to round-off, and a tinier R then
     # leaves R + B'QfB indefinite at the first step
     with pytest.raises(IllPosedStepError, match="steps-to-go 1"):

@@ -131,8 +131,9 @@ def test_cartpole_rejects_bad_params():
     (lambda v: QuadrotorModel(dt=v), "dt"),
     (lambda v: PointMassNavModel(dt=v), "dt"),
     (lambda v: Obstacle(center=(0.0, 0.0), radius=v), "radius"),
+    (lambda v: Obstacle(center=(0.0, 0.0), radius=1.0, weight=v), "weight"),
 ], ids=["integrator-dt", "quadrotor-mass", "quadrotor-inertia", "quadrotor-dt",
-        "nav-dt", "obstacle-radius"])
+        "nav-dt", "obstacle-radius", "obstacle-weight"])
 def test_model_params_reject_non_positive_and_nan(build, name):
     for value in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match=name):
@@ -232,8 +233,11 @@ def test_schedule_advance_hides_future_motion():
     assert moved.schedule == ()  # the planner can't see where it goes next
     # the original model keeps its schedule for later snapshots
     assert m.obstacles[0].schedule != ()
-    with pytest.raises(ValueError, match="sim_time"):
-        obstacle_schedule_advance(m, -1.0)
+    for sim_time in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="sim_time"):
+            obstacle_schedule_advance(m, sim_time)
+    with pytest.raises(ValueError, match="center"):
+        Obstacle(center=(np.nan, 0.0), radius=0.5)
 
 
 def test_nav_running_cost_includes_obstacles():

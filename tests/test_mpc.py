@@ -166,6 +166,10 @@ def test_config_and_mode_validation(rng):
     model, cfg = lq_mpc_setup(rng)
     with pytest.raises(ValueError):
         MpcConfig(solver=cfg.solver, step_limit=0)
+    # the replan budget becomes the solver's max_iterations
+    for budget in (0, 2.5):
+        with pytest.raises(ValueError, match="inner_iterations"):
+            MpcConfig(solver=cfg.solver, inner_iterations=budget)
     with pytest.raises(ValueError, match="mode"):
         run_episode(model, np.zeros(model.dim_x), cfg, mode="open-loop")
     with pytest.raises(ValueError, match="t_fixed"):

