@@ -184,8 +184,8 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     ``prefix`` is a (states, controls) pair of negative-time knots ordered
     t = -S..-1 (both may be empty).  The prefix and nominal knots are
     linearized in one stacked call; on factorization failure gamma is
-    escalated tenfold until it exceeds GAMMA_MAX, reusing that
-    linearization.
+    escalated tenfold, and from at least GAMMA_MIN, until it exceeds
+    GAMMA_MAX, reusing that linearization.
     """
     n, m = model.dim_x, model.dim_u
     pre_states, pre_controls = prefix
@@ -209,7 +209,7 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
             _sweep_once(costs, dyns, terminal, g, (V_xx, V_x, V_0, K, k))
             break
         except NeedsRegularization:
-            g *= 10.0
+            g = max(10.0 * g, GAMMA_MIN)
             if g > GAMMA_MAX:
                 raise BackwardSweepError(
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None

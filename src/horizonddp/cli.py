@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import check_derivatives
+from .model import check_count, check_derivatives
 from .models import make_model
 from .mpc import MpcConfig, run_episode
 from .oracle import bracketed_horizon, exhaustive_horizon
@@ -32,14 +32,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NONCONVERGED = 2
 
+# top-level keys that mpc passes to MpcConfig as they stand
+MPC_KEYS = ("inner_iterations", "noise_scale", "step_limit", "initial_horizon")
 # top-level config keys that some command reads: one config file may serve
 # every command, so a key only another command reads is not an error
 CONFIG_KEYS = frozenset({
     "model", "solver", "x0", "initial_horizon",      # solve and the rest
     "c_t_list", "oracle_margin",                      # sweep-ct
     "t_range",                                        # oracle
-    "inner_iterations", "noise_scale", "step_limit",  # mpc
-    "receding_horizon",
+    *MPC_KEYS, "receding_horizon",                    # mpc
     "samples", "sample_scale",                        # check
 })
 
@@ -79,8 +80,9 @@ def _build(cfg: dict, c_t=None):
 
 
 def _initial_horizon(cfg: dict, solver_cfg: SolverConfig) -> int:
-    return int(cfg.get("initial_horizon",
-                       sum(solver_cfg.horizon_bounds) // 2))
+    t0 = cfg.get("initial_horizon", sum(solver_cfg.horizon_bounds) // 2)
+    check_count("initial_horizon", t0, 1)
+    return t0
 
 
 def _cell(value):
@@ -155,7 +157,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
     c_t_list = _require(cfg, "c_t_list")
-    oracle_margin = int(cfg.get("oracle_margin", 25))
+    oracle_margin = cfg.get("oracle_margin", 25)
+    check_count("oracle_margin", oracle_margin, 1)
     rows = []
     all_ok = True
     for c_t in c_t_list:
@@ -187,8 +190,10 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
 def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
     model, solver_cfg, x0 = _build(cfg)
     t_range = _require(cfg, "t_range")
-    sweep = exhaustive_horizon(model, range(int(t_range[0]), int(t_range[1]) + 1),
-                               solver_cfg, x0)
+    t_lo, t_hi = t_range
+    check_count("t_range", t_lo, 1)
+    check_count("t_range", t_hi, t_lo)
+    sweep = exhaustive_horizon(model, range(t_lo, t_hi + 1), solver_cfg, x0)
     columns = ("T", "J", "iterations", "converged")
     _write_table(out / "horizon_sweep.csv", columns,
                  map(attrgetter(*columns), sweep.records))
@@ -219,20 +224,14 @@ def _episode_summary(model, log) -> dict:
 
 def cmd_mpc(cfg: dict, out: Path, seed: int) -> int:
     model, solver_cfg, x0 = _build(cfg)
-    mpc_cfg = MpcConfig(
-        solver=solver_cfg,
-        inner_iterations=int(cfg.get("inner_iterations", 5)),
-        noise_scale=float(cfg.get("noise_scale", 0.0)),
-        step_limit=int(cfg.get("step_limit", 500)),
-        seed=seed,
-        initial_horizon=cfg.get("initial_horizon"),
-    )
-    t_fixed = int(cfg.get("receding_horizon", 40))
+    mpc_cfg = MpcConfig(solver=solver_cfg, seed=seed, **{
+        key: cfg[key] for key in MPC_KEYS if key in cfg})
+    t_fixed = cfg.get("receding_horizon", 40)
+    check_count("receding_horizon", t_fixed, 2)
 
     logs = {
-        "optimal": run_episode(model, x0, mpc_cfg, mode="optimal-horizon"),
-        "receding": run_episode(model, x0, mpc_cfg, mode="receding-horizon",
-                                t_fixed=t_fixed),
+        "optimal": run_episode(model, x0, mpc_cfg),
+        "receding": run_episode(model, x0, mpc_cfg, t_fixed=t_fixed),
     }
 
     columns = ("sim_time", "planned_horizon", "solve_time", "running_cost",
@@ -252,7 +251,8 @@ def cmd_check(cfg: dict, out: Path, seed: int) -> int:
     model_cfg = _require(cfg, "model")
     model = make_model(dict(model_cfg))
     rng = np.random.default_rng(seed)
-    n_samples = int(cfg.get("samples", 100))
+    n_samples = cfg.get("samples", 100)
+    check_count("samples", n_samples, 1)
     scale = float(cfg.get("sample_scale", 0.3))
     samples = []
     while len(samples) < n_samples:

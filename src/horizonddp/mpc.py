@@ -1,14 +1,18 @@
 """Optimal-horizon model-predictive control loop.
 
 The episode loop follows the replan / apply / drop pattern: every step the
-previous plan (first knot dropped) warm-starts a budgeted solve against the
-current world snapshot, the first control is applied to the (possibly
-noisy) plant, and the episode ends once the planned horizon counts down to
-one.  A fixed receding-horizon baseline shares the same loop and logging.
+previous plan's controls (first knot dropped) are rolled out from the
+observed state to warm-start a budgeted solve against the current world
+snapshot, the first control is applied to the (possibly noisy) plant, and
+the episode ends once the planned horizon counts down to one.  Passing
+``t_fixed`` runs the fixed receding-horizon baseline through the same loop:
+every replan solves at that horizon, and the episode runs to the step limit.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +21,7 @@ import numpy as np
 from .model import ExpansionError, SystemModel, check_count
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import SolverConfig, optimize_trajectory
-from .trajectory import Trajectory, rollout_controls, initial_trajectory
+from .trajectory import rollout_controls, initial_trajectory
 
 
 @dataclass
@@ -30,9 +34,13 @@ class MpcConfig:
     initial_horizon: int | None = None
 
     def __post_init__(self):
-        if self.step_limit < 1:
-            raise ValueError("step limit must be >= 1")
         check_count("inner_iterations", self.inner_iterations, 1)
+        check_count("step_limit", self.step_limit, 1)
+        if self.initial_horizon is not None:
+            check_count("initial_horizon", self.initial_horizon, 1)
+        if not (isinstance(self.noise_scale, numbers.Real)
+                and 0 <= self.noise_scale < math.inf):
+            raise ValueError("noise_scale must be finite and >= 0")
 
 
 @dataclass
@@ -68,56 +76,56 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
     return model
 
 
-def mpc_step(plan: Trajectory, observed_x0, model_snapshot: SystemModel,
+def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
              cfg: MpcConfig, gamma: float):
-    """One budgeted replan from the shifted previous plan.
+    """One budgeted replan from the previous plan's remaining controls.
 
+    The controls, with the last one held up to the solver's lower horizon
+    bound, are rolled out from ``observed_x0`` to warm-start the solve.
     ``gamma`` is the regularization level carried from the previous step,
     so the schedule is not re-escalated from scratch every replan;
     ``info["gamma"]`` is the level to carry on.  Returns
-    (action, new_plan, new_horizon, info).  When the replan meets a numeric
-    failure (a non-finite expansion or state, or a failed factorization) the
-    previous plan's first action is applied and the step is flagged; any
-    other exception propagates.
+    (action, new_controls, new_horizon, info).  When the replan meets a
+    numeric failure (a non-finite expansion or state, or a failed
+    factorization) the first of the given controls is applied, they are
+    returned as the plan, and the step is flagged; any other exception
+    propagates.
     """
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
+    short = cfg.solver.horizon_bounds[0] - controls.shape[0]
+    if short > 0:
+        controls = np.pad(controls, ((0, short), (0, 0)), mode="edge")
     try:
-        warm = rollout_controls(model_snapshot, observed_x0, plan.controls)
+        warm = rollout_controls(model_snapshot, observed_x0, controls)
         result = optimize_trajectory(model_snapshot, warm, inner_cfg, gamma)
         info = {"iterations": result.iterations, "degraded": False,
                 "gamma": result.gamma_final}
-        new_plan = result.trajectory
-        return new_plan.controls[0], new_plan, new_plan.horizon, info
+        controls = result.trajectory.controls
     except (ExpansionError, FloatingPointError, np.linalg.LinAlgError):
         info = {"iterations": 0, "degraded": True, "gamma": gamma}
-        return plan.controls[0], plan, plan.horizon, info
-
-
-def _pad_controls(controls: np.ndarray, target: int) -> np.ndarray:
-    if controls.shape[0] >= target:
-        return controls[:target]
-    pad = np.tile(controls[-1], (target - controls.shape[0], 1))
-    return np.vstack([controls, pad])
+    return controls[0], controls, controls.shape[0], info
 
 
 def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
-                mode: str = "optimal-horizon",
                 t_fixed: int | None = None) -> EpisodeLog:
-    """Closed-loop episode in either optimal-horizon or receding mode.
+    """Closed-loop optimal-horizon episode, or the receding baseline.
 
-    Optimal-horizon mode terminates when the planned horizon reaches one;
-    the receding baseline replans with the fixed horizon every step and
+    Without ``t_fixed`` every replan chooses its horizon, and the episode
+    terminates when the planned horizon counts down to one.  With
+    ``t_fixed`` every solve uses that horizon, each replan holding the last
+    control to fill the knot the previous step dropped, so the episode
     always runs to the step limit.
     """
-    if mode not in ("optimal-horizon", "receding-horizon"):
-        raise ValueError(f"unknown mode {mode!r}")
-    receding = mode == "receding-horizon"
-    if receding and (t_fixed is None or t_fixed < 1):
-        raise ValueError("receding-horizon mode requires t_fixed >= 1")
-    if not receding and cfg.solver.horizon_bounds[0] > 1:
+    if t_fixed is not None:
+        # the controls left after the applied knot warm-start the next replan
+        check_count("t_fixed", t_fixed, 2)
+        cfg = replace(cfg, solver=replace(cfg.solver, window_s=0,
+                                          horizon_bounds=(t_fixed, t_fixed)))
+    elif cfg.solver.horizon_bounds[0] > 1:
         # the horizon counts down to one, and every replan below the lower
         # bound would fail
-        raise ValueError("optimal-horizon mode requires horizon_bounds[0] == 1")
+        raise ValueError("an optimal-horizon episode requires "
+                         "horizon_bounds[0] == 1")
 
     rng = np.random.default_rng(cfg.seed)
     dt = getattr(model, "dt", 1.0)
@@ -126,35 +134,22 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
 
     # initial computed trajectory: full-budget solve against the t=0 world
     snapshot = _snapshot(model, 0.0)
-    if receding:
-        solver_cfg = replace(cfg.solver, window_s=0,
-                             horizon_bounds=(t_fixed, t_fixed))
-        t0_horizon = t_fixed
-    else:
-        solver_cfg = cfg.solver
-        lo, hi = solver_cfg.horizon_bounds
-        t0_horizon = cfg.initial_horizon or (lo + hi) // 2
-    init = initial_trajectory(snapshot, x, t0_horizon)
-    first = optimize_trajectory(snapshot, init, solver_cfg)
-    plan, t_bar = first.trajectory, first.t_star
-    gamma = first.gamma_final
-
-    step_cfg = cfg if not receding else replace(cfg, solver=solver_cfg)
+    lo, hi = cfg.solver.horizon_bounds
+    init = initial_trajectory(snapshot, x,
+                              t_fixed or cfg.initial_horizon or (lo + hi) // 2)
+    first = optimize_trajectory(snapshot, init, cfg.solver)
+    controls, gamma = first.trajectory.controls, first.gamma_final
     sim_time = 0.0
 
     while len(log.steps) < cfg.step_limit:
-        if not receding and t_bar <= 1:
+        if t_fixed is None and controls.shape[0] <= 1:
             log.terminated = True
             break
         snapshot = _snapshot(model, sim_time)
-        if receding:
-            controls = _pad_controls(plan.controls, t_fixed)
-            plan = Trajectory(states=np.vstack([plan.states[:controls.shape[0]],
-                                                plan.states[-1:]]),
-                              controls=controls)
 
         tic = time.perf_counter()
-        action, plan, t_bar, info = mpc_step(plan, x, snapshot, step_cfg, gamma)
+        action, controls, t_bar, info = mpc_step(controls, x, snapshot, cfg,
+                                                 gamma)
         solve_time = time.perf_counter() - tic
         gamma = info["gamma"]
 
@@ -170,9 +165,8 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
         if cfg.noise_scale > 0.0:
             x = x + cfg.noise_scale * rng.standard_normal(x.shape)
 
-        # drop the applied knot and count the horizon down
-        plan = Trajectory(states=plan.states[1:], controls=plan.controls[1:])
-        t_bar -= 1
+        # drop the applied knot: the planned horizon counts down
+        controls = controls[1:]
         sim_time += dt
 
     log.final_state = x

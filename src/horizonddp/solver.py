@@ -42,9 +42,9 @@ class SolverConfig:
 
     def __post_init__(self):
         t_min, t_max = self.horizon_bounds
+        check_count("horizon_bounds", t_min, 1)
+        check_count("horizon_bounds", t_max, t_min)
         self.horizon_bounds = (int(t_min), int(t_max))
-        if not (1 <= t_min <= t_max):
-            raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
         check_count("window_s", self.window_s, 0)
         check_count("max_iterations", self.max_iterations, 1)
         for name in ("convergence_tol", "k_tol"):

@@ -158,12 +158,11 @@ def nav_scenario():
 
 def test_criterion_6_mpc_finite_termination():
     model, cfg = nav_scenario()
-    log = run_episode(model, np.zeros(4), cfg, mode="optimal-horizon")
+    log = run_episode(model, np.zeros(4), cfg)
     goal_dist = float(np.linalg.norm(log.final_state[:2] - model.goal))
     solve_ms = 1e3 * float(np.mean([r.solve_time for r in log.steps]))
     inner_max = max(r.inner_iterations for r in log.steps)
-    baseline = run_episode(model, np.zeros(4), cfg, mode="receding-horizon",
-                           t_fixed=40)
+    baseline = run_episode(model, np.zeros(4), cfg, t_fixed=40)
     print(f"\ncriterion 6: terminated={log.terminated} steps={log.steps_used} "
           f"goal_dist={goal_dist:.3f} mean_solve={solve_ms:.1f}ms "
           f"max_inner={inner_max} baseline_terminated={baseline.terminated}")

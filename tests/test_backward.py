@@ -15,7 +15,7 @@ from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
                         riccati_sweep, rollout_controls, value_recurrence,
                         ExpansionError, SolverConfig, Trajectory,
                         trajectory_cost)
-from horizonddp.backward import NeedsRegularization
+from horizonddp.backward import GAMMA_MIN, NeedsRegularization
 from test_model_api import CubicModel
 
 
@@ -228,6 +228,26 @@ def test_gamma_escalation_recovers_from_indefinite_quu():
     traj = initial_trajectory(m, np.array([1.0, 0.0]), 4)
     back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6)
     assert back.gamma_used >= 1.0  # escalated well past the initial floor
+
+
+def test_gamma_escalation_starts_from_floor_at_zero(monkeypatch):
+    # tenfold escalation of gamma = 0 would stay at 0 and never reach
+    # GAMMA_MAX; the first escalation lifts it to the floor instead
+    sweep_once = backward._sweep_once
+    calls = []
+
+    def fails_once(costs, dyns, terminal, gamma, out):
+        calls.append(gamma)
+        if len(calls) == 1:
+            raise NeedsRegularization("first sweep")
+        sweep_once(costs, dyns, terminal, gamma, out)
+
+    monkeypatch.setattr(backward, "_sweep_once", fails_once)
+    m = DoubleIntegratorModel()
+    traj = initial_trajectory(m, np.array([1.0, 0.0]), 4)
+    back = backward_sweep(m, traj, empty_prefix(m), gamma=0.0)
+    assert calls == [0.0, GAMMA_MIN]
+    assert back.gamma_used == GAMMA_MIN
 
 
 @pytest.mark.parametrize("model", [CartpoleModel(), CubicModel()])

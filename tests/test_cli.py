@@ -123,7 +123,8 @@ def test_wrong_x0_size_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("max_iterations", 2.5), ("window_s", float("nan"))])
+    ("max_iterations", 2.5), ("window_s", float("nan")),
+    ("horizon_bounds", [1.7, 120.9])])
 def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     # one error line naming the field, not a traceback
     doc = di_solve_config()
@@ -132,6 +133,23 @@ def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "initial_horizon", 40.5), ("sweep-ct", "oracle_margin", 2.5),
+    ("oracle", "t_range", [20, 30.5]), ("oracle", "t_range", [0, 3]),
+    ("check", "samples", 2.5), ("mpc", "initial_horizon", 40.5),
+    ("mpc", "step_limit", 2.5), ("mpc", "inner_iterations", 2.5),
+    ("mpc", "noise_scale", -1.0), ("mpc", "receding_horizon", 40.5)])
+def test_bad_top_level_value_exits_1(tmp_path, capsys, command, key, value):
+    # counts are rejected by name, never truncated; mpc passes its keys to
+    # MpcConfig as they stand
+    doc = {**di_solve_config(), "c_t_list": [0.02], "t_range": [20, 22],
+           key: value}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
 
 
 def test_unknown_top_level_key_exits_1(tmp_path, capsys):

@@ -62,8 +62,7 @@ def test_starting_at_goal_terminates_immediately(rng):
 def test_receding_baseline_never_terminates(rng):
     model, cfg = lq_mpc_setup(rng)
     cfg.step_limit = 40
-    log = run_episode(model, rng.standard_normal(model.dim_x), cfg,
-                      mode="receding-horizon", t_fixed=20)
+    log = run_episode(model, rng.standard_normal(model.dim_x), cfg, t_fixed=20)
     assert not log.terminated
     assert log.steps_used == 40
     assert all(rec.planned_horizon == 20 for rec in log.steps)
@@ -98,8 +97,8 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
         raise ExpansionError("solver knocked out")
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", boom)
-    action, new_plan, t_bar, info = mpc_step(plan, np.ones(model.dim_x),
-                                             model, cfg, GAMMA_MIN)
+    action, new_controls, t_bar, info = mpc_step(
+        plan.controls, np.ones(model.dim_x), model, cfg, GAMMA_MIN)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, plan.controls[0])
     assert t_bar == plan.horizon
@@ -107,28 +106,63 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
 
 def test_nan_observed_state_is_a_degraded_step():
     model = PointMassNavModel()
-    plan = initial_trajectory(model, np.zeros(4), 10)
+    controls = initial_trajectory(model, np.zeros(4), 10).controls
     cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 20), window_s=3))
     with np.errstate(invalid="ignore"):
-        action, new_plan, t_bar, info = mpc_step(
-            plan, np.full(4, np.nan), model, cfg, GAMMA_MIN)
+        action, new_controls, t_bar, info = mpc_step(
+            controls, np.full(4, np.nan), model, cfg, GAMMA_MIN)
     assert info["degraded"] and info["iterations"] == 0
-    npt.assert_array_equal(action, plan.controls[0])
-    assert new_plan is plan and t_bar == plan.horizon
+    npt.assert_array_equal(action, controls[0])
+    assert new_controls is controls and t_bar == controls.shape[0]
+
+
+def test_replan_holds_last_control_up_to_lower_bound(rng, monkeypatch):
+    # the receding pad: five controls warm-start a solve fixed at eight
+    model, cfg = lq_mpc_setup(rng)
+    cfg.solver = SolverConfig(horizon_bounds=(8, 8), window_s=0)
+    controls = rng.standard_normal((5, model.dim_u))
+    x = rng.standard_normal(model.dim_x)
+    warm_starts = []
+
+    def recording(model, initial, cfg, gamma=GAMMA_MIN):
+        warm_starts.append(initial)
+        return optimize_trajectory(model, initial, cfg, gamma)
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
+    action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg,
+                                                 GAMMA_MIN)
+    (warm,) = warm_starts
+    npt.assert_array_equal(warm.states[0], x)
+    npt.assert_array_equal(warm.controls[:5], controls)
+    npt.assert_array_equal(warm.controls[5:], np.tile(controls[-1], (3, 1)))
+    assert not info["degraded"]
+    assert t_bar == new_controls.shape[0] == 8
+    npt.assert_array_equal(action, new_controls[0])
+
+    def knocked_out(*args, **kwargs):
+        raise ExpansionError("solver knocked out")
+
+    # a degraded replan returns the padded controls as the plan
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", knocked_out)
+    action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg,
+                                                 GAMMA_MIN)
+    assert info["degraded"] and t_bar == 8
+    npt.assert_array_equal(new_controls, warm.controls)
+    npt.assert_array_equal(action, controls[0])
 
 
 @pytest.mark.parametrize("error", [TypeError, ValueError, RuntimeError])
 def test_non_numeric_replan_error_propagates(rng, monkeypatch, error):
     # a bug in the replan is raised, not hidden as a degraded step
     model, cfg = lq_mpc_setup(rng)
-    plan = initial_trajectory(model, np.ones(model.dim_x), 20)
+    controls = initial_trajectory(model, np.ones(model.dim_x), 20).controls
 
     def bug(*args, **kwargs):
         raise error("not a numeric failure")
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", bug)
     with pytest.raises(error):
-        mpc_step(plan, np.ones(model.dim_x), model, cfg, GAMMA_MIN)
+        mpc_step(controls, np.ones(model.dim_x), model, cfg, GAMMA_MIN)
 
 
 def test_gamma_carries_between_steps(monkeypatch):
@@ -170,11 +204,16 @@ def test_config_and_mode_validation(rng):
     for budget in (0, 2.5):
         with pytest.raises(ValueError, match="inner_iterations"):
             MpcConfig(solver=cfg.solver, inner_iterations=budget)
-    with pytest.raises(ValueError, match="mode"):
-        run_episode(model, np.zeros(model.dim_x), cfg, mode="open-loop")
-    with pytest.raises(ValueError, match="t_fixed"):
-        run_episode(model, np.zeros(model.dim_x), cfg,
-                    mode="receding-horizon")
+    for field, value in [("step_limit", 2.5), ("initial_horizon", 0),
+                         ("initial_horizon", 40.5), ("noise_scale", -1.0),
+                         ("noise_scale", np.nan), ("noise_scale", np.inf)]:
+        with pytest.raises(ValueError, match=field):
+            MpcConfig(solver=cfg.solver, **{field: value})
+    # the receding baseline drops one knot per step and holds the last
+    # control, so it needs at least two
+    for t_fixed in (0, 1, 2.5):
+        with pytest.raises(ValueError, match="t_fixed"):
+            run_episode(model, np.zeros(model.dim_x), cfg, t_fixed=t_fixed)
     # the horizon counts down to one, below a lower bound above one
     with pytest.raises(ValueError, match="horizon_bounds"):
         run_episode(model, np.zeros(model.dim_x), MpcConfig(

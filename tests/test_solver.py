@@ -46,7 +46,11 @@ def test_config_validation():
                          ("max_iterations", 0), ("max_iterations", True),
                          ("convergence_tol", np.nan),
                          ("convergence_tol", np.inf), ("k_tol", -1.0),
-                         ("k_tol", "1e-6")]:
+                         ("k_tol", "1e-6"),
+                         ("horizon_bounds", (1.7, 120.9)),
+                         ("horizon_bounds", (1, 120.5)),
+                         ("horizon_bounds", (0, 5)),
+                         ("horizon_bounds", (6, 5))]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
     # regularization and the trust radius are solver state, not knobs

@@ -7,7 +7,8 @@ Imports ``horizonddp`` from ``<tree>/src`` and runs:
   initial horizon 150);
 - the quadrotor solve of acceptance criterion 5;
 - the second-order (DDP) cartpole solve at c_t = 10;
-- the criterion-6 navigation episode, optimal-horizon and receding-horizon.
+- the criterion-6 navigation episode, optimal-horizon and as the receding
+  baseline at t_fixed = 40.
 
 The digest covers every trajectory, cost, trace record and candidate, and
 every MPC step record except its wall-clock solve time, so two trees with
@@ -103,10 +104,9 @@ def _runs(hd):
                              k_tol=1e-3)
     cfg = hd.MpcConfig(solver=solver, inner_iterations=5, noise_scale=0.01,
                        step_limit=200, seed=0, initial_horizon=40)
-    yield "nav optimal-horizon", hd.run_episode(
-        model, np.zeros(4), cfg, mode="optimal-horizon")
-    yield "nav receding-horizon", hd.run_episode(
-        model, np.zeros(4), cfg, mode="receding-horizon", t_fixed=40)
+    yield "nav optimal-horizon", hd.run_episode(model, np.zeros(4), cfg)
+    yield "nav receding-horizon", hd.run_episode(model, np.zeros(4), cfg,
+                                                 t_fixed=40)
 
 
 def _summary(result) -> str:
