@@ -8,6 +8,7 @@ and from central finite differences otherwise.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
 
@@ -39,6 +40,12 @@ def check_count(name: str, value, low: int) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < low):
         raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite real >= 0."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def from_fields(cls, doc: dict, what: str):

@@ -11,14 +11,13 @@ every replan solves at that horizon, and the episode runs to the step limit.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import ExpansionError, SystemModel, check_count
+from .model import (ExpansionError, SystemModel, check_count,
+                    check_nonnegative)
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import SolverConfig, optimize_trajectory
 from .trajectory import rollout_controls, initial_trajectory
@@ -38,9 +37,7 @@ class MpcConfig:
         check_count("step_limit", self.step_limit, 1)
         if self.initial_horizon is not None:
             check_count("initial_horizon", self.initial_horizon, 1)
-        if not (isinstance(self.noise_scale, numbers.Real)
-                and 0 <= self.noise_scale < math.inf):
-            raise ValueError("noise_scale must be finite and >= 0")
+        check_nonnegative("noise_scale", self.noise_scale)
 
 
 @dataclass
