@@ -14,6 +14,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import numbers
 import sys
 import time
 from operator import attrgetter, itemgetter
@@ -253,7 +255,10 @@ def cmd_check(cfg: dict, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 100)
     check_count("samples", n_samples, 1)
-    scale = float(cfg.get("sample_scale", 0.3))
+    scale = cfg.get("sample_scale", 0.3)
+    # a non-finite scale draws no admissible state, so sampling never ends
+    if not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
+        raise ValueError("sample_scale must be finite and > 0")
     samples = []
     while len(samples) < n_samples:
         x = scale * rng.standard_normal(model.dim_x)

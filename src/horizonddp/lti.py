@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import sym
+from .model import check_count, sym
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -63,6 +63,8 @@ class LtiProblem:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, M)
         t_min, t_max = self.horizon_bounds
+        check_count("horizon_bounds", t_min, 1)
+        check_count("horizon_bounds", t_max, t_min)
         object.__setattr__(self, "horizon_bounds", (int(t_min), int(t_max)))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
@@ -72,8 +74,6 @@ class LtiProblem:
         _check_weight(self.Q, "Q", semidefinite=True)
         _check_weight(self.Qf, "Qf", semidefinite=True)
         _check_weight(self.R, "R", semidefinite=False)
-        if not (1 <= self.horizon_bounds[0] <= self.horizon_bounds[1]):
-            raise ValueError("horizon bounds must satisfy 1 <= t_min <= t_max")
         if not self.c_t >= 0:
             raise ValueError("c_t must be >= 0")
 

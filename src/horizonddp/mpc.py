@@ -4,13 +4,16 @@ The episode loop follows the replan / apply / drop pattern: every step the
 previous plan's controls (first knot dropped) are rolled out from the
 observed state to warm-start a budgeted solve against the current world
 snapshot, the first control is applied to the (possibly noisy) plant, and
-the episode ends once the planned horizon counts down to one.  Passing
-``t_fixed`` runs the fixed receding-horizon baseline through the same loop:
-every replan solves at that horizon, and the episode runs to the step limit.
+the episode ends once the planned horizon counts down to one.  Each replan
+starts from the regularization and horizon trust radius the previous solve
+ended on.  Passing ``t_fixed`` runs the fixed receding-horizon baseline
+through the same loop: every replan solves at that horizon, and the episode
+runs to the step limit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -74,14 +77,16 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
 
 
 def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
-             cfg: MpcConfig, gamma: float):
+             cfg: MpcConfig, gamma: float, radius: float = math.inf):
     """One budgeted replan from the previous plan's remaining controls.
 
     The controls, with the last one held up to the solver's lower horizon
     bound, are rolled out from ``observed_x0`` to warm-start the solve.
-    ``gamma`` is the regularization level carried from the previous step,
-    so the schedule is not re-escalated from scratch every replan;
-    ``info["gamma"]`` is the level to carry on.  Returns
+    ``gamma`` and ``radius`` are the regularization level and horizon trust
+    radius carried from the previous step, so neither is re-learned from
+    scratch every replan; ``info["gamma"]`` and ``info["radius"]`` are the
+    levels to carry on, and ``info["iterations"]`` and ``info["degraded"]``
+    describe the replan.  Returns
     (action, new_controls, new_horizon, info).  When the replan meets a
     numeric failure (a non-finite expansion or state, or a failed
     factorization) the first of the given controls is applied, they are
@@ -94,12 +99,14 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
         controls = np.pad(controls, ((0, short), (0, 0)), mode="edge")
     try:
         warm = rollout_controls(model_snapshot, observed_x0, controls)
-        result = optimize_trajectory(model_snapshot, warm, inner_cfg, gamma)
+        result = optimize_trajectory(model_snapshot, warm, inner_cfg, gamma,
+                                     radius)
         info = {"iterations": result.iterations, "degraded": False,
-                "gamma": result.gamma_final}
+                "gamma": result.gamma_final, "radius": result.radius_final}
         controls = result.trajectory.controls
     except (ExpansionError, FloatingPointError, np.linalg.LinAlgError):
-        info = {"iterations": 0, "degraded": True, "gamma": gamma}
+        info = {"iterations": 0, "degraded": True, "gamma": gamma,
+                "radius": radius}
     return controls[0], controls, controls.shape[0], info
 
 
@@ -135,7 +142,8 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     init = initial_trajectory(snapshot, x,
                               t_fixed or cfg.initial_horizon or (lo + hi) // 2)
     first = optimize_trajectory(snapshot, init, cfg.solver)
-    controls, gamma = first.trajectory.controls, first.gamma_final
+    controls = first.trajectory.controls
+    gamma, radius = first.gamma_final, first.radius_final
     sim_time = 0.0
 
     while len(log.steps) < cfg.step_limit:
@@ -146,9 +154,9 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
 
         tic = time.perf_counter()
         action, controls, t_bar, info = mpc_step(controls, x, snapshot, cfg,
-                                                 gamma)
+                                                 gamma, radius)
         solve_time = time.perf_counter() - tic
-        gamma = info["gamma"]
+        gamma, radius = info["gamma"], info["radius"]
 
         running = snapshot.running_cost(x, action)
         log.steps.append(StepRecord(

@@ -7,7 +7,10 @@ state, picks the cheapest admissible horizon, and rolls the shifted policy
 forward under a backtracking line search.  Only regularization and a trust
 radius on the pricing adapt along the solve: a rejected shifted horizon
 sets the radius to half that candidate's initial-state gap, so a horizon
-the quadratic model misprices is not tried again every pass.
+the quadratic model misprices is not tried again every pass.  Both are
+returned, so an MPC replan starts from where the previous solve ended; a
+carried radius first regrows by ``_RADIUS_REGROWTH``, so one bad replan
+cannot freeze the horizon for the rest of an episode.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ _FIXED_POINT_TOL = 1e-8
 _EXACT_MODEL_RTOL = 1e-12
 # line search: step sizes 1, 1/2, 1/4, ... down to a 1e-3 floor
 _STEP_SIZES = tuple(0.5 ** i for i in range(10))
+# a solve started from a carried trust radius first widens it by this factor
+_RADIUS_REGROWTH = 1.25
 
 
 @dataclass
@@ -92,7 +97,8 @@ class SolverResult:
     "line_search_failure" when no step lowered the cost with regularization
     at its ceiling.  ``converged`` is ``status == "converged"``.  Along the
     solve only regularization and the trust radius adapt; every pass prices
-    the same ``window_s``.
+    the same ``window_s``.  ``gamma_final`` and ``radius_final`` are the
+    levels the solve ended on, for a warm-started replan to start from.
     """
 
     trajectory: Trajectory
@@ -103,6 +109,7 @@ class SolverResult:
     status: str
     trace: list = field(default_factory=list)
     gamma_final: float = 0.0
+    radius_final: float = math.inf
 
 
 class Prefix:
@@ -234,7 +241,8 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
 
 def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         cfg: SolverConfig,
-                        gamma: float = GAMMA_MIN) -> SolverResult:
+                        gamma: float = GAMMA_MIN,
+                        radius: float = math.inf) -> SolverResult:
     """Outer loop: sweep, select horizon, line-searched forward pass.
 
     Iterations count outer passes (one backward sweep each).  Convergence
@@ -245,19 +253,24 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
     ``gamma`` is the Q_uu regularization the first sweep starts from; a
     warm-started replan passes the previous solve's ``gamma_final``.  The
-    first sweep raises ValueError unless it is finite and >= 0.
+    first sweep raises ValueError unless it is finite and >= 0.  ``radius``
+    is the horizon trust radius on the initial-state gap, which rejected
+    shifted tries shrink and accepted ones widen; a replan passes the
+    previous solve's ``radius_final``, widened once by ``_RADIUS_REGROWTH``
+    here.  The default, infinity, stays infinite.  It must be > 0, or no
+    horizon would be admissible.
     """
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):
         raise ValueError("initial horizon outside bounds")
+    if not radius > 0:
+        raise ValueError(f"radius must be > 0, got {radius!r}")
     initial.assert_consistent(model)
 
     traj = initial
     t_bar = traj.horizon
     J = trajectory_cost(model, traj)
-    # trust radius on the initial-state gap, adapted by shifted tries; it
-    # lives for this solve only
-    radius = math.inf
+    radius *= _RADIUS_REGROWTH
     trace: list = []
     status = "max_iterations"
     iterations = 0
@@ -346,4 +359,4 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     return SolverResult(trajectory=traj, t_star=t_bar, cost=J,
                         iterations=iterations,
                         converged=status == "converged", status=status,
-                        trace=trace, gamma_final=gamma)
+                        trace=trace, gamma_final=gamma, radius_final=radius)

@@ -216,6 +216,24 @@ def test_check_command_reports_clean_model(tmp_path, capsys):
     assert "f_x" in out_text and "FAIL" not in out_text
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, "0.3"])
+def test_check_rejects_bad_sample_scale(tmp_path, scale):
+    # a subprocess with a timeout: a NaN scale once made sampling loop
+    # forever, as no non-finite state is admissible
+    cfg = write_config(tmp_path, {
+        "model": {"model": "double_integrator"}, "samples": 3,
+        "sample_scale": scale})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "horizonddp.cli", "check", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 1
+    assert out.stderr == "error: sample_scale must be finite and > 0\n"
+
+
 def test_oracle_command(tmp_path):
     doc = di_solve_config()
     doc["t_range"] = [20, 30]

@@ -210,7 +210,9 @@ def test_validation_rejects_bad_data():
         ({"A": np.ones((2, 3))}, "A must be square"),
         ({"B": np.ones((3, 1))}, "B row count"),
         ({"A": [[1.0, np.inf], [0.0, 1.0]]}, "A must be finite"),
-        ({"horizon_bounds": (5, 1)}, "horizon bounds"),
+        ({"horizon_bounds": (5, 1)}, "horizon_bounds must be an integer"),
+        ({"horizon_bounds": (1.7, 5.9)}, "horizon_bounds must be an integer"),
+        ({"horizon_bounds": (1, 5.5)}, "horizon_bounds must be an integer"),
         ({"c_t": -1.0}, "c_t"),
         ({"c_t": np.nan}, "c_t"),
     ]:

@@ -1,5 +1,7 @@
 """Closed-loop episode driver: termination, determinism, degraded steps."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from horizonddp import (ExpansionError, MpcConfig, PointMassNavModel,
                         SolverConfig, initial_trajectory, mpc_step,
                         optimize_trajectory, run_episode)
 import horizonddp.mpc as mpc_mod
+import horizonddp.solver as solver_mod
 from horizonddp.backward import GAMMA_MIN
 from test_acceptance import nav_scenario
 
@@ -124,9 +127,9 @@ def test_replan_holds_last_control_up_to_lower_bound(rng, monkeypatch):
     x = rng.standard_normal(model.dim_x)
     warm_starts = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN):
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
         warm_starts.append(initial)
-        return optimize_trajectory(model, initial, cfg, gamma)
+        return optimize_trajectory(model, initial, cfg, gamma, radius)
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
     action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg,
@@ -171,8 +174,8 @@ def test_gamma_carries_between_steps(monkeypatch):
     model, cfg = nav_scenario()
     solves = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN):
-        result = optimize_trajectory(model, initial, cfg, gamma)
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
+        result = optimize_trajectory(model, initial, cfg, gamma, radius)
         solves.append((gamma, result.gamma_final))
         return result
 
@@ -183,6 +186,63 @@ def test_gamma_carries_between_steps(monkeypatch):
     starts = [gamma for gamma, _ in solves[1:]]
     assert starts == [final for _, final in solves[:-1]]
     assert sum(gamma > GAMMA_MIN for gamma in starts) >= len(starts) // 2
+
+
+def test_trust_radius_carries_between_steps(monkeypatch):
+    # each replan starts from the trust radius the previous solve ended on,
+    # widened once by the regrowth factor before its first pricing
+    model, cfg = nav_scenario()
+    solves = []
+
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
+        result = optimize_trajectory(model, initial, cfg, gamma, radius)
+        cap = solver_mod._default_trust_radius(initial)
+        solves.append((radius, result, cap))
+        return result
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
+    log = run_episode(model, np.zeros(4), cfg)
+    assert not any(rec.degraded for rec in log.steps)
+    assert len(solves) == log.steps_used + 1
+    assert solves[0][0] == math.inf
+    starts = [radius for radius, _, _ in solves[1:]]
+    assert starts == [result.radius_final for _, result, _ in solves[:-1]]
+    for radius, result, cap in solves:
+        assert result.trace[0]["trust_radius"] == min(
+            cap, radius * solver_mod._RADIUS_REGROWTH)
+    assert any(radius < math.inf for radius in starts)
+
+
+def test_carried_radius_regrows_after_rejected_replans(monkeypatch):
+    # the first replans reject every shifted try, which shrinks the carried
+    # radius; the regrowth at each solve start lets a later replan admit
+    # a horizon whose gap lies beyond the shrunk radius again
+    model, cfg = nav_scenario()
+    bad_replans = 8
+    solves = []
+    rollout = solver_mod.rollout
+
+    def rejecting(model, back, t0, alpha, x0):
+        if t0 != 0 and 1 <= len(solves) <= bad_replans:
+            return None, math.inf
+        return rollout(model, back, t0=t0, alpha=alpha, x0=x0)
+
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
+        result = optimize_trajectory(model, initial, cfg, gamma, radius)
+        solves.append(result)
+        return result
+
+    monkeypatch.setattr(solver_mod, "rollout", rejecting)
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
+    log = run_episode(model, np.zeros(4), cfg)
+    assert not any(rec.degraded for rec in log.steps)
+    bad = solves[1:bad_replans + 1]
+    assert any(rec["rejected"] for result in bad for rec in result.trace)
+    shrunk = min(result.radius_final for result in bad)
+    assert shrunk < math.inf
+    assert any(cand.admissible and cand.gap > shrunk
+               for result in solves[bad_replans + 1:]
+               for rec in result.trace for cand in rec["candidates"])
 
 
 def test_log_serialization(rng):

@@ -70,6 +70,25 @@ def test_gamma_argument_rejects_nan_negative_and_inf():
                                 gamma=gamma)
 
 
+def test_radius_argument_regrows_once_and_is_returned():
+    # a carried radius widens by the regrowth factor before the first
+    # pass only; a zero radius would shut out T-bar, and NaN admits nothing
+    m = DoubleIntegratorModel()
+    init = initial_trajectory(m, np.array([1.0, 0.0]), 10)
+    cfg = SolverConfig(horizon_bounds=(1, 20))
+    for radius in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="radius"):
+            optimize_trajectory(m, init, cfg, radius=radius)
+    res = optimize_trajectory(m, init, cfg, radius=0.4)
+    assert res.trace[0]["trust_radius"] == 0.4 * solver_mod._RADIUS_REGROWTH
+    # the last pass accepted a shift and doubled the radius it priced with
+    last = res.trace[-1]
+    assert last["accepted"] and last["t_star"] != last["t_bar"]
+    assert res.radius_final == 2.0 * last["trust_radius"]
+    # infinity, the one-shot default, stays infinite
+    assert optimize_trajectory(m, init, cfg).radius_final == np.inf
+
+
 def test_config_from_json_rejects_unknown_fields():
     cfg = SolverConfig.from_json({"window_s": 4, "horizon_bounds": [2, 9]})
     assert cfg.window_s == 4 and cfg.horizon_bounds == (2, 9)
