@@ -9,6 +9,7 @@ do not depend on each other, and a regularization retry reuses them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,10 @@ def q_expansion(cost, dyn, nxt: ValueExpansion) -> QExpansion:
     """
     fx, fu = dyn.f_x, dyn.f_u
     Vxx, Vx = nxt.V_xx, nxt.V_x
+    fu_Vxx = fu.T @ Vxx
     Q_xx = cost.l_xx + fx.T @ Vxx @ fx
-    Q_ux = cost.l_ux + fu.T @ Vxx @ fx
-    Q_uu = cost.l_uu + fu.T @ Vxx @ fu
+    Q_ux = cost.l_ux + fu_Vxx @ fx
+    Q_uu = cost.l_uu + fu_Vxx @ fu
     Q_x = cost.l_x + fx.T @ Vx
     Q_u = cost.l_u + fu.T @ Vx
     Q_0 = cost.l + nxt.V_0
@@ -110,11 +112,11 @@ def q_expansion(cost, dyn, nxt: ValueExpansion) -> QExpansion:
 def _min_eig(M: np.ndarray) -> float:
     # closed forms for the common tiny control dimensions
     if M.shape[0] == 1:
-        return float(M[0, 0])
+        return M.item()
     if M.shape[0] == 2:
-        half_tr = 0.5 * (M[0, 0] + M[1, 1])
-        disc = (0.5 * (M[0, 0] - M[1, 1])) ** 2 + M[0, 1] * M[1, 0]
-        return float(half_tr - np.sqrt(max(disc, 0.0)))
+        (a, b), (c, d) = M.tolist()
+        disc = (0.5 * (a - d)) ** 2 + b * c
+        return 0.5 * (a + d) - math.sqrt(max(disc, 0.0))
     return float(np.linalg.eigvalsh(M)[0])
 
 
@@ -132,16 +134,37 @@ def regularize(q: QExpansion, gamma: float) -> QExpansion:
                       Q_x=q.Q_x, Q_u=q.Q_u, Q_0=q.Q_0)
 
 
+def _neg_inverse(Q_uu: np.ndarray) -> np.ndarray:
+    """-Q_uu^-1 of a 1x1 or 2x2 Q_uu in closed form, reading its lower
+    triangle as Cholesky does; raises NeedsRegularization unless Q_uu is
+    positive definite, which a NaN entry is not."""
+    if Q_uu.shape[0] == 1:
+        a = det = Q_uu.item()
+        neg_adj = [[-1.0]]
+    else:
+        (a, _), (b, d) = Q_uu.tolist()
+        det = a * d - b * b
+        neg_adj = [[-d, b], [b, -a]]
+    if not (a > 0 and det > 0):
+        raise NeedsRegularization("Q_uu is not positive definite")
+    return np.array(neg_adj) / det
+
+
 def value_recurrence(q: QExpansion):
     """Minimize the Q model over the control to get (value, K, k)."""
-    # the Cholesky factor only tests definiteness: numpy has no triangular
-    # solve, so the small (m <= 4) system is factored again to solve it
-    try:
-        np.linalg.cholesky(q.Q_uu)
-    except np.linalg.LinAlgError:
-        raise NeedsRegularization("Q_uu is not positive definite") from None
-    sol = np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
-    K, k = -sol[:, :-1], -sol[:, -1]
+    # closed forms for the common tiny control dimensions, as in _min_eig
+    if q.Q_uu.shape[0] <= 2:
+        neg_inv = _neg_inverse(q.Q_uu)
+        K, k = neg_inv @ q.Q_ux, neg_inv @ q.Q_u
+    else:
+        # the Cholesky factor only tests definiteness: numpy has no
+        # triangular solve, so the small system is factored again to solve it
+        try:
+            np.linalg.cholesky(q.Q_uu)
+        except np.linalg.LinAlgError:
+            raise NeedsRegularization("Q_uu is not positive definite") from None
+        sol = np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
+        K, k = -sol[:, :-1], -sol[:, -1]
     V_xx = sym(q.Q_xx + q.Q_ux.T @ K)           # Q_xx - Q_ux' Quu^-1 Q_ux
     V_x = q.Q_x + q.Q_ux.T @ k                  # Q_x - Q_ux' Quu^-1 Q_u
     V_0 = q.Q_0 + 0.5 * float(q.Q_u @ k)        # Q_0 - 0.5 Q_u' Quu^-1 Q_u
@@ -171,7 +194,7 @@ def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
         q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
         nxt, K[i], k[i] = value_recurrence(q)
         # a diverging recursion only gets worse; escalate gamma right away
-        if not np.isfinite(nxt.V_0) or np.max(np.abs(nxt.V_xx)) > 1e12:
+        if not math.isfinite(nxt.V_0) or abs(nxt.V_xx).max() > 1e12:
             raise NeedsRegularization("value recursion diverged")
         V_xx[i], V_x[i], V_0[i] = nxt.V_xx, nxt.V_x, nxt.V_0
 

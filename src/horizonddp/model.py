@@ -286,6 +286,18 @@ def _dynamics_jacobians_any(model: SystemModel, x, u):
     return np.asarray(f_x, dtype=float), np.asarray(f_u, dtype=float)
 
 
+def running_costs(model: SystemModel, states, controls) -> list:
+    """Running cost of each knot of states (N, n) and controls (N, m), as
+    floats in knot order: one stacked call when the model declares
+    ``stacked_derivatives``, one call per knot otherwise.  Callers add them
+    up with ``+=`` in knot order: ``sum()`` compensates its rounding from
+    Python 3.12 on, which would move the total's last bits."""
+    if model.stacked_derivatives:
+        return np.asarray(model.running_cost(states, controls),
+                          dtype=float).tolist()
+    return [model.running_cost(x, u) for x, u in zip(states, controls)]
+
+
 # ---------------------------------------------------------------------------
 # expansions
 # ---------------------------------------------------------------------------

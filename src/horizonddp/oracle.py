@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import SystemModel
+from .model import SystemModel, check_count
 from .solver import SolverConfig, optimize_trajectory
 from .trajectory import initial_trajectory
 
@@ -35,8 +35,7 @@ class HorizonSweepResult:
 def fixed_horizon_ddp(model: SystemModel, T: int, cfg: SolverConfig, x0):
     """DDP with horizon selection disabled: S = 0 and bounds (T, T),
     cold-started from x0."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    check_count("T", T, 1)
     fixed_cfg = replace(cfg, window_s=0, horizon_bounds=(T, T))
     result = optimize_trajectory(model, initial_trajectory(model, x0, T),
                                  fixed_cfg)
@@ -62,10 +61,13 @@ def exhaustive_horizon(model: SystemModel, t_range, cfg: SolverConfig,
                        x0) -> HorizonSweepResult:
     """fixed_horizon_ddp per T; argmin over converged entries, ties toward
     the smaller horizon.  Each solve is cold-started for independence."""
-    t_values = sorted(set(int(t) for t in t_range))
+    t_values = list(t_range)
     if not t_values:
         raise ValueError("non-empty horizon range required")
-    return _argmin([_solve_horizon(model, T, cfg, x0) for T in t_values])
+    for t in t_values:
+        check_count("t_range", t, 1)
+    return _argmin([_solve_horizon(model, T, cfg, x0)
+                    for T in sorted({int(t) for t in t_values})])
 
 
 def bracketed_horizon(model: SystemModel, cfg: SolverConfig, x0,
@@ -74,8 +76,8 @@ def bracketed_horizon(model: SystemModel, cfg: SolverConfig, x0,
     the argmin lands on an edge that the bounds do not fix, the bracket
     widens by margin on both sides.  Each horizon is solved once: the
     cold-started solves are deterministic, so a widening reuses them."""
-    if margin < 1:
-        raise ValueError("margin must be >= 1")
+    check_count("t_center", t_center, 1)
+    check_count("margin", margin, 1)
     t_min, t_max = cfg.horizon_bounds
     lo, hi = max(t_min, t_center - margin), min(t_max, t_center + margin)
     solved = {}

@@ -23,7 +23,7 @@ import numpy as np
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
                        BackwardSweepError, backward_sweep)
 from .model import (InverseStepError, SystemModel, check_count,
-                    check_nonnegative, from_fields)
+                    check_nonnegative, from_fields, running_costs)
 from .trajectory import Trajectory, trajectory_cost
 
 _FIXED_POINT_TOL = 1e-8
@@ -176,14 +176,20 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds,
     """
     S = back.prefix_len
     t_bar = back.controls.shape[0] - S
-    x0 = back.states[S]
     t_min, t_max = horizon_bounds
+    horizons = range(max(t_min, t_bar - S), min(t_max, t_bar + S) + 1)
+    # rows g = t0 + S of the candidates; these batched products of row
+    # vectors round as ValueExpansion.evaluate and np.linalg.norm do on one
+    rows = t_bar + S - np.array(horizons, dtype=int)
+    dx = back.states[S] - back.states[rows]
+    col = dx[:, :, None]
+    quad = ((0.5 * dx)[:, None] @ back.V_xx[rows] @ col)[:, 0, 0]
+    lin = (back.V_x[rows][:, None] @ col)[:, 0, 0]
+    prices = (quad + lin + back.V_0[rows]).tolist()
+    gaps = np.sqrt((dx[:, None] @ col)[:, 0, 0]).tolist()
     out = []
-    for T in range(max(t_min, t_bar - S), min(t_max, t_bar + S) + 1):
+    for T, J_T, gap in zip(horizons, prices, gaps):
         t0 = t_bar - T
-        dx = x0 - back.states[t0 + S]
-        J_T = back.value_at(t0).evaluate(dx)
-        gap = float(np.linalg.norm(dx))
         admissible = bool(gap < trust_radius
                           and math.isfinite(J_T)
                           and (t0 >= 0 or prefix_feasible))
@@ -211,7 +217,8 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
     """Forward simulation applying the shifted affine policy from x0.
 
     Returns (trajectory, cost); a non-finite excursion yields cost inf so
-    the line search rejects the step.
+    the line search rejects the step.  The running costs of all knots are
+    taken in one call once the states are rolled out.
     """
     g0 = t0 + back.prefix_len
     T = back.controls.shape[0] - g0
@@ -219,7 +226,6 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
     states = np.zeros((T + 1, n))
     controls = np.zeros((T, model.dim_u))
     states[0] = np.asarray(x0, dtype=float)
-    cost = 0.0
     for t in range(T):
         g = g0 + t
         dx = states[t] - back.states[g]
@@ -227,12 +233,18 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
         controls[t] = u
         try:
             x_next = model.step(states[t], u)
-            cost += model.running_cost(states[t], u)
         except FloatingPointError:
             return None, math.inf
         if not np.isfinite(x_next).all() or np.abs(x_next).max() > 1e8:
             return None, math.inf
         states[t + 1] = x_next
+    try:
+        knot_costs = running_costs(model, states[:-1], controls)
+    except FloatingPointError:
+        return None, math.inf
+    cost = 0.0
+    for c in knot_costs:
+        cost += c
     cost += model.terminal_cost(states[-1])
     if not math.isfinite(cost):
         return None, math.inf

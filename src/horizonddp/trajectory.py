@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemModel
+from .model import SystemModel, running_costs
 
 CONSISTENCY_TOL = 1e-8
 
@@ -71,7 +71,7 @@ def initial_trajectory(model: SystemModel, x0: np.ndarray, T: int) -> Trajectory
 def trajectory_cost(model: SystemModel, traj: Trajectory) -> float:
     """Objective sum(l) + Phi along the trajectory."""
     total = 0.0
-    for t in range(traj.horizon):
-        total += model.running_cost(traj.states[t], traj.controls[t])
+    for c in running_costs(model, traj.states[:-1], traj.controls):
+        total += c
     total += model.terminal_cost(traj.states[-1])
     return float(total)

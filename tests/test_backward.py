@@ -16,6 +16,7 @@ from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
                         ExpansionError, SolverConfig, Trajectory,
                         trajectory_cost)
 from horizonddp.backward import GAMMA_MIN, NeedsRegularization
+from horizonddp.model import sym
 from test_model_api import CubicModel
 
 
@@ -137,6 +138,65 @@ def test_value_recurrence_raises_on_indefinite():
                    Q_u=np.zeros(1), Q_0=0.0)
     with pytest.raises(NeedsRegularization, match="positive definite"):
         value_recurrence(q)
+
+
+def _q_with(Q_uu, rng, n=4):
+    m = Q_uu.shape[0]
+    return QExpansion(Q_xx=np.eye(n), Q_ux=rng.standard_normal((m, n)),
+                      Q_uu=Q_uu, Q_x=rng.standard_normal(n),
+                      Q_u=rng.standard_normal(m), Q_0=0.3)
+
+
+def _counting_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(M):
+        calls.append(M.shape)
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_gains_match_solve(m, rng, monkeypatch):
+    # m <= 2 inverts Q_uu in closed form, without a Cholesky test
+    calls = _counting_cholesky(monkeypatch)
+    for _ in range(200):
+        Mu = rng.standard_normal((m, m))
+        q = _q_with(sym(Mu.T @ Mu + 0.1 * np.eye(m)), rng)
+        _, K, k = value_recurrence(q)
+        ref = -np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(K - ref[:, :-1])) <= 1e-12 * scale
+        assert np.max(np.abs(k - ref[:, -1])) <= 1e-12 * scale
+    assert calls == []
+
+
+@pytest.mark.parametrize("Q_uu", [
+    [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, 0.0], [0.0, np.nan]], [[np.nan]]],
+    ids=["indefinite", "singular", "zero", "nan-a", "nan-b", "nan-d",
+         "nan-1x1"])
+def test_closed_form_rejects_non_positive_definite(Q_uu, rng):
+    with pytest.raises(NeedsRegularization, match="positive definite"):
+        value_recurrence(_q_with(np.array(Q_uu), rng))
+
+
+def test_four_controls_keep_the_cholesky_path(rng, monkeypatch):
+    calls = _counting_cholesky(monkeypatch)
+    Mu = rng.standard_normal((4, 4))
+    q = _q_with(Mu.T @ Mu + np.eye(4), rng)
+    _, K, k = value_recurrence(q)
+    sol = np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
+    npt.assert_array_equal(K, -sol[:, :-1])
+    npt.assert_array_equal(k, -sol[:, -1])
+    assert calls == [(4, 4)]
+    with pytest.raises(NeedsRegularization, match="positive definite"):
+        value_recurrence(_q_with(np.diag([1.0, 1.0, -1.0, 1.0]), rng))
+    assert calls == [(4, 4), (4, 4)]
 
 
 def test_sweep_matches_riccati_on_lq(rng):

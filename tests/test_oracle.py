@@ -103,3 +103,25 @@ def test_fixed_horizon_rejects_bad_T(rng):
         fixed_horizon_ddp(model, 5, cfg)  # x0 is required
     with pytest.raises(ValueError, match="non-empty"):
         exhaustive_horizon(model, [], cfg, np.zeros(model.dim_x))
+
+
+def test_oracle_counts_are_checked_by_name(rng, monkeypatch):
+    # each bad count is named before any horizon is solved: t_range [2.5,
+    # 3.9] used to solve T = 2 and 3, margin 2.5 and t_center 30.5 crashed
+    # in range(), and t_center True was read as 1
+    model = random_lq(rng)
+    cfg = SolverConfig(horizon_bounds=(1, 30), window_s=0)
+    x0 = np.zeros(model.dim_x)
+    monkeypatch.setattr(oracle, "optimize_trajectory", None)
+    for t_range in ([2.5, 3.9], [3, 0], [2, "4"], [True]):
+        with pytest.raises(ValueError, match="t_range"):
+            exhaustive_horizon(model, t_range, cfg, x0)
+    for T in (2.5, 0, np.nan):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            fixed_horizon_ddp(model, T, cfg, x0=x0)
+    for t_center, margin, name in ((10, 2.5, "margin"), (10, 0, "margin"),
+                                   (30.5, 3, "t_center"),
+                                   (True, 3, "t_center"),
+                                   (0, 3, "t_center")):
+        with pytest.raises(ValueError, match=name):
+            bracketed_horizon(model, cfg, x0, t_center, margin)

@@ -9,7 +9,7 @@ from horizonddp import (BackwardResult, CandidateEvaluation,
                         DoubleIntegratorModel, SolverConfig,
                         augment_time_penalty, backward_sweep,
                         initial_trajectory, lti_optimal_horizon,
-                        optimize_trajectory, riccati_sweep,
+                        optimize_trajectory, riccati_sweep, rollout_controls,
                         select_horizon, trajectory_cost)
 import horizonddp.solver as solver_mod
 from horizonddp.solver import evaluate_candidates, extend_backward, rollout
@@ -278,6 +278,101 @@ def test_rollout_returns_inf_when_cost_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         heavy = DoubleIntegratorModel(Qf=1e308 * np.eye(2))
         assert rollout(heavy, back, 0, 1.0, x0) == (None, np.inf)
+
+
+def _nav_model():
+    from horizonddp import Obstacle, PointMassNavModel
+
+    return PointMassNavModel(
+        obstacles=(Obstacle(center=(3.0, 0.5), radius=0.8, weight=30.0),
+                   Obstacle(center=(5.5, -0.8), radius=0.7, weight=30.0)),
+        c_t=5.0)
+
+
+def _sweep_case(model, x0, T, S, rng):
+    """Sweep along the nominal control perturbed by noise, so the knots
+    move and the candidates' initial-state gaps are not zero."""
+    controls = (np.tile(model.nominal_control(x0), (T, 1))
+                + 0.3 * rng.standard_normal((T, model.dim_u)))
+    traj = rollout_controls(model, x0, controls)
+    prefix = extend_backward(model, traj, S)
+    return traj, backward_sweep(model, traj, (prefix.states, prefix.controls))
+
+
+def _counting_running_cost(model, monkeypatch):
+    """Record the leading shape of every running_cost call on this model."""
+    shapes = []
+    inner = model.running_cost
+
+    def counted(x, u):
+        shapes.append(np.shape(x)[:-1])
+        return inner(x, u)
+
+    monkeypatch.setattr(model, "running_cost", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["cartpole", "nav", "per-knot"])
+def test_rollout_cost_is_trajectory_cost_to_the_bit(name, rng, monkeypatch):
+    from horizonddp import CartpoleModel
+
+    model, x0 = {
+        "cartpole": (CartpoleModel(c_t=3.0), np.zeros(4)),
+        "nav": (_nav_model(), np.zeros(4)),
+        "per-knot": (random_lq(rng, c_t=0.3), None),
+    }[name]
+    if x0 is None:
+        x0 = rng.standard_normal(model.dim_x)
+    traj, back = _sweep_case(model, x0, 30, 3, rng)
+    shapes = _counting_running_cost(model, monkeypatch)
+    for t0, alpha in ((0, 1.0), (0, 0.25), (-2, 0.5), (3, 1.0)):
+        shapes.clear()
+        new, cost = rollout(model, back, t0, alpha, x0)
+        T = 30 - t0
+        # one stacked call for the whole rollout, or one call per knot
+        assert shapes == ([(T,)] if model.stacked_derivatives else [()] * T)
+        assert cost == trajectory_cost(model, new)
+        assert type(cost) is float
+
+
+def test_rollout_returns_inf_when_stacked_running_cost_raises(rng,
+                                                             monkeypatch):
+    model = _nav_model()
+    _, back = _sweep_case(model, np.zeros(4), 10, 0, rng)
+
+    def overflowing(x, u):
+        raise FloatingPointError("running cost overflow")
+
+    monkeypatch.setattr(model, "running_cost", overflowing)
+    assert rollout(model, back, 0, 1.0, np.zeros(4)) == (None, np.inf)
+
+
+@pytest.mark.parametrize("name", ["cartpole", "nav", "quadrotor", "lq"])
+def test_stacked_pricing_matches_value_expansion(name, rng):
+    # every candidate is priced to the bit as ValueExpansion.evaluate prices
+    # it, from dx = x0 - states[t0 + S]
+    from horizonddp import CartpoleModel, QuadrotorModel
+
+    x_quad = np.zeros(12)
+    x_quad[:3] = [1.5, 1.0, -1.0]
+    model, x0 = {
+        "cartpole": (CartpoleModel(c_t=3.0), np.zeros(4)),
+        "nav": (_nav_model(), np.array([0.5, -0.2, 0.3, 0.1])),
+        "quadrotor": (QuadrotorModel(c_t=1.0), x_quad),
+        "lq": (random_lq(rng, c_t=0.3), None),
+    }[name]
+    if x0 is None:
+        x0 = rng.standard_normal(model.dim_x)
+    _, back = _sweep_case(model, x0, 20, 6, rng)
+    S = back.prefix_len
+    cands = evaluate_candidates(back, (1, 200), 1e9, True)
+    assert [c.T for c in cands] == list(range(14, 27))
+    assert any(c.gap > 0 for c in cands)
+    for c in cands:
+        dx = back.states[S] - back.states[c.t0 + S]
+        assert c.J_T == back.value_at(c.t0).evaluate(dx)
+        assert c.gap == float(np.linalg.norm(dx))
+        assert type(c.J_T) is float and type(c.gap) is float
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ Imports ``horizonddp`` from ``<tree>/src`` and runs:
 The digest covers every trajectory, cost, trace record and candidate, and
 every MPC step record except its wall-clock solve time, so two trees with
 the same digest solve these problems bit for bit alike.  One summary line
-per run goes to stderr, with the line-search rollouts the run made and how
-many of them rolled out a shifted horizon (t0 != 0); the digest goes to
-stdout.
+per run goes to stderr, with the run's final cost to the last bit, the
+line-search rollouts the run made and how many of them rolled out a shifted
+horizon (t0 != 0); the digest goes to stdout.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _summary(result) -> str:
     if hasattr(result, "steps_used"):
         return f"steps={result.steps_used} cost={result.total_cost!r}"
     return (f"iterations={result.iterations} T*={result.t_star} "
-            f"status={result.status}")
+            f"status={result.status} J={result.cost!r}")
 
 
 def _count_rollouts(solver, counts: dict) -> None:
