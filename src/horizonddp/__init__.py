@@ -13,9 +13,8 @@ from .lti import (IllPosedStepError, LtiProblem, augment_time_penalty,
                   lqr_gain, lqr_rollout_cost, lti_optimal_horizon,
                   riccati_step, riccati_sweep)
 from .model import (CostExpansion, DerivativeReport, DynamicsExpansion,
-                    ExpansionError, InverseStepError, SystemModel,
-                    check_derivatives, expand_cost, expand_dynamics,
-                    expand_terminal)
+                    ExpansionError, SystemModel, check_derivatives,
+                    expand_cost, expand_dynamics, expand_terminal)
 from .models import (CartpoleModel, DoubleIntegratorModel, MODEL_REGISTRY,
                      Obstacle, PointMassNavModel, QuadrotorModel, make_model,
                      obstacle_schedule_advance, rk4_step,
@@ -35,7 +34,7 @@ __all__ = [
     "IllPosedStepError", "LtiProblem", "augment_time_penalty", "lqr_gain",
     "lqr_rollout_cost", "lti_optimal_horizon", "riccati_step", "riccati_sweep",
     "CostExpansion", "DerivativeReport", "DynamicsExpansion", "ExpansionError",
-    "InverseStepError", "SystemModel", "check_derivatives", "expand_cost",
+    "SystemModel", "check_derivatives", "expand_cost",
     "expand_dynamics", "expand_terminal",
     "CartpoleModel", "DoubleIntegratorModel", "MODEL_REGISTRY", "Obstacle",
     "PointMassNavModel", "QuadrotorModel", "make_model",

@@ -5,6 +5,11 @@ optional prefix of negative-time knots, so every candidate horizon in the
 selection window has a value expansion and gains available.  Every knot is
 linearized once, before the recursion: the expansions along a fixed nominal
 do not depend on each other, and a regularization retry reuses them.
+
+The prefix knots need not be dynamically feasible.  A prefix knot g carries
+the defect d = step(x_g, u_g) - x_{g+1}, and its backup reads the next value
+expansion re-centred on step(x_g, u_g), as multiple-shooting DDP does, so on
+a linear-quadratic problem every price is exact whatever the prefix states.
 """
 
 from __future__ import annotations
@@ -44,6 +49,13 @@ class ValueExpansion:
     def evaluate(self, dx: np.ndarray) -> float:
         dx = np.asarray(dx, dtype=float)
         return float(0.5 * dx @ self.V_xx @ dx + self.V_x @ dx + self.V_0)
+
+    def shifted(self, d: np.ndarray) -> "ValueExpansion":
+        """The same quadratic expanded around the nominal state plus d."""
+        V_xx_d = self.V_xx @ d
+        return ValueExpansion(
+            V_xx=self.V_xx, V_x=self.V_x + V_xx_d,
+            V_0=self.V_0 + float(d @ (self.V_x + 0.5 * V_xx_d)))
 
 
 @dataclass(frozen=True)
@@ -158,11 +170,14 @@ def value_recurrence(q: QExpansion):
         K, k = neg_inv @ q.Q_ux, neg_inv @ q.Q_u
     else:
         # the Cholesky factor only tests definiteness: numpy has no
-        # triangular solve, so the small system is factored again to solve it
+        # triangular solve, so the small system is factored again to solve it.
+        # A NaN entry yields a NaN factor instead of an error
         try:
-            np.linalg.cholesky(q.Q_uu)
+            factor = np.linalg.cholesky(q.Q_uu)
         except np.linalg.LinAlgError:
-            raise NeedsRegularization("Q_uu is not positive definite") from None
+            factor = None
+        if factor is None or not np.isfinite(factor).all():
+            raise NeedsRegularization("Q_uu is not positive definite")
         sol = np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
         K, k = -sol[:, :-1], -sol[:, -1]
     V_xx = sym(q.Q_xx + q.Q_ux.T @ K)           # Q_xx - Q_ux' Quu^-1 Q_ux
@@ -186,11 +201,14 @@ def _linearize(model: SystemModel, states, controls, second_order):
     return costs, dyns
 
 
-def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
-    """Fill the rows of ``out = (V_xx, V_x, V_0, K, k)`` below the terminal."""
+def _sweep_once(costs, dyns, defects, terminal: ValueExpansion, gamma, out):
+    """Fill the rows of ``out = (V_xx, V_x, V_0, K, k)`` below the terminal;
+    row i < len(defects) backs up the next value shifted by defects[i]."""
     V_xx, V_x, V_0, K, k = out
     nxt = terminal
     for i in range(len(costs) - 1, -1, -1):
+        if i < len(defects):
+            nxt = nxt.shifted(defects[i])
         q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
         nxt, K[i], k[i] = value_recurrence(q)
         # a diverging recursion only gets worse; escalate gamma right away
@@ -205,10 +223,11 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     """Value expansions and gains for t from the terminal step down to -S.
 
     ``prefix`` is a (states, controls) pair of negative-time knots ordered
-    t = -S..-1 (both may be empty).  The prefix and nominal knots are
-    linearized in one stacked call; on factorization failure gamma is
-    escalated tenfold, and from at least GAMMA_MIN, until it exceeds
-    GAMMA_MAX, reusing that linearization.
+    t = -S..-1 (both may be empty), whose defects the sweep carries; the
+    nominal trajectory must be feasible.  The prefix and nominal knots are
+    linearized in one stacked call, and the S defects take one ``step``
+    each; on factorization failure gamma is escalated tenfold, and from at
+    least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both.
     """
     n, m = model.dim_x, model.dim_u
     pre_states, pre_controls = prefix
@@ -222,6 +241,8 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
     terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
     costs, dyns = _linearize(model, states[:-1], controls, second_order)
+    defects = [model.step(x, u) - x_next for x, u, x_next
+               in zip(pre_states, pre_controls, states[1:])]
 
     V_xx, V_x, V_0 = np.empty((N + 1, n, n)), np.empty((N + 1, n)), np.empty(N + 1)
     V_xx[N], V_x[N], V_0[N] = phi_xx, phi_x, phi
@@ -229,7 +250,8 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     g = float(gamma)
     while True:
         try:
-            _sweep_once(costs, dyns, terminal, g, (V_xx, V_x, V_0, K, k))
+            _sweep_once(costs, dyns, defects, terminal, g,
+                        (V_xx, V_x, V_0, K, k))
             break
         except NeedsRegularization:
             g = max(10.0 * g, GAMMA_MIN)

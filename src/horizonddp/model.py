@@ -26,10 +26,6 @@ class ExpansionError(RuntimeError):
     """A cost or dynamics evaluation became non-finite during expansion."""
 
 
-class InverseStepError(RuntimeError):
-    """Newton iteration for the dynamics preimage failed to converge."""
-
-
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetrize a square matrix, or each matrix of a stack."""
     return 0.5 * (M + M.swapaxes(-1, -2))
@@ -78,7 +74,7 @@ class SystemModel:
     dim_x: int
     dim_u: int
 
-    #: whether the dynamics map can be inverted (exactly or by Newton)
+    #: whether :meth:`inverse_step` gives a preimage guess
     has_inverse_step: bool = False
 
     #: whether ``running_cost``, ``running_cost_derivatives`` and
@@ -116,8 +112,8 @@ class SystemModel:
 
     def admissible(self, x) -> bool:
         """Whether x lies in the region the derivative checks sample from
-        (the CLI ``check`` command, acceptance criterion 8); ``rollout``
-        does not enforce it."""
+        (the CLI ``check`` command, acceptance criterion 8) and a chain of
+        preimage guesses must stay in; ``rollout`` does not enforce it."""
         return bool(np.all(np.isfinite(x)))
 
     def nominal_control(self, x) -> np.ndarray:
@@ -125,38 +121,15 @@ class SystemModel:
         return np.zeros(self.dim_u)
 
     def inverse_step(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Solve ``step(x, u) = x_next`` for x by damped Newton iteration.
+        """A guess at the x with ``step(x, u) = x_next``, called only when
+        ``has_inverse_step`` is set.
 
-        Only meaningful when ``has_inverse_step`` is set; models with an
-        exact inverse should override.  Raises :class:`InverseStepError`
-        on divergence.
+        The guess need not be exact: the backward sweep carries its defect
+        ``step(x, u) - x_next``, so it only has to lie close enough to the
+        preimage for the quadratic model around it to price the longer
+        horizons.  A model that can invert its map exactly should.
         """
-        x = np.array(x_next, dtype=float)
-        target = np.asarray(x_next, dtype=float)
-        res = self.step(x, u) - target
-        for _ in range(50):
-            if np.linalg.norm(res, ord=np.inf) <= 1e-10:
-                return x
-            fx, _ = _dynamics_jacobians_any(self, x, u)
-            try:
-                delta = np.linalg.solve(fx, res)
-            except np.linalg.LinAlgError as exc:
-                raise InverseStepError("singular Jacobian in preimage Newton") from exc
-            # damped update: halve the step until the residual shrinks
-            scale = 1.0
-            norm0 = np.linalg.norm(res)
-            while scale >= 1e-4:
-                x_try = x - scale * delta
-                res_try = self.step(x_try, u) - target
-                if np.all(np.isfinite(res_try)) and np.linalg.norm(res_try) < norm0:
-                    x, res = x_try, res_try
-                    break
-                scale *= 0.5
-            else:
-                raise InverseStepError("preimage Newton stalled")
-        if np.linalg.norm(res, ord=np.inf) <= 1e-10:
-            return x
-        raise InverseStepError("preimage Newton did not converge in 50 iterations")
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,8 @@ def _check_positive(**values):
 class _RK4Dynamics(SystemModel):
     """One fixed RK4 step of ``dt`` through the continuous dynamics
     ``_deriv`` and their Jacobians ``_deriv_jacobians``, which take one knot
-    or stacked knots; the map is inverted by Newton.  The costs of the
-    models built on it stack too."""
+    or stacked knots; one backward-Euler step guesses a preimage.  The
+    costs of the models built on it stack too."""
 
     has_inverse_step = True
     stacked_derivatives = True
@@ -173,6 +173,12 @@ class _RK4Dynamics(SystemModel):
             self._deriv, self._deriv_jacobians, np.asarray(x, dtype=float),
             np.asarray(u, dtype=float), self.dt)
         return fx, fu
+
+    def inverse_step(self, x_next, u):
+        """``x_next - dt * xdot(x_next, u)``, whose defect under ``step`` is
+        O(dt^2)."""
+        x_next = np.asarray(x_next, dtype=float)
+        return x_next - self.dt * self._deriv(x_next, np.asarray(u, dtype=float))
 
 
 class _LinearDynamics(SystemModel):

@@ -4,7 +4,7 @@ The episode loop follows the replan / apply / drop pattern: every step the
 previous plan's controls (first knot dropped) are rolled out from the
 observed state to warm-start a budgeted solve against the current world
 snapshot, the first control is applied to the (possibly noisy) plant, and
-the episode ends once the planned horizon counts down to one.  Each replan
+the episode ends once the plan's last control has been applied.  Each replan
 starts from the regularization and horizon trust radius the previous solve
 ended on.  Passing ``t_fixed`` runs the fixed receding-horizon baseline
 through the same loop: every replan solves at that horizon, and the episode
@@ -115,10 +115,11 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     """Closed-loop optimal-horizon episode, or the receding baseline.
 
     Without ``t_fixed`` every replan chooses its horizon, and the episode
-    terminates when the planned horizon counts down to one.  With
-    ``t_fixed`` every solve uses that horizon, each replan holding the last
-    control to fill the knot the previous step dropped, so the episode
-    always runs to the step limit.
+    terminates once the planned horizon has counted down to zero, so a
+    noise-free episode applies its plan to the end and costs what the plan
+    costs.  With ``t_fixed`` every solve uses that horizon, each replan
+    holding the last control to fill the knot the previous step dropped,
+    so the episode always runs to the step limit.
     """
     if t_fixed is not None:
         # the controls left after the applied knot warm-start the next replan
@@ -147,7 +148,7 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     sim_time = 0.0
 
     while len(log.steps) < cfg.step_limit:
-        if t_fixed is None and controls.shape[0] <= 1:
+        if t_fixed is None and controls.shape[0] < 1:
             log.terminated = True
             break
         snapshot = _snapshot(model, sim_time)

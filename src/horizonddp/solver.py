@@ -15,6 +15,7 @@ cannot freeze the horizon for the rest of an episode.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -22,11 +23,10 @@ import numpy as np
 
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
                        BackwardSweepError, backward_sweep)
-from .model import (InverseStepError, SystemModel, check_count,
-                    check_nonnegative, from_fields, running_costs)
+from .model import (SystemModel, check_count, check_nonnegative,
+                    from_fields, running_costs)
 from .trajectory import Trajectory, trajectory_cost
 
-_FIXED_POINT_TOL = 1e-8
 _EXACT_MODEL_RTOL = 1e-12
 # line search: step sizes 1, 1/2, 1/4, ... down to a 1e-3 floor
 _STEP_SIZES = tuple(0.5 ** i for i in range(10))
@@ -113,7 +113,11 @@ class SolverResult:
 
 
 class Prefix:
-    """Negative-time extension of the nominal trajectory (t = -S..-1)."""
+    """Negative-time extension of the nominal trajectory (t = -S..-1).
+
+    ``feasible`` is False for the constant-state stand-in, whose candidates
+    are inadmissible.
+    """
 
     def __init__(self, states, controls, feasible):
         self.states = np.asarray(states, dtype=float)
@@ -125,11 +129,15 @@ class Prefix:
 
 
 def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
-    """Dynamically feasible S-knot prefix so horizons above T-bar exist.
+    """S-knot prefix so horizons above T-bar exist.
 
-    Preference order: the model's inverse dynamics; constant extension when
-    the start is a fixed point; otherwise a constant-state extension whose
-    candidates are marked inadmissible.  The prefix always has S knots.
+    Each knot is the model's preimage guess of the next one under the first
+    control, and the backward sweep carries the guesses' defects.  A model
+    without a guess, or a guess chain that leaves the model's admissible
+    region (a non-finite state does), gets a constant-state stand-in whose
+    candidates are marked inadmissible: the linearization at a guess past a
+    singularity of the dynamics would wreck the sweep at any
+    regularization.  The prefix always has S knots.
     """
     S = int(S)
     n, m = model.dim_x, model.dim_u
@@ -138,25 +146,21 @@ def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
 
     x0 = traj.states[0]
     u0 = traj.controls[0] if traj.horizon > 0 else model.nominal_control(x0)
+    controls = np.tile(u0, (S, 1))
 
     if model.has_inverse_step:
         states = np.zeros((S, n))
         x = x0
-        ok = True
-        for s in range(S):
-            try:
-                x = model.inverse_step(x, u0)
-            except (InverseStepError, FloatingPointError, np.linalg.LinAlgError):
-                ok = False
-                break
-            states[S - 1 - s] = x
-        if ok:
-            return Prefix(states, np.tile(u0, (S, 1)), True)
+        # a one-knot kernel raises on an overflowed state
+        with contextlib.suppress(FloatingPointError):
+            for s in range(S - 1, -1, -1):
+                x = states[s] = model.inverse_step(x, u0)
+                if not model.admissible(x):
+                    break
+            else:
+                return Prefix(states, controls, True)
 
-    defect = np.max(np.abs(model.step(x0, u0) - x0))
-    fixed_point = defect <= _FIXED_POINT_TOL
-    states = np.tile(x0, (S, 1))
-    return Prefix(states, np.tile(u0, (S, 1)), fixed_point)
+    return Prefix(np.tile(x0, (S, 1)), controls, False)
 
 
 def _default_trust_radius(traj: Trajectory) -> float:

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.optimize
 
-from conftest import random_lq
+from conftest import LinearQuadraticModel, random_lq
 from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
                         ValueExpansion, backward, backward_sweep, expand_cost,
                         expand_dynamics, expand_terminal, initial_trajectory,
@@ -26,15 +26,27 @@ def empty_prefix(model):
 
 def per_knot_sweep(model, traj, prefix, gamma, second_order=False):
     """Reference sweep: each knot expanded inside the recursion, one at a
-    time, with no gamma escalation."""
+    time, with no gamma escalation.  A prefix knot backs up the next value
+    re-centred on the knot's own successor step(x, u), which lies the
+    defect d = step(x, u) - x_next away from the next knot."""
     pairs = (list(zip(*prefix))
              + list(zip(traj.states[:-1], traj.controls)))
+    nexts = np.vstack([prefix[0], traj.states])[1:]
     phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
     value = [ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)]
     Ks, ks = [], []
-    for x, u in reversed(pairs):
+    for i in range(len(pairs) - 1, -1, -1):
+        x, u = pairs[i]
+        nxt = value[0]
+        if i < len(prefix[0]):
+            # V(d + y) = V_0 + V_x·d + ½ d'V_xx d + (V_x + V_xx d)·y + ...
+            d = model.step(x, u) - nexts[i]
+            V_xx_d = nxt.V_xx @ d
+            nxt = ValueExpansion(
+                V_xx=nxt.V_xx, V_x=nxt.V_x + V_xx_d,
+                V_0=nxt.V_0 + float(d @ (nxt.V_x + 0.5 * V_xx_d)))
         dyn = expand_dynamics(model, x, u, want_second_order=second_order)
-        q = regularize(q_expansion(expand_cost(model, x, u), dyn, value[0]),
+        q = regularize(q_expansion(expand_cost(model, x, u), dyn, nxt),
                        gamma)
         v, K, k = value_recurrence(q)
         value.insert(0, v)
@@ -199,6 +211,48 @@ def test_four_controls_keep_the_cholesky_path(rng, monkeypatch):
     assert calls == [(4, 4), (4, 4)]
 
 
+@pytest.mark.parametrize("Q_uu", [
+    np.diag([np.nan, 1.0, 1.0]),
+    [[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    np.diag([1.0, 1.0, np.nan])], ids=["nan-first", "nan-offdiag", "nan-last"])
+def test_cholesky_path_rejects_nan(Q_uu, rng):
+    # numpy returns a NaN Cholesky factor for these instead of raising
+    with pytest.raises(NeedsRegularization, match="positive definite"):
+        value_recurrence(_q_with(np.array(Q_uu), rng))
+
+
+def test_nan_quu_knot_escalates_gamma(rng, monkeypatch):
+    # a three-control knot whose Q_uu is NaN until gamma reaches 1e-3: the
+    # sweep escalates to that level, and no attempt produced NaN gains
+    regularize_ = backward.regularize
+    raised = []
+
+    def nan_below(q, gamma):
+        q = regularize_(q, gamma)
+        if gamma < 1e-3:
+            q = QExpansion(Q_xx=q.Q_xx, Q_ux=q.Q_ux,
+                           Q_uu=np.diag([np.nan, 1.0, 1.0]), Q_x=q.Q_x,
+                           Q_u=q.Q_u, Q_0=q.Q_0)
+        return q
+
+    def recording(q):
+        try:
+            return value_recurrence(q)
+        except NeedsRegularization as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(backward, "regularize", nan_below)
+    monkeypatch.setattr(backward, "value_recurrence", recording)
+    eye = np.eye(3)
+    m = LinearQuadraticModel(0.9 * eye, eye, eye, eye, eye)
+    traj = initial_trajectory(m, rng.standard_normal(3), 4)
+    back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6)
+    assert back.gamma_used == pytest.approx(1e-3)
+    assert raised == ["Q_uu is not positive definite"] * 3
+    assert np.isfinite(back.K).all() and np.isfinite(back.k).all()
+
+
 def test_sweep_matches_riccati_on_lq(rng):
     for _ in range(10):
         model = random_lq(rng)
@@ -269,8 +323,6 @@ def test_expected_improvement_nonpositive_off_optimum(rng):
 
 def test_gamma_escalation_recovers_from_indefinite_quu():
     # strongly concave-in-u running cost forces the gamma schedule to act
-    from conftest import LinearQuadraticModel
-
     class ConcaveControl(LinearQuadraticModel):
         def running_cost(self, x, u):
             x = np.asarray(x, dtype=float)
@@ -296,11 +348,11 @@ def test_gamma_escalation_starts_from_floor_at_zero(monkeypatch):
     sweep_once = backward._sweep_once
     calls = []
 
-    def fails_once(costs, dyns, terminal, gamma, out):
+    def fails_once(costs, dyns, defects, terminal, gamma, out):
         calls.append(gamma)
         if len(calls) == 1:
             raise NeedsRegularization("first sweep")
-        sweep_once(costs, dyns, terminal, gamma, out)
+        sweep_once(costs, dyns, defects, terminal, gamma, out)
 
     monkeypatch.setattr(backward, "_sweep_once", fails_once)
     m = DoubleIntegratorModel()

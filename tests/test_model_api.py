@@ -8,9 +8,8 @@ import pytest
 
 import horizonddp.model as model_api
 from conftest import LinearQuadraticModel, random_lq
-from horizonddp import (ExpansionError, InverseStepError, SystemModel,
-                        check_derivatives, expand_cost, expand_dynamics,
-                        expand_terminal)
+from horizonddp import (ExpansionError, SystemModel, check_derivatives,
+                        expand_cost, expand_dynamics, expand_terminal)
 
 
 class NumericLq(LinearQuadraticModel):
@@ -100,19 +99,6 @@ def test_expansion_error_names_the_evaluation():
         expand_cost(BadCost(), np.array([0.75]), np.zeros(1))
 
 
-def test_newton_inverse_step():
-    m = CubicModel()
-    x = np.array([0.4])
-    u = np.array([0.2])
-    x_next = m.step(x, u)
-
-    class NewtonInverse(CubicModel):
-        has_inverse_step = True
-
-    back = NewtonInverse().inverse_step(x_next, u)
-    npt.assert_allclose(back, x, atol=1e-9)
-
-
 def test_check_derivatives_passes_clean_model(rng):
     m = random_lq(rng)
     samples = [(rng.standard_normal(m.dim_x), rng.standard_normal(m.dim_u))
@@ -151,23 +137,3 @@ def test_expansions_do_not_mutate_inputs(rng):
     expand_terminal(m, x)
     npt.assert_array_equal(x, x_copy)
     npt.assert_array_equal(u, u_copy)
-
-
-def test_inverse_step_reports_failure():
-    class Collapsing(SystemModel):
-        # constant map: no preimage information at all
-        dim_x = 1
-        dim_u = 1
-        has_inverse_step = True
-
-        def step(self, x, u):
-            return np.zeros(1)
-
-        def running_cost(self, x, u):
-            return 0.0
-
-        def terminal_cost(self, x):
-            return 0.0
-
-    with pytest.raises(InverseStepError):
-        Collapsing().inverse_step(np.array([1.0]), np.zeros(1))

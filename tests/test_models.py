@@ -57,6 +57,23 @@ def test_rk4_jacobian_matches_differencing(rng):
     npt.assert_allclose(fu[:, 0], col, atol=1e-8)
 
 
+@pytest.mark.parametrize("build,x,u", [
+    (CartpoleModel, [0.3, -0.5, 2.0, 1.5], [4.0]),
+    (QuadrotorModel, [1.5, 1.0, -1.0, 0.2, -0.1, 0.3, 0.5, -0.2, 0.1,
+                      0.4, -0.3, 0.2], [11.0, 0.01, -0.02, 0.01])],
+    ids=["cartpole", "quadrotor"])
+def test_inverse_step_guess_defect_is_second_order(build, x, u):
+    # one backward-Euler step: stepping the guess forward misses x by
+    # O(dt^2), so a tenth of dt shrinks the defect about a hundredfold
+    x, u = np.array(x), np.array(u)
+    defects = []
+    for dt in (0.02, 0.002):
+        m = build(dt=dt)
+        defects.append(np.max(np.abs(m.step(m.inverse_step(x, u), u) - x)))
+    assert 0 < defects[1] < 1e-4
+    assert 70 < defects[0] / defects[1] < 130
+
+
 # ---------------------------------------------------------------------------
 # double integrator
 # ---------------------------------------------------------------------------

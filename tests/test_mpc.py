@@ -7,9 +7,10 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_lq
-from horizonddp import (ExpansionError, MpcConfig, PointMassNavModel,
-                        SolverConfig, initial_trajectory, mpc_step,
-                        optimize_trajectory, run_episode)
+from horizonddp import (CartpoleModel, ExpansionError, MpcConfig,
+                        PointMassNavModel, QuadrotorModel, SolverConfig,
+                        initial_trajectory, mpc_step, optimize_trajectory,
+                        run_episode)
 import horizonddp.mpc as mpc_mod
 import horizonddp.solver as solver_mod
 from horizonddp.backward import GAMMA_MIN
@@ -34,19 +35,34 @@ def test_noise_free_episode_matches_open_loop(rng):
         model, initial_trajectory(model, x0, 30), cfg.solver)
     log = run_episode(model, x0, cfg)
     assert log.terminated
-    assert log.steps_used == first.t_star - 1
+    assert log.steps_used == first.t_star
     for i, rec in enumerate(log.steps):
         npt.assert_allclose(rec.action, first.trajectory.controls[i],
                             atol=1e-6)
-    # the loop stops with one knot to go, so the episode cost is the
-    # open-loop running cost over the applied steps plus the terminal
-    # cost at the stopping state
-    xs, us = first.trajectory.states, first.trajectory.controls
-    n_applied = first.t_star - 1
-    expected = sum(model.running_cost(xs[i], us[i])
-                   for i in range(n_applied))
-    expected += model.terminal_cost(xs[n_applied])
-    assert log.total_cost == pytest.approx(expected, abs=1e-6)
+    # the plan's last control is applied too, so the terminal cost is taken
+    # where the plan ends
+    assert log.total_cost == pytest.approx(first.cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("build,x0,cfg", [
+    (lambda: QuadrotorModel(c_t=1.0),
+     np.concatenate([[1.5, 1.0, -1.0], np.zeros(9)]),
+     MpcConfig(solver=SolverConfig(horizon_bounds=(1, 150), window_s=10),
+               inner_iterations=5, step_limit=200, initial_horizon=40)),
+    (lambda: CartpoleModel(c_t=10.0), np.zeros(4),
+     MpcConfig(solver=SolverConfig(horizon_bounds=(1, 400), window_s=10,
+                                   max_iterations=300),
+               inner_iterations=5, step_limit=500, initial_horizon=150))],
+    ids=["quadrotor", "cartpole"])
+def test_noise_free_nonlinear_episode_costs_its_plan(build, x0, cfg):
+    # Bellman's principle: replanning along its own plan, a noise-free
+    # episode applies that plan to the end and pays the one-shot cost
+    model = build()
+    first = optimize_trajectory(
+        model, initial_trajectory(model, x0, cfg.initial_horizon), cfg.solver)
+    log = run_episode(model, x0, cfg)
+    assert log.terminated and log.steps_used == first.t_star
+    assert log.total_cost == pytest.approx(first.cost, rel=1e-9)
 
 
 def test_horizon_counts_down_each_step(rng):

@@ -121,7 +121,7 @@ def test_extend_backward_zero_length(rng):
 
 
 def test_extend_backward_fixed_point_constant():
-    # start at rest with zero control: constant extension is exact
+    # start at rest with zero control: the preimage guess stays at rest
     from horizonddp import CartpoleModel
 
     m = CartpoleModel()
@@ -139,9 +139,33 @@ def test_extend_backward_infeasible_marked():
                   np.eye(1), np.eye(2))
     traj = initial_trajectory(m, np.array([2.0, 1.0]), 5)
     prefix = extend_backward(m, traj, 3)
-    # not a fixed point, no inverse: constant-state stand-in, flagged
+    # no inverse: constant-state stand-in, flagged
     assert len(prefix) == 3 and not prefix.feasible
     npt.assert_array_equal(prefix.states, np.tile(traj.states[0], (3, 1)))
+
+
+def test_extend_backward_falls_back_off_the_admissible_region():
+    # an inverse that overflows, a one-knot kernel that raises on an
+    # overflowed state, and a quadrotor guess pitched past pi/2 (where the
+    # Euler-angle kinematics are singular) all leave the constant-state
+    # stand-in
+    from horizonddp import CartpoleModel, QuadrotorModel, Trajectory
+
+    tiny = LinearQuadraticModel(1e-200 * np.eye(2), np.array([[0.0], [1.0]]),
+                                np.eye(2), np.eye(1), np.eye(2))
+    spinning = Trajectory(states=[[0.0, 0.0, 0.0, 1e200]] * 2,
+                          controls=[[0.0]])
+    quad = QuadrotorModel()
+    pitching = np.zeros(12)
+    pitching[4], pitching[10] = 1.55, -5.0     # pitch, pitch rate
+    assert quad.admissible(pitching)
+    pitched = Trajectory(states=[pitching] * 2, controls=[quad.u_ref])
+    for model, traj in ((tiny, initial_trajectory(tiny, np.ones(2), 5)),
+                        (CartpoleModel(), spinning), (quad, pitched)):
+        prefix = extend_backward(model, traj, 3)
+        assert len(prefix) == 3 and not prefix.feasible
+        npt.assert_array_equal(prefix.states,
+                               np.tile(traj.states[0], (3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +192,39 @@ def test_candidate_prices_match_riccati(rng):
         exact = 0.5 * float(x_hat @ seq[c.T] @ x_hat)
         assert c.J_T == pytest.approx(exact, abs=1e-9 * max(1.0, exact))
         assert c.admissible
+
+
+def test_infeasible_prefix_prices_exactly_on_lq(rng):
+    # random prefix states and controls break the dynamics at every prefix
+    # knot; the sweep carries those defects, so every candidate is still
+    # priced as the time-augmented recursion prices it, to the tolerances
+    # of acceptance criterion 2
+    S = 5
+    for _ in range(20):
+        model = random_lq(rng, c_t=float(rng.uniform(0.01, 0.5)))
+        T_bar = int(rng.integers(S + 1, 40))
+        x0 = rng.standard_normal(model.dim_x)
+        traj = initial_trajectory(model, x0, T_bar)
+        prefix = (rng.standard_normal((S, model.dim_x)),
+                  rng.standard_normal((S, model.dim_u)))
+        chain = np.vstack([prefix[0], x0])
+        defects = [model.step(x, u) - x_next for x, u, x_next
+                   in zip(chain, prefix[1], chain[1:])]
+        assert np.min(np.abs(defects).max(axis=1)) > 0.1
+        back = backward_sweep(model, traj, prefix, gamma=0.0)
+        cands = evaluate_candidates(back, (1, T_bar + S), np.inf, True)
+        assert [c.T for c in cands] == list(range(T_bar - S, T_bar + S + 1))
+        lti = model.to_lti_problem((1, T_bar + S))
+        seq = riccati_sweep(lti)
+        aug = riccati_sweep(augment_time_penalty(lti))
+        x_hat = np.append(x0, 1.0)
+        for c in cands:
+            assert np.max(np.abs(back.value_at(c.t0).V_xx - seq[c.T])) < 1e-10
+            exact = 0.5 * float(x_hat @ aug[c.T] @ x_hat)
+            assert abs(c.J_T - exact) < 1e-9 * max(1.0, abs(exact))
+        # the full step from the earliest prefix knot realizes its price
+        _, j = rollout(model, back, t0=-S, alpha=1.0, x0=x0)
+        assert j == pytest.approx(cands[-1].J_T, rel=1e-9)
 
 
 def test_candidates_respect_bounds_and_window(rng):

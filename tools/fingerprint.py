@@ -5,7 +5,9 @@ Usage: python3 tools/fingerprint.py <tree>
 Imports ``horizonddp`` from ``<tree>/src`` and runs:
 - the cartpole solves at c_t = 1, 3, 10, 30 and 100 (bounds (10, 400),
   initial horizon 150);
-- the quadrotor solve of acceptance criterion 5;
+- the quadrotor solve of acceptance criterion 5, and the noise-free MPC
+  episode from its start (bounds (1, 150), 5 inner iterations, initial
+  horizon 40);
 - the second-order (DDP) cartpole solve at c_t = 10;
 - the criterion-6 navigation episode, optimal-horizon and as the receding
   baseline at t_fixed = 40.
@@ -82,9 +84,12 @@ def _runs(hd):
     model = hd.QuadrotorModel(c_t=1.0)
     x0 = np.zeros(12)
     x0[:3] = [1.5, 1.0, -1.0]
+    quadrotor = hd.SolverConfig(horizon_bounds=(5, 150), window_s=10)
     yield "quadrotor", hd.optimize_trajectory(
-        model, hd.initial_trajectory(model, x0, 40),
-        hd.SolverConfig(horizon_bounds=(5, 150), window_s=10))
+        model, hd.initial_trajectory(model, x0, 40), quadrotor)
+    yield "quadrotor episode", hd.run_episode(model, x0, hd.MpcConfig(
+        solver=dataclasses.replace(quadrotor, horizon_bounds=(1, 150)),
+        inner_iterations=5, step_limit=200, initial_horizon=40))
 
     model = hd.CartpoleModel(c_t=10.0)
     yield "cartpole ddp c_t=10", hd.optimize_trajectory(
