@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import check_count, check_derivatives
+from .model import check_count, check_derivatives, check_range
 from .models import make_model
 from .mpc import MpcConfig, run_episode
 from .oracle import bracketed_horizon, exhaustive_horizon
@@ -69,8 +69,16 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _model_config(cfg: dict) -> dict:
+    """A copy of the ``model`` entry: the model's name and its fields."""
+    model_cfg = _require(cfg, "model")
+    if not isinstance(model_cfg, dict):
+        raise ValueError("model must be a JSON object naming a model")
+    return dict(model_cfg)
+
+
 def _build(cfg: dict, c_t=None):
-    model_cfg = dict(_require(cfg, "model"))
+    model_cfg = _model_config(cfg)
     if c_t is not None:
         model_cfg["c_t"] = c_t
     model = make_model(model_cfg)
@@ -159,6 +167,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
     c_t_list = _require(cfg, "c_t_list")
+    if not isinstance(c_t_list, list):
+        raise ValueError("c_t_list must be a list of numbers")
     oracle_margin = cfg.get("oracle_margin", 25)
     check_count("oracle_margin", oracle_margin, 1)
     rows = []
@@ -191,10 +201,7 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
     model, solver_cfg, x0 = _build(cfg)
-    t_range = _require(cfg, "t_range")
-    t_lo, t_hi = t_range
-    check_count("t_range", t_lo, 1)
-    check_count("t_range", t_hi, t_lo)
+    t_lo, t_hi = check_range("t_range", _require(cfg, "t_range"), 1)
     sweep = exhaustive_horizon(model, range(t_lo, t_hi + 1), solver_cfg, x0)
     columns = ("T", "J", "iterations", "converged")
     _write_table(out / "horizon_sweep.csv", columns,
@@ -205,7 +212,7 @@ def cmd_oracle(cfg: dict, out: Path, seed: int) -> int:
     })
     if sweep.t_exact is None:
         print(f"error: no fixed-horizon solve converged for T in "
-              f"[{t_range[0]}, {t_range[1]}]", file=sys.stderr)
+              f"[{t_lo}, {t_hi}]", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -250,8 +257,8 @@ def cmd_mpc(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_check(cfg: dict, out: Path, seed: int) -> int:
-    model_cfg = _require(cfg, "model")
-    model = make_model(dict(model_cfg))
+    model_cfg = _model_config(cfg)
+    model = make_model(model_cfg)
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 100)
     check_count("samples", n_samples, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_count, sym
+from .model import check_range, sym
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -62,10 +62,8 @@ class LtiProblem:
             if not np.isfinite(M).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, M)
-        t_min, t_max = self.horizon_bounds
-        check_count("horizon_bounds", t_min, 1)
-        check_count("horizon_bounds", t_max, t_min)
-        object.__setattr__(self, "horizon_bounds", (int(t_min), int(t_max)))
+        object.__setattr__(self, "horizon_bounds", check_range(
+            "horizon_bounds", self.horizon_bounds, 1))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")

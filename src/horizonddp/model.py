@@ -38,6 +38,18 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}")
 
 
+def check_range(name: str, value, low: int) -> tuple:
+    """``(lo, hi)`` as ints from a pair of integers low <= lo <= hi; raise
+    ValueError naming ``name`` for anything else."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of integers") from None
+    check_count(name, lo, low)
+    check_count(name, hi, lo)
+    return int(lo), int(hi)
+
+
 def check_nonnegative(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless value is a finite real >= 0."""
     if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
@@ -48,6 +60,8 @@ def from_fields(cls, doc: dict, what: str):
     """``cls(**doc)`` for a dataclass ``cls`` built from a config document;
     raises ValueError naming each key of ``doc`` that is not a field, and
     each field without a default that ``doc`` lacks."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
     known = [f for f in fields(cls) if f.init]
     unknown = sorted(set(doc) - {f.name for f in known})
     missing = [f.name for f in known if f.name not in doc
@@ -73,9 +87,6 @@ class SystemModel:
 
     dim_x: int
     dim_u: int
-
-    #: whether :meth:`inverse_step` gives a preimage guess
-    has_inverse_step: bool = False
 
     #: whether ``running_cost``, ``running_cost_derivatives`` and
     #: ``dynamics_jacobians`` also take states (N, dim_x) and controls
@@ -121,8 +132,9 @@ class SystemModel:
         return np.zeros(self.dim_u)
 
     def inverse_step(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """A guess at the x with ``step(x, u) = x_next``, called only when
-        ``has_inverse_step`` is set.
+        """A guess at the x with ``step(x, u) = x_next``; this base version
+        raises NotImplementedError, so the solver prices no horizon above
+        the current one for a model without a guess.
 
         The guess need not be exact: the backward sweep carries its defect
         ``step(x, u) - x_next``, so it only has to lie close enough to the

@@ -156,7 +156,6 @@ class _RK4Dynamics(SystemModel):
     or stacked knots; one backward-Euler step guesses a preimage.  The
     costs of the models built on it stack too."""
 
-    has_inverse_step = True
     stacked_derivatives = True
 
     def step(self, x, u):
@@ -185,7 +184,6 @@ class _LinearDynamics(SystemModel):
     """Exact discrete map x' = A x + B u with invertible A.  The costs of
     the models built on it stack too."""
 
-    has_inverse_step = True
     stacked_derivatives = True
 
     def step(self, x, u):

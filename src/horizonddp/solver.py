@@ -24,7 +24,7 @@ import numpy as np
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
                        BackwardSweepError, backward_sweep)
 from .model import (SystemModel, check_count, check_nonnegative,
-                    from_fields, running_costs)
+                    check_range, from_fields, running_costs)
 from .trajectory import Trajectory, trajectory_cost
 
 _EXACT_MODEL_RTOL = 1e-12
@@ -46,10 +46,8 @@ class SolverConfig:
     second_order: bool = False
 
     def __post_init__(self):
-        t_min, t_max = self.horizon_bounds
-        check_count("horizon_bounds", t_min, 1)
-        check_count("horizon_bounds", t_max, t_min)
-        self.horizon_bounds = (int(t_min), int(t_max))
+        self.horizon_bounds = check_range("horizon_bounds",
+                                          self.horizon_bounds, 1)
         check_count("window_s", self.window_s, 0)
         check_count("max_iterations", self.max_iterations, 1)
         check_nonnegative("convergence_tol", self.convergence_tol)
@@ -113,54 +111,41 @@ class SolverResult:
 
 
 class Prefix:
-    """Negative-time extension of the nominal trajectory (t = -S..-1).
+    """Negative-time extension of the nominal trajectory (t = -S..-1)."""
 
-    ``feasible`` is False for the constant-state stand-in, whose candidates
-    are inadmissible.
-    """
-
-    def __init__(self, states, controls, feasible):
+    def __init__(self, states, controls):
         self.states = np.asarray(states, dtype=float)
         self.controls = np.asarray(controls, dtype=float)
-        self.feasible = bool(feasible)
 
     def __len__(self):
         return self.states.shape[0]
 
 
 def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
-    """S-knot prefix so horizons above T-bar exist.
+    """S-knot prefix so horizons above T-bar exist, or an empty one.
 
     Each knot is the model's preimage guess of the next one under the first
-    control, and the backward sweep carries the guesses' defects.  A model
-    without a guess, or a guess chain that leaves the model's admissible
-    region (a non-finite state does), gets a constant-state stand-in whose
-    candidates are marked inadmissible: the linearization at a guess past a
-    singularity of the dynamics would wreck the sweep at any
-    regularization.  The prefix always has S knots.
+    control, and the backward sweep carries the guesses' defects.  The
+    prefix is the whole chain or nothing: it is empty for a model without a
+    guess, and for a chain that overflows or leaves the model's admissible
+    region (a non-finite state does), since the linearization at a guess
+    past a singularity of the dynamics would wreck the sweep at any
+    regularization.
     """
     S = int(S)
-    n, m = model.dim_x, model.dim_u
-    if S == 0:
-        return Prefix(np.zeros((0, n)), np.zeros((0, m)), True)
-
-    x0 = traj.states[0]
+    states = np.zeros((S, model.dim_x))
+    x = x0 = traj.states[0]
     u0 = traj.controls[0] if traj.horizon > 0 else model.nominal_control(x0)
-    controls = np.tile(u0, (S, 1))
-
-    if model.has_inverse_step:
-        states = np.zeros((S, n))
-        x = x0
-        # a one-knot kernel raises on an overflowed state
-        with contextlib.suppress(FloatingPointError):
-            for s in range(S - 1, -1, -1):
-                x = states[s] = model.inverse_step(x, u0)
-                if not model.admissible(x):
-                    break
-            else:
-                return Prefix(states, controls, True)
-
-    return Prefix(np.tile(x0, (S, 1)), controls, False)
+    # the base class has no guess; a one-knot kernel raises on an
+    # overflowed state
+    with contextlib.suppress(NotImplementedError, FloatingPointError):
+        for s in range(S - 1, -1, -1):
+            x = states[s] = model.inverse_step(x, u0)
+            if not model.admissible(x):
+                break
+        else:
+            return Prefix(states, np.tile(u0, (S, 1)))
+    return Prefix(states[:0], np.zeros((0, model.dim_u)))
 
 
 def _default_trust_radius(traj: Trajectory) -> float:
@@ -169,9 +154,9 @@ def _default_trust_radius(traj: Trajectory) -> float:
     return 10.0 * max(rms, 1.0)
 
 
-def evaluate_candidates(back: BackwardResult, horizon_bounds,
-                        trust_radius: float, prefix_feasible: bool):
-    """Price every horizon in [T-bar - S, T-bar + S] within the bounds.
+def evaluate_candidates(back: BackwardResult, horizon_bounds, window_s: int,
+                        trust_radius: float):
+    """Price every horizon in [T-bar - window_s, T-bar + S] within the bounds.
 
     S is the sweep's prefix length and T-bar the horizon of the nominal it
     extends.  Horizon T is priced by the value expansion at t0 = T-bar - T,
@@ -181,7 +166,7 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds,
     S = back.prefix_len
     t_bar = back.controls.shape[0] - S
     t_min, t_max = horizon_bounds
-    horizons = range(max(t_min, t_bar - S), min(t_max, t_bar + S) + 1)
+    horizons = range(max(t_min, t_bar - window_s), min(t_max, t_bar + S) + 1)
     # rows g = t0 + S of the candidates; these batched products of row
     # vectors round as ValueExpansion.evaluate and np.linalg.norm do on one
     rows = t_bar + S - np.array(horizons, dtype=int)
@@ -191,15 +176,10 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds,
     lin = (back.V_x[rows][:, None] @ col)[:, 0, 0]
     prices = (quad + lin + back.V_0[rows]).tolist()
     gaps = np.sqrt((dx[:, None] @ col)[:, 0, 0]).tolist()
-    out = []
-    for T, J_T, gap in zip(horizons, prices, gaps):
-        t0 = t_bar - T
-        admissible = bool(gap < trust_radius
-                          and math.isfinite(J_T)
-                          and (t0 >= 0 or prefix_feasible))
-        out.append(CandidateEvaluation(T=T, t0=t0, J_T=J_T,
-                                       admissible=admissible, gap=gap))
-    return out
+    return [CandidateEvaluation(T=T, t0=t_bar - T, J_T=J_T, gap=gap,
+                                admissible=bool(gap < trust_radius
+                                                and math.isfinite(J_T)))
+            for T, J_T, gap in zip(horizons, prices, gaps)]
 
 
 def select_horizon(candidates, t_bar: int) -> int:
@@ -303,9 +283,12 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         gamma = max(back.gamma_used, GAMMA_MIN)
 
         trust = min(_default_trust_radius(traj), radius)
-        candidates = evaluate_candidates(back, cfg.horizon_bounds, trust,
-                                         prefix.feasible)
-        lo, hi = candidates[0].T, candidates[-1].T
+        candidates = evaluate_candidates(back, cfg.horizon_bounds,
+                                         cfg.window_s, trust)
+        # the window's top edge is where a full prefix reaches, so a pass
+        # with an empty prefix never selects a horizon on it
+        lo = candidates[0].T
+        hi = min(t_max, t_bar + cfg.window_s)
         t_tried = select_horizon(candidates, t_bar)
         record = {
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
@@ -316,7 +299,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         trace.append(record)
 
         # stationary at the current horizon: nothing left to do (T-bar sits
-        # at a window edge only where that edge is a bound)
+        # at a window edge only where that edge is a bound or the prefix is
+        # empty)
         scale = max(1.0, abs(J))
         if (t_tried == t_bar and back.max_feedforward(0) < cfg.k_tol
                 and (J - candidates[t_bar - lo].J_T)

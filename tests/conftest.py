@@ -9,8 +9,6 @@ from horizonddp import LtiProblem, SystemModel
 class LinearQuadraticModel(SystemModel):
     """Generic LQ system as a SystemModel, with exact dynamics inverse."""
 
-    has_inverse_step = True
-
     def __init__(self, A, B, Q, R, Qf, c_t=0.0):
         self.A = np.asarray(A, dtype=float)
         self.B = np.asarray(B, dtype=float)

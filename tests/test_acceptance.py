@@ -79,8 +79,8 @@ def test_criterion_2_riccati_equivalence(rng):
             max_v = max(max_v, err)
         # candidate prices against the time-augmented recursion
         cfg = SolverConfig(horizon_bounds=(1, T_bar + 5), window_s=5)
-        cands = evaluate_candidates(back, cfg.horizon_bounds, 1e9,
-                                    prefix.feasible)
+        cands = evaluate_candidates(back, cfg.horizon_bounds, cfg.window_s,
+                                    1e9)
         aug_seq = riccati_sweep(augment_time_penalty(
             model.to_lti_problem((1, T_bar + 5))))
         x_hat = np.append(x0, 1.0)

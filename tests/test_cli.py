@@ -124,7 +124,8 @@ def test_wrong_x0_size_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("max_iterations", 2.5), ("window_s", float("nan")),
-    ("horizon_bounds", [1.7, 120.9])])
+    ("horizon_bounds", [1.7, 120.9]), ("horizon_bounds", 5),
+    ("horizon_bounds", [1])])
 def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     # one error line naming the field, not a traceback
     doc = di_solve_config()
@@ -140,7 +141,8 @@ def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     ("oracle", "t_range", [20, 30.5]), ("oracle", "t_range", [0, 3]),
     ("check", "samples", 2.5), ("mpc", "initial_horizon", 40.5),
     ("mpc", "step_limit", 2.5), ("mpc", "inner_iterations", 2.5),
-    ("mpc", "noise_scale", -1.0), ("mpc", "receding_horizon", 40.5)])
+    ("mpc", "noise_scale", -1.0), ("mpc", "receding_horizon", 40.5),
+    ("sweep-ct", "c_t_list", 5), ("oracle", "t_range", 5)])
 def test_bad_top_level_value_exits_1(tmp_path, capsys, command, key, value):
     # counts are rejected by name, never truncated; mpc passes its keys to
     # MpcConfig as they stand
@@ -192,9 +194,16 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     assert out.stdout.strip() == "[]"
 
 
+_MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
+                 "model": "a JSON object naming a model",
+                 "obstacle": "a JSON object, got 5"}
+
+
 @pytest.mark.parametrize("model,name", [
     ({"model": "quadrotor", "mass": 0.0}, "mass"),
     ({"model": "double_integrator", "dt": float("nan")}, "dt"),
+    (5, "model"),
+    ({"model": "pointmass_nav", "obstacles": [5]}, "obstacle"),
 ])
 def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
     # caught by the model's own checks: one error line, no traceback
@@ -202,7 +211,8 @@ def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
     doc["model"] = model
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"error: {name} must be > 0\n"
+    assert (capsys.readouterr().err
+            == f"error: {name} must be {_MODEL_ERRORS[name]}\n")
 
 
 def test_check_command_reports_clean_model(tmp_path, capsys):

@@ -213,6 +213,8 @@ def test_validation_rejects_bad_data():
         ({"horizon_bounds": (5, 1)}, "horizon_bounds must be an integer"),
         ({"horizon_bounds": (1.7, 5.9)}, "horizon_bounds must be an integer"),
         ({"horizon_bounds": (1, 5.5)}, "horizon_bounds must be an integer"),
+        ({"horizon_bounds": 5}, "horizon_bounds must be a pair"),
+        ({"horizon_bounds": (1,)}, "horizon_bounds must be a pair"),
         ({"c_t": -1.0}, "c_t"),
         ({"c_t": np.nan}, "c_t"),
     ]:

@@ -1,0 +1,82 @@
+"""Property tests of the paper's linear-quadratic claim: on LQ problems one
+backward sweep prices every nearby horizon exactly, so the solver lands on
+the horizon and cost of the exact recursion.
+
+Draws are derandomized, so every run checks the same instances.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_lq
+from horizonddp import (SolverConfig, augment_time_penalty, backward_sweep,
+                        initial_trajectory, lti_optimal_horizon,
+                        optimize_trajectory)
+from horizonddp.solver import evaluate_candidates
+
+BOUNDS = (1, 60)
+WINDOW = 10
+
+lq_settings = settings(derandomize=True, deadline=None, database=None,
+                       max_examples=150)
+lq_cases = dict(seed=st.integers(0, 2 ** 32 - 1),
+                c_t=st.floats(0.01, 1.0),
+                scale=st.floats(0.5, 5.0),
+                offset=st.integers(-WINDOW, WINDOW))
+
+
+def _case(seed, c_t, scale, offset):
+    """Random LQ model, start, its exact optimum and an initial horizon
+    within the selection window of that optimum."""
+    rng = np.random.default_rng(seed)
+    model = random_lq(rng, c_t=c_t)
+    x0 = scale * rng.standard_normal(model.dim_x)
+    aug = augment_time_penalty(model.to_lti_problem(BOUNDS))
+    t_exact, j_exact, curve = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    T0 = int(np.clip(t_exact + offset, *BOUNDS))
+    return rng, model, x0, t_exact, j_exact, dict(curve), T0
+
+
+def _close(a, b, tol=1e-9):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+@lq_settings
+@given(**lq_cases)
+def test_solve_reaches_the_exact_optimum(seed, c_t, scale, offset):
+    _, model, x0, t_exact, j_exact, curve, T0 = _case(seed, c_t, scale,
+                                                      offset)
+    cfg = SolverConfig(horizon_bounds=BOUNDS, window_s=WINDOW)
+    res = optimize_trajectory(model, initial_trajectory(model, x0, T0), cfg)
+    assert res.converged
+    assert res.t_star == t_exact
+    assert _close(res.cost, j_exact)
+    # inside the first window the first pass prices T* exactly and its
+    # full step realizes that price
+    if abs(t_exact - T0) < WINDOW:
+        assert res.iterations == 1
+    accepted = [r["j"] for r in res.trace if r["accepted"]]
+    assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+    # the first pass prices every horizon as the Riccati curve does
+    first = res.trace[0]["candidates"]
+    assert [c.T for c in first] == list(range(max(BOUNDS[0], T0 - WINDOW),
+                                              min(BOUNDS[1], T0 + WINDOW) + 1))
+    for c in first:
+        assert _close(c.J_T, curve[c.T])
+
+
+@lq_settings
+@given(**lq_cases)
+def test_random_prefix_prices_the_riccati_curve(seed, c_t, scale, offset):
+    # prefix knots off the dynamics carry their defects through the sweep,
+    # so the prices above T-bar stay exact
+    rng, model, x0, _, _, curve, T0 = _case(seed, c_t, scale, offset)
+    traj = initial_trajectory(model, x0, T0)
+    prefix = (scale * rng.standard_normal((WINDOW, model.dim_x)),
+              rng.standard_normal((WINDOW, model.dim_u)))
+    back = backward_sweep(model, traj, prefix, gamma=0.0)
+    cands = evaluate_candidates(back, BOUNDS, WINDOW, np.inf)
+    assert cands[-1].T == min(BOUNDS[1], T0 + WINDOW)
+    for c in cands:
+        assert _close(c.J_T, curve[c.T]), c

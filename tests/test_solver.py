@@ -6,7 +6,7 @@ import pytest
 
 from conftest import LinearQuadraticModel, random_lq
 from horizonddp import (BackwardResult, CandidateEvaluation,
-                        DoubleIntegratorModel, SolverConfig,
+                        DoubleIntegratorModel, SolverConfig, SystemModel,
                         augment_time_penalty, backward_sweep,
                         initial_trajectory, lti_optimal_horizon,
                         optimize_trajectory, riccati_sweep, rollout_controls,
@@ -50,7 +50,8 @@ def test_config_validation():
                          ("horizon_bounds", (1.7, 120.9)),
                          ("horizon_bounds", (1, 120.5)),
                          ("horizon_bounds", (0, 5)),
-                         ("horizon_bounds", (6, 5))]:
+                         ("horizon_bounds", (6, 5)),
+                         ("horizon_bounds", 5), ("horizon_bounds", [1])]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
     # regularization and the trust radius are solver state, not knobs
@@ -105,7 +106,7 @@ def test_extend_backward_inverse_dynamics(rng):
     model = random_lq(rng)
     traj = initial_trajectory(model, rng.standard_normal(model.dim_x), 6)
     prefix = extend_backward(model, traj, 4)
-    assert len(prefix) == 4 and prefix.feasible
+    assert len(prefix) == 4
     u0 = traj.controls[0]
     # each prefix knot must step forward onto the next one
     chain = np.vstack([prefix.states, traj.states[:1]])
@@ -117,7 +118,7 @@ def test_extend_backward_zero_length(rng):
     model = random_lq(rng)
     traj = initial_trajectory(model, rng.standard_normal(model.dim_x), 3)
     prefix = extend_backward(model, traj, 0)
-    assert len(prefix) == 0 and prefix.feasible
+    assert len(prefix) == 0
 
 
 def test_extend_backward_fixed_point_constant():
@@ -127,28 +128,29 @@ def test_extend_backward_fixed_point_constant():
     m = CartpoleModel()
     traj = initial_trajectory(m, np.zeros(4), 5)
     prefix = extend_backward(m, traj, 3)
-    assert prefix.feasible
+    assert len(prefix) == 3
     npt.assert_allclose(prefix.states, 0.0, atol=1e-9)
 
 
-def test_extend_backward_infeasible_marked():
-    class NoInverse(LinearQuadraticModel):
-        has_inverse_step = False
+class NoGuessModel(LinearQuadraticModel):
+    """LQ model that leaves ``inverse_step`` to the base class."""
 
-    m = NoInverse(np.eye(2) * 0.9, np.array([[0.0], [1.0]]), np.eye(2),
-                  np.eye(1), np.eye(2))
+    inverse_step = SystemModel.inverse_step
+
+
+def test_extend_backward_empty_without_a_guess():
+    m = NoGuessModel(np.eye(2) * 0.9, np.array([[0.0], [1.0]]), np.eye(2),
+                     np.eye(1), np.eye(2))
     traj = initial_trajectory(m, np.array([2.0, 1.0]), 5)
     prefix = extend_backward(m, traj, 3)
-    # no inverse: constant-state stand-in, flagged
-    assert len(prefix) == 3 and not prefix.feasible
-    npt.assert_array_equal(prefix.states, np.tile(traj.states[0], (3, 1)))
+    assert len(prefix) == 0
+    assert prefix.states.shape == (0, 2) and prefix.controls.shape == (0, 1)
 
 
 def test_extend_backward_falls_back_off_the_admissible_region():
     # an inverse that overflows, a one-knot kernel that raises on an
     # overflowed state, and a quadrotor guess pitched past pi/2 (where the
-    # Euler-angle kinematics are singular) all leave the constant-state
-    # stand-in
+    # Euler-angle kinematics are singular) all leave the prefix empty
     from horizonddp import CartpoleModel, QuadrotorModel, Trajectory
 
     tiny = LinearQuadraticModel(1e-200 * np.eye(2), np.array([[0.0], [1.0]]),
@@ -163,9 +165,9 @@ def test_extend_backward_falls_back_off_the_admissible_region():
     for model, traj in ((tiny, initial_trajectory(tiny, np.ones(2), 5)),
                         (CartpoleModel(), spinning), (quad, pitched)):
         prefix = extend_backward(model, traj, 3)
-        assert len(prefix) == 3 and not prefix.feasible
-        npt.assert_array_equal(prefix.states,
-                               np.tile(traj.states[0], (3, 1)))
+        assert len(prefix) == 0
+        assert prefix.states.shape == (0, model.dim_x)
+        assert prefix.controls.shape == (0, model.dim_u)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def test_candidate_prices_match_riccati(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(1, 40), window_s=5)
-    cands = evaluate_candidates(back, cfg.horizon_bounds, 1e9, prefix.feasible)
+    cands = evaluate_candidates(back, cfg.horizon_bounds, cfg.window_s, 1e9)
     aug = augment_time_penalty(model.to_lti_problem((1, 40)))
     seq = riccati_sweep(aug)
     x_hat = np.append(x0, 1.0)
@@ -212,7 +214,7 @@ def test_infeasible_prefix_prices_exactly_on_lq(rng):
                    in zip(chain, prefix[1], chain[1:])]
         assert np.min(np.abs(defects).max(axis=1)) > 0.1
         back = backward_sweep(model, traj, prefix, gamma=0.0)
-        cands = evaluate_candidates(back, (1, T_bar + S), np.inf, True)
+        cands = evaluate_candidates(back, (1, T_bar + S), S, np.inf)
         assert [c.T for c in cands] == list(range(T_bar - S, T_bar + S + 1))
         lti = model.to_lti_problem((1, T_bar + S))
         seq = riccati_sweep(lti)
@@ -234,7 +236,7 @@ def test_candidates_respect_bounds_and_window(rng):
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(3, 5), window_s=2)
-    cands = evaluate_candidates(back, cfg.horizon_bounds, 1e9, prefix.feasible)
+    cands = evaluate_candidates(back, cfg.horizon_bounds, cfg.window_s, 1e9)
     assert [c.T for c in cands] == [3, 4, 5]
 
 
@@ -245,7 +247,7 @@ def test_trust_radius_marks_far_candidates(rng):
     prefix = extend_backward(model, traj, 4)
     back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                           gamma=0.0)
-    tiny = evaluate_candidates(back, (1, 20), 1e-12, prefix.feasible)
+    tiny = evaluate_candidates(back, (1, 20), 4, 1e-12)
     # dx = 0 at the current horizon stays admissible, moved knots do not
     by_T = {c.T: c for c in tiny}
     assert by_T[8].admissible
@@ -422,7 +424,7 @@ def test_stacked_pricing_matches_value_expansion(name, rng):
         x0 = rng.standard_normal(model.dim_x)
     _, back = _sweep_case(model, x0, 20, 6, rng)
     S = back.prefix_len
-    cands = evaluate_candidates(back, (1, 200), 1e9, True)
+    cands = evaluate_candidates(back, (1, 200), S, 1e9)
     assert [c.T for c in cands] == list(range(14, 27))
     assert any(c.gap > 0 for c in cands)
     for c in cands:
@@ -447,6 +449,25 @@ def test_lq_single_iteration_convergence():
     assert res.converged and res.iterations == 1
     assert res.t_star == t_exact
     assert res.cost == pytest.approx(j_exact, abs=1e-9 * max(1.0, j_exact))
+
+
+def test_model_without_guess_never_lengthens_its_horizon():
+    # no preimage guess, no prefix: a solve started below T* prices only
+    # horizons up to T-bar, so it converges without growing
+    di = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2),
+                               Qf=10 * np.eye(2))
+    lti = di.to_lti_problem((1, 120))
+    m = NoGuessModel(lti.A, lti.B, lti.Q, lti.R, lti.Qf, c_t=lti.c_t)
+    x0 = np.array([2.0, 0.0])
+    t_exact, _, _ = lti_optimal_horizon(augment_time_penalty(lti),
+                                        np.append(x0, 1.0))
+    T0 = t_exact - 15
+    cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    res = optimize_trajectory(m, initial_trajectory(m, x0, T0), cfg)
+    assert res.converged
+    for r in res.trace:
+        assert all(c.T <= r["t_bar"] for c in r["candidates"])
+    assert res.t_star <= T0
 
 
 def test_already_optimal_start_returns_one_iteration():
