@@ -6,6 +6,23 @@ selection window has a value expansion and gains available.  Every knot is
 linearized once, before the recursion: the expansions along a fixed nominal
 do not depend on each other, and a regularization retry reuses them.
 
+Each quadratic is one symmetric block in homogeneous coordinates, with a
+constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
+z = (dx, 1) the value is V(dx) = 1/2 z'Pz with
+
+    P = [[V_xx, V_x], [V_x', 2 V_0]],
+
+and over w = (dx, 1, du) a knot's running cost is 1/2 w'Cw and its
+linearized step z_next = F w, with
+
+    C = [[l_xx, l_x, l_ux'], [l_x', 2 l, l_u'], [l_ux, l_u, l_uu]],
+    F = [[f_x, 0, f_u], [0, 1, 0]].
+
+The backup of one knot is then Q = C + F'PF (plus V_x . f_** in
+second-order mode), and one Schur complement of its control block,
+[K | k] = -Q_uu^-1 Q_u(x,1) and P = Q_zz + Q_zu [K | k], gives the gains
+and all three value terms at once; P is symmetrized once per knot.
+
 The prefix knots need not be dynamically feasible.  A prefix knot g carries
 the defect d = step(x_g, u_g) - x_{g+1}, and its backup reads the next value
 expansion re-centred on step(x_g, u_g), as multiple-shooting DDP does, so on
@@ -38,13 +55,71 @@ class BackwardSweepError(RuntimeError):
     """Factorization kept failing after exhausting the gamma schedule."""
 
 
-@dataclass(frozen=True)
-class ValueExpansion:
-    """Quadratic value model around a nominal state."""
+def _block(xx, x, ux, u, uu, c):
+    """The symmetric block [[xx, x, ux'], [x', 2c, u'], [ux, u, uu]] over
+    (dx, 1, du), or a stack of them when the terms carry a leading axis."""
+    n, m = np.shape(x)[-1], np.shape(u)[-1]
+    B = np.empty(np.shape(c) + (n + 1 + m, n + 1 + m))
+    B[..., :n, :n] = xx
+    B[..., :n, n] = B[..., n, :n] = x
+    B[..., n, n] = 2.0 * c
+    B[..., n + 1:, :n] = ux
+    B[..., :n, n + 1:] = np.swapaxes(ux, -1, -2)
+    B[..., n + 1:, n] = B[..., n, n + 1:] = u
+    B[..., n + 1:, n + 1:] = uu
+    return B
 
-    V_xx: np.ndarray
-    V_x: np.ndarray
-    V_0: float
+
+def _cost_block(cost: CostExpansion) -> np.ndarray:
+    """C of a running-cost expansion, stacked if its fields are."""
+    return _block(cost.l_xx, cost.l_x, cost.l_ux, cost.l_u, cost.l_uu, cost.l)
+
+
+def _dynamics_block(dyn: DynamicsExpansion):
+    """(F, F2) of a dynamics expansion, stacked if its fields are: F maps
+    (dx, 1, du) to (dx_next, 1), and F2[i] holds the second derivatives of
+    output i in the same layout, or is None without them."""
+    n, m = np.shape(dyn.f_u)[-2:]
+    lead = np.shape(dyn.f_x)[:-2]
+    F = np.zeros(lead + (n + 1, n + 1 + m))
+    F[..., :n, :n] = dyn.f_x
+    F[..., :n, n + 1:] = dyn.f_u
+    F[..., n, n] = 1.0
+    if dyn.f_xx is None:
+        return F, None
+    F2 = np.zeros(lead + (n, n + 1 + m, n + 1 + m))
+    F2[..., :n, :n] = dyn.f_xx
+    F2[..., n + 1:, :n] = dyn.f_ux
+    F2[..., :n, n + 1:] = np.swapaxes(dyn.f_ux, -1, -2)
+    F2[..., n + 1:, n + 1:] = dyn.f_uu
+    return F, F2
+
+
+class ValueExpansion:
+    """Quadratic value model around a nominal state, held as the block
+    ``P = [[V_xx, V_x], [V_x', 2 V_0]]``; the fields read its blocks."""
+
+    __slots__ = ("P",)
+
+    def __init__(self, V_xx, V_x, V_0):
+        n = np.shape(V_x)[0]
+        P = np.empty((n + 1, n + 1))
+        P[:n, :n] = V_xx
+        P[:n, n] = P[n, :n] = V_x
+        P[n, n] = 2.0 * V_0
+        self.P = P
+
+    @classmethod
+    def of_block(cls, P: np.ndarray) -> "ValueExpansion":
+        value = object.__new__(cls)
+        value.P = P
+        return value
+
+    V_xx = property(lambda self: self.P[:-1, :-1])
+    # the last row, not the column: P is symmetric, and a contiguous vector
+    # rounds its products as the stacked pricing does
+    V_x = property(lambda self: self.P[-1, :-1])
+    V_0 = property(lambda self: 0.5 * float(self.P[-1, -1]))
 
     def evaluate(self, dx: np.ndarray) -> float:
         dx = np.asarray(dx, dtype=float)
@@ -52,20 +127,36 @@ class ValueExpansion:
 
     def shifted(self, d: np.ndarray) -> "ValueExpansion":
         """The same quadratic expanded around the nominal state plus d."""
-        V_xx_d = self.V_xx @ d
+        V_xx, V_x = self.V_xx, self.V_x
+        V_xx_d = V_xx @ d
         return ValueExpansion(
-            V_xx=self.V_xx, V_x=self.V_x + V_xx_d,
-            V_0=self.V_0 + float(d @ (self.V_x + 0.5 * V_xx_d)))
+            V_xx=V_xx, V_x=V_x + V_xx_d,
+            V_0=self.V_0 + float(d @ (V_x + 0.5 * V_xx_d)))
 
 
-@dataclass(frozen=True)
 class QExpansion:
-    Q_xx: np.ndarray
-    Q_ux: np.ndarray
-    Q_uu: np.ndarray
-    Q_x: np.ndarray
-    Q_u: np.ndarray
-    Q_0: float
+    """Quadratic model of one step's cost plus the next value, held as the
+    block ``Q = [[Q_xx, Q_x, Q_xu], [Q_x', 2 Q_0, Q_u'], [Q_ux, Q_u, Q_uu]]``
+    over (dx, 1, du); the fields read its blocks."""
+
+    __slots__ = ("Q", "n")
+
+    def __init__(self, Q_xx, Q_ux, Q_uu, Q_x, Q_u, Q_0):
+        self.Q = _block(Q_xx, Q_x, Q_ux, Q_u, Q_uu, Q_0)
+        self.n = np.shape(Q_x)[0]
+
+    @classmethod
+    def of_block(cls, Q: np.ndarray, n: int) -> "QExpansion":
+        q = object.__new__(cls)
+        q.Q, q.n = Q, n
+        return q
+
+    Q_xx = property(lambda self: self.Q[:self.n, :self.n])
+    Q_ux = property(lambda self: self.Q[self.n + 1:, :self.n])
+    Q_uu = property(lambda self: self.Q[self.n + 1:, self.n + 1:])
+    Q_x = property(lambda self: self.Q[:self.n, self.n])
+    Q_u = property(lambda self: self.Q[self.n + 1:, self.n])
+    Q_0 = property(lambda self: 0.5 * float(self.Q[self.n, self.n]))
 
 
 @dataclass(frozen=True)
@@ -75,8 +166,9 @@ class BackwardResult:
     ``states`` (N+1 rows) and ``controls`` (N rows) are the extended
     nominal the sweep linearized along: the prefix, then the trajectory.
     ``V_xx``, ``V_x`` and ``V_0`` hold the value expansion at each of the
-    N+1 states, and ``K``, ``k`` the gains of the N steps, so the policy at
-    time t is ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
+    N+1 states, read from the stacked blocks P, and ``K``, ``k`` the gains
+    of the N steps, so the policy at time t is
+    ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
     """
 
     states: np.ndarray
@@ -102,23 +194,17 @@ class BackwardResult:
 def q_expansion(cost, dyn, nxt: ValueExpansion) -> QExpansion:
     """Bellman-backup quadratic model of one step plus the next value.
 
-    The second-order dynamics terms are added when ``dyn`` carries them.
+    ``cost`` is the knot's block C and ``dyn`` its pair (F, F2); a
+    ``CostExpansion`` and a ``DynamicsExpansion`` are put in that form
+    first.  The second-order dynamics terms are added when F2 is present.
     """
-    fx, fu = dyn.f_x, dyn.f_u
-    Vxx, Vx = nxt.V_xx, nxt.V_x
-    fu_Vxx = fu.T @ Vxx
-    Q_xx = cost.l_xx + fx.T @ Vxx @ fx
-    Q_ux = cost.l_ux + fu_Vxx @ fx
-    Q_uu = cost.l_uu + fu_Vxx @ fu
-    Q_x = cost.l_x + fx.T @ Vx
-    Q_u = cost.l_u + fu.T @ Vx
-    Q_0 = cost.l + nxt.V_0
-    if dyn.f_xx is not None:
-        Q_xx = Q_xx + np.tensordot(Vx, dyn.f_xx, axes=1)
-        Q_ux = Q_ux + np.tensordot(Vx, dyn.f_ux, axes=1)
-        Q_uu = Q_uu + np.tensordot(Vx, dyn.f_uu, axes=1)
-    return QExpansion(Q_xx=sym(Q_xx), Q_ux=Q_ux, Q_uu=sym(Q_uu),
-                      Q_x=Q_x, Q_u=Q_u, Q_0=float(Q_0))
+    if isinstance(cost, CostExpansion):
+        cost, dyn = _cost_block(cost), _dynamics_block(dyn)
+    F, F2 = dyn
+    Q = cost + F.T @ nxt.P @ F
+    if F2 is not None:
+        Q += np.tensordot(nxt.V_x, F2, axes=1)
+    return QExpansion.of_block(Q, F.shape[0] - 1)
 
 
 def _min_eig(M: np.ndarray) -> float:
@@ -137,13 +223,13 @@ def regularize(q: QExpansion, gamma: float) -> QExpansion:
     # an infinite gamma zeroes every gain and never relaxes again
     if not 0.0 <= gamma < np.inf:
         raise ValueError("gamma must be finite and >= 0")
-    lam_min = _min_eig(q.Q_uu)
-    shift = max(0.0, gamma - lam_min)
+    Q_uu = q.Q_uu
+    shift = max(0.0, gamma - _min_eig(Q_uu))
     if shift == 0.0:
         return q
-    Q_uu = q.Q_uu + shift * np.eye(q.Q_uu.shape[0])
-    return QExpansion(Q_xx=q.Q_xx, Q_ux=q.Q_ux, Q_uu=Q_uu,
-                      Q_x=q.Q_x, Q_u=q.Q_u, Q_0=q.Q_0)
+    Q = q.Q.copy()
+    Q[q.n + 1:, q.n + 1:] = Q_uu + shift * np.eye(Q_uu.shape[0])
+    return QExpansion.of_block(Q, q.n)
 
 
 def _neg_inverse(Q_uu: np.ndarray) -> np.ndarray:
@@ -159,62 +245,64 @@ def _neg_inverse(Q_uu: np.ndarray) -> np.ndarray:
         neg_adj = [[-d, b], [b, -a]]
     if not (a > 0 and det > 0):
         raise NeedsRegularization("Q_uu is not positive definite")
-    return np.array(neg_adj) / det
+    return np.array([[v / det for v in row] for row in neg_adj])
 
 
 def value_recurrence(q: QExpansion):
     """Minimize the Q model over the control to get (value, K, k)."""
+    Q, n = q.Q, q.n
+    Q_uu, Q_uz = Q[n + 1:, n + 1:], Q[n + 1:, :n + 1]
     # closed forms for the common tiny control dimensions, as in _min_eig
-    if q.Q_uu.shape[0] <= 2:
-        neg_inv = _neg_inverse(q.Q_uu)
-        K, k = neg_inv @ q.Q_ux, neg_inv @ q.Q_u
+    if Q_uu.shape[0] <= 2:
+        Kk = _neg_inverse(Q_uu) @ Q_uz
     else:
         # the Cholesky factor only tests definiteness: numpy has no
         # triangular solve, so the small system is factored again to solve it.
         # A NaN entry yields a NaN factor instead of an error
         try:
-            factor = np.linalg.cholesky(q.Q_uu)
+            factor = np.linalg.cholesky(Q_uu)
         except np.linalg.LinAlgError:
             factor = None
         if factor is None or not np.isfinite(factor).all():
             raise NeedsRegularization("Q_uu is not positive definite")
-        sol = np.linalg.solve(q.Q_uu, np.column_stack([q.Q_ux, q.Q_u]))
-        K, k = -sol[:, :-1], -sol[:, -1]
-    V_xx = sym(q.Q_xx + q.Q_ux.T @ K)           # Q_xx - Q_ux' Quu^-1 Q_ux
-    V_x = q.Q_x + q.Q_ux.T @ k                  # Q_x - Q_ux' Quu^-1 Q_u
-    V_0 = q.Q_0 + 0.5 * float(q.Q_u @ k)        # Q_0 - 0.5 Q_u' Quu^-1 Q_u
-    return ValueExpansion(V_xx=V_xx, V_x=V_x, V_0=V_0), K, k
+        Kk = -np.linalg.solve(Q_uu, Q_uz)
+    # the Schur complement Q_zz - Q_zu Q_uu^-1 Q_uz gives V_xx, V_x and 2 V_0
+    P = sym(Q[:n + 1, :n + 1] + Q[:n + 1, n + 1:] @ Kk)
+    return ValueExpansion.of_block(P), Kk[:, :n], Kk[:, n]
 
 
 def _linearize(model: SystemModel, states, controls, second_order):
-    """Per-knot (cost, dynamics) expansions at stacked states and controls."""
-    cost = expand_cost(model, states, controls)
-    costs = [CostExpansion(*knot) for knot in zip(
-        cost.l, cost.l_x, cost.l_u, cost.l_xx, cost.l_ux, cost.l_uu)]
+    """The stacked cost blocks C, and the (F, F2) pair of each knot."""
+    if controls.shape[0] == 0:
+        # a per-knot expansion of no knots has no shape to build blocks from
+        w = model.dim_x + 1 + model.dim_u
+        return np.empty((0, w, w)), []
+    C = _cost_block(expand_cost(model, states, controls))
     if model.stacked_derivatives and not second_order:
-        f_x, f_u = model.dynamics_jacobians(states, controls)
-        dyns = [DynamicsExpansion(f_x=a, f_u=b) for a, b in
-                zip(np.asarray(f_x, dtype=float), np.asarray(f_u, dtype=float))]
-    else:
-        dyns = [expand_dynamics(model, x, u, want_second_order=second_order)
-                for x, u in zip(states, controls)]
-    return costs, dyns
+        F, _ = _dynamics_block(DynamicsExpansion(
+            *model.dynamics_jacobians(states, controls)))
+        return C, [(F_g, None) for F_g in F]
+    dyns = [expand_dynamics(model, x, u, want_second_order=second_order)
+            for x, u in zip(states, controls)]
+    return C, [_dynamics_block(dyn) for dyn in dyns]
 
 
 def _sweep_once(costs, dyns, defects, terminal: ValueExpansion, gamma, out):
-    """Fill the rows of ``out = (V_xx, V_x, V_0, K, k)`` below the terminal;
-    row i < len(defects) backs up the next value shifted by defects[i]."""
-    V_xx, V_x, V_0, K, k = out
+    """Fill the rows of ``out = (P, K, k)`` below the terminal; row
+    i < len(defects) backs up the next value shifted by defects[i]."""
+    P, K, k = out
+    n = P.shape[1] - 1
     nxt = terminal
     for i in range(len(costs) - 1, -1, -1):
         if i < len(defects):
             nxt = nxt.shifted(defects[i])
         q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
         nxt, K[i], k[i] = value_recurrence(q)
+        P_i = nxt.P
         # a diverging recursion only gets worse; escalate gamma right away
-        if not math.isfinite(nxt.V_0) or abs(nxt.V_xx).max() > 1e12:
+        if not math.isfinite(P_i[n, n]) or abs(P_i[:n, :n]).max() > 1e12:
             raise NeedsRegularization("value recursion diverged")
-        V_xx[i], V_x[i], V_0[i] = nxt.V_xx, nxt.V_x, nxt.V_0
+        P[i] = P_i
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
@@ -244,14 +332,13 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     defects = [model.step(x, u) - x_next for x, u, x_next
                in zip(pre_states, pre_controls, states[1:])]
 
-    V_xx, V_x, V_0 = np.empty((N + 1, n, n)), np.empty((N + 1, n)), np.empty(N + 1)
-    V_xx[N], V_x[N], V_0[N] = phi_xx, phi_x, phi
+    P = np.empty((N + 1, n + 1, n + 1))
+    P[N] = terminal.P
     K, k = np.empty((N, m, n)), np.empty((N, m))
     g = float(gamma)
     while True:
         try:
-            _sweep_once(costs, dyns, defects, terminal, g,
-                        (V_xx, V_x, V_0, K, k))
+            _sweep_once(costs, dyns, defects, terminal, g, (P, K, k))
             break
         except NeedsRegularization:
             g = max(10.0 * g, GAMMA_MIN)
@@ -259,6 +346,7 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
                 raise BackwardSweepError(
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
 
-    return BackwardResult(states=states, controls=controls, V_xx=V_xx,
-                          V_x=V_x, V_0=V_0, K=K, k=k, gamma_used=g,
+    return BackwardResult(states=states, controls=controls,
+                          V_xx=P[:, :n, :n], V_x=P[:, n, :n], V_0=P[:, n, n] / 2,
+                          K=K, k=k, gamma_used=g,
                           prefix_len=pre_states.shape[0])

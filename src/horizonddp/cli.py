@@ -83,7 +83,13 @@ def _build(cfg: dict, c_t=None):
         model_cfg["c_t"] = c_t
     model = make_model(model_cfg)
     solver_cfg = SolverConfig.from_json(cfg.get("solver", {}))
-    x0 = np.asarray(_require(cfg, "x0"), dtype=float)
+    raw = _require(cfg, "x0")
+    try:
+        x0 = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        x0 = None
+    if x0 is None or x0.ndim != 1:
+        raise ValueError(f"x0 must be a list of numbers, got {raw!r}")
     if x0.size != model.dim_x:
         raise ValueError(f"x0 has size {x0.size}, model expects {model.dim_x}")
     return model, solver_cfg, x0

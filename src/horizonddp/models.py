@@ -516,6 +516,17 @@ _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
 
+def _finite_pair(value, name: str) -> tuple:
+    """value as a tuple of two finite floats; raises ValueError naming it."""
+    try:
+        pair = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        pair = ()
+    if len(pair) != 2 or not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        raise ValueError(f"{name} must be two finite numbers, got {value!r}")
+    return pair
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Circular soft obstacle with Gaussian cost and an optional motion
@@ -528,12 +539,14 @@ class Obstacle:
 
     def __post_init__(self):
         _check_positive(radius=self.radius, weight=self.weight)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not np.isfinite(self.center).all():
-            raise ValueError("obstacle center must be finite")
-        object.__setattr__(
-            self, "schedule",
-            tuple((float(d), (float(v[0]), float(v[1]))) for d, v in self.schedule))
+        object.__setattr__(self, "center", _finite_pair(self.center, "center"))
+        try:
+            schedule = tuple((float(d), _finite_pair(v, "velocity"))
+                             for d, v in self.schedule)
+        except (TypeError, ValueError):
+            raise ValueError("schedule must be a list of [duration, [vx, vy]] "
+                             f"segments, got {self.schedule!r}") from None
+        object.__setattr__(self, "schedule", schedule)
 
     def displacement(self, sim_time: float) -> np.ndarray:
         """Integrated schedule motion from t=0 to sim_time (zero afterwards)."""
@@ -597,6 +610,9 @@ class PointMassNavModel(_LinearDynamics):
         _as_floats(self)
         _check_positive(dt=self.dt)
         self.goal = np.asarray(self.goal, dtype=float)
+        if not isinstance(self.obstacles, (list, tuple)):
+            raise ValueError("obstacles must be a list of obstacles, "
+                             f"got {self.obstacles!r}")
         self.obstacles = tuple(
             o if isinstance(o, Obstacle) else from_fields(Obstacle, o, "obstacle")
             for o in self.obstacles)

@@ -417,6 +417,38 @@ def test_value_expansion_evaluate():
         0.5 * (2 + 16) + (1 - 2) + 3)
 
 
+def test_records_round_trip_their_fields(rng):
+    # the records hold one block each; their fields read it back bit for bit
+    n, m = 3, 2
+    q_fields = dict(Q_xx=rng.standard_normal((n, n)),
+                    Q_ux=rng.standard_normal((m, n)),
+                    Q_uu=rng.standard_normal((m, m)),
+                    Q_x=rng.standard_normal(n), Q_u=rng.standard_normal(m),
+                    Q_0=float(rng.standard_normal()))
+    q = QExpansion(**q_fields)
+    for name, want in q_fields.items():
+        npt.assert_array_equal(getattr(q, name), want)
+    V_xx = sym(rng.standard_normal((n, n)))
+    V_x, V_0 = rng.standard_normal(n), float(rng.standard_normal())
+    V = ValueExpansion(V_xx=V_xx, V_x=V_x, V_0=V_0)
+    npt.assert_array_equal(V.V_xx, V_xx)
+    npt.assert_array_equal(V.V_x, V_x)
+    assert V.V_0 == V_0
+    d = rng.standard_normal(n)
+    shifted = V.shifted(d)
+    npt.assert_array_equal(shifted.V_xx, V_xx)
+    npt.assert_array_equal(shifted.V_x, V_x + V_xx @ d)
+    assert shifted.V_0 == V_0 + float(d @ (V_x + 0.5 * (V_xx @ d)))
+
+    model, traj, prefix = _lq_case(rng)
+    back = backward_sweep(model, traj, prefix, gamma=0.0)
+    for t in range(-back.prefix_len, traj.horizon + 1):
+        value, g = back.value_at(t), t + back.prefix_len
+        npt.assert_array_equal(value.V_xx, back.V_xx[g])
+        npt.assert_array_equal(value.V_x, back.V_x[g])
+        assert value.V_0 == back.V_0[g]
+
+
 def test_second_order_mode_matches_ilqr_on_linear_dynamics(rng):
     # the dynamics tensors vanish for linear systems, so DDP == iLQR
     model = random_lq(rng)

@@ -142,7 +142,9 @@ def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     ("check", "samples", 2.5), ("mpc", "initial_horizon", 40.5),
     ("mpc", "step_limit", 2.5), ("mpc", "inner_iterations", 2.5),
     ("mpc", "noise_scale", -1.0), ("mpc", "receding_horizon", 40.5),
-    ("sweep-ct", "c_t_list", 5), ("oracle", "t_range", 5)])
+    ("sweep-ct", "c_t_list", 5), ("oracle", "t_range", 5),
+    ("solve", "x0", {"a": 1}), ("solve", "x0", [[2.0], [0.0]]),
+    ("mpc", "x0", "origin")])
 def test_bad_top_level_value_exits_1(tmp_path, capsys, command, key, value):
     # counts are rejected by name, never truncated; mpc passes its keys to
     # MpcConfig as they stand
@@ -196,7 +198,10 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 _MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
                  "model": "a JSON object naming a model",
-                 "obstacle": "a JSON object, got 5"}
+                 "obstacle": "a JSON object, got 5",
+                 "obstacles": "a list of obstacles, got 5",
+                 "center": "two finite numbers, got 5",
+                 "schedule": "a list of [duration, [vx, vy]] segments, got 5"}
 
 
 @pytest.mark.parametrize("model,name", [
@@ -204,6 +209,12 @@ _MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
     ({"model": "double_integrator", "dt": float("nan")}, "dt"),
     (5, "model"),
     ({"model": "pointmass_nav", "obstacles": [5]}, "obstacle"),
+    ({"model": "pointmass_nav", "obstacles": 5}, "obstacles"),
+    ({"model": "pointmass_nav",
+      "obstacles": [{"center": 5, "radius": 1.0}]}, "center"),
+    ({"model": "pointmass_nav",
+      "obstacles": [{"center": [0, 0], "radius": 1.0, "schedule": 5}]},
+     "schedule"),
 ])
 def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
     # caught by the model's own checks: one error line, no traceback

@@ -58,6 +58,11 @@ def test_tracer_installs_and_uninstalls():
     assert _bindings() == before
     assert counts["backward.sweeps"] == 1
     assert counts["backward.knots"] == 25
+    # the per-knot backup keeps its three calls, so backward.q_backup_s
+    # times a real layer
+    assert (tracer.calls["backward.regularize"]
+            == tracer.calls["backward.value_recurrence"] == 25)
+    assert tracer.time["backward.q_expansion"] > 0
     # one stacked linearization per sweep, not one per knot
     assert counts["models.jacobian_calls"] == 1
     assert tracer.calls["model.expand_cost"] == 1

@@ -6,13 +6,14 @@ Draws are derandomized, so every run checks the same instances.
 """
 
 import numpy as np
+import numpy.testing as npt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_lq
 from horizonddp import (SolverConfig, augment_time_penalty, backward_sweep,
                         initial_trajectory, lti_optimal_horizon,
-                        optimize_trajectory)
+                        optimize_trajectory, riccati_sweep)
 from horizonddp.solver import evaluate_candidates
 
 BOUNDS = (1, 60)
@@ -80,3 +81,27 @@ def test_random_prefix_prices_the_riccati_curve(seed, c_t, scale, offset):
     assert cands[-1].T == min(BOUNDS[1], T0 + WINDOW)
     for c in cands:
         assert _close(c.J_T, curve[c.T]), c
+
+
+@lq_settings
+@given(**lq_cases)
+def test_sweep_rows_match_riccati_in_both_modes(seed, c_t, scale, offset):
+    # every value row over a random prefix is the Riccati matrix of its
+    # steps-to-go; the dynamics tensors of a linear model vanish, so the
+    # second-order sweep is the first-order one
+    rng, model, x0, _, _, _, T0 = _case(seed, c_t, scale, offset)
+    traj = initial_trajectory(model, x0, T0)
+    prefix = (scale * rng.standard_normal((WINDOW, model.dim_x)),
+              rng.standard_normal((WINDOW, model.dim_u)))
+    first, second = (backward_sweep(model, traj, prefix, gamma=0.0,
+                                    second_order=mode) for mode in (False, True))
+    N = T0 + WINDOW
+    seq = riccati_sweep(model.to_lti_problem((1, N)))
+    for g in range(N + 1):
+        want = seq[N - g]
+        assert np.max(np.abs(first.V_xx[g] - want)) <= 1e-9 * max(
+            1.0, np.max(np.abs(want)))
+    for a, b in zip((first.V_xx, first.V_x, first.V_0, first.K, first.k),
+                    (second.V_xx, second.V_x, second.V_0, second.K, second.k)):
+        npt.assert_allclose(b, a, rtol=1e-12,
+                            atol=1e-12 * max(1.0, np.max(np.abs(a))))

@@ -558,7 +558,8 @@ def test_trust_radius_stops_retrying_mispriced_shift(monkeypatch):
                               SolverConfig(horizon_bounds=(5, 150), window_s=10))
     assert len(calls) <= 40
     assert res.converged and res.iterations == 22 and res.t_star == 34
-    assert res.cost == 82.40213661605742
+    # pinned to the bit: a change in how the backup rounds moves it by ulps
+    assert res.cost == 82.40213661605743
     rejected = [r for r in res.trace if r["rejected"] is not None]
     assert [(r["iteration"], r["t_tried"]) for r in rejected] == [(2, 30)]
     tried = next(c for c in rejected[0]["candidates"] if c.T == 30)

@@ -1,6 +1,6 @@
 """One sha256 over a fixed set of solves and MPC episodes of a source tree.
 
-Usage: python3 tools/fingerprint.py <tree>
+Usage: python3 tools/fingerprint.py <tree> [<other-tree>]
 
 Imports ``horizonddp`` from ``<tree>/src`` and runs:
 - the cartpole solves at c_t = 1, 3, 10, 30 and 100 (bounds (10, 400),
@@ -18,6 +18,11 @@ the same digest solve these problems bit for bit alike.  One summary line
 per run goes to stderr, with the run's final cost to the last bit, the
 line-search rollouts the run made and how many of them rolled out a shifted
 horizon (t0 != 0); the digest goes to stdout.
+
+Given two trees, each is fingerprinted in its own subprocess, and one line
+per run says whether the two agree on iterations, T*, status, steps,
+rollouts and shifted rollouts, with the relative gap between their final
+costs.  The exit status is 1 when a count differs or a gap exceeds 1e-12.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -152,10 +158,58 @@ def fingerprint(tree: Path) -> str:
     return h.hexdigest()
 
 
+# relative cost gap two trees may show on one run
+_COST_RTOL = 1e-12
+_COST_KEYS = ("J", "cost")
+
+
+def _parse(stderr: str) -> dict:
+    """{label: {key: value}} from the summary lines of one tree; other
+    lines, such as warnings, are skipped."""
+    runs = {}
+    for line in stderr.splitlines():
+        label, _, fields = line.rpartition(": ")
+        pairs = [field.partition("=") for field in fields.split()]
+        if label and pairs and all(sep for _, sep, _ in pairs):
+            runs[label] = {key: value for key, _, value in pairs}
+    return runs
+
+
+def compare(tree: Path, other: Path) -> int:
+    """Fingerprint both trees side by side; 1 when they differ beyond the
+    cost tolerance or in any count."""
+    procs = [subprocess.Popen([sys.executable, __file__, str(t)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for t in (tree, other)]
+    outs = [p.communicate() for p in procs]
+    for t, p, (_, err) in zip((tree, other), procs, outs):
+        if p.returncode != 0:
+            print(f"{t} failed:\n{err}", file=sys.stderr)
+            return 1
+    (digest_a, err_a), (digest_b, err_b) = outs
+    runs_a, runs_b = _parse(err_a), _parse(err_b)
+    status = 0 if runs_a and list(runs_a) == list(runs_b) else 1
+    for label, a in runs_a.items():
+        b = runs_b.get(label, {})
+        counts = [key for key in a if key not in _COST_KEYS]
+        differ = [key for key in counts if a[key] != b.get(key)]
+        cost = next(key for key in _COST_KEYS if key in a)
+        x, y = float(a[cost]), float(b.get(cost, "nan"))
+        gap = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y), 1e-300)
+        if differ or not gap <= _COST_RTOL:
+            status = 1
+        same = "differ in " + ", ".join(differ) if differ else "equal"
+        print(f"{label}: {'/'.join(counts)} {same}; {cost} gap {gap:.1e}")
+    print(f"digests: {digest_a.strip()} {digest_b.strip()}")
+    return status
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2:
+        return compare(Path(argv[0]), Path(argv[1]))
     if len(argv) != 1:
-        print("usage: fingerprint.py <tree>", file=sys.stderr)
+        print("usage: fingerprint.py <tree> [<other-tree>]", file=sys.stderr)
         return 1
     print(fingerprint(Path(argv[0])))
     return 0
