@@ -23,10 +23,19 @@ second-order mode), and one Schur complement of its control block,
 [K | k] = -Q_uu^-1 Q_u(x,1) and P = Q_zz + Q_zu [K | k], gives the gains
 and all three value terms at once; P is symmetrized once per knot.
 
+For m >= 3 controls, ``regularize`` first bounds the spectrum of Q_uu by
+Gershgorin's circle theorem (Golub & Van Loan, Matrix Computations, 7.2)
+on its lower triangle, the one eigvalsh and cholesky read.  When every
+disc lies above gamma, lambda_min > gamma is proven: the lift is 0, so
+eigvalsh is skipped, and the proof rides on the returned QExpansion so
+that ``value_recurrence`` skips its Cholesky test; both give the same
+result to the bit as the full path.  m <= 2 keeps its closed forms.
+
 The prefix knots need not be dynamically feasible.  A prefix knot g carries
 the defect d = step(x_g, u_g) - x_{g+1}, and its backup reads the next value
 expansion re-centred on step(x_g, u_g), as multiple-shooting DDP does, so on
 a linear-quadratic problem every price is exact whatever the prefix states.
+An all-zero defect (an exact preimage) needs no re-centring.
 """
 
 from __future__ import annotations
@@ -139,16 +148,18 @@ class QExpansion:
     block ``Q = [[Q_xx, Q_x, Q_xu], [Q_x', 2 Q_0, Q_u'], [Q_ux, Q_u, Q_uu]]``
     over (dx, 1, du); the fields read its blocks."""
 
-    __slots__ = ("Q", "n")
+    # _definite: regularize proved Q_uu positive definite
+    __slots__ = ("Q", "n", "_definite")
 
     def __init__(self, Q_xx, Q_ux, Q_uu, Q_x, Q_u, Q_0):
         self.Q = _block(Q_xx, Q_x, Q_ux, Q_u, Q_uu, Q_0)
         self.n = np.shape(Q_x)[0]
+        self._definite = False
 
     @classmethod
-    def of_block(cls, Q: np.ndarray, n: int) -> "QExpansion":
+    def of_block(cls, Q: np.ndarray, n: int, definite: bool = False) -> "QExpansion":
         q = object.__new__(cls)
-        q.Q, q.n = Q, n
+        q.Q, q.n, q._definite = Q, n, definite
         return q
 
     Q_xx = property(lambda self: self.Q[:self.n, :self.n])
@@ -218,12 +229,48 @@ def _min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[0])
 
 
+# relative slack of the Gershgorin test: far above the rounding of the bound
+# and of eigvalsh and cholesky (a few ulps of the matrix scale), and far below
+# GAMMA_MIN at the Q_uu scales of the benchmark models
+_GERSHGORIN_SLACK = 1e-12
+
+
+def _gershgorin_above(M: np.ndarray, gamma: float) -> bool:
+    """Whether every Gershgorin disc of the symmetric matrix with M's lower
+    triangle, the one eigvalsh and cholesky read, lies above gamma and
+    above 0 (with a relative slack), which proves lambda_min > gamma.  A
+    NaN entry fails the test: each row is compared on its own."""
+    # plain loops over floats: a few microseconds, where eigvalsh and
+    # cholesky each cost more than that in numpy's wrappers alone
+    rows = M.tolist()
+    m = len(rows)
+    radii = [0.0] * m
+    for i in range(1, m):
+        row = rows[i]
+        for j in range(i):
+            a = abs(row[j])
+            radii[i] += a
+            radii[j] += a
+    scale = sum(radii)
+    for i in range(m):
+        scale += abs(rows[i][i])
+    bar = gamma + _GERSHGORIN_SLACK * scale
+    for i in range(m):
+        if not rows[i][i] - radii[i] > bar:
+            return False
+    return True
+
+
 def regularize(q: QExpansion, gamma: float) -> QExpansion:
     """Lift the smallest eigenvalue of Q_uu to at least gamma."""
     # an infinite gamma zeroes every gain and never relaxes again
     if not 0.0 <= gamma < np.inf:
         raise ValueError("gamma must be finite and >= 0")
     Q_uu = q.Q_uu
+    # for m >= 3, Gershgorin discs above gamma prove the shift is 0 without
+    # eigvalsh, and let value_recurrence skip its Cholesky test
+    if Q_uu.shape[0] > 2 and _gershgorin_above(Q_uu, gamma):
+        return QExpansion.of_block(q.Q, q.n, definite=True)
     shift = max(0.0, gamma - _min_eig(Q_uu))
     if shift == 0.0:
         return q
@@ -256,15 +303,17 @@ def value_recurrence(q: QExpansion):
     if Q_uu.shape[0] <= 2:
         Kk = _neg_inverse(Q_uu) @ Q_uz
     else:
-        # the Cholesky factor only tests definiteness: numpy has no
-        # triangular solve, so the small system is factored again to solve it.
-        # A NaN entry yields a NaN factor instead of an error
-        try:
-            factor = np.linalg.cholesky(Q_uu)
-        except np.linalg.LinAlgError:
-            factor = None
-        if factor is None or not np.isfinite(factor).all():
-            raise NeedsRegularization("Q_uu is not positive definite")
+        # the Cholesky factor only tests definiteness, unless regularize
+        # proved it: numpy has no triangular solve, so the small system is
+        # factored again to solve it.  A NaN entry yields a NaN factor
+        # instead of an error
+        if not q._definite:
+            try:
+                factor = np.linalg.cholesky(Q_uu)
+            except np.linalg.LinAlgError:
+                factor = None
+            if factor is None or not np.isfinite(factor).all():
+                raise NeedsRegularization("Q_uu is not positive definite")
         Kk = -np.linalg.solve(Q_uu, Q_uz)
     # the Schur complement Q_zz - Q_zu Q_uu^-1 Q_uz gives V_xx, V_x and 2 V_0
     P = sym(Q[:n + 1, :n + 1] + Q[:n + 1, n + 1:] @ Kk)
@@ -289,12 +338,13 @@ def _linearize(model: SystemModel, states, controls, second_order):
 
 def _sweep_once(costs, dyns, defects, terminal: ValueExpansion, gamma, out):
     """Fill the rows of ``out = (P, K, k)`` below the terminal; row
-    i < len(defects) backs up the next value shifted by defects[i]."""
+    i < len(defects) backs up the next value shifted by defects[i], unless
+    that is None (no defect)."""
     P, K, k = out
     n = P.shape[1] - 1
     nxt = terminal
     for i in range(len(costs) - 1, -1, -1):
-        if i < len(defects):
+        if i < len(defects) and defects[i] is not None:
             nxt = nxt.shifted(defects[i])
         q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
         nxt, K[i], k[i] = value_recurrence(q)
@@ -331,6 +381,8 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     costs, dyns = _linearize(model, states[:-1], controls, second_order)
     defects = [model.step(x, u) - x_next for x, u, x_next
                in zip(pre_states, pre_controls, states[1:])]
+    # an exact preimage leaves an all-zero defect, and nothing to shift by
+    defects = [d if d.any() else None for d in defects]
 
     P = np.empty((N + 1, n + 1, n + 1))
     P[N] = terminal.P

@@ -7,6 +7,14 @@ double-integrator variants use the exact discrete map (``_LinearDynamics``).
 The double integrator and the quadrotor share one quadratic tracking cost
 (``_QuadraticCost``).  Every model carries its own cost weights and
 per-step time penalty.
+
+The RK4 models serve a single knot on plain floats: ``step`` runs the four
+stages of one knot through the model's float kernel ``_xdot`` and builds
+one array at the end.  Each stage scales and adds in the order numpy does
+in the array form ``rk4_step``, so the two give the same state to the bit,
+while the float path pays numpy's per-call cost once instead of about a
+dozen times.  ``rk4_step``, ``inverse_step`` and the stacked
+``rk4_step_with_jacobian`` keep their array forms.
 """
 
 from __future__ import annotations
@@ -137,6 +145,20 @@ def _as_floats(model):
             setattr(model, f.name, float(getattr(model, f.name)))
 
 
+def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape with finite entries;
+    raises ValueError naming it."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.isfinite(a).all():
+        what = (f"{shape[0]} finite numbers" if len(shape) == 1
+                else f"a {shape[0]}x{shape[1]} matrix of finite numbers")
+        raise ValueError(f"{name} must be {what}")
+    return a
+
+
 def _check_positive(**values):
     """Raise ValueError naming each value with an entry not > 0, which a
     NaN entry is not."""
@@ -151,21 +173,40 @@ def _check_positive(**values):
 
 
 class _RK4Dynamics(SystemModel):
-    """One fixed RK4 step of ``dt`` through the continuous dynamics
-    ``_deriv`` and their Jacobians ``_deriv_jacobians``, which take one knot
-    or stacked knots; one backward-Euler step guesses a preimage.  The
-    costs of the models built on it stack too."""
+    """One fixed RK4 step of ``dt`` through the continuous dynamics and
+    their Jacobians ``_deriv_jacobians``, which take one knot or stacked
+    knots; one backward-Euler step guesses a preimage.  The costs of the
+    models built on it stack too.
+
+    A model gives its dynamics as the kernel ``_xdot(x, u, sin, cos)``
+    over the coordinates of ``_kernel_inputs``, returning the entries of
+    xdot; ``_deriv`` wraps it for arrays."""
 
     stacked_derivatives = True
 
+    def _deriv(self, x, u):
+        """xdot at one knot (k,), or at each of stacked knots (N, k)."""
+        return _knot_rows(self._xdot(*_kernel_inputs(x, u)))
+
     def step(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = rk4_step(self._deriv, x, u, self.dt)
-        if not np.isfinite(out).all():
+        # rk4_step on plain floats: each stage adds and scales in the order
+        # numpy does, so the state is the same to the bit
+        x = np.asarray(x, dtype=float).tolist()
+        u = np.asarray(u, dtype=float).tolist()
+        xdot, sin, cos = self._xdot, math.sin, math.cos
+        dt = self.dt
+        h = 0.5 * dt
+        k1 = xdot(x, u, sin, cos)
+        k2 = xdot([a + h * b for a, b in zip(x, k1)], u, sin, cos)
+        k3 = xdot([a + h * b for a, b in zip(x, k2)], u, sin, cos)
+        k4 = xdot([a + dt * b for a, b in zip(x, k3)], u, sin, cos)
+        c = dt / 6.0
+        out = [a + c * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+               for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, out)):
             raise FloatingPointError(
                 f"{type(self).__name__} state became non-finite")
-        return out
+        return np.array(out)
 
     def dynamics_jacobians(self, x, u):
         _, fx, fu = rk4_step_with_jacobian(
@@ -248,9 +289,10 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
     def __post_init__(self):
         _as_floats(self)
         _check_positive(dt=self.dt)
-        self.Q = sym(np.asarray(self.Q if self.Q is not None else np.eye(2), dtype=float))
-        self.R = sym(np.asarray(self.R if self.R is not None else np.eye(1), dtype=float))
-        self.Qf = sym(np.asarray(self.Qf if self.Qf is not None else np.eye(2), dtype=float))
+        for name, dim in (("Q", 2), ("R", 1), ("Qf", 2)):
+            value = getattr(self, name)
+            setattr(self, name, sym(_finite_array(
+                np.eye(dim) if value is None else value, (dim, dim), name)))
         self.goal = np.zeros(2)
         self.u_ref = np.zeros(1)
         self.A = np.array([[1.0, self.dt], [0.0, 1.0]])
@@ -297,8 +339,8 @@ class CartpoleModel(_RK4Dynamics):
                         pole_length=self.pole_length, dt=self.dt)
 
     # equations of motion in manipulator form, solved for the accelerations
-    def _deriv(self, x, u):
-        (_, xdot, theta, thetadot), (force,), sin, cos = _kernel_inputs(x, u)
+    def _xdot(self, x, u, sin, cos):
+        (_, xdot, theta, thetadot), (force,) = x, u
         try:
             s, c = sin(theta), cos(theta)
             spin = thetadot ** 2
@@ -310,7 +352,7 @@ class CartpoleModel(_RK4Dynamics):
         xddot = (force + self.pole_mass * s * (self.pole_length * spin
                                                + self.gravity * c)) / den
         thddot = -(xddot * c + self.gravity * s) / self.pole_length
-        return _knot_rows([xdot, xddot, thetadot, thddot])
+        return [xdot, xddot, thetadot, thddot]
 
     def _deriv_jacobians(self, x, u):
         (_, _, theta, thetadot), (force,), sin, cos = _kernel_inputs(x, u)
@@ -405,20 +447,20 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
 
     def __post_init__(self):
         _as_floats(self)
-        self.inertia = np.asarray(self.inertia, dtype=float)
+        # plain floats: the one-knot kernels read them
+        self.inertia = tuple(_finite_array(self.inertia, (3,), "inertia").tolist())
         _check_positive(mass=self.mass, inertia=self.inertia, dt=self.dt)
         self.goal = (np.zeros(12) if self.goal is None
-                     else np.asarray(self.goal, dtype=float))
+                     else _finite_array(self.goal, (12,), "goal"))
         self.Q = np.diag([self.w_pos] * 3 + [self.w_att] * 3
                          + [self.w_vel] * 3 + [self.w_rate] * 3)
         self.R = np.diag([self.w_thrust] + [self.w_torque] * 3)
         self.Qf = self.wf * np.eye(12)
         self.u_ref = np.array([self.mass * self.gravity, 0.0, 0.0, 0.0])
 
-    def _deriv(self, x, u):
-        ((_, _, _, phi, th, psi, vx, vy, vz, p, q, r), (thrust, tx, ty, tz),
-         sin, cos) = _kernel_inputs(x, u)
-        jx, jy, jz = self.inertia.tolist()
+    def _xdot(self, x, u, sin, cos):
+        (_, _, _, phi, th, psi, vx, vy, vz, p, q, r), (thrust, tx, ty, tz) = x, u
+        jx, jy, jz = self.inertia
         try:
             sph, cph = sin(phi), cos(phi)
             sth, cth = sin(th), cos(th)
@@ -427,7 +469,7 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
             raise FloatingPointError("quadrotor state became non-finite") from None
         tth = sth / cth
 
-        return _knot_rows([
+        return [
             vx, vy, vz,
             # Euler-angle rates
             p + (q * sph + r * cph) * tth,
@@ -441,12 +483,12 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
             ((jy - jz) * q * r + tx) / jx,
             ((jz - jx) * p * r + ty) / jy,
             ((jx - jy) * p * q + tz) / jz,
-        ])
+        ]
 
     def _deriv_jacobians(self, x, u):
         ((_, _, _, phi, th, psi, _, _, _, p, q, r), (thrust, _, _, _),
          sin, cos) = _kernel_inputs(x, u)
-        jx, jy, jz = self.inertia.tolist()
+        jx, jy, jz = self.inertia
         m = self.mass
 
         sph, cph = sin(phi), cos(phi)
@@ -546,6 +588,9 @@ class Obstacle:
         except (TypeError, ValueError):
             raise ValueError("schedule must be a list of [duration, [vx, vy]] "
                              f"segments, got {self.schedule!r}") from None
+        if not all(0.0 <= d < math.inf for d, _ in schedule):
+            raise ValueError("schedule duration must be finite and >= 0, "
+                             f"got {self.schedule!r}")
         object.__setattr__(self, "schedule", schedule)
 
     def displacement(self, sim_time: float) -> np.ndarray:
@@ -609,7 +654,7 @@ class PointMassNavModel(_LinearDynamics):
     def __post_init__(self):
         _as_floats(self)
         _check_positive(dt=self.dt)
-        self.goal = np.asarray(self.goal, dtype=float)
+        self.goal = _finite_array(self.goal, (2,), "goal")
         if not isinstance(self.obstacles, (list, tuple)):
             raise ValueError("obstacles must be a list of obstacles, "
                              f"got {self.obstacles!r}")

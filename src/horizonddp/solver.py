@@ -33,6 +33,9 @@ _STEP_SIZES = tuple(0.5 ** i for i in range(10))
 # a solve started from a carried trust radius first widens it by this factor
 _RADIUS_REGROWTH = 1.25
 
+# a rollout whose state leaves this box, or turns non-finite, is rejected
+_STATE_BOUND = 1e8
+
 
 @dataclass
 class SolverConfig:
@@ -219,7 +222,8 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
             x_next = model.step(states[t], u)
         except FloatingPointError:
             return None, math.inf
-        if not np.isfinite(x_next).all() or np.abs(x_next).max() > 1e8:
+        # NaN compares false, so this also rejects a non-finite state
+        if not np.abs(x_next).max() <= _STATE_BOUND:
             return None, math.inf
         states[t + 1] = x_next
     try:

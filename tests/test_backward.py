@@ -221,6 +221,70 @@ def test_cholesky_path_rejects_nan(Q_uu, rng):
         value_recurrence(_q_with(np.array(Q_uu), rng))
 
 
+def _draw_quu(kind, m, rng):
+    """A random m x m Q_uu: diagonally dominant (the Gershgorin test passes),
+    merely definite, indefinite, or dominant with a different upper
+    triangle (which eigvalsh and cholesky do not read)."""
+    Mu = rng.standard_normal((m, m))
+    if kind == "dominant":
+        return sym(Mu) * 0.1 + np.diag(rng.uniform(1.0, 5.0, m))
+    if kind == "definite":
+        return Mu.T @ Mu + 1e-3 * np.eye(m)
+    if kind == "indefinite":
+        return sym(Mu)
+    Q_uu = _draw_quu("dominant", m, rng)
+    return Q_uu + np.triu(rng.standard_normal((m, m)), 1)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("gamma", [0.0, GAMMA_MIN, 1e-2])
+def test_gershgorin_skip_is_bitwise_equal(m, gamma, rng, monkeypatch):
+    # regularize then value_recurrence, against the same two calls forced
+    # down the eigvalsh and Cholesky path.  At gamma = 0 an indefinite draw
+    # is lifted to a singular Q_uu, which solve may reject
+    def backup(q):
+        try:
+            return value_recurrence(regularize(q, gamma))
+        except (NeedsRegularization, np.linalg.LinAlgError) as exc:
+            return type(exc)
+
+    proven = 0
+    for kind in ("dominant", "definite", "indefinite", "asymmetric") * 25:
+        q = _q_with(_draw_quu(kind, m, rng), rng)
+        proven += regularize(q, gamma)._definite
+        fast = backup(q)
+        with monkeypatch.context() as mp:
+            mp.setattr(backward, "_gershgorin_above", lambda M, g: False)
+            ref = backup(q)
+        if isinstance(ref, type):
+            assert fast is ref
+        else:
+            for a, b in zip((fast[0].P, *fast[1:]), (ref[0].P, *ref[1:])):
+                assert a.tobytes() == b.tobytes()
+    # the dominant and asymmetric draws take the skip, the others need not
+    assert proven >= 50
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_gershgorin_skip_rejects_nan(m, rng):
+    # a NaN anywhere in the lower triangle defeats the proof, and the
+    # Cholesky test of value_recurrence still rejects the block
+    for i in range(m):
+        for j in range(i + 1):
+            Q_uu = 4.0 * np.eye(m)
+            Q_uu[i, j] = np.nan
+            q = _q_with(Q_uu, rng)
+            assert not backward._gershgorin_above(q.Q_uu, GAMMA_MIN)
+            with pytest.raises(NeedsRegularization, match="positive definite"):
+                value_recurrence(q)
+
+
+def test_gershgorin_skip_needs_a_positive_bound(rng):
+    # at gamma = 0 a zero or singular Q_uu is not proven definite
+    for Q_uu in (np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])):
+        assert not regularize(_q_with(Q_uu, rng), 0.0)._definite
+
+
 def test_nan_quu_knot_escalates_gamma(rng, monkeypatch):
     # a three-control knot whose Q_uu is NaN until gamma reaches 1e-3: the
     # sweep escalates to that level, and no attempt produced NaN gains

@@ -201,7 +201,10 @@ _MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
                  "obstacle": "a JSON object, got 5",
                  "obstacles": "a list of obstacles, got 5",
                  "center": "two finite numbers, got 5",
-                 "schedule": "a list of [duration, [vx, vy]] segments, got 5"}
+                 "schedule": "a list of [duration, [vx, vy]] segments, got 5",
+                 "schedule duration": "finite and >= 0, got [[nan, [1, 0]]]",
+                 "goal": "2 finite numbers",
+                 "Q": "a 2x2 matrix of finite numbers"}
 
 
 @pytest.mark.parametrize("model,name", [
@@ -215,6 +218,12 @@ _MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
     ({"model": "pointmass_nav",
       "obstacles": [{"center": [0, 0], "radius": 1.0, "schedule": 5}]},
      "schedule"),
+    ({"model": "pointmass_nav", "obstacles": [
+        {"center": [0, 0], "radius": 1.0, "schedule": [[float("nan"), [1, 0]]]}]},
+     "schedule duration"),
+    ({"model": "pointmass_nav", "goal": 5}, "goal"),
+    ({"model": "pointmass_nav", "goal": [1.0, 2.0, 3.0]}, "goal"),
+    ({"model": "double_integrator", "Q": 5}, "Q"),
 ])
 def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
     # caught by the model's own checks: one error line, no traceback

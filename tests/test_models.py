@@ -199,6 +199,21 @@ def test_quadrotor_step_raises_on_non_finite_state(index, value, message):
             m.step(xu[:12], xu[12:])
 
 
+@pytest.mark.parametrize("model", [CartpoleModel(), QuadrotorModel()],
+                         ids=["cartpole", "quadrotor"])
+def test_float_step_matches_array_rk4(model, rng):
+    # step runs RK4 on plain floats; the array form is the reference, bit
+    # for bit
+    for _ in range(50):
+        x = rng.standard_normal(model.dim_x)
+        u = rng.standard_normal(model.dim_u)
+        assert (model.step(x, u).tobytes()
+                == rk4_step(model._deriv, x, u, model.dt).tobytes())
+    # an overflowing state still raises
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        model.step(np.full(model.dim_x, 1e308), np.zeros(model.dim_u))
+
+
 # ---------------------------------------------------------------------------
 # obstacles and navigation
 # ---------------------------------------------------------------------------
@@ -238,6 +253,31 @@ def test_obstacle_schedule_displacement():
     npt.assert_allclose(obs.displacement(2.5), [2.0, -1.0])
     # motion stops after the schedule runs out
     npt.assert_allclose(obs.displacement(100.0), [2.0, -2.0])
+
+
+@pytest.mark.parametrize("duration", [np.nan, np.inf, -1.0])
+def test_obstacle_rejects_bad_schedule_duration(duration):
+    # min(remaining, nan) is remaining: a NaN duration moved the obstacle
+    # for all time
+    with pytest.raises(ValueError, match="schedule duration"):
+        Obstacle(center=(0.0, 0.0), radius=1.0,
+                 schedule=((duration, (1.0, 0.0)),))
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: PointMassNavModel(goal=5), "goal must be 2 finite numbers"),
+    (lambda: PointMassNavModel(goal=(1.0, 2.0, 3.0)), "goal must be 2"),
+    (lambda: QuadrotorModel(goal=np.zeros(11)), "goal must be 12"),
+    (lambda: QuadrotorModel(inertia=(0.01, 0.02)), "inertia must be 3"),
+    (lambda: DoubleIntegratorModel(Q=5), "Q must be a 2x2 matrix"),
+    (lambda: DoubleIntegratorModel(R=np.eye(2)), "R must be a 1x1 matrix"),
+    (lambda: DoubleIntegratorModel(Qf=[[1.0, np.nan], [0.0, 1.0]]),
+     "Qf must be a 2x2 matrix of finite numbers"),
+], ids=["nav-goal-scalar", "nav-goal-3", "quadrotor-goal", "quadrotor-inertia",
+        "integrator-Q", "integrator-R", "integrator-Qf-nan"])
+def test_model_arrays_are_shape_checked(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 def test_schedule_advance_hides_future_motion():

@@ -327,6 +327,16 @@ def test_rollout_returns_inf_when_step_raises(feedforward):
     assert out == (None, np.inf)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e9])
+def test_rollout_rejects_state_out_of_bounds(value, monkeypatch):
+    # one test covers a non-finite state and one beyond the state bound
+    model = DoubleIntegratorModel()
+    monkeypatch.setattr(model, "step", lambda x, u: np.array([0.0, value]))
+    T = 3
+    back = open_loop(np.zeros((T + 1, 2)), np.zeros((T, 1)), np.zeros((T, 1)))
+    assert rollout(model, back, 0, 1.0, np.zeros(2)) == (None, np.inf)
+
+
 def test_rollout_returns_inf_when_cost_overflows():
     # the states stay finite, but the terminal weight takes the terminal
     # cost past float range
