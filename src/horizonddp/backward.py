@@ -32,10 +32,13 @@ that ``value_recurrence`` skips its Cholesky test; both give the same
 result to the bit as the full path.  m <= 2 keeps its closed forms.
 
 The prefix knots need not be dynamically feasible.  A prefix knot g carries
-the defect d = step(x_g, u_g) - x_{g+1}, and its backup reads the next value
-expansion re-centred on step(x_g, u_g), as multiple-shooting DDP does, so on
-a linear-quadratic problem every price is exact whatever the prefix states.
-An all-zero defect (an exact preimage) needs no re-centring.
+the defect d = step(x_g, u_g) - x_{g+1}, which is the affine column of its
+linearized step, F = [[f_x, d, f_u], [0, 1, 0]], as in multiple-shooting
+DDP (Giftthaler et al., IROS 2018): dx_next = f_x dx + f_u du + d.  The
+sweep writes it once, and every knot, prefix or not, backs up with the
+same Q = C + F'PF; second-order terms are weighted by the value gradient
+at the successor, V_x + V_xx d.  On a linear-quadratic problem every price
+is then exact whatever the prefix states.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CostExpansion, DynamicsExpansion, SystemModel,
-                    expand_cost, expand_dynamics, expand_terminal, sym)
+from .model import (CostExpansion, DynamicsExpansion, ExpansionError,
+                    SystemModel, expand_cost, expand_dynamics,
+                    expand_terminal, sym)
 from .trajectory import Trajectory
 
 # Q_uu regularization bounds: gamma never relaxes below the floor, and a
@@ -112,11 +116,10 @@ class ValueExpansion:
 
     def __init__(self, V_xx, V_x, V_0):
         n = np.shape(V_x)[0]
-        P = np.empty((n + 1, n + 1))
+        self.P = P = np.empty((n + 1, n + 1))
         P[:n, :n] = V_xx
         P[:n, n] = P[n, :n] = V_x
         P[n, n] = 2.0 * V_0
-        self.P = P
 
     @classmethod
     def of_block(cls, P: np.ndarray) -> "ValueExpansion":
@@ -133,14 +136,6 @@ class ValueExpansion:
     def evaluate(self, dx: np.ndarray) -> float:
         dx = np.asarray(dx, dtype=float)
         return float(0.5 * dx @ self.V_xx @ dx + self.V_x @ dx + self.V_0)
-
-    def shifted(self, d: np.ndarray) -> "ValueExpansion":
-        """The same quadratic expanded around the nominal state plus d."""
-        V_xx, V_x = self.V_xx, self.V_x
-        V_xx_d = V_xx @ d
-        return ValueExpansion(
-            V_xx=V_xx, V_x=V_x + V_xx_d,
-            V_0=self.V_0 + float(d @ (V_x + 0.5 * V_xx_d)))
 
 
 class QExpansion:
@@ -176,46 +171,45 @@ class BackwardResult:
 
     ``states`` (N+1 rows) and ``controls`` (N rows) are the extended
     nominal the sweep linearized along: the prefix, then the trajectory.
-    ``V_xx``, ``V_x`` and ``V_0`` hold the value expansion at each of the
-    N+1 states, read from the stacked blocks P, and ``K``, ``k`` the gains
-    of the N steps, so the policy at time t is
+    ``P`` holds the value block at each of the N+1 states, read through
+    ``V_xx``, ``V_x`` and ``V_0``, and ``K``, ``k`` the gains of the N
+    steps, so the policy at time t is
     ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
     """
 
     states: np.ndarray
     controls: np.ndarray
-    V_xx: np.ndarray
-    V_x: np.ndarray
-    V_0: np.ndarray
+    P: np.ndarray
     K: np.ndarray
     k: np.ndarray
     gamma_used: float
     prefix_len: int
 
+    V_xx = property(lambda self: self.P[:, :-1, :-1])
+    V_x = property(lambda self: self.P[:, -1, :-1])
+    V_0 = property(lambda self: self.P[:, -1, -1] / 2)
+
     def value_at(self, t: int) -> ValueExpansion:
-        g = t + self.prefix_len
-        return ValueExpansion(V_xx=self.V_xx[g], V_x=self.V_x[g],
-                              V_0=float(self.V_0[g]))
+        return ValueExpansion.of_block(self.P[t + self.prefix_len])
 
     def max_feedforward(self, t0: int = 0) -> float:
         """Largest ||k_t||_inf over the policy from t0 onward."""
         return float(np.max(np.abs(self.k[t0 + self.prefix_len:]), initial=0.0))
 
 
-def q_expansion(cost, dyn, nxt: ValueExpansion) -> QExpansion:
+def q_expansion(C: np.ndarray, dyn, nxt: ValueExpansion) -> QExpansion:
     """Bellman-backup quadratic model of one step plus the next value.
 
-    ``cost`` is the knot's block C and ``dyn`` its pair (F, F2); a
-    ``CostExpansion`` and a ``DynamicsExpansion`` are put in that form
-    first.  The second-order dynamics terms are added when F2 is present.
+    ``C`` is the knot's cost block and ``dyn`` its pair (F, F2); the
+    second-order dynamics terms are added when F2 is present, weighted by
+    the value gradient at the successor, V_x + V_xx d.
     """
-    if isinstance(cost, CostExpansion):
-        cost, dyn = _cost_block(cost), _dynamics_block(dyn)
     F, F2 = dyn
-    Q = cost + F.T @ nxt.P @ F
+    n = F.shape[0] - 1
+    Q = C + F.T @ nxt.P @ F
     if F2 is not None:
-        Q += np.tensordot(nxt.V_x, F2, axes=1)
-    return QExpansion.of_block(Q, F.shape[0] - 1)
+        Q += np.tensordot(nxt.P[:n] @ F[:, n], F2, axes=1)
+    return QExpansion.of_block(Q, n)
 
 
 def _min_eig(M: np.ndarray) -> float:
@@ -226,7 +220,9 @@ def _min_eig(M: np.ndarray) -> float:
         (a, b), (c, d) = M.tolist()
         disc = (0.5 * (a - d)) ** 2 + b * c
         return 0.5 * (a + d) - math.sqrt(max(disc, 0.0))
-    return float(np.linalg.eigvalsh(M)[0])
+    # eigvalsh may fail to converge on a non-finite matrix; NaN lifts
+    # nothing, and the Cholesky test of value_recurrence rejects the block
+    return float(np.linalg.eigvalsh(M)[0]) if np.isfinite(M).all() else math.nan
 
 
 # relative slack of the Gershgorin test: far above the rounding of the bound
@@ -306,53 +302,49 @@ def value_recurrence(q: QExpansion):
         # the Cholesky factor only tests definiteness, unless regularize
         # proved it: numpy has no triangular solve, so the small system is
         # factored again to solve it.  A NaN entry yields a NaN factor
-        # instead of an error
-        if not q._definite:
-            try:
-                factor = np.linalg.cholesky(Q_uu)
-            except np.linalg.LinAlgError:
-                factor = None
-            if factor is None or not np.isfinite(factor).all():
-                raise NeedsRegularization("Q_uu is not positive definite")
-        Kk = -np.linalg.solve(Q_uu, Q_uz)
+        # instead of an error, and a block lifted to exactly singular at
+        # gamma = 0 may pass the factorization and fail the solve
+        try:
+            if not (q._definite or np.isfinite(np.linalg.cholesky(Q_uu)).all()):
+                raise np.linalg.LinAlgError
+            Kk = -np.linalg.solve(Q_uu, Q_uz)
+        except np.linalg.LinAlgError:
+            raise NeedsRegularization("Q_uu is not positive definite") from None
     # the Schur complement Q_zz - Q_zu Q_uu^-1 Q_uz gives V_xx, V_x and 2 V_0
     P = sym(Q[:n + 1, :n + 1] + Q[:n + 1, n + 1:] @ Kk)
     return ValueExpansion.of_block(P), Kk[:, :n], Kk[:, n]
 
 
 def _linearize(model: SystemModel, states, controls, second_order):
-    """The stacked cost blocks C, and the (F, F2) pair of each knot."""
+    """The stacked cost blocks C and dynamics blocks F of the knots, and
+    the sequence of their second-order blocks F2, each None in first-order
+    mode."""
+    n, w = model.dim_x, model.dim_x + 1 + model.dim_u
     if controls.shape[0] == 0:
         # a per-knot expansion of no knots has no shape to build blocks from
-        w = model.dim_x + 1 + model.dim_u
-        return np.empty((0, w, w)), []
+        return np.empty((0, w, w)), np.zeros((0, n + 1, w)), ()
     C = _cost_block(expand_cost(model, states, controls))
     if model.stacked_derivatives and not second_order:
         F, _ = _dynamics_block(DynamicsExpansion(
             *model.dynamics_jacobians(states, controls)))
-        return C, [(F_g, None) for F_g in F]
-    dyns = [expand_dynamics(model, x, u, want_second_order=second_order)
-            for x, u in zip(states, controls)]
-    return C, [_dynamics_block(dyn) for dyn in dyns]
+        return C, F, [None] * len(F)
+    F, F2 = zip(*[_dynamics_block(expand_dynamics(model, x, u, second_order))
+                  for x, u in zip(states, controls)])
+    return C, np.array(F), F2
 
 
-def _sweep_once(costs, dyns, defects, terminal: ValueExpansion, gamma, out):
-    """Fill the rows of ``out = (P, K, k)`` below the terminal; row
-    i < len(defects) backs up the next value shifted by defects[i], unless
-    that is None (no defect)."""
+def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
+    """Fill the rows of ``out = (P, K, k)`` below the terminal."""
     P, K, k = out
     n = P.shape[1] - 1
     nxt = terminal
     for i in range(len(costs) - 1, -1, -1):
-        if i < len(defects) and defects[i] is not None:
-            nxt = nxt.shifted(defects[i])
         q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
         nxt, K[i], k[i] = value_recurrence(q)
-        P_i = nxt.P
+        P[i] = P_i = nxt.P
         # a diverging recursion only gets worse; escalate gamma right away
         if not math.isfinite(P_i[n, n]) or abs(P_i[:n, :n]).max() > 1e12:
             raise NeedsRegularization("value recursion diverged")
-        P[i] = P_i
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
@@ -365,7 +357,9 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     nominal trajectory must be feasible.  The prefix and nominal knots are
     linearized in one stacked call, and the S defects take one ``step``
     each; on factorization failure gamma is escalated tenfold, and from at
-    least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both.
+    least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both.  Raises
+    ExpansionError naming the derivative method that gave a non-finite
+    value.
     """
     n, m = model.dim_x, model.dim_u
     pre_states, pre_controls = prefix
@@ -375,22 +369,26 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
         raise ValueError("prefix states and controls must have equal length")
     states = np.vstack([pre_states, traj.states])
     controls = np.vstack([pre_controls, traj.controls])
-    N = controls.shape[0]
     phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
     terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
-    costs, dyns = _linearize(model, states[:-1], controls, second_order)
-    defects = [model.step(x, u) - x_next for x, u, x_next
-               in zip(pre_states, pre_controls, states[1:])]
-    # an exact preimage leaves an all-zero defect, and nothing to shift by
-    defects = [d if d.any() else None for d in defects]
+    C, F, F2 = _linearize(model, states[:-1], controls, second_order)
+    # a non-finite derivative would fail every gamma; name it instead
+    for name, block in (("running_cost_derivatives", C),
+                        ("dynamics_jacobians", F),
+                        ("terminal_cost_derivatives", terminal.P)):
+        if not np.isfinite(block).all():
+            raise ExpansionError(f"non-finite value from {name}")
+    for g, (x, u) in enumerate(zip(pre_states, pre_controls)):
+        F[g, :n, n] = model.step(x, u) - states[g + 1]
+    dyns = list(zip(F, F2))
 
-    P = np.empty((N + 1, n + 1, n + 1))
-    P[N] = terminal.P
-    K, k = np.empty((N, m, n)), np.empty((N, m))
+    P = np.empty((len(controls) + 1, n + 1, n + 1))
+    P[-1] = terminal.P
+    K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
     g = float(gamma)
     while True:
         try:
-            _sweep_once(costs, dyns, defects, terminal, g, (P, K, k))
+            _sweep_once(C, dyns, terminal, g, (P, K, k))
             break
         except NeedsRegularization:
             g = max(10.0 * g, GAMMA_MIN)
@@ -398,7 +396,5 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
                 raise BackwardSweepError(
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
 
-    return BackwardResult(states=states, controls=controls,
-                          V_xx=P[:, :n, :n], V_x=P[:, n, :n], V_0=P[:, n, n] / 2,
-                          K=K, k=k, gamma_used=g,
-                          prefix_len=pre_states.shape[0])
+    return BackwardResult(states=states, controls=controls, P=P, K=K, k=k,
+                          gamma_used=g, prefix_len=pre_states.shape[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from horizonddp import LtiProblem, SystemModel
+from horizonddp import CartpoleModel, LtiProblem, SystemModel
 
 
 class LinearQuadraticModel(SystemModel):
@@ -51,6 +51,18 @@ class LinearQuadraticModel(SystemModel):
     def to_lti_problem(self, horizon_bounds):
         return LtiProblem(A=self.A, B=self.B, Q=self.Q, R=self.R, Qf=self.Qf,
                           horizon_bounds=horizon_bounds, c_t=self.c_t)
+
+
+def nan_derivative_cartpole(method, entry):
+    """A cartpole whose derivative ``method`` returns NaN at ``entry``, an
+    (output, row, col) index applied to every knot."""
+    def poisoned(self, *args):
+        out = [np.array(a, dtype=float)
+               for a in getattr(CartpoleModel, method)(self, *args)]
+        out[entry[0]][(..., *entry[1:])] = np.nan
+        return tuple(out)
+
+    return type("NanCartpole", (CartpoleModel,), {method: poisoned})()
 
 
 def random_lq(rng, n_max=6, m_max=3, c_t=0.0):

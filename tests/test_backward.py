@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 import scipy.optimize
 
-from conftest import LinearQuadraticModel, random_lq
+from conftest import LinearQuadraticModel, nan_derivative_cartpole, random_lq
 from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
                         ValueExpansion, backward, backward_sweep, expand_cost,
                         expand_dynamics, expand_terminal, initial_trajectory,
@@ -45,8 +45,9 @@ def per_knot_sweep(model, traj, prefix, gamma, second_order=False):
             nxt = ValueExpansion(
                 V_xx=nxt.V_xx, V_x=nxt.V_x + V_xx_d,
                 V_0=nxt.V_0 + float(d @ (nxt.V_x + 0.5 * V_xx_d)))
+        C = backward._cost_block(expand_cost(model, x, u))
         dyn = expand_dynamics(model, x, u, want_second_order=second_order)
-        q = regularize(q_expansion(expand_cost(model, x, u), dyn, nxt),
+        q = regularize(q_expansion(C, backward._dynamics_block(dyn), nxt),
                        gamma)
         v, K, k = value_recurrence(q)
         value.insert(0, v)
@@ -81,7 +82,9 @@ def _cartpole_case(rng):
     (_cartpole_case, False)])
 def test_sweep_matches_per_knot_reference(case, second_order, rng):
     # models without stacked derivatives are expanded knot by knot, so the
-    # sweep is the reference to the bit; stacked models agree to rounding
+    # sweep is the reference to the bit on the trajectory rows; stacked
+    # models, and prefix rows (the defect rides in F, not in a shifted
+    # value), agree to rounding
     model, traj, prefix = case(rng)
     back = backward_sweep(model, traj, prefix, gamma=1e-6,
                           second_order=second_order)
@@ -94,8 +97,8 @@ def test_sweep_matches_per_knot_reference(case, second_order, rng):
             [v.V_0 for v in value], Ks, ks]
     for a, b in zip(got, want):
         assert len(a) == len(b)
-        for x, y in zip(a, b):      # knot by knot
-            if model.stacked_derivatives:
+        for g, (x, y) in enumerate(zip(a, b)):      # knot by knot
+            if model.stacked_derivatives or g < back.prefix_len:
                 npt.assert_allclose(x, y, rtol=1e-12,
                                     atol=1e-12 * max(1.0, np.max(np.abs(y))))
             else:
@@ -241,11 +244,11 @@ def _draw_quu(kind, m, rng):
 def test_gershgorin_skip_is_bitwise_equal(m, gamma, rng, monkeypatch):
     # regularize then value_recurrence, against the same two calls forced
     # down the eigvalsh and Cholesky path.  At gamma = 0 an indefinite draw
-    # is lifted to a singular Q_uu, which solve may reject
+    # is lifted to a singular Q_uu, which either path may reject
     def backup(q):
         try:
             return value_recurrence(regularize(q, gamma))
-        except (NeedsRegularization, np.linalg.LinAlgError) as exc:
+        except NeedsRegularization as exc:
             return type(exc)
 
     proven = 0
@@ -267,8 +270,9 @@ def test_gershgorin_skip_is_bitwise_equal(m, gamma, rng, monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_gershgorin_skip_rejects_nan(m, rng):
-    # a NaN anywhere in the lower triangle defeats the proof, and the
-    # Cholesky test of value_recurrence still rejects the block
+    # a NaN anywhere in the lower triangle defeats the proof; regularize
+    # does not lift it (eigvalsh is not asked), and the Cholesky test of
+    # value_recurrence rejects the block
     for i in range(m):
         for j in range(i + 1):
             Q_uu = 4.0 * np.eye(m)
@@ -276,7 +280,20 @@ def test_gershgorin_skip_rejects_nan(m, rng):
             q = _q_with(Q_uu, rng)
             assert not backward._gershgorin_above(q.Q_uu, GAMMA_MIN)
             with pytest.raises(NeedsRegularization, match="positive definite"):
-                value_recurrence(q)
+                value_recurrence(regularize(q, GAMMA_MIN))
+
+
+def test_gamma_zero_lift_needs_regularization(rng):
+    # at gamma = 0 an indefinite Q_uu is lifted to a smallest eigenvalue of
+    # 0, a singular block that the backup rejects as not positive definite
+    rejected = 0
+    for _ in range(2000):
+        q = _q_with(_draw_quu("indefinite", 3, rng), rng)
+        try:
+            value_recurrence(regularize(q, 0.0))
+        except NeedsRegularization:
+            rejected += 1
+    assert rejected > 0
 
 
 def test_gershgorin_skip_needs_a_positive_bound(rng):
@@ -412,11 +429,11 @@ def test_gamma_escalation_starts_from_floor_at_zero(monkeypatch):
     sweep_once = backward._sweep_once
     calls = []
 
-    def fails_once(costs, dyns, defects, terminal, gamma, out):
+    def fails_once(costs, dyns, terminal, gamma, out):
         calls.append(gamma)
         if len(calls) == 1:
             raise NeedsRegularization("first sweep")
-        sweep_once(costs, dyns, defects, terminal, gamma, out)
+        sweep_once(costs, dyns, terminal, gamma, out)
 
     monkeypatch.setattr(backward, "_sweep_once", fails_once)
     m = DoubleIntegratorModel()
@@ -433,6 +450,20 @@ def test_sweep_rejects_non_finite_running_cost(model):
     traj = Trajectory(states=states, controls=np.zeros((5, model.dim_u)))
     with pytest.raises(ExpansionError, match="running_cost"):
         backward_sweep(model, traj, empty_prefix(model))
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+@pytest.mark.parametrize("method,entry", [
+    ("running_cost_derivatives", (2, 1, 1)), ("dynamics_jacobians", (0, 2, 3)),
+    ("terminal_cost_derivatives", (1, 2, 2))], ids=["l_xx", "f_x", "phi_xx"])
+def test_nan_derivative_is_an_expansion_error(method, entry, second_order,
+                                               rng):
+    # a NaN that no gamma can repair is named, not escalated to failure
+    model = nan_derivative_cartpole(method, entry)
+    traj = rollout_controls(model, np.zeros(4), rng.standard_normal((10, 1)))
+    with pytest.raises(ExpansionError, match=method):
+        backward_sweep(model, traj, empty_prefix(model),
+                       second_order=second_order)
 
 
 @pytest.mark.parametrize("stacked", [True, False])
@@ -498,11 +529,6 @@ def test_records_round_trip_their_fields(rng):
     npt.assert_array_equal(V.V_xx, V_xx)
     npt.assert_array_equal(V.V_x, V_x)
     assert V.V_0 == V_0
-    d = rng.standard_normal(n)
-    shifted = V.shifted(d)
-    npt.assert_array_equal(shifted.V_xx, V_xx)
-    npt.assert_array_equal(shifted.V_x, V_x + V_xx @ d)
-    assert shifted.V_0 == V_0 + float(d @ (V_x + 0.5 * (V_xx @ d)))
 
     model, traj, prefix = _lq_case(rng)
     back = backward_sweep(model, traj, prefix, gamma=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_lq
+from conftest import nan_derivative_cartpole, random_lq
 from horizonddp import (CartpoleModel, ExpansionError, MpcConfig,
                         PointMassNavModel, QuadrotorModel, SolverConfig,
                         initial_trajectory, mpc_step, optimize_trajectory,
@@ -130,6 +130,19 @@ def test_nan_observed_state_is_a_degraded_step():
     with np.errstate(invalid="ignore"):
         action, new_controls, t_bar, info = mpc_step(
             controls, np.full(4, np.nan), model, cfg, GAMMA_MIN)
+    assert info["degraded"] and info["iterations"] == 0
+    npt.assert_array_equal(action, controls[0])
+    assert new_controls is controls and t_bar == controls.shape[0]
+
+
+def test_nan_derivative_replan_is_degraded():
+    # the sweep names the NaN derivative instead of escalating gamma to a
+    # backward failure, so the replan is flagged
+    model = nan_derivative_cartpole("running_cost_derivatives", (2, 1, 1))
+    controls = initial_trajectory(model, np.zeros(4), 20).controls
+    cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 40), window_s=3))
+    action, new_controls, t_bar, info = mpc_step(
+        controls, np.zeros(4), model, cfg, GAMMA_MIN)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, controls[0])
     assert new_controls is controls and t_bar == controls.shape[0]

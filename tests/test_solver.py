@@ -24,8 +24,8 @@ def open_loop(states, controls, k):
     T, m = controls.shape
     n = states.shape[1]
     return BackwardResult(states=states, controls=controls,
-                          V_xx=np.zeros((T + 1, n, n)), V_x=np.zeros((T + 1, n)),
-                          V_0=np.zeros(T + 1), K=np.zeros((T, m, n)), k=k,
+                          P=np.zeros((T + 1, n + 1, n + 1)),
+                          K=np.zeros((T, m, n)), k=k,
                           gamma_used=0.0, prefix_len=0)
 
 

@@ -1,0 +1,51 @@
+"""Code lines of each module of a source tree's ``horizonddp`` package.
+
+Usage: python3 tools/loc.py [<tree>]
+
+Counts the lines of every ``<tree>/src/horizonddp/*.py`` (the tree
+defaults to the current directory) that hold code: blank lines,
+comment-only lines and docstrings (the leading string of a module, class
+or function) are skipped.  Prints one line per module and the total.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` holding a token other than a comment, outside
+    every docstring."""
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source.encode()).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, _DOCUMENTED)
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def main(argv: list) -> int:
+    tree = Path(argv[1] if len(argv) > 1 else ".")
+    total = 0
+    for path in sorted((tree / "src" / "horizonddp").glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
