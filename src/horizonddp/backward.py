@@ -316,21 +316,16 @@ def value_recurrence(q: QExpansion):
 
 
 def _linearize(model: SystemModel, states, controls, second_order):
-    """The stacked cost blocks C and dynamics blocks F of the knots, and
-    the sequence of their second-order blocks F2, each None in first-order
-    mode."""
-    n, w = model.dim_x, model.dim_x + 1 + model.dim_u
+    """The stacked cost blocks C, dynamics blocks F and second-order blocks
+    F2 of the knots, F2 None in first-order mode."""
     if controls.shape[0] == 0:
         # a per-knot expansion of no knots has no shape to build blocks from
-        return np.empty((0, w, w)), np.zeros((0, n + 1, w)), ()
+        n, w = model.dim_x, model.dim_x + 1 + model.dim_u
+        return np.empty((0, w, w)), np.zeros((0, n + 1, w)), None
     C = _cost_block(expand_cost(model, states, controls))
-    if model.stacked_derivatives and not second_order:
-        F, _ = _dynamics_block(DynamicsExpansion(
-            *model.dynamics_jacobians(states, controls)))
-        return C, F, [None] * len(F)
-    F, F2 = zip(*[_dynamics_block(expand_dynamics(model, x, u, second_order))
-                  for x, u in zip(states, controls)])
-    return C, np.array(F), F2
+    F, F2 = _dynamics_block(
+        expand_dynamics(model, states, controls, second_order))
+    return C, F, F2
 
 
 def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
@@ -375,12 +370,13 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     # a non-finite derivative would fail every gamma; name it instead
     for name, block in (("running_cost_derivatives", C),
                         ("dynamics_jacobians", F),
+                        ("dynamics_jacobians", F2),
                         ("terminal_cost_derivatives", terminal.P)):
-        if not np.isfinite(block).all():
+        if block is not None and not np.isfinite(block).all():
             raise ExpansionError(f"non-finite value from {name}")
     for g, (x, u) in enumerate(zip(pre_states, pre_controls)):
         F[g, :n, n] = model.step(x, u) - states[g + 1]
-    dyns = list(zip(F, F2))
+    dyns = list(zip(F, [None] * len(F) if F2 is None else F2))
 
     P = np.empty((len(controls) + 1, n + 1, n + 1))
     P[-1] = terminal.P

@@ -288,6 +288,17 @@ def running_costs(model: SystemModel, states, controls) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _knot_by_knot(expand, model: SystemModel, x, u, *args):
+    """``expand(model, x_i, u_i, *args)`` at each knot of states (N, n) and
+    controls (N, m), its fields stacked along a leading knot axis (a field
+    that is None stays None): how a model without ``stacked_derivatives``
+    expands stacked knots."""
+    knots = [expand(model, xi, ui, *args) for xi, ui in zip(x, u)]
+    columns = zip(*([getattr(k, f.name) for f in fields(k)] for k in knots))
+    return type(knots[0])(*(None if c[0] is None else np.array(c)
+                            for c in columns))
+
+
 def expand_cost(model: SystemModel, x, u) -> CostExpansion:
     """Quadratic expansion of the running cost at (x, u).
 
@@ -297,24 +308,16 @@ def expand_cost(model: SystemModel, x, u) -> CostExpansion:
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.ndim == 2:
-        if not model.stacked_derivatives:
-            knots = [expand_cost(model, xi, ui) for xi, ui in zip(x, u)]
-            return CostExpansion(*(np.array([getattr(k, f) for k in knots])
-                                   for f in CostExpansion.__dataclass_fields__))
-        l = _require_finite(np.asarray(model.running_cost(x, u), dtype=float),
-                            "running_cost at nominal")
-        l_x, l_u, l_xx, l_ux, l_uu = (
-            np.asarray(a, dtype=float) for a in model.running_cost_derivatives(x, u))
-        return CostExpansion(l=l, l_x=l_x, l_u=l_u, l_xx=sym(l_xx), l_ux=l_ux,
-                             l_uu=sym(l_uu))
-    l = float(_require_finite(model.running_cost(x, u), "running_cost at nominal"))
+    if x.ndim == 2 and not model.stacked_derivatives:
+        return _knot_by_knot(expand_cost, model, x, u)
+    l = _require_finite(np.asarray(model.running_cost(x, u), dtype=float),
+                        "running_cost at nominal")
     analytic = model.running_cost_derivatives(x, u)
-    if analytic is not None:
-        l_x, l_u, l_xx, l_ux, l_uu = (np.asarray(a, dtype=float) for a in analytic)
-    else:
-        l_x, l_u, l_xx, l_ux, l_uu = _fd_cost_derivatives(model, x, u)
-    return CostExpansion(l=l, l_x=l_x, l_u=l_u, l_xx=sym(l_xx), l_ux=l_ux,
+    if analytic is None:
+        analytic = _fd_cost_derivatives(model, x, u)
+    l_x, l_u, l_xx, l_ux, l_uu = (np.asarray(a, dtype=float) for a in analytic)
+    # l[()] is a float at one knot and the (N,) array of stacked knots
+    return CostExpansion(l=l[()], l_x=l_x, l_u=l_u, l_xx=sym(l_xx), l_ux=l_ux,
                          l_uu=sym(l_uu))
 
 
@@ -322,11 +325,15 @@ def expand_dynamics(model: SystemModel, x, u,
                     want_second_order: bool = False) -> DynamicsExpansion:
     """Expansion of the dynamics at (x, u).
 
-    Second-order tensors are computed only on request (iLQR mode leaves
-    them absent); they are differenced from the Jacobians.
+    Given states (N, n) and controls (N, m), every field gains a leading
+    knot axis, as in ``expand_cost``.  Second-order tensors are computed
+    only on request (iLQR mode leaves them absent); they are differenced
+    from the Jacobians.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    if x.ndim == 2 and not model.stacked_derivatives:
+        return _knot_by_knot(expand_dynamics, model, x, u, want_second_order)
     f_x, f_u = _dynamics_jacobians_any(model, x, u)
     f_xx = f_ux = f_uu = None
     if want_second_order:
@@ -335,30 +342,25 @@ def expand_dynamics(model: SystemModel, x, u,
 
 
 def _dynamics_second_order(model: SystemModel, x, u):
-    """Second-order tensors via central differences of the Jacobians."""
-    n, m = x.size, u.size
-    hx = _h_second(x)
-    hu = _h_second(u)
-    f_xx = np.zeros((n, n, n))
-    f_ux = np.zeros((n, m, n))
-    f_uu = np.zeros((n, m, m))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = hx[k]
-        fx_p, fu_p = _dynamics_jacobians_any(model, x + e, u)
-        fx_m, fu_m = _dynamics_jacobians_any(model, x - e, u)
-        f_xx[:, :, k] = (fx_p - fx_m) / (2.0 * hx[k])
-        f_ux[:, :, k] = (fu_p - fu_m) / (2.0 * hx[k])
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = hu[k]
-        _, fu_p = _dynamics_jacobians_any(model, x, u + e)
-        _, fu_m = _dynamics_jacobians_any(model, x, u - e)
-        f_uu[:, :, k] = (fu_p - fu_m) / (2.0 * hu[k])
-    # enforce symmetry of the Hessian slices
-    f_xx = 0.5 * (f_xx + f_xx.transpose(0, 2, 1))
-    f_uu = 0.5 * (f_uu + f_uu.transpose(0, 2, 1))
-    return f_xx, f_ux, f_uu
+    """Second-order tensors via central differences of the Jacobians, at
+    one knot or at every knot of a leading axis at once."""
+    n = x.shape[-1]
+    z = np.concatenate([x, u], axis=-1)
+    h = _h_second(z)
+    # the slopes of f_x and f_u along each coordinate k of z = (x, u)
+    d_fx, d_fu = [], []
+    for k in range(z.shape[-1]):
+        e = np.zeros_like(z)
+        e[..., k] = h[..., k]
+        (fx_p, fu_p), (fx_m, fu_m) = (
+            _dynamics_jacobians_any(model, v[..., :n], v[..., n:])
+            for v in (z + e, z - e))
+        step = 2.0 * h[..., k, None, None]
+        d_fx.append((fx_p - fx_m) / step)
+        d_fu.append((fu_p - fu_m) / step)
+    # symmetrize the Hessian slices
+    return (sym(np.stack(d_fx[:n], axis=-1)), np.stack(d_fu[:n], axis=-1),
+            sym(np.stack(d_fu[n:], axis=-1)))
 
 
 def expand_terminal(model: SystemModel, x):

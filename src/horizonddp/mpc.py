@@ -88,10 +88,9 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     levels to carry on, and ``info["iterations"]`` and ``info["degraded"]``
     describe the replan.  Returns
     (action, new_controls, new_horizon, info).  When the replan meets a
-    numeric failure (a non-finite expansion or state, or a failed
-    factorization) the first of the given controls is applied, they are
-    returned as the plan, and the step is flagged; any other exception
-    propagates.
+    numeric failure (a non-finite expansion or state) the first of the
+    given controls is applied, they are returned as the plan, and the step
+    is flagged; any other exception propagates.
     """
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     short = cfg.solver.horizon_bounds[0] - controls.shape[0]
@@ -104,7 +103,7 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
         info = {"iterations": result.iterations, "degraded": False,
                 "gamma": result.gamma_final, "radius": result.radius_final}
         controls = result.trajectory.controls
-    except (ExpansionError, FloatingPointError, np.linalg.LinAlgError):
+    except (ExpansionError, FloatingPointError):
         info = {"iterations": 0, "degraded": True, "gamma": gamma,
                 "radius": radius}
     return controls[0], controls, controls.shape[0], info

@@ -130,18 +130,20 @@ def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
     Each knot is the model's preimage guess of the next one under the first
     control, and the backward sweep carries the guesses' defects.  The
     prefix is the whole chain or nothing: it is empty for a model without a
-    guess, and for a chain that overflows or leaves the model's admissible
-    region (a non-finite state does), since the linearization at a guess
-    past a singularity of the dynamics would wreck the sweep at any
-    regularization.
+    guess, for a guess that raises ``LinAlgError`` (an inverse of a
+    singular map), and for a chain that overflows or leaves the model's
+    admissible region (a non-finite state does), since the linearization
+    at a guess past a singularity of the dynamics would wreck the sweep at
+    any regularization.
     """
     S = int(S)
     states = np.zeros((S, model.dim_x))
     x = x0 = traj.states[0]
     u0 = traj.controls[0] if traj.horizon > 0 else model.nominal_control(x0)
     # the base class has no guess; a one-knot kernel raises on an
-    # overflowed state
-    with contextlib.suppress(NotImplementedError, FloatingPointError):
+    # overflowed state, and an exact inverse on a singular map
+    with contextlib.suppress(NotImplementedError, FloatingPointError,
+                             np.linalg.LinAlgError):
         for s in range(S - 1, -1, -1):
             x = states[s] = model.inverse_step(x, u0)
             if not model.admissible(x):

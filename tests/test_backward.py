@@ -466,14 +466,41 @@ def test_nan_derivative_is_an_expansion_error(method, entry, second_order,
                        second_order=second_order)
 
 
-@pytest.mark.parametrize("stacked", [True, False])
-def test_gamma_escalation_reuses_one_linearization(stacked, monkeypatch):
+def test_nan_second_order_tensor_is_an_expansion_error(rng):
+    # the Jacobians are finite at every knot and NaN just past the largest
+    # cart position among them, so that only the differenced second-order
+    # tensors are not finite
+    traj = rollout_controls(CartpoleModel(), np.zeros(4),
+                            rng.standard_normal((10, 1)))
+    edge = traj.states[:-1, 0].max()
+
+    class PastTheEdge(CartpoleModel):
+        def dynamics_jacobians(self, x, u):
+            f_x, f_u = super().dynamics_jacobians(x, u)
+            past = (np.asarray(x)[..., 0] > edge)[..., None, None]
+            return np.where(past, np.nan, f_x), f_u
+
+    model = PastTheEdge()
+    backward_sweep(model, traj, empty_prefix(model))     # first order is fine
+    with pytest.raises(ExpansionError, match="dynamics_jacobians"):
+        backward_sweep(model, traj, empty_prefix(model), second_order=True)
+
+
+@pytest.mark.parametrize("stacked,second_order",
+                         [(True, False), (False, False), (True, True)],
+                         ids=["True", "False", "second-order"])
+def test_gamma_escalation_reuses_one_linearization(stacked, second_order,
+                                                   monkeypatch):
     counts = Counter()
-    expand = backward.expand_cost
+    expand_c, expand_d = backward.expand_cost, backward.expand_dynamics
 
     def counting_expand_cost(model, x, u):
         counts["expand_cost"] += 1
-        return expand(model, x, u)
+        return expand_c(model, x, u)
+
+    def counting_expand_dynamics(model, x, u, want_second_order):
+        counts["expand_dynamics"] += 1
+        return expand_d(model, x, u, want_second_order)
 
     class Counting(DoubleIntegratorModel):
         stacked_derivatives = stacked
@@ -483,14 +510,20 @@ def test_gamma_escalation_reuses_one_linearization(stacked, monkeypatch):
             return super().dynamics_jacobians(x, u)
 
     monkeypatch.setattr(backward, "expand_cost", counting_expand_cost)
+    monkeypatch.setattr(backward, "expand_dynamics", counting_expand_dynamics)
     # a control cost concave enough that the sweep escalates gamma
     m = Counting(dt=1.0, R=-np.eye(1))
     traj = initial_trajectory(m, np.array([1.0, 0.0]), 4)
     counts.clear()
-    back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6)
+    back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6,
+                          second_order=second_order)
     assert back.gamma_used >= 1e-4        # at least two escalations
-    assert counts["expand_cost"] == 1
-    assert counts["dynamics_jacobians"] == (1 if stacked else traj.horizon)
+    assert counts["expand_cost"] == counts["expand_dynamics"] == 1
+    # the second-order tensors difference the Jacobians along each of the
+    # n + m coordinates, both ways, at every knot at once
+    per_point = 1 + 2 * (m.dim_x + m.dim_u) * second_order
+    assert counts["dynamics_jacobians"] == per_point * (
+        1 if stacked else traj.horizon)
 
 
 def test_value_zero_order_matches_cost_on_converged_cartpole():

@@ -7,9 +7,10 @@ import numpy.testing as npt
 import pytest
 
 from horizonddp import (CartpoleModel, CostExpansion, DoubleIntegratorModel,
-                        Obstacle, PointMassNavModel, QuadrotorModel,
-                        Trajectory, check_derivatives, expand_cost,
-                        initial_trajectory, make_model,
+                        DynamicsExpansion, Obstacle, PointMassNavModel,
+                        QuadrotorModel, Trajectory, check_derivatives,
+                        expand_cost, expand_dynamics, initial_trajectory,
+                        make_model,
                         obstacle_schedule_advance, rk4_step,
                         rk4_step_with_jacobian)
 
@@ -366,9 +367,10 @@ def test_stacked_expansions_match_per_knot(name, builder, rng):
     states, controls = map(np.array, zip(*_random_knots(m, rng, 30, scale=1.0)))
     n, k = m.dim_x, m.dim_u
     cost = expand_cost(m, states, controls)
-    f_x, f_u = m.dynamics_jacobians(states, controls)
+    dyn = expand_dynamics(m, states, controls, want_second_order=True)
     assert cost.l.shape == (30,) and cost.l_ux.shape == (30, k, n)
-    assert f_x.shape == (30, n, n) and f_u.shape == (30, n, k)
+    assert dyn.f_x.shape == (30, n, n) and dyn.f_u.shape == (30, n, k)
+    assert dyn.f_xx.shape == (30, n, n, n) and dyn.f_uu.shape == (30, n, k, k)
 
     def close(stacked, knot):
         npt.assert_allclose(stacked, knot, rtol=1e-12,
@@ -378,9 +380,9 @@ def test_stacked_expansions_match_per_knot(name, builder, rng):
         knot = expand_cost(m, x, u)
         for field in CostExpansion.__dataclass_fields__:
             close(getattr(cost, field)[i], getattr(knot, field))
-        knot_fx, knot_fu = m.dynamics_jacobians(x, u)
-        close(f_x[i], knot_fx)
-        close(f_u[i], knot_fu)
+        knot = expand_dynamics(m, x, u, want_second_order=True)
+        for field in DynamicsExpansion.__dataclass_fields__:
+            close(getattr(dyn, field)[i], getattr(knot, field))
 
 
 def test_registry_builds_models():

@@ -148,13 +148,17 @@ def test_extend_backward_empty_without_a_guess():
 
 
 def test_extend_backward_falls_back_off_the_admissible_region():
-    # an inverse that overflows, a one-knot kernel that raises on an
-    # overflowed state, and a quadrotor guess pitched past pi/2 (where the
-    # Euler-angle kinematics are singular) all leave the prefix empty
+    # an inverse that overflows, an inverse of a singular A, a one-knot
+    # kernel that raises on an overflowed state, and a quadrotor guess
+    # pitched past pi/2 (where the Euler-angle kinematics are singular)
+    # all leave the prefix empty
     from horizonddp import CartpoleModel, QuadrotorModel, Trajectory
 
     tiny = LinearQuadraticModel(1e-200 * np.eye(2), np.array([[0.0], [1.0]]),
                                 np.eye(2), np.eye(1), np.eye(2))
+    singular = LinearQuadraticModel([[1.0, 0.1], [0.0, 0.0]],
+                                    np.array([[0.0], [1.0]]), np.eye(2),
+                                    np.eye(1), np.eye(2))
     spinning = Trajectory(states=[[0.0, 0.0, 0.0, 1e200]] * 2,
                           controls=[[0.0]])
     quad = QuadrotorModel()
@@ -163,6 +167,7 @@ def test_extend_backward_falls_back_off_the_admissible_region():
     assert quad.admissible(pitching)
     pitched = Trajectory(states=[pitching] * 2, controls=[quad.u_ref])
     for model, traj in ((tiny, initial_trajectory(tiny, np.ones(2), 5)),
+                        (singular, initial_trajectory(singular, np.ones(2), 5)),
                         (CartpoleModel(), spinning), (quad, pitched)):
         prefix = extend_backward(model, traj, 3)
         assert len(prefix) == 0

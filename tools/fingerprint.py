@@ -16,13 +16,16 @@ The digest covers every trajectory, cost, trace record and candidate, and
 every MPC step record except its wall-clock solve time, so two trees with
 the same digest solve these problems bit for bit alike.  One summary line
 per run goes to stderr, with the run's final cost to the last bit, the
-line-search rollouts the run made and how many of them rolled out a shifted
-horizon (t0 != 0); the digest goes to stdout.
+line-search rollouts the run made, how many of them rolled out a shifted
+horizon (t0 != 0), and the first 12 hex digits of the run's own digest;
+the digest of all runs goes to stdout.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts and shifted rollouts, with the relative gap between their final
-costs.  The exit status is 1 when a count differs or a gap exceeds 1e-12.
+costs and the two run digests, so that a moved total digest can be traced
+to its runs.  The exit status is 1 when a count differs or a gap exceeds
+1e-12; run digests that differ do not change it.
 """
 
 from __future__ import annotations
@@ -150,17 +153,22 @@ def fingerprint(tree: Path) -> str:
     _count_rollouts(horizonddp.solver, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
+        run = hashlib.sha256()
+        for digest in (h, run):
+            _feed(digest, label)
+            _feed(digest, result)
         print(f"{label}: {_summary(result)} rollouts={counts['rollouts']} "
-              f"shifted={counts['shifted']}", file=sys.stderr)
+              f"shifted={counts['shifted']} digest={run.hexdigest()[:12]}",
+              file=sys.stderr)
         counts.update(rollouts=0, shifted=0)
-        _feed(h, label)
-        _feed(h, result)
     return h.hexdigest()
 
 
 # relative cost gap two trees may show on one run
 _COST_RTOL = 1e-12
 _COST_KEYS = ("J", "cost")
+# the per-run digest is reported, not compared
+_DIGEST_KEY = "digest"
 
 
 def _parse(stderr: str) -> dict:
@@ -191,7 +199,7 @@ def compare(tree: Path, other: Path) -> int:
     status = 0 if runs_a and list(runs_a) == list(runs_b) else 1
     for label, a in runs_a.items():
         b = runs_b.get(label, {})
-        counts = [key for key in a if key not in _COST_KEYS]
+        counts = [key for key in a if key not in (*_COST_KEYS, _DIGEST_KEY)]
         differ = [key for key in counts if a[key] != b.get(key)]
         cost = next(key for key in _COST_KEYS if key in a)
         x, y = float(a[cost]), float(b.get(cost, "nan"))
@@ -199,7 +207,8 @@ def compare(tree: Path, other: Path) -> int:
         if differ or not gap <= _COST_RTOL:
             status = 1
         same = "differ in " + ", ".join(differ) if differ else "equal"
-        print(f"{label}: {'/'.join(counts)} {same}; {cost} gap {gap:.1e}")
+        print(f"{label}: {'/'.join(counts)} {same}; {cost} gap {gap:.1e}; "
+              f"digest {a.get(_DIGEST_KEY)} {b.get(_DIGEST_KEY)}")
     print(f"digests: {digest_a.strip()} {digest_b.strip()}")
     return status
 
