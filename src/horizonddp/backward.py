@@ -50,7 +50,7 @@ import numpy as np
 
 from .model import (CostExpansion, DynamicsExpansion, ExpansionError,
                     SystemModel, expand_cost, expand_dynamics,
-                    expand_terminal, sym)
+                    expand_terminal)
 from .trajectory import Trajectory
 
 # Q_uu regularization bounds: gamma never relaxes below the floor, and a
@@ -206,7 +206,8 @@ def q_expansion(C: np.ndarray, dyn, nxt: ValueExpansion) -> QExpansion:
     """
     F, F2 = dyn
     n = F.shape[0] - 1
-    Q = C + F.T @ nxt.P @ F
+    Q = F.T @ nxt.P @ F
+    Q += C
     if F2 is not None:
         Q += np.tensordot(nxt.P[:n] @ F[:, n], F2, axes=1)
     return QExpansion.of_block(Q, n)
@@ -276,27 +277,29 @@ def regularize(q: QExpansion, gamma: float) -> QExpansion:
 
 
 def _neg_inverse(Q_uu: np.ndarray) -> np.ndarray:
-    """-Q_uu^-1 of a 1x1 or 2x2 Q_uu in closed form, reading its lower
-    triangle as Cholesky does; raises NeedsRegularization unless Q_uu is
-    positive definite, which a NaN entry is not."""
-    if Q_uu.shape[0] == 1:
-        a = det = Q_uu.item()
-        neg_adj = [[-1.0]]
-    else:
-        (a, _), (b, d) = Q_uu.tolist()
-        det = a * d - b * b
-        neg_adj = [[-d, b], [b, -a]]
+    """-Q_uu^-1 of a 2x2 Q_uu in closed form, reading its lower triangle as
+    Cholesky does; raises NeedsRegularization unless Q_uu is positive
+    definite, which a NaN entry is not."""
+    (a, _), (b, d) = Q_uu.tolist()
+    det = a * d - b * b
     if not (a > 0 and det > 0):
         raise NeedsRegularization("Q_uu is not positive definite")
-    return np.array([[v / det for v in row] for row in neg_adj])
+    return np.array([[-d / det, b / det], [b / det, -a / det]])
 
 
 def value_recurrence(q: QExpansion):
     """Minimize the Q model over the control to get (value, K, k)."""
     Q, n = q.Q, q.n
     Q_uu, Q_uz = Q[n + 1:, n + 1:], Q[n + 1:, :n + 1]
-    # closed forms for the common tiny control dimensions, as in _min_eig
-    if Q_uu.shape[0] <= 2:
+    m = Q_uu.shape[0]
+    # closed forms for the common tiny control dimensions, as in _min_eig;
+    # the 1x1 gain is one scaling, the product of the 1x1 inverse with Q_uz
+    if m == 1:
+        a = Q.item(-1)
+        if not a > 0:
+            raise NeedsRegularization("Q_uu is not positive definite")
+        Kk = (-1.0 / a) * Q_uz
+    elif m == 2:
         Kk = _neg_inverse(Q_uu) @ Q_uz
     else:
         # the Cholesky factor only tests definiteness, unless regularize
@@ -310,8 +313,12 @@ def value_recurrence(q: QExpansion):
             Kk = -np.linalg.solve(Q_uu, Q_uz)
         except np.linalg.LinAlgError:
             raise NeedsRegularization("Q_uu is not positive definite") from None
-    # the Schur complement Q_zz - Q_zu Q_uu^-1 Q_uz gives V_xx, V_x and 2 V_0
-    P = sym(Q[:n + 1, :n + 1] + Q[:n + 1, n + 1:] @ Kk)
+    # the Schur complement Q_zz - Q_zu Q_uu^-1 Q_uz gives V_xx, V_x and 2 V_0,
+    # symmetrized in place: P += P.T buffers the overlapping operand
+    P = Q[:n + 1, n + 1:] @ Kk
+    P += Q[:n + 1, :n + 1]
+    P += P.T
+    P *= 0.5
     return ValueExpansion.of_block(P), Kk[:, :n], Kk[:, n]
 
 

@@ -50,7 +50,9 @@ def rk4_step_with_jacobian(deriv, jac, x, u, dt):
     ``jac(x, u)`` must return the continuous-time (df/dx, df/du); the
     discrete Jacobians follow by chain rule through the four stages.  With
     a leading knot axis on x, u and the kernels' results, every knot is
-    propagated at once.
+    propagated at once, and ``jac`` is called once over the four stage
+    points of every knot: its kernels are elementwise, so each knot's
+    Jacobians are the same to the bit as from four calls.
     """
     n = x.shape[-1]
     eye = np.eye(n)
@@ -63,10 +65,14 @@ def rk4_step_with_jacobian(deriv, jac, x, u, dt):
     x4 = x + dt * k3
     k4 = deriv(x4, u)
 
-    a1, b1 = jac(x, u)
-    a2, b2 = jac(x2, u)
-    a3, b3 = jac(x3, u)
-    a4, b4 = jac(x4, u)
+    if x.ndim == 1:
+        a1, b1 = jac(x, u)
+        a2, b2 = jac(x2, u)
+        a3, b3 = jac(x3, u)
+        a4, b4 = jac(x4, u)
+    else:
+        a, b = jac(np.concatenate((x, x2, x3, x4)), np.concatenate((u,) * 4))
+        (a1, a2, a3, a4), (b1, b2, b3, b4) = np.split(a, 4), np.split(b, 4)
 
     K1x, K1u = a1, b1
     K2x = a2 @ (eye + 0.5 * dt * K1x)

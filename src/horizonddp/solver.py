@@ -206,26 +206,29 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
     """Forward simulation applying the shifted affine policy from x0.
 
     Returns (trajectory, cost); a non-finite excursion yields cost inf so
-    the line search rejects the step.  The running costs of all knots are
-    taken in one call once the states are rolled out.
+    the line search rejects the step, and no state past the first one out
+    of the box is stepped from.  The feedforward of every knot is formed
+    in one op, and each knot adds its feedback into its row in place, in
+    the order of ``controls[g] + alpha * k[g] + K[g] @ dx``.  The running
+    costs of all knots are taken in one call once the states are rolled
+    out.
     """
     g0 = t0 + back.prefix_len
     T = back.controls.shape[0] - g0
-    n = model.dim_x
-    states = np.zeros((T + 1, n))
-    controls = np.zeros((T, model.dim_u))
+    states = np.empty((T + 1, model.dim_x))
     states[0] = np.asarray(x0, dtype=float)
+    controls = back.controls[g0:] + alpha * back.k[g0:]
+    K, ref, step = back.K[g0:], back.states[g0:], model.step
     for t in range(T):
-        g = g0 + t
-        dx = states[t] - back.states[g]
-        u = back.controls[g] + alpha * back.k[g] + back.K[g] @ dx
-        controls[t] = u
+        x, u = states[t], controls[t]
+        u += K[t] @ (x - ref[t])
         try:
-            x_next = model.step(states[t], u)
+            x_next = step(x, u)
         except FloatingPointError:
             return None, math.inf
-        # NaN compares false, so this also rejects a non-finite state
-        if not np.abs(x_next).max() <= _STATE_BOUND:
+        # NaN compares false, so this also rejects a non-finite state; a
+        # loop over floats costs less than numpy's reduction of a few
+        if not all(abs(v) <= _STATE_BOUND for v in x_next.tolist()):
             return None, math.inf
         states[t + 1] = x_next
     try:

@@ -200,6 +200,38 @@ def test_closed_form_rejects_non_positive_definite(Q_uu, rng):
         value_recurrence(_q_with(np.array(Q_uu), rng))
 
 
+def test_one_control_gain_is_bitwise_the_inverse_product(rng):
+    # m = 1 scales Q_uz by -1/a and symmetrizes P in place; the product of
+    # the 1x1 inverse with Q_uz and the out-of-place sym are the reference
+    for _ in range(1000):
+        n = int(rng.integers(1, 13))
+        Mx = rng.standard_normal((n, n))
+        q = QExpansion(Q_xx=Mx.T @ Mx, Q_ux=rng.standard_normal((1, n)),
+                       Q_uu=np.array([[np.exp(3.0 * rng.standard_normal())]]),
+                       Q_x=rng.standard_normal(n), Q_u=rng.standard_normal(1),
+                       Q_0=float(rng.standard_normal()))
+        Q = q.Q
+        Kk = np.array([[-1.0 / q.Q_uu.item()]]) @ Q[n + 1:, :n + 1]
+        P = sym(Q[:n + 1, :n + 1] + Q[:n + 1, n + 1:] @ Kk)
+        V, K, k = value_recurrence(q)
+        assert V.P.tobytes() == P.tobytes()
+        assert K.tobytes() == Kk[:, :n].tobytes()
+        assert k.tobytes() == Kk[:, n].tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_value_block_is_exactly_symmetric(m, rng):
+    for _ in range(50):
+        Mu = rng.standard_normal((m, m))
+        Mx = rng.standard_normal((6, 6))
+        q = QExpansion(Q_xx=Mx.T @ Mx, Q_ux=rng.standard_normal((m, 6)),
+                       Q_uu=sym(Mu.T @ Mu + 0.1 * np.eye(m)),
+                       Q_x=rng.standard_normal(6), Q_u=rng.standard_normal(m),
+                       Q_0=0.3)
+        P = value_recurrence(q)[0].P
+        npt.assert_array_equal(P, P.T)
+
+
 def test_four_controls_keep_the_cholesky_path(rng, monkeypatch):
     calls = _counting_cholesky(monkeypatch)
     Mu = rng.standard_normal((4, 4))

@@ -215,6 +215,66 @@ def test_float_step_matches_array_rk4(model, rng):
         model.step(np.full(model.dim_x, 1e308), np.zeros(model.dim_u))
 
 
+def per_stage_rk4_jacobian(deriv, jac, x, u, dt):
+    """Reference: rk4_step_with_jacobian with one ``jac`` call per stage."""
+    eye = np.eye(x.shape[-1])
+    k1 = deriv(x, u)
+    x2 = x + 0.5 * dt * k1
+    k2 = deriv(x2, u)
+    x3 = x + 0.5 * dt * k2
+    k3 = deriv(x3, u)
+    x4 = x + dt * k3
+    k4 = deriv(x4, u)
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = (jac(v, u)
+                                              for v in (x, x2, x3, x4))
+    K2x = a2 @ (eye + 0.5 * dt * a1)
+    K2u = b2 + a2 @ (0.5 * dt * b1)
+    K3x = a3 @ (eye + 0.5 * dt * K2x)
+    K3u = b3 + a3 @ (0.5 * dt * K2u)
+    K4x = a4 @ (eye + dt * K3x)
+    K4u = b4 + a4 @ (dt * K3u)
+    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            eye + (dt / 6.0) * (a1 + 2.0 * K2x + 2.0 * K3x + K4x),
+            (dt / 6.0) * (b1 + 2.0 * K2u + 2.0 * K3u + K4u))
+
+
+@pytest.mark.parametrize("model", [CartpoleModel(), QuadrotorModel()],
+                         ids=["cartpole", "quadrotor"])
+def test_stacked_stage_jacobians_match_per_stage_calls(model, rng,
+                                                       monkeypatch):
+    # stacked knots take one kernel call over all four stage points; each
+    # knot's Jacobians are the four per-stage calls' to the bit
+    states = rng.standard_normal((40, model.dim_x))
+    controls = rng.standard_normal((40, model.dim_u))
+    want = per_stage_rk4_jacobian(model._deriv, model._deriv_jacobians,
+                                  states, controls, model.dt)
+    calls = []
+    kernel = model._deriv_jacobians
+
+    def counted(x, u):
+        calls.append(np.shape(x))
+        return kernel(x, u)
+
+    monkeypatch.setattr(model, "_deriv_jacobians", counted)
+    got = rk4_step_with_jacobian(model._deriv, model._deriv_jacobians,
+                                 states, controls, model.dt)
+    assert calls == [(160, model.dim_x)]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    calls.clear()
+    fx, fu = model.dynamics_jacobians(states, controls)
+    assert calls == [(160, model.dim_x)]
+    assert fx.tobytes() == want[1].tobytes()
+    assert fu.tobytes() == want[2].tobytes()
+    # one knot keeps one call per stage, on plain floats
+    calls.clear()
+    fx, fu = model.dynamics_jacobians(states[7], controls[7])
+    assert calls == [(model.dim_x,)] * 4
+    _, fx_1, fu_1 = per_stage_rk4_jacobian(model._deriv, kernel, states[7],
+                                           controls[7], model.dt)
+    assert fx.tobytes() == fx_1.tobytes() and fu.tobytes() == fu_1.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # obstacles and navigation
 # ---------------------------------------------------------------------------

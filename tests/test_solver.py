@@ -11,6 +11,7 @@ from horizonddp import (BackwardResult, CandidateEvaluation,
                         initial_trajectory, lti_optimal_horizon,
                         optimize_trajectory, riccati_sweep, rollout_controls,
                         select_horizon, trajectory_cost)
+from horizonddp.model import running_costs
 import horizonddp.solver as solver_mod
 from horizonddp.solver import evaluate_candidates, extend_backward, rollout
 
@@ -407,6 +408,68 @@ def test_rollout_cost_is_trajectory_cost_to_the_bit(name, rng, monkeypatch):
         assert shapes == ([(T,)] if model.stacked_derivatives else [()] * T)
         assert cost == trajectory_cost(model, new)
         assert type(cost) is float
+
+
+def per_step_rollout(model, back, t0, alpha, x0):
+    """Reference rollout: each knot's control formed on its own from the
+    sweep record's rows, and stepped until the first state out of the box."""
+    g0 = t0 + back.prefix_len
+    T = back.controls.shape[0] - g0
+    states = np.zeros((T + 1, model.dim_x))
+    controls = np.zeros((T, model.dim_u))
+    states[0] = x0
+    for t in range(T):
+        g = g0 + t
+        dx = states[t] - back.states[g]
+        u = back.controls[g] + alpha * back.k[g] + back.K[g] @ dx
+        controls[t] = u
+        x_next = model.step(states[t], u)
+        if not np.abs(x_next).max() <= solver_mod._STATE_BOUND:
+            return None, np.inf
+        states[t + 1] = x_next
+    cost = 0.0
+    for c in running_costs(model, states[:-1], controls):
+        cost += c
+    cost += model.terminal_cost(states[-1])
+    return (states, controls), float(cost)
+
+
+@pytest.mark.parametrize("name", ["cartpole", "quadrotor", "nav", "per-knot"])
+def test_rollout_matches_per_step_reference(name, rng, monkeypatch):
+    from horizonddp import CartpoleModel, QuadrotorModel
+
+    x_quad = np.zeros(12)
+    x_quad[:3] = [1.5, 1.0, -1.0]
+    model, x0 = {
+        "cartpole": (CartpoleModel(c_t=3.0), np.zeros(4)),
+        "quadrotor": (QuadrotorModel(c_t=1.0), x_quad),
+        "nav": (_nav_model(), np.zeros(4)),
+        "per-knot": (random_lq(rng, c_t=0.3), None),
+    }[name]
+    if x0 is None:
+        x0 = rng.standard_normal(model.dim_x)
+    _, back = _sweep_case(model, x0, 10, 3, rng)
+    S = back.prefix_len
+    assert S == 3
+    for t0, alpha in ((0, 1.0), (0, 0.25), (-S, 0.5), (3, 1.0)):
+        (states, controls), cost = per_step_rollout(model, back, t0, alpha, x0)
+        new, got = rollout(model, back, t0, alpha, x0)
+        assert new.states.tobytes() == states.tobytes()
+        assert new.controls.tobytes() == controls.tobytes()
+        assert got == cost
+    # a step that leaves the box at knot j is the last one taken
+    step = model.step
+    for j, value in ((0, np.nan), (4, np.inf), (9, 1e9)):
+        calls = []
+
+        def leaving(x, u):
+            calls.append(None)
+            x_next = step(x, u)
+            return np.full_like(x_next, value) if len(calls) > j else x_next
+
+        monkeypatch.setattr(model, "step", leaving)
+        assert rollout(model, back, 0, 1.0, x0) == (None, np.inf)
+        assert len(calls) == j + 1
 
 
 def test_rollout_returns_inf_when_stacked_running_cost_raises(rng,

@@ -17,15 +17,16 @@ every MPC step record except its wall-clock solve time, so two trees with
 the same digest solve these problems bit for bit alike.  One summary line
 per run goes to stderr, with the run's final cost to the last bit, the
 line-search rollouts the run made, how many of them rolled out a shifted
-horizon (t0 != 0), and the first 12 hex digits of the run's own digest;
-the digest of all runs goes to stdout.
+horizon (t0 != 0), the model ``step`` calls the run made, and the first
+12 hex digits of the run's own digest; the digest of all runs goes to
+stdout.  The counts are reported, not hashed.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
-rollouts and shifted rollouts, with the relative gap between their final
-costs and the two run digests, so that a moved total digest can be traced
-to its runs.  The exit status is 1 when a count differs or a gap exceeds
-1e-12; run digests that differ do not change it.
+rollouts, shifted rollouts and step calls, with the relative gap between
+their final costs and the two run digests, so that a moved total digest
+can be traced to its runs.  The exit status is 1 when a count differs or
+a gap exceeds 1e-12; run digests that differ do not change it.
 """
 
 from __future__ import annotations
@@ -142,15 +143,30 @@ def _count_rollouts(solver, counts: dict) -> None:
     solver.rollout = rollout
 
 
+def _count_steps(models, counts: dict) -> None:
+    """Wrap ``step`` on every registered model class so each call is
+    counted."""
+    for cls in models.MODEL_REGISTRY.values():
+        inner = cls.step
+
+        def step(self, x, u, inner=inner):
+            counts["step_calls"] += 1
+            return inner(self, x, u)
+
+        cls.step = step
+
+
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
+    import horizonddp.models
     import horizonddp.solver
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
-    counts = {"rollouts": 0, "shifted": 0}
+    counts = {"rollouts": 0, "shifted": 0, "step_calls": 0}
     _count_rollouts(horizonddp.solver, counts)
+    _count_steps(horizonddp.models, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
         run = hashlib.sha256()
@@ -158,9 +174,9 @@ def fingerprint(tree: Path) -> str:
             _feed(digest, label)
             _feed(digest, result)
         print(f"{label}: {_summary(result)} rollouts={counts['rollouts']} "
-              f"shifted={counts['shifted']} digest={run.hexdigest()[:12]}",
-              file=sys.stderr)
-        counts.update(rollouts=0, shifted=0)
+              f"shifted={counts['shifted']} step_calls={counts['step_calls']} "
+              f"digest={run.hexdigest()[:12]}", file=sys.stderr)
+        counts.update(rollouts=0, shifted=0, step_calls=0)
     return h.hexdigest()
 
 
