@@ -4,9 +4,11 @@ Each model is a dataclass whose fields are its parameters, and so the keys
 of its config document.  Cartpole and quadrotor integrate their continuous
 equations of motion with fixed-step RK4 (``_RK4Dynamics``); the two
 double-integrator variants use the exact discrete map (``_LinearDynamics``).
-The double integrator and the quadrotor share one quadratic tracking cost
-(``_QuadraticCost``).  Every model carries its own cost weights and
-per-step time penalty.
+Every model's cost is one quadratic about a state reference ``x_ref`` and
+a control reference ``u_ref`` (``_QuadraticCost``), whose weights each
+model builds in its ``__post_init__`` from its own fields; the navigator
+adds its obstacles on top.  Every model carries its own per-step time
+penalty ``c_t``.
 
 The RK4 models serve a single knot on plain floats: ``step`` runs the four
 stages of one knot through the model's float kernel ``_xdot`` and builds
@@ -246,27 +248,29 @@ class _LinearDynamics(SystemModel):
 
 class _QuadraticCost(SystemModel):
     """0.5 dx' Q dx + 0.5 du' R du + c_t per step and 0.5 dx' Qf dx at the
-    end, with dx = x - goal and du = u - u_ref; u_ref seeds the initial
-    trajectories."""
+    end, with dx = x - x_ref and du = u - u_ref; u_ref seeds the initial
+    trajectories.  A model sets Q, R, Qf, x_ref and u_ref in its
+    ``__post_init__``; a zero weight leaves its coordinate out of the cost,
+    whatever its reference."""
 
     def running_cost(self, x, u):
-        dx = np.asarray(x, dtype=float) - self.goal
+        dx = np.asarray(x, dtype=float) - self.x_ref
         du = np.asarray(u, dtype=float) - self.u_ref
         return 0.5 * (_dot(dx @ self.Q, dx) + _dot(du @ self.R, du)) + self.c_t
 
     def terminal_cost(self, x):
-        dx = np.asarray(x, dtype=float) - self.goal
+        dx = np.asarray(x, dtype=float) - self.x_ref
         return 0.5 * float(dx @ self.Qf @ dx)
 
     def running_cost_derivatives(self, x, u):
-        dx = np.asarray(x, dtype=float) - self.goal
+        dx = np.asarray(x, dtype=float) - self.x_ref
         du = np.asarray(u, dtype=float) - self.u_ref
         return (dx @ self.Q, du @ self.R, _per_knot(self.Q, dx),
                 np.zeros(dx.shape[:-1] + (self.dim_u, self.dim_x)),
                 _per_knot(self.R, dx))
 
     def terminal_cost_derivatives(self, x):
-        dx = np.asarray(x, dtype=float) - self.goal
+        dx = np.asarray(x, dtype=float) - self.x_ref
         return self.Qf @ dx, self.Qf
 
     def nominal_control(self, x):
@@ -299,7 +303,7 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
             value = getattr(self, name)
             setattr(self, name, sym(_finite_array(
                 np.eye(dim) if value is None else value, (dim, dim), name)))
-        self.goal = np.zeros(2)
+        self.goal = self.x_ref = np.zeros(2)
         self.u_ref = np.zeros(1)
         self.A = np.array([[1.0, self.dt], [0.0, 1.0]])
         self.B = np.array([[0.0], [self.dt]])
@@ -315,7 +319,7 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
 
 
 @dataclass(eq=False)
-class CartpoleModel(_RK4Dynamics):
+class CartpoleModel(_RK4Dynamics, _QuadraticCost):
     """Cart with a hanging pole; force on the cart is the only control.
 
     State (x, xdot, theta, thetadot) with theta = 0 hanging down and
@@ -343,6 +347,11 @@ class CartpoleModel(_RK4Dynamics):
         _as_floats(self)
         _check_positive(cart_mass=self.cart_mass, pole_mass=self.pole_mass,
                         pole_length=self.pole_length, dt=self.dt)
+        self.x_ref = np.array([0.0, 0.0, math.pi, 0.0])
+        self.u_ref = np.zeros(1)
+        self.Q = np.diag([0.0, self.w_xdot, 0.0, self.w_thetadot])
+        self.R = np.array([[self.w_u]])
+        self.Qf = np.diag([0.0, self.wf_xdot, self.wf_theta, self.wf_thetadot])
 
     # equations of motion in manipulator form, solved for the accelerations
     def _xdot(self, x, u, sin, cos):
@@ -384,36 +393,6 @@ class CartpoleModel(_RK4Dynamics):
         Fu[1, 0] = dxdd_du
         Fu[3, 0] = -(dxdd_du * c) / l
         return fx, fu
-
-    def running_cost(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return (0.5 * (self.w_xdot * x[..., 1] ** 2 + self.w_thetadot * x[..., 3] ** 2
-                       + self.w_u * _dot(u, u)) + self.c_t)
-
-    def terminal_cost(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (self.wf_theta * (x[2] - math.pi) ** 2
-                      + self.wf_xdot * x[1] ** 2
-                      + self.wf_thetadot * x[3] ** 2)
-
-    def running_cost_derivatives(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        l_x = np.zeros(x.shape)
-        l_x[..., 1] = self.w_xdot * x[..., 1]
-        l_x[..., 3] = self.w_thetadot * x[..., 3]
-        l_xx = np.diag([0.0, self.w_xdot, 0.0, self.w_thetadot])
-        return (l_x, self.w_u * u, _per_knot(l_xx, x),
-                np.zeros(x.shape[:-1] + (1, 4)), _per_knot(self.w_u * np.eye(1), x))
-
-    def terminal_cost_derivatives(self, x):
-        x = np.asarray(x, dtype=float)
-        phi_x = np.array([0.0, self.wf_xdot * x[1],
-                          self.wf_theta * (x[2] - math.pi),
-                          self.wf_thetadot * x[3]])
-        phi_xx = np.diag([0.0, self.wf_xdot, self.wf_theta, self.wf_thetadot])
-        return phi_x, phi_xx
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +437,7 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
         _check_positive(mass=self.mass, inertia=self.inertia, dt=self.dt)
         self.goal = (np.zeros(12) if self.goal is None
                      else _finite_array(self.goal, (12,), "goal"))
+        self.x_ref = self.goal
         self.Q = np.diag([self.w_pos] * 3 + [self.w_att] * 3
                          + [self.w_vel] * 3 + [self.w_rate] * 3)
         self.R = np.diag([self.w_thrust] + [self.w_torque] * 3)
@@ -613,14 +593,8 @@ class Obstacle:
 
     def cost(self, pos: np.ndarray):
         """Cost at a position (2,), or at each row of positions (N, 2)."""
-        pos = np.asarray(pos, dtype=float)
-        if pos.ndim == 1:
-            # every rollout step lands here: plain floats, same rounding
-            px, py = pos.tolist()
-            dx, dy = px - self.center[0], py - self.center[1]
-            d2 = dx * dx + dy * dy
-        else:
-            d2 = np.sum((pos - np.asarray(self.center)) ** 2, axis=-1)
+        delta = np.asarray(pos, dtype=float) - np.asarray(self.center)
+        d2 = np.sum(delta ** 2, axis=-1)
         return self.weight * _exp(-d2 / (2.0 * self.radius ** 2))
 
     def cost_derivatives(self, pos: np.ndarray):
@@ -637,8 +611,12 @@ class Obstacle:
 
 
 @dataclass(eq=False)
-class PointMassNavModel(_LinearDynamics):
+class PointMassNavModel(_LinearDynamics, _QuadraticCost):
     """Planar double integrator steering to a goal through soft obstacles.
+
+    State (px, py, vx, vy): the running cost weighs speed and control, the
+    terminal cost the distance to ``goal`` and the arrival speed, and each
+    obstacle adds its cost at the position of every running knot.
 
     ``obstacles`` holds :class:`Obstacle` objects, or config entries with
     the fields of one.
@@ -673,49 +651,29 @@ class PointMassNavModel(_LinearDynamics):
                            [0.0, 0.0, 1.0, 0.0],
                            [0.0, 0.0, 0.0, 1.0]])
         self.B = np.array([[0.0, 0.0], [0.0, 0.0], [dt_, 0.0], [0.0, dt_]])
-        # hot-path constants for the cost expansion
-        self._l_xx_base = np.diag([0.0, 0.0, self.w_vel, self.w_vel])
-        self._l_ux = np.zeros((2, 4))
-        self._l_uu = self.w_u * np.eye(2)
-        for M in (self._l_xx_base, self._l_ux, self._l_uu):
-            M.setflags(write=False)
+        self.x_ref = np.concatenate([self.goal, np.zeros(2)])
+        self.u_ref = np.zeros(2)
+        self.Q = np.diag([0.0, 0.0, self.w_vel, self.w_vel])
+        self.R = self.w_u * np.eye(2)
+        self.Qf = np.diag([self.wf_pos, self.wf_pos, self.wf_vel, self.wf_vel])
 
     def running_cost(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        vel = x[..., 2:]
-        total = 0.5 * (self.w_u * _dot(u, u) + self.w_vel * _dot(vel, vel))
+        total = super().running_cost(x, u)
+        pos = np.asarray(x, dtype=float)[..., :2]
         for obs in self.obstacles:
-            total += obs.cost(x[..., :2])
-        return total + self.c_t
-
-    def terminal_cost(self, x):
-        x = np.asarray(x, dtype=float)
-        dp = x[:2] - self.goal
-        return 0.5 * (self.wf_pos * float(dp @ dp)
-                      + self.wf_vel * float(x[2:] @ x[2:]))
+            total += obs.cost(pos)
+        return total
 
     def running_cost_derivatives(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        l_x = np.zeros(x.shape)
-        l_x[..., 2:] = self.w_vel * x[..., 2:]
-        l_xx = _per_knot(self._l_xx_base, x)
+        l_x, l_u, l_xx, l_ux, l_uu = super().running_cost_derivatives(x, u)
         if self.obstacles:
-            l_xx = l_xx.copy()
+            pos = np.asarray(x, dtype=float)[..., :2]
+            l_xx = l_xx.copy()  # the base block is a read-only view
             for obs in self.obstacles:
-                _, grad, hess = obs.cost_derivatives(x[..., :2])
+                _, grad, hess = obs.cost_derivatives(pos)
                 l_x[..., :2] += grad
                 l_xx[..., :2, :2] += hess
-        return (l_x, self.w_u * u, l_xx, _per_knot(self._l_ux, x),
-                _per_knot(self._l_uu, x))
-
-    def terminal_cost_derivatives(self, x):
-        x = np.asarray(x, dtype=float)
-        phi_x = np.concatenate([self.wf_pos * (x[:2] - self.goal),
-                                self.wf_vel * x[2:]])
-        phi_xx = np.diag([self.wf_pos, self.wf_pos, self.wf_vel, self.wf_vel])
-        return phi_x, phi_xx
+        return l_x, l_u, l_xx, l_ux, l_uu
 
 
 def obstacle_schedule_advance(model: PointMassNavModel,

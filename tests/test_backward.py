@@ -402,6 +402,21 @@ def test_terminal_value_is_terminal_expansion(rng):
     assert V_T.V_0 == pytest.approx(model.terminal_cost(traj.states[-1]))
 
 
+@pytest.mark.parametrize("model", [CartpoleModel(), CubicModel()],
+                         ids=["stacked", "per-knot"])
+def test_sweep_of_no_knots_is_the_terminal_block(model):
+    n, m = model.dim_x, model.dim_u
+    x = np.linspace(0.1, 0.4, n)
+    traj = Trajectory(states=[x], controls=np.zeros((0, m)))
+    back = backward_sweep(model, traj, empty_prefix(model))
+    phi, phi_x, phi_xx = expand_terminal(model, x)
+    assert back.P.shape == (1, n + 1, n + 1)
+    npt.assert_array_equal(back.P[0],
+                           ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi).P)
+    assert back.K.shape == (0, m, n) and back.k.shape == (0, m)
+    assert back.prefix_len == 0
+
+
 def test_prefix_extends_value_indexing(rng):
     # shift invariance: values over a feasible prefix equal values of the
     # same stationary problem with a longer nominal

@@ -329,13 +329,16 @@ def test_obstacle_rejects_bad_schedule_duration(duration):
     (lambda: PointMassNavModel(goal=5), "goal must be 2 finite numbers"),
     (lambda: PointMassNavModel(goal=(1.0, 2.0, 3.0)), "goal must be 2"),
     (lambda: QuadrotorModel(goal=np.zeros(11)), "goal must be 12"),
+    (lambda: QuadrotorModel(goal="abc"), "goal must be 12"),
     (lambda: QuadrotorModel(inertia=(0.01, 0.02)), "inertia must be 3"),
+    (lambda: QuadrotorModel(inertia=[[1, 2], [3]]), "inertia must be 3"),
     (lambda: DoubleIntegratorModel(Q=5), "Q must be a 2x2 matrix"),
     (lambda: DoubleIntegratorModel(R=np.eye(2)), "R must be a 1x1 matrix"),
     (lambda: DoubleIntegratorModel(Qf=[[1.0, np.nan], [0.0, 1.0]]),
      "Qf must be a 2x2 matrix of finite numbers"),
-], ids=["nav-goal-scalar", "nav-goal-3", "quadrotor-goal", "quadrotor-inertia",
-        "integrator-Q", "integrator-R", "integrator-Qf-nan"])
+], ids=["nav-goal-scalar", "nav-goal-3", "quadrotor-goal", "quadrotor-goal-text",
+        "quadrotor-inertia", "quadrotor-inertia-ragged", "integrator-Q",
+        "integrator-R", "integrator-Qf-nan"])
 def test_model_arrays_are_shape_checked(build, name):
     with pytest.raises(ValueError, match=name):
         build()
@@ -443,6 +446,140 @@ def test_stacked_expansions_match_per_knot(name, builder, rng):
         knot = expand_dynamics(m, x, u, want_second_order=True)
         for field in DynamicsExpansion.__dataclass_fields__:
             close(getattr(dyn, field)[i], getattr(knot, field))
+
+
+# Each model's costs written out at one knot, as (running, running
+# derivatives, terminal, terminal derivatives).  Every weight differs from
+# the others, so a weight on the wrong slot shows; matching differenced
+# derivatives (criterion 8) cannot show it.
+
+_DI_Q = np.array([[2.0, 0.3], [0.3, 1.5]])
+_DI_R = np.array([[0.7]])
+_DI_QF = np.array([[9.0, -1.2], [-1.2, 4.0]])
+
+
+def _double_integrator_costs(m):
+    Q, R, Qf = _DI_Q, _DI_R, _DI_QF
+    return (lambda x, u: 0.5 * (x @ Q @ x + u @ R @ u) + m.c_t,
+            lambda x, u: (Q @ x, R @ u, Q, np.zeros((1, 2)), R),
+            lambda x: 0.5 * (x @ Qf @ x),
+            lambda x: (Qf @ x, Qf))
+
+
+def _cartpole_costs(m):
+    def running(x, u):
+        return 0.5 * (m.w_xdot * x[1] ** 2 + m.w_thetadot * x[3] ** 2
+                      + m.w_u * (u @ u)) + m.c_t
+
+    def running_derivatives(x, u):
+        return (np.array([0.0, m.w_xdot * x[1], 0.0, m.w_thetadot * x[3]]),
+                m.w_u * u, np.diag([0.0, m.w_xdot, 0.0, m.w_thetadot]),
+                np.zeros((1, 4)), np.array([[m.w_u]]))
+
+    def terminal(x):
+        return 0.5 * (m.wf_theta * (x[2] - math.pi) ** 2
+                      + m.wf_xdot * x[1] ** 2 + m.wf_thetadot * x[3] ** 2)
+
+    def terminal_derivatives(x):
+        return (np.array([0.0, m.wf_xdot * x[1], m.wf_theta * (x[2] - math.pi),
+                          m.wf_thetadot * x[3]]),
+                np.diag([0.0, m.wf_xdot, m.wf_theta, m.wf_thetadot]))
+
+    return running, running_derivatives, terminal, terminal_derivatives
+
+
+def _quadrotor_costs(m):
+    q = np.repeat([m.w_pos, m.w_att, m.w_vel, m.w_rate], 3)
+    r = np.array([m.w_thrust] + [m.w_torque] * 3)
+    hover = np.array([m.mass * m.gravity, 0.0, 0.0, 0.0])
+    return (lambda x, u: 0.5 * (q @ (x - m.goal) ** 2 + r @ (u - hover) ** 2)
+            + m.c_t,
+            lambda x, u: (q * (x - m.goal), r * (u - hover), np.diag(q),
+                          np.zeros((4, 12)), np.diag(r)),
+            lambda x: 0.5 * m.wf * ((x - m.goal) @ (x - m.goal)),
+            lambda x: (m.wf * (x - m.goal), m.wf * np.eye(12)))
+
+
+def _nav_costs(m):
+    def obstacles(p):
+        """Summed Gaussian cost, gradient and Hessian at position p."""
+        cost, grad, hess = 0.0, np.zeros(2), np.zeros((2, 2))
+        for o in m.obstacles:
+            d, r2 = p - np.array(o.center), o.radius ** 2
+            c = o.weight * math.exp(-(d @ d) / (2.0 * r2))
+            cost += c
+            grad += -(c / r2) * d
+            hess += (c / r2 ** 2) * np.outer(d, d) - (c / r2) * np.eye(2)
+        return cost, grad, hess
+
+    def running(x, u):
+        return (0.5 * (m.w_u * (u @ u) + m.w_vel * (x[2:] @ x[2:]))
+                + obstacles(x[:2])[0] + m.c_t)
+
+    def running_derivatives(x, u):
+        _, grad, hess = obstacles(x[:2])
+        l_xx = np.diag([0.0, 0.0, m.w_vel, m.w_vel])
+        l_xx[:2, :2] += hess
+        return (np.concatenate([grad, m.w_vel * x[2:]]), m.w_u * u, l_xx,
+                np.zeros((2, 4)), m.w_u * np.eye(2))
+
+    def terminal(x):
+        dp = x[:2] - m.goal
+        return 0.5 * (m.wf_pos * (dp @ dp) + m.wf_vel * (x[2:] @ x[2:]))
+
+    def terminal_derivatives(x):
+        return (np.concatenate([m.wf_pos * (x[:2] - m.goal), m.wf_vel * x[2:]]),
+                np.diag([m.wf_pos, m.wf_pos, m.wf_vel, m.wf_vel]))
+
+    return running, running_derivatives, terminal, terminal_derivatives
+
+
+COST_FORMULAS = [
+    ("cartpole", lambda: CartpoleModel(w_xdot=0.3, w_thetadot=0.7, w_u=0.02,
+                                       wf_theta=1e4, wf_xdot=2e3,
+                                       wf_thetadot=3e3, c_t=2.0),
+     _cartpole_costs),
+    ("nav", lambda: PointMassNavModel(
+        goal=(2.0, -1.0), w_u=0.4, w_vel=0.06, wf_pos=30.0, wf_vel=70.0,
+        c_t=1.5, obstacles=(Obstacle(center=(0.5, 0.3), radius=0.8, weight=20.0),
+                            Obstacle(center=(-0.4, -0.6), radius=0.5, weight=7.0))),
+     _nav_costs),
+    ("quadrotor", lambda: QuadrotorModel(
+        goal=np.linspace(-0.5, 0.6, 12), w_pos=1.1, w_att=1.3, w_vel=0.2,
+        w_rate=0.15, w_thrust=0.6, w_torque=4.0, wf=300.0, c_t=0.5),
+     _quadrotor_costs),
+    ("double_integrator", lambda: DoubleIntegratorModel(
+        Q=_DI_Q, R=_DI_R, Qf=_DI_QF, c_t=0.25),
+     _double_integrator_costs),
+]
+
+
+@pytest.mark.parametrize("name,builder,formulas", COST_FORMULAS,
+                         ids=[case[0] for case in COST_FORMULAS])
+def test_costs_match_their_formulas(name, builder, formulas, rng):
+    m = builder()
+    running, running_derivatives, terminal, terminal_derivatives = formulas(m)
+    states, controls = map(np.array, zip(*_random_knots(m, rng, 50, scale=1.0)))
+
+    def close(actual, expected):
+        npt.assert_allclose(actual, expected, rtol=1e-13,
+                            atol=1e-13 * max(1.0, np.max(np.abs(expected))))
+
+    expected = [(running(x, u), running_derivatives(x, u))
+                for x, u in zip(states, controls)]
+    close(m.running_cost(states, controls), [l for l, _ in expected])
+    stacked = m.running_cost_derivatives(states, controls)
+    for i, (x, u) in enumerate(zip(states, controls)):
+        l, derivatives = expected[i]
+        close(m.running_cost(x, u), l)
+        for one, many, want in zip(m.running_cost_derivatives(x, u), stacked,
+                                   derivatives):
+            close(one, want)
+            close(many[i], want)
+        close(m.terminal_cost(x), terminal(x))
+        for got, want in zip(m.terminal_cost_derivatives(x),
+                             terminal_derivatives(x)):
+            close(got, want)
 
 
 def test_registry_builds_models():

@@ -17,16 +17,20 @@ every MPC step record except its wall-clock solve time, so two trees with
 the same digest solve these problems bit for bit alike.  One summary line
 per run goes to stderr, with the run's final cost to the last bit, the
 line-search rollouts the run made, how many of them rolled out a shifted
-horizon (t0 != 0), the model ``step`` calls the run made, and the first
-12 hex digits of the run's own digest; the digest of all runs goes to
-stdout.  The counts are reported, not hashed.
+horizon (t0 != 0), the model ``step`` calls the run made, the first 12
+hex digits of the digest of the run's answer (``plan``: a solve's
+trajectory, or an episode's step states, actions and planned horizons and
+its final state) and those of the run's own digest; the digest of all runs
+goes to stdout.  The counts are reported, not hashed.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts, shifted rollouts and step calls, with the relative gap between
-their final costs and the two run digests, so that a moved total digest
-can be traced to its runs.  The exit status is 1 when a count differs or
-a gap exceeds 1e-12; run digests that differ do not change it.
+their final costs, the two plan digests and the two run digests, so that a
+moved total digest can be traced to its runs, and a moved run digest to
+the answer or only to the trace.  The exit status is 1 when a count
+differs or a gap exceeds 1e-12; plan or run digests that differ do not
+change it.
 """
 
 from __future__ import annotations
@@ -124,6 +128,15 @@ def _runs(hd):
                                                  t_fixed=40)
 
 
+def _plan(result):
+    """The run's answer: a solve's trajectory, or an episode's step states,
+    actions and planned horizons and its final state."""
+    if hasattr(result, "steps_used"):
+        return ([(s.state, s.action, s.planned_horizon) for s in result.steps],
+                result.final_state)
+    return result.trajectory
+
+
 def _summary(result) -> str:
     if hasattr(result, "steps_used"):
         return f"steps={result.steps_used} cost={result.total_cost!r}"
@@ -169,13 +182,15 @@ def fingerprint(tree: Path) -> str:
     _count_steps(horizonddp.models, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
-        run = hashlib.sha256()
+        run, plan = hashlib.sha256(), hashlib.sha256()
         for digest in (h, run):
             _feed(digest, label)
             _feed(digest, result)
+        _feed(plan, _plan(result))
         print(f"{label}: {_summary(result)} rollouts={counts['rollouts']} "
               f"shifted={counts['shifted']} step_calls={counts['step_calls']} "
-              f"digest={run.hexdigest()[:12]}", file=sys.stderr)
+              f"plan={plan.hexdigest()[:12]} digest={run.hexdigest()[:12]}",
+              file=sys.stderr)
         counts.update(rollouts=0, shifted=0, step_calls=0)
     return h.hexdigest()
 
@@ -183,8 +198,8 @@ def fingerprint(tree: Path) -> str:
 # relative cost gap two trees may show on one run
 _COST_RTOL = 1e-12
 _COST_KEYS = ("J", "cost")
-# the per-run digest is reported, not compared
-_DIGEST_KEY = "digest"
+# the per-run plan and run digests are reported, not compared
+_DIGEST_KEYS = ("plan", "digest")
 
 
 def _parse(stderr: str) -> dict:
@@ -215,7 +230,7 @@ def compare(tree: Path, other: Path) -> int:
     status = 0 if runs_a and list(runs_a) == list(runs_b) else 1
     for label, a in runs_a.items():
         b = runs_b.get(label, {})
-        counts = [key for key in a if key not in (*_COST_KEYS, _DIGEST_KEY)]
+        counts = [key for key in a if key not in (*_COST_KEYS, *_DIGEST_KEYS)]
         differ = [key for key in counts if a[key] != b.get(key)]
         cost = next(key for key in _COST_KEYS if key in a)
         x, y = float(a[cost]), float(b.get(cost, "nan"))
@@ -223,8 +238,10 @@ def compare(tree: Path, other: Path) -> int:
         if differ or not gap <= _COST_RTOL:
             status = 1
         same = "differ in " + ", ".join(differ) if differ else "equal"
+        digests = "; ".join(f"{key} {a.get(key)} {b.get(key)}"
+                            for key in _DIGEST_KEYS)
         print(f"{label}: {'/'.join(counts)} {same}; {cost} gap {gap:.1e}; "
-              f"digest {a.get(_DIGEST_KEY)} {b.get(_DIGEST_KEY)}")
+              f"{digests}")
     print(f"digests: {digest_a.strip()} {digest_b.strip()}")
     return status
 
