@@ -6,6 +6,18 @@ selection window has a value expansion and gains available.  Every knot is
 linearized once, before the recursion: the expansions along a fixed nominal
 do not depend on each other, and a regularization retry reuses them.
 
+A retry also reuses the backups above the first knot the new gamma lifts.
+A knot's backup depends only on its cost block C, its dynamics block F, the
+successor value block P and, through the lift alone, on gamma.  Each knot
+records a floor, a gamma up to which ``regularize`` provably leaves its
+Q_uu unlifted: lambda_min when the shift was 0, the attempt's own gamma
+when Gershgorin proved it, -inf when lifted.  When the attempt at gamma
+fails at row f, the retry at gamma' starts at the highest row above f whose
+floor is not at least gamma', or at f itself.  Every row above that start
+has a floor of at least gamma' and, by induction down from the terminal,
+the same successor, so a restart from the terminal would back it up to the
+same bits; the failed row is always backed up again.
+
 Each quadratic is one symmetric block in homogeneous coordinates, with a
 constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
 z = (dx, 1) the value is V(dx) = 1/2 z'Pz with
@@ -143,18 +155,21 @@ class QExpansion:
     block ``Q = [[Q_xx, Q_x, Q_xu], [Q_x', 2 Q_0, Q_u'], [Q_ux, Q_u, Q_uu]]``
     over (dx, 1, du); the fields read its blocks."""
 
-    # _definite: regularize proved Q_uu positive definite
-    __slots__ = ("Q", "n", "_definite")
+    # _definite: regularize proved Q_uu positive definite; floor: a gamma up
+    # to which regularize provably leaves Q_uu unlifted, -inf until it has
+    __slots__ = ("Q", "n", "_definite", "floor")
 
     def __init__(self, Q_xx, Q_ux, Q_uu, Q_x, Q_u, Q_0):
         self.Q = _block(Q_xx, Q_x, Q_ux, Q_u, Q_uu, Q_0)
         self.n = np.shape(Q_x)[0]
         self._definite = False
+        self.floor = -math.inf
 
     @classmethod
-    def of_block(cls, Q: np.ndarray, n: int, definite: bool = False) -> "QExpansion":
+    def of_block(cls, Q: np.ndarray, n: int, definite: bool = False,
+                 floor: float = -math.inf) -> "QExpansion":
         q = object.__new__(cls)
-        q.Q, q.n, q._definite = Q, n, definite
+        q.Q, q.n, q._definite, q.floor = Q, n, definite, floor
         return q
 
     Q_xx = property(lambda self: self.Q[:self.n, :self.n])
@@ -259,7 +274,8 @@ def _gershgorin_above(M: np.ndarray, gamma: float) -> bool:
 
 
 def regularize(q: QExpansion, gamma: float) -> QExpansion:
-    """Lift the smallest eigenvalue of Q_uu to at least gamma."""
+    """Lift the smallest eigenvalue of Q_uu to at least gamma, and record on
+    the result a floor up to which gamma leaves it unlifted."""
     # an infinite gamma zeroes every gain and never relaxes again
     if not 0.0 <= gamma < np.inf:
         raise ValueError("gamma must be finite and >= 0")
@@ -267,9 +283,11 @@ def regularize(q: QExpansion, gamma: float) -> QExpansion:
     # for m >= 3, Gershgorin discs above gamma prove the shift is 0 without
     # eigvalsh, and let value_recurrence skip its Cholesky test
     if Q_uu.shape[0] > 2 and _gershgorin_above(Q_uu, gamma):
-        return QExpansion.of_block(q.Q, q.n, definite=True)
-    shift = max(0.0, gamma - _min_eig(Q_uu))
+        return QExpansion.of_block(q.Q, q.n, definite=True, floor=gamma)
+    lam = _min_eig(Q_uu)
+    shift = max(0.0, gamma - lam)
     if shift == 0.0:
+        q.floor = lam
         return q
     Q = q.Q.copy()
     Q[q.n + 1:, q.n + 1:] = Q_uu + shift * np.eye(Q_uu.shape[0])
@@ -335,18 +353,24 @@ def _linearize(model: SystemModel, states, controls, second_order):
     return C, F, F2
 
 
-def _sweep_once(costs, dyns, terminal: ValueExpansion, gamma, out):
-    """Fill the rows of ``out = (P, K, k)`` below the terminal."""
-    P, K, k = out
+def _sweep_once(costs, dyns, gamma, out, top):
+    """Fill rows ``top`` down to 0 of ``out = (P, K, k, floors)`` from the
+    value block P[top + 1], with each row's floor; a failed row's is -inf."""
+    P, K, k, floors = out
     n = P.shape[1] - 1
-    nxt = terminal
-    for i in range(len(costs) - 1, -1, -1):
-        q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
-        nxt, K[i], k[i] = value_recurrence(q)
-        P[i] = P_i = nxt.P
-        # a diverging recursion only gets worse; escalate gamma right away
-        if not math.isfinite(P_i[n, n]) or abs(P_i[:n, :n]).max() > 1e12:
-            raise NeedsRegularization("value recursion diverged")
+    nxt = ValueExpansion.of_block(P[top + 1])
+    try:
+        for i in range(top, -1, -1):
+            q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
+            nxt, K[i], k[i] = value_recurrence(q)
+            P[i] = P_i = nxt.P
+            # a diverging recursion only gets worse; escalate gamma right away
+            if not math.isfinite(P_i[n, n]) or abs(P_i[:n, :n]).max() > 1e12:
+                raise NeedsRegularization("value recursion diverged")
+            floors[i] = q.floor
+    except NeedsRegularization:
+        floors[i] = -math.inf
+        raise
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
@@ -359,9 +383,10 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     nominal trajectory must be feasible.  The prefix and nominal knots are
     linearized in one stacked call, and the S defects take one ``step``
     each; on factorization failure gamma is escalated tenfold, and from at
-    least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both.  Raises
-    ExpansionError naming the derivative method that gave a non-finite
-    value.
+    least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both and every
+    backup above the highest knot the new gamma may lift (see the module
+    docstring).  Raises ExpansionError naming the derivative method that
+    gave a non-finite value.
     """
     n, m = model.dim_x, model.dim_u
     pre_states, pre_controls = prefix
@@ -388,16 +413,22 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     P = np.empty((len(controls) + 1, n + 1, n + 1))
     P[-1] = terminal.P
     K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
+    floors = [-math.inf] * len(controls)
+    top = len(controls) - 1
     g = float(gamma)
     while True:
         try:
-            _sweep_once(C, dyns, terminal, g, (P, K, k))
+            _sweep_once(C, dyns, g, (P, K, k, floors), top)
             break
         except NeedsRegularization:
             g = max(10.0 * g, GAMMA_MIN)
             if g > GAMMA_MAX:
                 raise BackwardSweepError(
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
+        # from the terminal down: a row kept through one retry may be lifted
+        # by the next gamma, and the failed row's -inf ends the scan
+        top = next(i for i in range(len(floors) - 1, -1, -1)
+                   if not floors[i] >= g)
 
     return BackwardResult(states=states, controls=controls, P=P, K=K, k=k,
                           gamma_used=g, prefix_len=pre_states.shape[0])

@@ -13,8 +13,8 @@ from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
                         expand_dynamics, expand_terminal, initial_trajectory,
                         optimize_trajectory, q_expansion, regularize,
                         riccati_sweep, rollout_controls, value_recurrence,
-                        ExpansionError, SolverConfig, Trajectory,
-                        trajectory_cost)
+                        ExpansionError, Obstacle, PointMassNavModel,
+                        SolverConfig, Trajectory, trajectory_cost)
 from horizonddp.backward import GAMMA_MIN, NeedsRegularization
 from horizonddp.model import sym
 from test_model_api import CubicModel
@@ -449,25 +449,91 @@ def test_expected_improvement_nonpositive_off_optimum(rng):
     assert back.max_feedforward(0) > 0.0
 
 
+class ConcaveControl(LinearQuadraticModel):
+    """An LQ model whose running cost is concave in u, so that the sweep
+    must escalate gamma."""
+
+    def running_cost(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return 0.5 * float(x @ self.Q @ x) - 0.5 * float(u @ u)
+
+    def running_cost_derivatives(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return (self.Q @ x, -u, self.Q,
+                np.zeros((self.dim_u, self.dim_x)), -np.eye(self.dim_u))
+
+
 def test_gamma_escalation_recovers_from_indefinite_quu():
     # strongly concave-in-u running cost forces the gamma schedule to act
-    class ConcaveControl(LinearQuadraticModel):
-        def running_cost(self, x, u):
-            x = np.asarray(x, dtype=float)
-            u = np.asarray(u, dtype=float)
-            return 0.5 * float(x @ self.Q @ x) - 0.5 * float(u @ u)
-
-        def running_cost_derivatives(self, x, u):
-            x = np.asarray(x, dtype=float)
-            u = np.asarray(u, dtype=float)
-            return (self.Q @ x, -u, self.Q,
-                    np.zeros((self.dim_u, self.dim_x)), -np.eye(self.dim_u))
-
     m = ConcaveControl(np.eye(2), np.array([[0.0], [1.0]]), np.eye(2),
                        np.eye(1), np.eye(2))
     traj = initial_trajectory(m, np.array([1.0, 0.0]), 4)
     back = backward_sweep(m, traj, empty_prefix(m), gamma=1e-6)
     assert back.gamma_used >= 1.0  # escalated well past the initial floor
+
+
+def full_restart_sweep(model, traj, gamma):
+    """Reference: every gamma attempt backs up all knots from the terminal,
+    over the same stacked blocks, with the sweep's divergence bound."""
+    x, u = traj.states[:-1], traj.controls
+    C = backward._cost_block(expand_cost(model, x, u))
+    F, _ = backward._dynamics_block(expand_dynamics(model, x, u, False))
+    phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
+    knots = 0
+    while True:
+        nxt = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
+        P, K, k = [nxt.P], [], []
+        try:
+            for i in range(len(C) - 1, -1, -1):
+                knots += 1
+                q = regularize(q_expansion(C[i], (F[i], None), nxt), gamma)
+                nxt, K_i, k_i = value_recurrence(q)
+                if (not np.isfinite(nxt.P[-1, -1])
+                        or abs(nxt.V_xx).max() > 1e12):
+                    raise NeedsRegularization("value recursion diverged")
+                P.insert(0, nxt.P)
+                K.insert(0, K_i)
+                k.insert(0, k_i)
+            return np.array(P), np.array(K), np.array(k), gamma, knots
+        except NeedsRegularization:
+            gamma = max(10.0 * gamma, GAMMA_MIN)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_gamma_retry_resume_matches_full_restart(m, monkeypatch):
+    # a retry keeps the rows above the first one its gamma lifts; restarting
+    # every attempt from the terminal gives the same bits
+    if m == 2:
+        # a straight run through the criterion-6 model's first obstacle
+        model = PointMassNavModel(
+            obstacles=(Obstacle(center=(3.0, 0.5), radius=0.8, weight=30.0),),
+            c_t=5.0, wf_pos=400.0, wf_vel=200.0)
+        traj = rollout_controls(model, np.zeros(4),
+                                np.tile([1.0, 0.0], (30, 1)))
+    else:
+        # the rows near the terminal stay definite, with coupled controls
+        # that keep m = 3 off the Gershgorin proof
+        B = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        model = ConcaveControl(np.eye(3), B[:, :m], np.eye(3), np.eye(m),
+                               2.0 * np.eye(3))
+        traj = initial_trajectory(model, np.array([1.0, 0.0, -0.5]), 6)
+    knots = Counter()
+
+    def counting(C, dyn, nxt):
+        knots["q_expansion"] += 1
+        return q_expansion(C, dyn, nxt)
+
+    monkeypatch.setattr(backward, "q_expansion", counting)
+    back = backward_sweep(model, traj, empty_prefix(model), gamma=GAMMA_MIN)
+    P, K, k, gamma, ref_knots = full_restart_sweep(model, traj, GAMMA_MIN)
+    assert gamma >= 100 * GAMMA_MIN       # at least two escalations
+    assert back.gamma_used == gamma
+    npt.assert_array_equal(back.P, P)
+    npt.assert_array_equal(back.K, K)
+    npt.assert_array_equal(back.k, k)
+    assert knots["q_expansion"] < ref_knots
 
 
 def test_gamma_escalation_starts_from_floor_at_zero(monkeypatch):
@@ -476,11 +542,11 @@ def test_gamma_escalation_starts_from_floor_at_zero(monkeypatch):
     sweep_once = backward._sweep_once
     calls = []
 
-    def fails_once(costs, dyns, terminal, gamma, out):
+    def fails_once(costs, dyns, gamma, out, top):
         calls.append(gamma)
         if len(calls) == 1:
             raise NeedsRegularization("first sweep")
-        sweep_once(costs, dyns, terminal, gamma, out)
+        sweep_once(costs, dyns, gamma, out, top)
 
     monkeypatch.setattr(backward, "_sweep_once", fails_once)
     m = DoubleIntegratorModel()

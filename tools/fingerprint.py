@@ -5,6 +5,9 @@ Usage: python3 tools/fingerprint.py <tree> [<other-tree>]
 Imports ``horizonddp`` from ``<tree>/src`` and runs:
 - the cartpole solves at c_t = 1, 3, 10, 30 and 100 (bounds (10, 400),
   initial horizon 150);
+- the noise-free cartpole MPC episodes from rest at c_t = 10 and 30 of the
+  ``cartpole-sweep`` benchmark workload (bounds (1, 400), 5 inner
+  iterations, step limit 500, initial horizon 150);
 - the quadrotor solve of acceptance criterion 5, and the noise-free MPC
   episode from its start (bounds (1, 150), 5 inner iterations, initial
   horizon 40);
@@ -94,6 +97,12 @@ def _runs(hd):
         model = hd.CartpoleModel(c_t=c_t)
         yield f"cartpole c_t={c_t:g}", hd.optimize_trajectory(
             model, hd.initial_trajectory(model, np.zeros(4), 150), cartpole)
+    cartpole_mpc = hd.MpcConfig(
+        solver=dataclasses.replace(cartpole, horizon_bounds=(1, 400)),
+        inner_iterations=5, step_limit=500, initial_horizon=150)
+    for c_t in (10.0, 30.0):
+        yield f"cartpole episode c_t={c_t:g}", hd.run_episode(
+            hd.CartpoleModel(c_t=c_t), np.zeros(4), cartpole_mpc)
 
     model = hd.QuadrotorModel(c_t=1.0)
     x0 = np.zeros(12)
