@@ -9,9 +9,8 @@ exhaustive fixed-horizon baseline and a closed-loop MPC harness.
 from .backward import (BackwardResult, BackwardSweepError, QExpansion,
                        ValueExpansion, backward_sweep, q_expansion, regularize,
                        value_recurrence)
-from .lti import (IllPosedStepError, LtiProblem, augment_time_penalty,
-                  lqr_gain, lqr_rollout_cost, lti_optimal_horizon,
-                  riccati_step, riccati_sweep)
+from .lti import (IllPosedStepError, LtiProblem, lqr_gain, lqr_rollout_cost,
+                  lti_optimal_horizon, riccati_step, riccati_sweep)
 from .model import (CostExpansion, DerivativeReport, DynamicsExpansion,
                     ExpansionError, SystemModel, check_derivatives,
                     expand_cost, expand_dynamics, expand_terminal)
@@ -31,8 +30,8 @@ from .trajectory import (Trajectory, initial_trajectory, rollout_controls,
 __all__ = [
     "BackwardResult", "BackwardSweepError", "QExpansion", "ValueExpansion",
     "backward_sweep", "q_expansion", "regularize", "value_recurrence",
-    "IllPosedStepError", "LtiProblem", "augment_time_penalty", "lqr_gain",
-    "lqr_rollout_cost", "lti_optimal_horizon", "riccati_step", "riccati_sweep",
+    "IllPosedStepError", "LtiProblem", "lqr_gain", "lqr_rollout_cost",
+    "lti_optimal_horizon", "riccati_step", "riccati_sweep",
     "CostExpansion", "DerivativeReport", "DynamicsExpansion", "ExpansionError",
     "SystemModel", "check_derivatives", "expand_cost",
     "expand_dynamics", "expand_terminal",

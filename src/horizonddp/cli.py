@@ -88,8 +88,8 @@ def _build(cfg: dict, c_t=None):
         x0 = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         x0 = None
-    if x0 is None or x0.ndim != 1:
-        raise ValueError(f"x0 must be a list of numbers, got {raw!r}")
+    if x0 is None or x0.ndim != 1 or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be a list of finite numbers, got {raw!r}")
     if x0.size != model.dim_x:
         raise ValueError(f"x0 has size {x0.size}, model expects {model.dim_x}")
     return model, solver_cfg, x0

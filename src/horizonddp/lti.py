@@ -4,7 +4,9 @@ For time-invariant linear dynamics with quadratic costs the cost-to-go with
 ``s`` steps remaining is ``0.5 * x' P[s] x`` where P follows the discrete
 Riccati recursion.  Because the recursion only depends on steps-to-go, a
 single backward sweep up to the largest admissible horizon prices every
-candidate horizon at once.
+candidate horizon at once.  The per-step cost c_t never couples to the
+state, so a horizon T costs ``0.5 * x0' P[T] x0 + c_t * T``: the horizon
+curve and the LQR rollout charge it per step.
 """
 
 from __future__ import annotations
@@ -124,29 +126,8 @@ def riccati_sweep(problem: LtiProblem) -> tuple:
     return tuple(_frozen_array(p) for p in P)
 
 
-def augment_time_penalty(problem: LtiProblem) -> LtiProblem:
-    """Fold the problem's per-step cost c_t into the LQR data.
-
-    The augmented state is (x; 1); the extra coordinate is preserved by the
-    dynamics and charged c_t per step through the running cost.
-    """
-    n, m = problem.n, problem.m
-    A_hat = np.zeros((n + 1, n + 1))
-    A_hat[:n, :n] = problem.A
-    A_hat[n, n] = 1.0
-    B_hat = np.vstack([problem.B, np.zeros((1, m))])
-    Q_hat = np.zeros((n + 1, n + 1))
-    Q_hat[:n, :n] = problem.Q
-    # cost is 0.5 x'Qx, so the constant term needs 2c_t
-    Q_hat[n, n] = 2.0 * problem.c_t
-    Qf_hat = np.zeros((n + 1, n + 1))
-    Qf_hat[:n, :n] = problem.Qf
-    return LtiProblem(A=A_hat, B=B_hat, Q=Q_hat, R=problem.R, Qf=Qf_hat,
-                      horizon_bounds=problem.horizon_bounds, c_t=0.0)
-
-
 def lti_optimal_horizon(problem: LtiProblem, x0: np.ndarray):
-    """Minimize 0.5 x0' P[T] x0 over the horizon window.
+    """Minimize J(T) = 0.5 x0' P[T] x0 + c_t T over the horizon window.
 
     Returns (T_star, J_star, curve) with curve a list of (T, J) pairs;
     ties break toward the smaller horizon.
@@ -154,16 +135,15 @@ def lti_optimal_horizon(problem: LtiProblem, x0: np.ndarray):
     x0 = np.asarray(x0, dtype=float)
     seq = riccati_sweep(problem)
     t_min, t_max = problem.horizon_bounds
-    curve = [(T, 0.5 * float(x0 @ seq[T] @ x0)) for T in range(t_min, t_max + 1)]
-    t_star, j_star = curve[0]
-    for T, J in curve[1:]:
-        if J < j_star:
-            t_star, j_star = T, J
+    curve = [(T, 0.5 * float(x0 @ seq[T] @ x0) + problem.c_t * T)
+             for T in range(t_min, t_max + 1)]
+    t_star, j_star = min(curve, key=lambda entry: entry[1])
     return t_star, j_star, curve
 
 
 def lqr_rollout_cost(problem: LtiProblem, x0: np.ndarray, T: int) -> float:
-    """Cost of rolling out the LQR feedback law for T steps from x0."""
+    """Cost of rolling out the LQR feedback law for T steps from x0,
+    charging c_t per step."""
     seq = riccati_sweep(problem)
     x = np.asarray(x0, dtype=float)
     total = 0.0
@@ -173,4 +153,4 @@ def lqr_rollout_cost(problem: LtiProblem, x0: np.ndarray, T: int) -> float:
         total += 0.5 * float(x @ problem.Q @ x + u @ problem.R @ u)
         x = problem.A @ x + problem.B @ u
     total += 0.5 * float(x @ problem.Qf @ x)
-    return total
+    return total + problem.c_t * T

@@ -414,7 +414,8 @@ def check_derivatives(model: SystemModel, samples,
     worst: dict = {}
 
     def record(name, err):
-        worst[name] = max(worst.get(name, 0.0), err)
+        # np.maximum keeps a NaN that max(0.0, nan) would drop
+        worst[name] = float(np.maximum(worst.get(name, 0.0), err))
 
     for x, u in samples:
         x = np.asarray(x, dtype=float)
@@ -435,5 +436,5 @@ def check_derivatives(model: SystemModel, samples,
             record("phi_x", _rel_err(term[0], fd_px))
             record("phi_xx", _rel_err(term[1], fd_pxx))
 
-    failures = [name for name, value in worst.items() if value > tol]
+    failures = [name for name, value in worst.items() if not value <= tol]
     return DerivativeReport(discrepancies=worst, tol=tol, failures=sorted(failures))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .lti import LtiProblem
-from .model import SystemModel, from_fields, sym
+from .model import SystemModel, check_nonnegative, from_fields, sym
 
 GRAVITY = 9.81
 
@@ -147,10 +147,12 @@ def _jacobian_buffers(x, n, m):
 
 def _as_floats(model):
     """Store each field whose default is a float as a float: the one-knot
-    kernels run on plain floats, and a config may give an int."""
+    kernels run on plain floats, and a config may give an int.  Then check
+    the time penalty c_t that every model carries."""
     for f in fields(model):
         if isinstance(f.default, float):
             setattr(model, f.name, float(getattr(model, f.name)))
+    check_nonnegative("c_t", model.c_t)
 
 
 def _finite_array(value, shape: tuple, name: str) -> np.ndarray:

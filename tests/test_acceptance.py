@@ -13,11 +13,11 @@ import pytest
 from conftest import random_lq
 from horizonddp import (CartpoleModel, DoubleIntegratorModel, MpcConfig,
                         Obstacle, PointMassNavModel, QuadrotorModel,
-                        SolverConfig, augment_time_penalty, backward_sweep,
-                        bracketed_horizon, check_derivatives,
-                        exhaustive_horizon, initial_trajectory,
-                        lti_optimal_horizon, optimize_trajectory,
-                        riccati_sweep, rollout_controls, run_episode)
+                        SolverConfig, backward_sweep, bracketed_horizon,
+                        check_derivatives, exhaustive_horizon,
+                        initial_trajectory, lti_optimal_horizon,
+                        optimize_trajectory, riccati_sweep, rollout_controls,
+                        run_episode)
 from horizonddp.solver import evaluate_candidates, extend_backward
 
 CARTPOLE_CT = (1.0, 3.0, 10.0, 30.0, 100.0)
@@ -46,8 +46,8 @@ def test_criterion_1_linear_single_iteration():
     model = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2),
                                   Qf=10 * np.eye(2))
     x0 = np.array([2.0, 0.0])
-    aug = augment_time_penalty(model.to_lti_problem((1, 120)))
-    t_exact, j_exact, _ = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    t_exact, j_exact, _ = lti_optimal_horizon(model.to_lti_problem((1, 120)),
+                                              x0)
     cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
     tic = time.perf_counter()
     res = optimize_trajectory(model,
@@ -73,19 +73,16 @@ def test_criterion_2_riccati_equivalence(rng):
         back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                               gamma=0.0)
         # value Hessians against the standalone Riccati recursion
-        seq = riccati_sweep(model.to_lti_problem((1, T_bar)))
+        seq = riccati_sweep(model.to_lti_problem((1, T_bar + 5)))
         for s in range(T_bar + 1):
             err = np.max(np.abs(back.value_at(T_bar - s).V_xx - seq[s]))
             max_v = max(max_v, err)
-        # candidate prices against the time-augmented recursion
+        # candidate prices against the recursion plus c_t per step
         cfg = SolverConfig(horizon_bounds=(1, T_bar + 5), window_s=5)
         cands = evaluate_candidates(back, cfg.horizon_bounds, cfg.window_s,
                                     1e9)
-        aug_seq = riccati_sweep(augment_time_penalty(
-            model.to_lti_problem((1, T_bar + 5))))
-        x_hat = np.append(x0, 1.0)
         for c in cands:
-            exact = 0.5 * float(x_hat @ aug_seq[c.T] @ x_hat)
+            exact = 0.5 * float(x0 @ seq[c.T] @ x0) + model.c_t * c.T
             max_j = max(max_j, abs(c.J_T - exact) / max(1.0, abs(exact)))
     wall = time.perf_counter() - tic
     print(f"\ncriterion 2: max |V_xx err|={max_v:.2e} "

@@ -144,7 +144,8 @@ def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     ("mpc", "noise_scale", -1.0), ("mpc", "receding_horizon", 40.5),
     ("sweep-ct", "c_t_list", 5), ("oracle", "t_range", 5),
     ("solve", "x0", {"a": 1}), ("solve", "x0", [[2.0], [0.0]]),
-    ("mpc", "x0", "origin")])
+    ("mpc", "x0", "origin"), ("solve", "x0", [float("nan"), 0.0]),
+    ("mpc", "x0", [float("inf"), 0.0])])
 def test_bad_top_level_value_exits_1(tmp_path, capsys, command, key, value):
     # counts are rejected by name, never truncated; mpc passes its keys to
     # MpcConfig as they stand
@@ -204,7 +205,8 @@ _MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
                  "schedule": "a list of [duration, [vx, vy]] segments, got 5",
                  "schedule duration": "finite and >= 0, got [[nan, [1, 0]]]",
                  "goal": "2 finite numbers",
-                 "Q": "a 2x2 matrix of finite numbers"}
+                 "Q": "a 2x2 matrix of finite numbers",
+                 "c_t": "finite and >= 0"}
 
 
 @pytest.mark.parametrize("model,name", [
@@ -224,6 +226,8 @@ _MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
     ({"model": "pointmass_nav", "goal": 5}, "goal"),
     ({"model": "pointmass_nav", "goal": [1.0, 2.0, 3.0]}, "goal"),
     ({"model": "double_integrator", "Q": 5}, "Q"),
+    ({"model": "cartpole", "c_t": float("nan")}, "c_t"),
+    ({"model": "quadrotor", "c_t": -1.0}, "c_t"),
 ])
 def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
     # caught by the model's own checks: one error line, no traceback

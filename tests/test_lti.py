@@ -1,13 +1,13 @@
-"""Exact LQ machinery: Riccati recursion, augmentation, horizon pricing."""
+"""Exact LQ machinery: Riccati recursion and horizon pricing."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import random_lq
-from horizonddp import (IllPosedStepError, LtiProblem, augment_time_penalty,
-                        lqr_gain, lqr_rollout_cost, lti_optimal_horizon,
-                        riccati_step, riccati_sweep)
+from horizonddp import (IllPosedStepError, LtiProblem, lqr_gain,
+                        lqr_rollout_cost, lti_optimal_horizon, riccati_step,
+                        riccati_sweep)
 
 
 def scalar_problem(q=1.0, r=1.0, qf=1.0, t_max=10, c_t=0.0):
@@ -120,63 +120,35 @@ def test_sequence_indexed_by_steps_to_go(rng):
         npt.assert_allclose(short[s], long[s], atol=1e-12)
 
 
-def test_augmentation_block_structure(rng):
-    model = random_lq(rng, c_t=0.7)
-    prob = model.to_lti_problem((1, 15))
-    aug = augment_time_penalty(prob)
-    n = prob.n
-    npt.assert_allclose(aug.A[:n, :n], prob.A)
-    assert aug.A[n, n] == 1.0
-    npt.assert_allclose(aug.B[:n], prob.B)
-    npt.assert_allclose(aug.B[n], 0.0)
-    assert aug.Q[n, n] == pytest.approx(2 * 0.7)
-
-
-def test_augmentation_charges_ct_per_step(rng):
-    # with zero base cost the augmented objective is exactly c_t * T
-    n, m = 3, 1
-    A = 0.5 * np.eye(n)
-    B = np.zeros((n, m))
-    B[0, 0] = 1.0
-    prob = LtiProblem(A=A, B=B, Q=np.zeros((n, n)), R=np.eye(m),
-                      Qf=np.zeros((n, n)), horizon_bounds=(1, 8), c_t=1.3)
-    aug = augment_time_penalty(prob)
-    seq = riccati_sweep(aug)
-    x_hat = np.zeros(n + 1)
-    x_hat[n] = 1.0
-    for T in range(1, 9):
-        assert 0.5 * float(x_hat @ seq[T] @ x_hat) == pytest.approx(1.3 * T)
-
-
-def test_augmented_value_splits_into_base_plus_time(rng):
+def test_optimal_horizon_charges_ct_per_step(rng):
+    # each horizon costs its optimal LQR cost, found without a Riccati
+    # recursion, plus c_t per step; the LQR rollout realizes that price
     model = random_lq(rng, c_t=0.4)
     prob = model.to_lti_problem((1, 20))
-    base = riccati_sweep(LtiProblem(A=prob.A, B=prob.B, Q=prob.Q, R=prob.R,
-                                    Qf=prob.Qf, horizon_bounds=(1, 20)))
-    aug_seq = riccati_sweep(augment_time_penalty(prob))
     x0 = rng.standard_normal(prob.n)
-    x_hat = np.append(x0, 1.0)
-    for T in (1, 7, 20):
-        j_aug = 0.5 * float(x_hat @ aug_seq[T] @ x_hat)
-        j_base = 0.5 * float(x0 @ base[T] @ x0)
-        assert j_aug == pytest.approx(j_base + 0.4 * T, rel=1e-12)
+    _, _, curve = lti_optimal_horizon(prob, x0)
+    for T, J in curve:
+        exact = condensed_lqr_cost(prob, x0, T) + prob.c_t * T
+        assert J == pytest.approx(exact, rel=1e-10)
+        assert lqr_rollout_cost(prob, x0, T) == pytest.approx(J, rel=1e-12)
 
 
 def test_optimal_horizon_tie_breaks_small():
-    # force a flat curve by zeroing the state: every horizon costs c_t * T,
+    # zero the state: every horizon costs c_t * T, a flat curve at c_t = 0,
     # so the minimizer is the smallest admissible horizon
-    prob = scalar_problem(t_max=10)
-    t_star, j_star, curve = lti_optimal_horizon(prob, np.zeros(1))
-    assert t_star == 1 and j_star == 0.0
-    assert len(curve) == 10
+    for c_t in (0.0, 0.25):
+        prob = scalar_problem(t_max=10, c_t=c_t)
+        t_star, j_star, curve = lti_optimal_horizon(prob, np.zeros(1))
+        assert t_star == 1 and j_star == c_t
+        assert [J for _, J in curve] == [c_t * T for T in range(1, 11)]
 
 
 def test_optimal_horizon_upper_bound_from_time_penalty(rng):
     # J(T*) >= c_t*T* so T* <= J(T_min)/c_t
     model = random_lq(rng, c_t=0.2)
-    aug = augment_time_penalty(model.to_lti_problem((1, 60)))
     x0 = rng.standard_normal(model.dim_x)
-    t_star, j_star, curve = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    t_star, j_star, curve = lti_optimal_horizon(
+        model.to_lti_problem((1, 60)), x0)
     assert t_star <= curve[0][1] / 0.2 + 1e-9
     assert j_star <= min(j for _, j in curve) + 1e-15
 

@@ -108,23 +108,33 @@ def test_check_derivatives_passes_clean_model(rng):
     assert report.discrepancies["f_x"] < 1e-6
 
 
-def test_check_derivatives_flags_corruption(rng):
+@pytest.mark.parametrize("error, corrupted_samples", [
+    (0.01, {0, 1, 2}),
+    # a NaN from one sample outlives the finite samples after it
+    (math.nan, {0}),
+], ids=["offset", "nan-first-sample"])
+def test_check_derivatives_flags_corruption(rng, error, corrupted_samples):
     base = random_lq(rng)
+    calls = []
 
     class Corrupted(LinearQuadraticModel):
         def dynamics_jacobians(self, x, u):
             fx, fu = LinearQuadraticModel.dynamics_jacobians(self, x, u)
-            fx = fx.copy()
-            fx[0, 0] += 0.01
+            if len(calls) in corrupted_samples:
+                fx = fx.copy()
+                fx[0, 0] += error
+            calls.append(x)
             return fx, fu
 
     bad = Corrupted(base.A, base.B, base.Q, base.R, base.Qf)
     samples = [(rng.standard_normal(base.dim_x), rng.standard_normal(base.dim_u))
                for _ in range(3)]
     report = check_derivatives(bad, samples)
+    assert len(calls) == 3
     assert not report.passed
     assert report.failures == ["f_x"]
     assert "FAIL" in report.summary()
+    assert not report.discrepancies["f_x"] <= 0.01
 
 
 def test_expansions_do_not_mutate_inputs(rng):

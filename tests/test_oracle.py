@@ -5,8 +5,7 @@ import pytest
 import scipy.optimize
 
 from conftest import random_lq
-from horizonddp import (DoubleIntegratorModel, SolverConfig,
-                        augment_time_penalty, bracketed_horizon,
+from horizonddp import (DoubleIntegratorModel, SolverConfig, bracketed_horizon,
                         exhaustive_horizon, fixed_horizon_ddp,
                         initial_trajectory, lti_optimal_horizon, oracle,
                         optimize_trajectory, riccati_sweep)
@@ -31,9 +30,9 @@ def test_single_step_matches_scalar_minimization():
 
 def test_sweep_matches_lti_curve(rng):
     model = random_lq(rng, c_t=0.1)
-    aug = augment_time_penalty(model.to_lti_problem((1, 25)))
     x0 = rng.standard_normal(model.dim_x)
-    t_exact, j_exact, curve = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    t_exact, j_exact, curve = lti_optimal_horizon(
+        model.to_lti_problem((1, 25)), x0)
     cfg = SolverConfig(horizon_bounds=(1, 25), window_s=0)
     sweep = exhaustive_horizon(model, range(1, 26), cfg, x0)
     assert sweep.t_exact == t_exact
@@ -57,8 +56,7 @@ def test_solver_never_beats_oracle(rng):
 def test_bracket_widens_until_argmin_is_inside(monkeypatch):
     m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
     x0 = np.array([2.0, 0.0])
-    aug = augment_time_penalty(m.to_lti_problem((1, 120)))
-    t_exact, j_exact, _ = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    t_exact, j_exact, _ = lti_optimal_horizon(m.to_lti_problem((1, 120)), x0)
     cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
     reference = exhaustive_horizon(m, range(t_exact - 1, t_exact + 12), cfg, x0)
     solved = []

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_lq
-from horizonddp import (SolverConfig, augment_time_penalty, backward_sweep,
-                        initial_trajectory, lti_optimal_horizon,
-                        optimize_trajectory, riccati_sweep)
+from horizonddp import (SolverConfig, backward_sweep, initial_trajectory,
+                        lti_optimal_horizon, optimize_trajectory,
+                        riccati_sweep)
 from horizonddp.solver import evaluate_candidates
 
 BOUNDS = (1, 60)
@@ -33,8 +33,8 @@ def _case(seed, c_t, scale, offset):
     rng = np.random.default_rng(seed)
     model = random_lq(rng, c_t=c_t)
     x0 = scale * rng.standard_normal(model.dim_x)
-    aug = augment_time_penalty(model.to_lti_problem(BOUNDS))
-    t_exact, j_exact, curve = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    t_exact, j_exact, curve = lti_optimal_horizon(
+        model.to_lti_problem(BOUNDS), x0)
     T0 = int(np.clip(t_exact + offset, *BOUNDS))
     return rng, model, x0, t_exact, j_exact, dict(curve), T0
 

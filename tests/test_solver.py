@@ -7,10 +7,10 @@ import pytest
 from conftest import LinearQuadraticModel, random_lq
 from horizonddp import (BackwardResult, CandidateEvaluation,
                         DoubleIntegratorModel, SolverConfig, SystemModel,
-                        augment_time_penalty, backward_sweep,
-                        initial_trajectory, lti_optimal_horizon,
-                        optimize_trajectory, riccati_sweep, rollout_controls,
-                        select_horizon, trajectory_cost)
+                        backward_sweep, initial_trajectory,
+                        lti_optimal_horizon, optimize_trajectory,
+                        riccati_sweep, rollout_controls, select_horizon,
+                        trajectory_cost)
 from horizonddp.model import running_costs
 import horizonddp.solver as solver_mod
 from horizonddp.solver import evaluate_candidates, extend_backward, rollout
@@ -182,7 +182,7 @@ def test_extend_backward_falls_back_off_the_admissible_region():
 
 
 def test_candidate_prices_match_riccati(rng):
-    # every candidate J_T equals 0.5 x_hat' P_hat[T] x_hat on LQ
+    # every candidate J_T equals 0.5 x0' P[T] x0 + c_t T on LQ
     model = random_lq(rng, c_t=0.3)
     T_bar = 12
     x0 = rng.standard_normal(model.dim_x)
@@ -192,12 +192,10 @@ def test_candidate_prices_match_riccati(rng):
                           gamma=0.0)
     cfg = SolverConfig(horizon_bounds=(1, 40), window_s=5)
     cands = evaluate_candidates(back, cfg.horizon_bounds, cfg.window_s, 1e9)
-    aug = augment_time_penalty(model.to_lti_problem((1, 40)))
-    seq = riccati_sweep(aug)
-    x_hat = np.append(x0, 1.0)
+    seq = riccati_sweep(model.to_lti_problem((1, 40)))
     assert [c.T for c in cands] == list(range(7, 18))
     for c in cands:
-        exact = 0.5 * float(x_hat @ seq[c.T] @ x_hat)
+        exact = 0.5 * float(x0 @ seq[c.T] @ x0) + model.c_t * c.T
         assert c.J_T == pytest.approx(exact, abs=1e-9 * max(1.0, exact))
         assert c.admissible
 
@@ -205,7 +203,7 @@ def test_candidate_prices_match_riccati(rng):
 def test_infeasible_prefix_prices_exactly_on_lq(rng):
     # random prefix states and controls break the dynamics at every prefix
     # knot; the sweep carries those defects, so every candidate is still
-    # priced as the time-augmented recursion prices it, to the tolerances
+    # priced as the recursion plus c_t per step prices it, to the tolerances
     # of acceptance criterion 2
     S = 5
     for _ in range(20):
@@ -222,13 +220,10 @@ def test_infeasible_prefix_prices_exactly_on_lq(rng):
         back = backward_sweep(model, traj, prefix, gamma=0.0)
         cands = evaluate_candidates(back, (1, T_bar + S), S, np.inf)
         assert [c.T for c in cands] == list(range(T_bar - S, T_bar + S + 1))
-        lti = model.to_lti_problem((1, T_bar + S))
-        seq = riccati_sweep(lti)
-        aug = riccati_sweep(augment_time_penalty(lti))
-        x_hat = np.append(x0, 1.0)
+        seq = riccati_sweep(model.to_lti_problem((1, T_bar + S)))
         for c in cands:
             assert np.max(np.abs(back.value_at(c.t0).V_xx - seq[c.T])) < 1e-10
-            exact = 0.5 * float(x_hat @ aug[c.T] @ x_hat)
+            exact = 0.5 * float(x0 @ seq[c.T] @ x0) + model.c_t * c.T
             assert abs(c.J_T - exact) < 1e-9 * max(1.0, abs(exact))
         # the full step from the earliest prefix knot realizes its price
         _, j = rollout(model, back, t0=-S, alpha=1.0, x0=x0)
@@ -519,9 +514,8 @@ def test_stacked_pricing_matches_value_expansion(name, rng):
 
 def test_lq_single_iteration_convergence():
     m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
-    aug = augment_time_penalty(m.to_lti_problem((1, 120)))
     x0 = np.array([2.0, 0.0])
-    t_exact, j_exact, _ = lti_optimal_horizon(aug, np.append(x0, 1.0))
+    t_exact, j_exact, _ = lti_optimal_horizon(m.to_lti_problem((1, 120)), x0)
     cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
     res = optimize_trajectory(m, initial_trajectory(m, x0, t_exact + 5), cfg)
     assert res.converged and res.iterations == 1
@@ -537,8 +531,7 @@ def test_model_without_guess_never_lengthens_its_horizon():
     lti = di.to_lti_problem((1, 120))
     m = NoGuessModel(lti.A, lti.B, lti.Q, lti.R, lti.Qf, c_t=lti.c_t)
     x0 = np.array([2.0, 0.0])
-    t_exact, _, _ = lti_optimal_horizon(augment_time_penalty(lti),
-                                        np.append(x0, 1.0))
+    t_exact, _, _ = lti_optimal_horizon(lti, x0)
     T0 = t_exact - 15
     cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
     res = optimize_trajectory(m, initial_trajectory(m, x0, T0), cfg)
