@@ -154,7 +154,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int) -> int:
 
     _write_trajectory(out / "trajectory.csv", result.trajectory,
                       getattr(model, "dt", 1.0))
-    columns = ("iteration", "t_bar", "j", "alpha", "gamma", "trust_radius")
+    columns = ("iteration", "t_bar", "j", "alpha", "gamma", "trust_radius",
+               "t_tried", "t_star", "accepted", "rejected", "t_low")
     _write_table(out / "trace.csv", columns,
                  map(itemgetter(*columns), result.trace))
     _write_json(out / "summary.json", {

@@ -4,13 +4,21 @@ Each outer pass expands the value function backward over the nominal
 trajectory plus a negative-time prefix, prices every candidate horizon in
 the selection window by evaluating the per-step quadratics at the initial
 state, picks the cheapest admissible horizon, and rolls the shifted policy
-forward under a backtracking line search.  Only regularization and a trust
+forward under a backtracking line search.  Regularization and a trust
 radius on the pricing adapt along the solve: a rejected shifted horizon
 sets the radius to half that candidate's initial-state gap, so a horizon
 the quadratic model misprices is not tried again every pass.  Both are
 returned, so an MPC replan starts from where the previous solve ended; a
 carried radius first regrows by ``_RADIUS_REGROWTH``, so one bad replan
 cannot freeze the horizon for the rest of an episode.
+
+The window is [T-bar - window_s, T-bar + S], except after an accepted move
+onto its lower edge (with that edge above the lower bound): the next pass
+then prices every horizon its sweep covers, down to the lower bound.  As
+in a trust region that widens only after a step lands on its boundary
+(Nocedal & Wright, Alg. 4.1), the first pass of every solve keeps the
+cap: from a cold nominal every gap can be 0, and its prices of far
+horizons are then optimistic with nothing to flag them.
 """
 
 from __future__ import annotations
@@ -84,10 +92,11 @@ class SolverResult:
     horizon the pass started from), ``j`` (the cost it ended on), ``alpha``
     (the accepted step size, or None), ``gamma``, ``t_star``, ``t_tried``,
     ``rejected``, ``accepted``, ``trust_radius`` (the radius the pass
-    priced with) and ``candidates``, the :class:`CandidateEvaluation` list
-    the pass priced.  ``t_tried`` is the horizon the line search tried
-    first and ``t_star`` the one the iteration ended on: T-bar when a
-    shifted try was rejected and retried.
+    priced with), ``t_low`` (the lowest horizon it priced) and
+    ``candidates``, the :class:`CandidateEvaluation` list the pass priced.
+    ``t_tried`` is the horizon the line search tried first and ``t_star``
+    the one the iteration ended on: T-bar when a shifted try was rejected
+    and retried.
     ``rejected`` is None unless a try failed, and then names why:
     "no_decrease" when no step size down to the alpha floor lowered the
     cost.
@@ -97,9 +106,11 @@ class SolverResult:
     regularization ceiling (the pass leaves no trace record); or
     "line_search_failure" when no step lowered the cost with regularization
     at its ceiling.  ``converged`` is ``status == "converged"``.  Along the
-    solve only regularization and the trust radius adapt; every pass prices
-    the same ``window_s``.  ``gamma_final`` and ``radius_final`` are the
-    levels the solve ended on, for a warm-started replan to start from.
+    solve regularization, the trust radius and the window's lower edge
+    adapt: a pass prices down to T-bar - ``window_s``, or down to the
+    lower bound right after an accepted move onto that edge.
+    ``gamma_final`` and ``radius_final`` are the levels the solve ended on,
+    for a warm-started replan to start from.
     """
 
     trajectory: Trajectory
@@ -164,9 +175,13 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds, window_s: int,
     """Price every horizon in [T-bar - window_s, T-bar + S] within the bounds.
 
     S is the sweep's prefix length and T-bar the horizon of the nominal it
-    extends.  Horizon T is priced by the value expansion at t0 = T-bar - T,
-    evaluated at the nominal's initial state.  Candidates come in
-    increasing T.
+    extends.  ``window_s`` is the lower reach: the sweep holds a value
+    expansion at every row, so any reach up to T-bar is priced at the same
+    cost per candidate, and a reach of T-bar prices every horizon down to
+    the lower bound.  Horizon T is priced by the value expansion at
+    t0 = T-bar - T, evaluated at the nominal's initial state.  Candidates
+    come in increasing T, one per horizon, which ``select_horizon`` and
+    the solver's ``candidates[T - lo]`` lookups rely on.
     """
     S = back.prefix_len
     t_bar = back.controls.shape[0] - S
@@ -190,12 +205,13 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds, window_s: int,
 def select_horizon(candidates, t_bar: int) -> int:
     """Cheapest admissible candidate, ties toward the smaller horizon.
 
-    With no admissible candidate the current horizon is kept.  The outer
-    loop never meets that case: T-bar is always in the window, priced at
-    dx = 0, which a positive trust radius admits.
+    ``candidates`` must come in increasing T, as ``evaluate_candidates``
+    returns them.  With no admissible candidate the current horizon is
+    kept.  The outer loop never meets that case: T-bar is always in the
+    window, priced at dx = 0, which a positive trust radius admits.
     """
     best_T, best_J = t_bar, math.inf
-    for cand in sorted(candidates, key=lambda c: c.T):
+    for cand in candidates:
         if cand.admissible and cand.J_T < best_J:
             best_T, best_J = cand.T, cand.J_T
     return best_T
@@ -278,6 +294,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     radius *= _RADIUS_REGROWTH
     trace: list = []
     status = "max_iterations"
+    lift = False
     iterations = 0
 
     for it in range(1, cfg.max_iterations + 1):
@@ -293,7 +310,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
         trust = min(_default_trust_radius(traj), radius)
         candidates = evaluate_candidates(back, cfg.horizon_bounds,
-                                         cfg.window_s, trust)
+                                         t_bar if lift else cfg.window_s,
+                                         trust)
         # the window's top edge is where a full prefix reaches, so a pass
         # with an empty prefix never selects a horizon on it
         lo = candidates[0].T
@@ -303,7 +321,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
             "gamma": gamma, "t_star": t_tried, "t_tried": t_tried,
             "rejected": None, "accepted": False, "trust_radius": trust,
-            "candidates": candidates,
+            "t_low": lo, "candidates": candidates,
         }
         trace.append(record)
 
@@ -352,9 +370,12 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         exact_model = (alpha == 1.0
                        and abs(j_new - candidates[t_star - lo].J_T)
                        <= _EXACT_MODEL_RTOL * max(1.0, abs(j_new)))
-        # a horizon clamped at the window edge may still improve next pass
-        at_window_edge = cfg.window_s > 0 and ((t_star == lo and lo > t_min)
-                                                or (t_star == hi and hi < t_max))
+        # a horizon clamped at the window edge may still improve next pass.
+        # Landing on a lower edge above t_min lifts the cap for the next
+        # pass only; a lifted pass's edge is t_min, and with window_s = 0
+        # the edge is T-bar, so neither lifts
+        lift = t_min < t_star == lo < t_bar
+        at_window_edge = lift or (cfg.window_s > 0 and t_star == hi < t_max)
         t0 = t_bar - t_star
         traj, J, t_bar = new_traj, j_new, t_star
         record.update(alpha=alpha, accepted=True, j=J)

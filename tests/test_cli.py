@@ -49,8 +49,13 @@ def test_solve_writes_artifacts(tmp_path):
     trace = read_csv(out / "trace.csv")
     assert len(trace) == summary["iterations"] + 1
     assert trace[0] == ["iteration", "t_bar", "j", "alpha", "gamma",
-                        "trust_radius"]
+                        "trust_radius", "t_tried", "t_star", "accepted",
+                        "rejected", "t_low"]
     assert all(float(row[5]) > 0 for row in trace[1:])
+    for row, rec in zip(trace[1:], summary["trace"]):
+        assert row[6:] == [str(rec["t_tried"]), str(rec["t_star"]),
+                           str(int(rec["accepted"])), rec["rejected"] or "",
+                           str(rec["t_low"])]
 
 
 def test_solve_reports_candidates_outside_trust_radius(tmp_path, monkeypatch):

@@ -123,3 +123,21 @@ def test_oracle_counts_are_checked_by_name(rng, monkeypatch):
                                    (0, 3, "t_center")):
         with pytest.raises(ValueError, match=name):
             bracketed_horizon(model, cfg, x0, t_center, margin)
+
+
+def test_cartpole_bracket_keeps_its_records():
+    # the oracle's fixed-horizon solves run with window_s = 0, which never
+    # lifts the window's lower edge, so its records stay as they were pinned
+    # before the lift existed, to the bit
+    from horizonddp import CartpoleModel
+
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
+                       max_iterations=300)
+    sweep = bracketed_horizon(CartpoleModel(c_t=10.0), cfg, np.zeros(4), 31, 2)
+    assert [(r.T, r.J, r.iterations, r.converged) for r in sweep.records] == [
+        (29, 480.38588510413933, 26, True),
+        (30, 477.5400391496488, 27, True),
+        (31, 476.27971008356326, 28, True),
+        (32, 476.3742190268987, 28, True),
+        (33, 477.6327667499269, 28, True)]
+    assert (sweep.t_exact, sweep.j_exact) == (31, 476.27971008356326)

@@ -562,10 +562,59 @@ def test_accepted_costs_monotone_on_cartpole():
     assert res.converged
     accepted = [r["j"] for r in res.trace if r["accepted"]]
     assert all(b <= a + 1e-12 for a, b in zip(accepted, accepted[1:]))
-    # horizon moves stay inside the selection window
+    # every pass prices [t_low, T-bar + S]; it reaches below T-bar -
+    # window_s only right after an accepted move onto the lower edge of
+    # the window the last accepted pass priced
+    t_min = cfg.horizon_bounds[0]
+    last = None
+    lifted = 0
     for r in res.trace:
-        for c in r["candidates"]:
-            assert abs(c.T - r["t_bar"]) <= cfg.window_s
+        assert [c.T for c in r["candidates"]] == list(
+            range(r["t_low"], r["t_bar"] + cfg.window_s + 1))
+        on_edge = (last is not None
+                   and t_min < last["t_star"] == last["t_low"] < last["t_bar"])
+        if r["t_low"] < r["t_bar"] - cfg.window_s:
+            assert on_edge and r["t_low"] == t_min
+            lifted += 1
+        else:
+            assert not on_edge
+        if r["accepted"]:
+            last = r
+    assert lifted
+
+
+def test_window_lifts_for_one_pass_after_a_lower_edge_move():
+    # cartpole c_t = 10 from rest: pass 1 prices only its window and moves
+    # onto its lower edge, so pass 2 prices every horizon down to t_min
+    from horizonddp import CartpoleModel
+
+    m = CartpoleModel(c_t=10.0)
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
+                       max_iterations=300)
+    res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
+    first, second, third = res.trace[:3]
+    assert first["t_low"] == 140 and first["candidates"][-1].T == 160
+    assert first["accepted"] and first["t_star"] == 140
+    assert second["t_low"] == 10 and second["candidates"][-1].T == 150
+    assert [c.T for c in second["candidates"]] == list(range(10, 151))
+    assert second["accepted"] and second["t_star"] == 23
+    assert third["t_low"] == 13
+    assert res.converged and res.t_star == 31
+
+
+def test_zero_window_prices_one_candidate():
+    # window_s = 0 has no prefix and a lower edge at T-bar, so the window
+    # never lifts, even where every step would land on that edge
+    from horizonddp import CartpoleModel
+
+    m = CartpoleModel(c_t=10.0)
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=0,
+                       max_iterations=300)
+    res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 60), cfg)
+    assert res.converged and res.t_star == 60
+    for r in res.trace:
+        assert [c.T for c in r["candidates"]] == [60]
+        assert r["t_low"] == r["t_bar"] == 60
 
 
 def test_fixed_horizon_mode():
@@ -659,11 +708,12 @@ def test_zero_gap_rejection_keeps_trust_radius(monkeypatch):
     cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
                        max_iterations=300)
     res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
-    assert len(failed) == 10
+    # all ten forced failures are the first pass's line search at 140
+    assert failed == [10] * 10
     first = res.trace[0]
-    assert first["rejected"] == "no_decrease" and first["t_tried"] != 150
+    assert first["rejected"] == "no_decrease" and first["t_tried"] == 140
     assert all(c.gap == 0.0 for c in first["candidates"])
-    assert res.converged and res.iterations == 33 and res.t_star == 32
+    assert res.converged and res.iterations == 27 and res.t_star == 31
     assert all(r["trust_radius"] > 0 for r in res.trace)
 
 
@@ -752,7 +802,7 @@ def test_deterministic_reruns_bitwise(rng):
     b = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
     assert a.t_star == b.t_star and a.iterations == b.iterations
     # fingerprint of this solve: a changed bit anywhere shows up here
-    assert (a.iterations, a.t_star) == (33, 24)
+    assert (a.iterations, a.t_star) == (19, 23)
     npt.assert_array_equal(a.trajectory.states, b.trajectory.states)
     npt.assert_array_equal(a.trajectory.controls, b.trajectory.controls)
     assert a.cost == b.cost
