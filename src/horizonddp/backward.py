@@ -364,8 +364,10 @@ def _sweep_once(costs, dyns, gamma, out, top):
             q = regularize(q_expansion(costs[i], dyns[i], nxt), gamma)
             nxt, K[i], k[i] = value_recurrence(q)
             P[i] = P_i = nxt.P
-            # a diverging recursion only gets worse; escalate gamma right away
-            if not math.isfinite(P_i[n, n]) or abs(P_i[:n, :n]).max() > 1e12:
+            # a diverging recursion only gets worse; escalate gamma right
+            # away.  max() propagates a NaN, which fails the <= test
+            if not (math.isfinite(P_i[n, n])
+                    and abs(P_i[:n, :n]).max() <= 1e12):
                 raise NeedsRegularization("value recursion diverged")
             floors[i] = q.floor
     except NeedsRegularization:

@@ -14,8 +14,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
-import numbers
 import sys
 import time
 from operator import attrgetter, itemgetter
@@ -23,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import check_count, check_derivatives, check_range
+from .model import (_finite_array, check_count, check_derivatives,
+                    check_nonnegative, check_range)
 from .models import make_model
 from .mpc import MpcConfig, run_episode
 from .oracle import bracketed_horizon, exhaustive_horizon
@@ -83,15 +82,7 @@ def _build(cfg: dict, c_t=None):
         model_cfg["c_t"] = c_t
     model = make_model(model_cfg)
     solver_cfg = SolverConfig.from_json(cfg.get("solver", {}))
-    raw = _require(cfg, "x0")
-    try:
-        x0 = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        x0 = None
-    if x0 is None or x0.ndim != 1 or not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be a list of finite numbers, got {raw!r}")
-    if x0.size != model.dim_x:
-        raise ValueError(f"x0 has size {x0.size}, model expects {model.dim_x}")
+    x0 = _finite_array(_require(cfg, "x0"), (model.dim_x,), "x0")
     return model, solver_cfg, x0
 
 
@@ -269,10 +260,9 @@ def cmd_check(cfg: dict, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 100)
     check_count("samples", n_samples, 1)
-    scale = cfg.get("sample_scale", 0.3)
     # a non-finite scale draws no admissible state, so sampling never ends
-    if not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
-        raise ValueError("sample_scale must be finite and > 0")
+    scale = check_nonnegative("sample_scale", cfg.get("sample_scale", 0.3),
+                              positive=True)
     samples = []
     while len(samples) < n_samples:
         x = scale * rng.standard_normal(model.dim_x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_range, sym
+from .model import check_nonnegative, check_range, sym
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -74,8 +74,7 @@ class LtiProblem:
         _check_weight(self.Q, "Q", semidefinite=True)
         _check_weight(self.Qf, "Qf", semidefinite=True)
         _check_weight(self.R, "R", semidefinite=False)
-        if not self.c_t >= 0:
-            raise ValueError("c_t must be >= 0")
+        check_nonnegative("c_t", self.c_t)
 
     @property
     def n(self) -> int:

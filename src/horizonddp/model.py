@@ -50,10 +50,31 @@ def check_range(name: str, value, low: int) -> tuple:
     return int(lo), int(hi)
 
 
-def check_nonnegative(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless value is a finite real >= 0."""
-    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
-        raise ValueError(f"{name} must be finite and >= 0")
+def check_nonnegative(name: str, value, positive: bool = False) -> float:
+    """value as a float; raises ValueError naming ``name`` unless it is a
+    finite real >= 0, or > 0 with ``positive``.  This is the one rule for
+    every numeric parameter: NaN, infinities, booleans and strings are
+    rejected, as ``check_count`` rejects a boolean."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (0 < value if positive else 0 <= value) and value < math.inf):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}")
+    return float(value)
+
+
+def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float array of the given shape with finite real entries;
+    raises ValueError naming it, for strings and booleans too."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):
+        a = None
+    if (a is None or a.dtype.kind not in "iuf" or a.shape != shape
+            or not np.isfinite(a).all()):
+        what = (f"{shape[0]} finite numbers" if len(shape) == 1
+                else f"a {shape[0]}x{shape[1]} matrix of finite numbers")
+        raise ValueError(f"{name} must be {what}")
+    return a.astype(float, copy=False)
 
 
 def from_fields(cls, doc: dict, what: str):
@@ -274,9 +295,8 @@ def _dynamics_jacobians_any(model: SystemModel, x, u):
 def running_costs(model: SystemModel, states, controls) -> list:
     """Running cost of each knot of states (N, n) and controls (N, m), as
     floats in knot order: one stacked call when the model declares
-    ``stacked_derivatives``, one call per knot otherwise.  Callers add them
-    up with ``+=`` in knot order: ``sum()`` compensates its rounding from
-    Python 3.12 on, which would move the total's last bits."""
+    ``stacked_derivatives``, one call per knot otherwise.  A path's total
+    is added up in one place, ``trajectory._path_cost``."""
     if model.stacked_derivatives:
         return np.asarray(model.running_cost(states, controls),
                           dtype=float).tolist()

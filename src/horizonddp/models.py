@@ -27,7 +27,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .lti import LtiProblem
-from .model import SystemModel, check_nonnegative, from_fields, sym
+from .model import (SystemModel, _finite_array, check_nonnegative,
+                    from_fields, sym)
 
 GRAVITY = 9.81
 
@@ -145,36 +146,14 @@ def _jacobian_buffers(x, n, m):
     return fx, fu, fx.transpose(1, 2, 0), fu.transpose(1, 2, 0)
 
 
-def _as_floats(model):
-    """Store each field whose default is a float as a float: the one-knot
-    kernels run on plain floats, and a config may give an int.  Then check
-    the time penalty c_t that every model carries."""
-    for f in fields(model):
-        if isinstance(f.default, float):
-            setattr(model, f.name, float(getattr(model, f.name)))
-    check_nonnegative("c_t", model.c_t)
-
-
-def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
-    """value as a float array of the given shape with finite entries;
-    raises ValueError naming it."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape != shape or not np.isfinite(a).all():
-        what = (f"{shape[0]} finite numbers" if len(shape) == 1
-                else f"a {shape[0]}x{shape[1]} matrix of finite numbers")
-        raise ValueError(f"{name} must be {what}")
-    return a
-
-
-def _check_positive(**values):
-    """Raise ValueError naming each value with an entry not > 0, which a
-    NaN entry is not."""
-    bad = [name for name, v in values.items() if not np.all(np.asarray(v) > 0)]
-    if bad:
-        raise ValueError(f"{', '.join(bad)} must be > 0")
+def _as_floats(obj, positive=()):
+    """Check each field annotated ``float`` with ``check_nonnegative``, > 0
+    for the fields named in ``positive``, and store it as a float: the
+    one-knot kernels run on plain floats, and a config may give an int."""
+    for f in fields(obj):
+        if f.type == "float":
+            object.__setattr__(obj, f.name, check_nonnegative(
+                f.name, getattr(obj, f.name), f.name in positive))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +278,7 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
     dim_u = 1
 
     def __post_init__(self):
-        _as_floats(self)
-        _check_positive(dt=self.dt)
+        _as_floats(self, positive=("dt",))
         for name, dim in (("Q", 2), ("R", 1), ("Qf", 2)):
             value = getattr(self, name)
             setattr(self, name, sym(_finite_array(
@@ -346,9 +324,8 @@ class CartpoleModel(_RK4Dynamics, _QuadraticCost):
     dim_u = 1
 
     def __post_init__(self):
-        _as_floats(self)
-        _check_positive(cart_mass=self.cart_mass, pole_mass=self.pole_mass,
-                        pole_length=self.pole_length, dt=self.dt)
+        _as_floats(self, positive=("cart_mass", "pole_mass", "pole_length",
+                                   "dt"))
         self.x_ref = np.array([0.0, 0.0, math.pi, 0.0])
         self.u_ref = np.zeros(1)
         self.Q = np.diag([0.0, self.w_xdot, 0.0, self.w_thetadot])
@@ -433,10 +410,11 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
     dim_u = 4
 
     def __post_init__(self):
-        _as_floats(self)
+        _as_floats(self, positive=("mass", "dt"))
         # plain floats: the one-knot kernels read them
-        self.inertia = tuple(_finite_array(self.inertia, (3,), "inertia").tolist())
-        _check_positive(mass=self.mass, inertia=self.inertia, dt=self.dt)
+        self.inertia = tuple(
+            check_nonnegative("inertia", v, positive=True)
+            for v in _finite_array(self.inertia, (3,), "inertia").tolist())
         self.goal = (np.zeros(12) if self.goal is None
                      else _finite_array(self.goal, (12,), "goal"))
         self.x_ref = self.goal
@@ -546,17 +524,6 @@ _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
 
-def _finite_pair(value, name: str) -> tuple:
-    """value as a tuple of two finite floats; raises ValueError naming it."""
-    try:
-        pair = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        pair = ()
-    if len(pair) != 2 or not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-        raise ValueError(f"{name} must be two finite numbers, got {value!r}")
-    return pair
-
-
 @dataclass(frozen=True)
 class Obstacle:
     """Circular soft obstacle with Gaussian cost and an optional motion
@@ -568,17 +535,21 @@ class Obstacle:
     schedule: tuple = ()  # sequence of (duration, (vx, vy)) segments
 
     def __post_init__(self):
-        _check_positive(radius=self.radius, weight=self.weight)
-        object.__setattr__(self, "center", _finite_pair(self.center, "center"))
+        _as_floats(self, positive=("radius", "weight"))
+        object.__setattr__(self, "center", tuple(
+            _finite_array(self.center, (2,), "center").tolist()))
         try:
-            schedule = tuple((float(d), _finite_pair(v, "velocity"))
-                             for d, v in self.schedule)
+            schedule = tuple(
+                (d, tuple(_finite_array(v, (2,), "velocity").tolist()))
+                for d, v in self.schedule)
         except (TypeError, ValueError):
             raise ValueError("schedule must be a list of [duration, [vx, vy]] "
                              f"segments, got {self.schedule!r}") from None
-        if not all(0.0 <= d < math.inf for d, _ in schedule):
-            raise ValueError("schedule duration must be finite and >= 0, "
-                             f"got {self.schedule!r}")
+        try:
+            schedule = tuple((check_nonnegative("schedule duration", d), v)
+                             for d, v in schedule)
+        except ValueError as exc:
+            raise ValueError(f"{exc}, got {self.schedule!r}") from None
         object.__setattr__(self, "schedule", schedule)
 
     def displacement(self, sim_time: float) -> np.ndarray:
@@ -638,8 +609,7 @@ class PointMassNavModel(_LinearDynamics, _QuadraticCost):
     dim_u = 2
 
     def __post_init__(self):
-        _as_floats(self)
-        _check_positive(dt=self.dt)
+        _as_floats(self, positive=("dt", "arena_scale"))
         self.goal = _finite_array(self.goal, (2,), "goal")
         if not isinstance(self.obstacles, (list, tuple)):
             raise ValueError("obstacles must be a list of obstacles, "

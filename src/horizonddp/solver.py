@@ -32,8 +32,8 @@ import numpy as np
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
                        BackwardSweepError, backward_sweep)
 from .model import (SystemModel, check_count, check_nonnegative,
-                    check_range, from_fields, running_costs)
-from .trajectory import Trajectory, trajectory_cost
+                    check_range, from_fields)
+from .trajectory import Trajectory, _path_cost, trajectory_cost
 
 _EXACT_MODEL_RTOL = 1e-12
 # line search: step sizes 1, 1/2, 1/4, ... down to a 1e-3 floor
@@ -248,13 +248,9 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
             return None, math.inf
         states[t + 1] = x_next
     try:
-        knot_costs = running_costs(model, states[:-1], controls)
+        cost = _path_cost(model, states, controls)
     except FloatingPointError:
         return None, math.inf
-    cost = 0.0
-    for c in knot_costs:
-        cost += c
-    cost += model.terminal_cost(states[-1])
     if not math.isfinite(cost):
         return None, math.inf
     return Trajectory(states=states, controls=controls), float(cost)

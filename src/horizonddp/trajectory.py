@@ -39,14 +39,14 @@ class Trajectory:
                    for t in range(self.horizon)]
         return float(np.max(np.abs(defects), initial=0.0))
 
-    def assert_consistent(self, model: SystemModel, tol: float = CONSISTENCY_TOL):
+    def assert_consistent(self, model: SystemModel):
         """Raise FloatingPointError on a non-finite defect, ValueError on
-        one above tol."""
+        one above CONSISTENCY_TOL."""
         err = self.consistency_error(model)
         if not np.isfinite(err):
             raise FloatingPointError(
                 f"trajectory dynamically inconsistent: defect {err}")
-        if err > tol:
+        if err > CONSISTENCY_TOL:
             raise ValueError(f"trajectory dynamically inconsistent: defect {err:.3e}")
 
 
@@ -68,10 +68,17 @@ def initial_trajectory(model: SystemModel, x0: np.ndarray, T: int) -> Trajectory
     return rollout_controls(model, x0, controls)
 
 
+def _path_cost(model: SystemModel, states, controls):
+    """The running costs of states[:-1] and controls added with ``+=`` in
+    knot order, then the terminal cost of states[-1]: ``sum()`` compensates
+    its rounding from Python 3.12 on, which would move the total's last
+    bits."""
+    total = 0.0
+    for c in running_costs(model, states[:-1], controls):
+        total += c
+    return total + model.terminal_cost(states[-1])
+
+
 def trajectory_cost(model: SystemModel, traj: Trajectory) -> float:
     """Objective sum(l) + Phi along the trajectory."""
-    total = 0.0
-    for c in running_costs(model, traj.states[:-1], traj.controls):
-        total += c
-    total += model.terminal_cost(traj.states[-1])
-    return float(total)
+    return float(_path_cost(model, traj.states, traj.controls))

@@ -366,6 +366,34 @@ def test_nan_quu_knot_escalates_gamma(rng, monkeypatch):
     assert np.isfinite(back.K).all() and np.isfinite(back.k).all()
 
 
+@pytest.mark.parametrize("row", [0, 15])
+def test_nan_value_hessian_escalates_once(row, monkeypatch):
+    # one NaN in a row's V_xx, with a finite V_0: the divergence test must
+    # fail that row itself, or the retry keeps it (its floor lies above
+    # the next gamma) and fails again on the row below at every gamma
+    model = CartpoleModel(c_t=10.0)
+    traj = initial_trajectory(model, np.zeros(4), 30)
+    calls = []
+
+    def injecting(q):
+        out = value_recurrence(q)
+        calls.append(q)
+        if len(calls) == 30 - row:
+            out[0].P[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(backward, "value_recurrence", injecting)
+    back = backward_sweep(model, traj, empty_prefix(model))
+    monkeypatch.undo()
+    assert back.gamma_used == 10.0 * GAMMA_MIN
+    assert len(calls) == 31       # the failed row is the only one redone
+    ref = backward_sweep(model, traj, empty_prefix(model),
+                         gamma=back.gamma_used)
+    npt.assert_array_equal(back.P, ref.P)
+    npt.assert_array_equal(back.K, ref.K)
+    npt.assert_array_equal(back.k, ref.k)
+
+
 def test_sweep_matches_riccati_on_lq(rng):
     for _ in range(10):
         model = random_lq(rng)

@@ -202,11 +202,11 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     assert out.stdout.strip() == "[]"
 
 
-_MODEL_ERRORS = {"mass": "> 0", "dt": "> 0",
+_MODEL_ERRORS = {"mass": "finite and > 0", "dt": "finite and > 0",
                  "model": "a JSON object naming a model",
                  "obstacle": "a JSON object, got 5",
                  "obstacles": "a list of obstacles, got 5",
-                 "center": "two finite numbers, got 5",
+                 "center": "2 finite numbers",
                  "schedule": "a list of [duration, [vx, vy]] segments, got 5",
                  "schedule duration": "finite and >= 0, got [[nan, [1, 0]]]",
                  "goal": "2 finite numbers",
@@ -242,6 +242,20 @@ def test_bad_model_value_exits_1(tmp_path, capsys, model, name):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert (capsys.readouterr().err
             == f"error: {name} must be {_MODEL_ERRORS[name]}\n")
+
+
+@pytest.mark.parametrize("model,line", [
+    ('{"model": "cartpole", "dt": Infinity}', "dt must be finite and > 0"),
+    ('{"model": "pointmass_nav", "w_u": NaN}', "w_u must be finite and >= 0"),
+])
+def test_non_finite_json_model_value_exits_1(tmp_path, capsys, model, line):
+    # Python's json reads Infinity and NaN; the model rejects them by name
+    # before any solve runs, so no traceback follows
+    doc = json.dumps({**di_solve_config(), "model": 0, "x0": [0.0] * 4})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc.replace('"model": 0', f'"model": {model}'))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_check_command_reports_clean_model(tmp_path, capsys):

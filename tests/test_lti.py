@@ -189,6 +189,7 @@ def test_validation_rejects_bad_data():
         ({"horizon_bounds": (1,)}, "horizon_bounds must be a pair"),
         ({"c_t": -1.0}, "c_t"),
         ({"c_t": np.nan}, "c_t"),
+        ({"c_t": np.inf}, "c_t must be finite"),
     ]:
         with pytest.raises(ValueError, match=message):
             LtiProblem(**{**data, **change})

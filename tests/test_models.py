@@ -1,5 +1,6 @@
 """Benchmark systems: fixed points, integrator accuracy, obstacle math."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,9 +154,43 @@ def test_cartpole_rejects_bad_params():
 ], ids=["integrator-dt", "quadrotor-mass", "quadrotor-inertia", "quadrotor-dt",
         "nav-dt", "obstacle-radius", "obstacle-weight"])
 def test_model_params_reject_non_positive_and_nan(build, name):
-    for value in (0.0, -1.0, np.nan):
+    for value in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=name):
             build(value)
+
+
+# the fields that must be > 0; every other float field must be >= 0
+_POSITIVE_FIELDS = {"dt", "cart_mass", "pole_mass", "pole_length", "mass",
+                    "radius", "weight", "arena_scale"}
+_FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (DoubleIntegratorModel, CartpoleModel, QuadrotorModel,
+                PointMassNavModel, Obstacle)
+    for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+def _build_with(cls, name, value):
+    base = {"center": (0.0, 0.0), "radius": 1.0} if cls is Obstacle else {}
+    return cls(**{**base, name: value})
+
+
+@pytest.mark.parametrize("cls,name", _FLOAT_FIELDS,
+                         ids=[f"{c.__name__}-{n}" for c, n in _FLOAT_FIELDS])
+def test_every_float_field_follows_one_rule(cls, name):
+    # one rule for every numeric field, rejected by the field's name: a
+    # finite real >= 0, or > 0 for _POSITIVE_FIELDS, stored as a float
+    bound = "> 0" if name in _POSITIVE_FIELDS else ">= 0"
+    message = f"^{name} must be finite and {bound}$"
+    for value in (np.nan, np.inf, -np.inf, -1.0, "1.0", True):
+        with pytest.raises(ValueError, match=message):
+            _build_with(cls, name, value)
+    if name in _POSITIVE_FIELDS:
+        with pytest.raises(ValueError, match=message):
+            _build_with(cls, name, 0.0)
+    else:
+        assert getattr(_build_with(cls, name, 0), name) == 0.0
+    built = getattr(_build_with(cls, name, 2), name)
+    assert type(built) is float and built == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +351,7 @@ def test_obstacle_schedule_displacement():
     npt.assert_allclose(obs.displacement(100.0), [2.0, -2.0])
 
 
-@pytest.mark.parametrize("duration", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("duration", [np.nan, np.inf, -1.0, "1.0"])
 def test_obstacle_rejects_bad_schedule_duration(duration):
     # min(remaining, nan) is remaining: a NaN duration moved the obstacle
     # for all time
@@ -336,9 +371,13 @@ def test_obstacle_rejects_bad_schedule_duration(duration):
     (lambda: DoubleIntegratorModel(R=np.eye(2)), "R must be a 1x1 matrix"),
     (lambda: DoubleIntegratorModel(Qf=[[1.0, np.nan], [0.0, 1.0]]),
      "Qf must be a 2x2 matrix of finite numbers"),
+    # numpy would parse numeric strings; the rule takes numbers only
+    (lambda: PointMassNavModel(goal=["8", "0"]), "goal must be 2 finite"),
+    (lambda: Obstacle(center=("0", "0"), radius=1.0), "center must be 2"),
 ], ids=["nav-goal-scalar", "nav-goal-3", "quadrotor-goal", "quadrotor-goal-text",
         "quadrotor-inertia", "quadrotor-inertia-ragged", "integrator-Q",
-        "integrator-R", "integrator-Qf-nan"])
+        "integrator-R", "integrator-Qf-nan", "nav-goal-strings",
+        "obstacle-center-strings"])
 def test_model_arrays_are_shape_checked(build, name):
     with pytest.raises(ValueError, match=name):
         build()

@@ -523,6 +523,24 @@ def test_lq_single_iteration_convergence():
     assert res.cost == pytest.approx(j_exact, abs=1e-9 * max(1.0, j_exact))
 
 
+@pytest.mark.parametrize("T0", [3, 5, 10, 40])
+def test_upper_window_edge_keeps_the_solve_climbing(T0):
+    # from far below T* = 64 each pass but the last moves to the window's
+    # top edge, T-bar + window_s, as an exact full step (the model is LQ);
+    # the solve must not converge on that clamped edge, but climb on to T*
+    m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
+    x0 = np.array([2.0, 0.0])
+    t_exact, j_exact, _ = lti_optimal_horizon(m.to_lti_problem((1, 120)), x0)
+    cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    res = optimize_trajectory(m, initial_trajectory(m, x0, T0), cfg)
+    assert all(r["accepted"] and r["alpha"] == 1.0 for r in res.trace)
+    assert all(r["t_star"] == r["t_bar"] + cfg.window_s
+               for r in res.trace[:-1])
+    assert res.converged
+    assert res.t_star == t_exact
+    assert res.cost == pytest.approx(j_exact, abs=1e-9)
+
+
 def test_model_without_guess_never_lengthens_its_horizon():
     # no preimage guess, no prefix: a solve started below T* prices only
     # horizons up to T-bar, so it converges without growing
