@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_nonnegative, check_range, sym
+from .model import _finite_array, check_nonnegative, check_range, sym
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -60,10 +60,8 @@ class LtiProblem:
 
     def __post_init__(self):
         for name in ("A", "B", "Q", "R", "Qf"):
-            M = _frozen_array(getattr(self, name))
-            if not np.isfinite(M).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, M)
+            M = _finite_array(getattr(self, name), (None, None), name)
+            object.__setattr__(self, name, _frozen_array(M))
         object.__setattr__(self, "horizon_bounds", check_range(
             "horizon_bounds", self.horizon_bounds, 1))
         n = self.A.shape[0]

@@ -4,6 +4,12 @@ A model is a discrete-time map ``x' = step(x, u)`` together with a running
 cost and a terminal cost.  Solvers only consume local quadratic expansions
 of all three, built from analytic derivatives when the model provides them
 and from central finite differences otherwise.
+
+Non-finite values follow one policy.  An evaluation that turns non-finite
+raises ``FloatingPointError``; ``ExpansionError`` is the one a derivative
+expansion raises, naming the method that produced the value.  A rollout
+turns it into an infinite cost, a negative-time prefix into an empty one,
+and an MPC replan into a degraded step.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ FD_STEP_SECOND = 1e-4
 DERIVATIVE_CHECK_TOL = 1e-4
 
 
-class ExpansionError(RuntimeError):
+class ExpansionError(FloatingPointError):
     """A cost or dynamics evaluation became non-finite during expansion."""
 
 
@@ -64,14 +70,17 @@ def check_nonnegative(name: str, value, positive: bool = False) -> float:
 
 def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
     """value as a float array of the given shape with finite real entries;
-    raises ValueError naming it, for strings and booleans too."""
+    raises ValueError naming it, for strings and booleans too.  A None in
+    ``shape`` admits any length on that axis."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):
         a = None
-    if (a is None or a.dtype.kind not in "iuf" or a.shape != shape
-            or not np.isfinite(a).all()):
+    fits = a is not None and a.ndim == len(shape) and all(
+        want in (None, got) for want, got in zip(shape, a.shape))
+    if not fits or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
         what = (f"{shape[0]} finite numbers" if len(shape) == 1
+                else "a matrix of finite numbers" if None in shape
                 else f"a {shape[0]}x{shape[1]} matrix of finite numbers")
         raise ValueError(f"{name} must be {what}")
     return a.astype(float, copy=False)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (ExpansionError, SystemModel, check_count,
-                    check_nonnegative)
+from .model import SystemModel, check_count, check_nonnegative
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import SolverConfig, optimize_trajectory
 from .trajectory import rollout_controls, initial_trajectory
@@ -87,10 +86,10 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     scratch every replan; ``info["gamma"]`` and ``info["radius"]`` are the
     levels to carry on, and ``info["iterations"]`` and ``info["degraded"]``
     describe the replan.  Returns
-    (action, new_controls, new_horizon, info).  When the replan meets a
-    numeric failure (a non-finite expansion or state) the first of the
-    given controls is applied, they are returned as the plan, and the step
-    is flagged; any other exception propagates.
+    (action, new_controls, new_horizon, info).  When the replan raises
+    ``FloatingPointError`` (a non-finite state, or an ``ExpansionError``)
+    the first of the given controls is applied, they are returned as the
+    plan, and the step is flagged; any other exception propagates.
     """
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     short = cfg.solver.horizon_bounds[0] - controls.shape[0]
@@ -103,7 +102,7 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
         info = {"iterations": result.iterations, "degraded": False,
                 "gamma": result.gamma_final, "radius": result.radius_final}
         controls = result.trajectory.controls
-    except (ExpansionError, FloatingPointError):
+    except FloatingPointError:
         info = {"iterations": 0, "degraded": True, "gamma": gamma,
                 "radius": radius}
     return controls[0], controls, controls.shape[0], info

@@ -75,10 +75,15 @@ def bracketed_horizon(model: SystemModel, cfg: SolverConfig, x0,
     """Fixed-horizon sweep over t_center +- margin within the bounds; while
     the argmin lands on an edge that the bounds do not fix, the bracket
     widens by margin on both sides.  Each horizon is solved once: the
-    cold-started solves are deterministic, so a widening reuses them."""
+    cold-started solves are deterministic, so a widening reuses them.  A
+    t_center outside the bounds raises ValueError before any solve, where
+    an empty bracket would read as "no horizon converged"."""
     check_count("t_center", t_center, 1)
     check_count("margin", margin, 1)
     t_min, t_max = cfg.horizon_bounds
+    if not t_min <= t_center <= t_max:
+        raise ValueError(f"t_center must lie in horizon_bounds "
+                         f"{cfg.horizon_bounds}, got {t_center}")
     lo, hi = max(t_min, t_center - margin), min(t_max, t_center + margin)
     solved = {}
     while True:

@@ -7,7 +7,8 @@ state, picks the cheapest admissible horizon, and rolls the shifted policy
 forward under a backtracking line search.  Regularization and a trust
 radius on the pricing adapt along the solve: a rejected shifted horizon
 sets the radius to half that candidate's initial-state gap, so a horizon
-the quadratic model misprices is not tried again every pass.  Both are
+the quadratic model misprices is not tried again every pass, and an
+accepted one doubles it.  Nothing else bounds the radius.  Both are
 returned, so an MPC replan starts from where the previous solve ended; a
 carried radius first regrows by ``_RADIUS_REGROWTH``, so one bad replan
 cannot freeze the horizon for the rest of an episode.
@@ -92,7 +93,8 @@ class SolverResult:
     horizon the pass started from), ``j`` (the cost it ended on), ``alpha``
     (the accepted step size, or None), ``gamma``, ``t_star``, ``t_tried``,
     ``rejected``, ``accepted``, ``trust_radius`` (the radius the pass
-    priced with), ``t_low`` (the lowest horizon it priced) and
+    priced with: infinite in a one-shot solve until a shifted try is
+    rejected), ``t_low`` (the lowest horizon it priced) and
     ``candidates``, the :class:`CandidateEvaluation` list the pass priced.
     ``t_tried`` is the horizon the line search tried first and ``t_star``
     the one the iteration ended on: T-bar when a shifted try was rejected
@@ -162,12 +164,6 @@ def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
         else:
             return Prefix(states, np.tile(u0, (S, 1)))
     return Prefix(states[:0], np.zeros((0, model.dim_u)))
-
-
-def _default_trust_radius(traj: Trajectory) -> float:
-    """Cap on the trust radius: 10x the nominal's RMS state, at least 10."""
-    rms = float(np.sqrt(np.mean(traj.states ** 2)))
-    return 10.0 * max(rms, 1.0)
 
 
 def evaluate_candidates(back: BackwardResult, horizon_bounds, window_s: int,
@@ -274,8 +270,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     is the horizon trust radius on the initial-state gap, which rejected
     shifted tries shrink and accepted ones widen; a replan passes the
     previous solve's ``radius_final``, widened once by ``_RADIUS_REGROWTH``
-    here.  The default, infinity, stays infinite.  It must be > 0, or no
-    horizon would be admissible.
+    here.  The default, infinity, admits every priced horizon until a
+    shifted try is rejected, and a doubling keeps it infinite.  It must be
+    > 0, or no horizon would be admissible.
     """
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):
@@ -304,10 +301,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             break
         gamma = max(back.gamma_used, GAMMA_MIN)
 
-        trust = min(_default_trust_radius(traj), radius)
         candidates = evaluate_candidates(back, cfg.horizon_bounds,
                                          t_bar if lift else cfg.window_s,
-                                         trust)
+                                         radius)
         # the window's top edge is where a full prefix reaches, so a pass
         # with an empty prefix never selects a horizon on it
         lo = candidates[0].T
@@ -316,7 +312,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         record = {
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
             "gamma": gamma, "t_star": t_tried, "t_tried": t_tried,
-            "rejected": None, "accepted": False, "trust_radius": trust,
+            "rejected": None, "accepted": False, "trust_radius": radius,
             "t_low": lo, "candidates": candidates,
         }
         trace.append(record)

@@ -12,7 +12,6 @@ import pytest
 
 from horizonddp import CandidateEvaluation
 import horizonddp.oracle as oracle_mod
-import horizonddp.solver as solver_mod
 from horizonddp.cli import _write_json, main
 
 
@@ -58,14 +57,26 @@ def test_solve_writes_artifacts(tmp_path):
                            str(rec["t_low"])]
 
 
-def test_solve_reports_candidates_outside_trust_radius(tmp_path, monkeypatch):
-    monkeypatch.setattr(solver_mod, "_default_trust_radius", lambda traj: 0.5)
-    cfg = write_config(tmp_path, di_solve_config())
+def test_solve_reports_candidates_outside_trust_radius(tmp_path):
+    # the criterion-5 quadrotor rejects a shifted try at iteration 2, which
+    # shrinks the radius from infinity to half that try's gap; later passes
+    # mark every horizon priced at a gap beyond it inadmissible
+    cfg = write_config(tmp_path, {
+        "model": {"model": "quadrotor", "c_t": 1.0},
+        "solver": {"horizon_bounds": [5, 150], "window_s": 10},
+        "x0": [1.5, 1.0, -1.0] + [0.0] * 9,
+        "initial_horizon": 40,
+    })
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) in (0, 2)
-    summary = json.loads((out / "summary.json").read_text())
-    assert any(not cand["admissible"]
-               for rec in summary["trace"] for cand in rec["candidates"])
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    trace = json.loads((out / "summary.json").read_text())["trace"]
+    # an infinite radius is written as Infinity and read back as inf
+    assert trace[0]["trust_radius"] == np.inf
+    assert read_csv(out / "trace.csv")[1][5] == "inf"
+    outside = [(cand["gap"], rec["trust_radius"]) for rec in trace
+               for cand in rec["candidates"] if not cand["admissible"]]
+    assert outside
+    assert all(gap >= radius for gap, radius in outside)
 
 
 def test_solve_ddp_mode(tmp_path):

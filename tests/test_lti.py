@@ -176,12 +176,16 @@ def test_validation_rejects_bad_data():
     for change, message in [
         ({"Q": [[1.0, 0.5], [0.0, 1.0]]}, "symmetric"),
         ({"R": [[0.0]]}, "R must be positive definite"),
-        ({"R": [[np.nan]]}, "R must be finite"),
+        ({"R": [[np.nan]]}, "R must be a matrix of finite numbers"),
+        ({"R": [["2"]]}, "R must be a matrix of finite numbers"),
+        ({"R": [[True]]}, "R must be a matrix of finite numbers"),
+        ({"A": "abc"}, "A must be a matrix of finite numbers"),
         ({"Q": -np.eye(2)}, "Q must be positive semidefinite"),
         ({"Qf": np.ones((2, 3))}, "Qf must be square"),
         ({"A": np.ones((2, 3))}, "A must be square"),
         ({"B": np.ones((3, 1))}, "B row count"),
-        ({"A": [[1.0, np.inf], [0.0, 1.0]]}, "A must be finite"),
+        ({"A": [[1.0, np.inf], [0.0, 1.0]]},
+         "A must be a matrix of finite numbers"),
         ({"horizon_bounds": (5, 1)}, "horizon_bounds must be an integer"),
         ({"horizon_bounds": (1.7, 5.9)}, "horizon_bounds must be an integer"),
         ({"horizon_bounds": (1, 5.5)}, "horizon_bounds must be an integer"),

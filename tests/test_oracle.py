@@ -106,7 +106,9 @@ def test_fixed_horizon_rejects_bad_T(rng):
 def test_oracle_counts_are_checked_by_name(rng, monkeypatch):
     # each bad count is named before any horizon is solved: t_range [2.5,
     # 3.9] used to solve T = 2 and 3, margin 2.5 and t_center 30.5 crashed
-    # in range(), and t_center True was read as 1
+    # in range(), and t_center True was read as 1; t_center 40 above the
+    # bounds gives an empty bracket, whose sweep reads as "no horizon
+    # converged"
     model = random_lq(rng)
     cfg = SolverConfig(horizon_bounds=(1, 30), window_s=0)
     x0 = np.zeros(model.dim_x)
@@ -120,7 +122,8 @@ def test_oracle_counts_are_checked_by_name(rng, monkeypatch):
     for t_center, margin, name in ((10, 2.5, "margin"), (10, 0, "margin"),
                                    (30.5, 3, "t_center"),
                                    (True, 3, "t_center"),
-                                   (0, 3, "t_center")):
+                                   (0, 3, "t_center"),
+                                   (40, 3, "t_center")):
         with pytest.raises(ValueError, match=name):
             bracketed_horizon(model, cfg, x0, t_center, margin)
 

@@ -87,8 +87,11 @@ def test_radius_argument_regrows_once_and_is_returned():
     last = res.trace[-1]
     assert last["accepted"] and last["t_star"] != last["t_bar"]
     assert res.radius_final == 2.0 * last["trust_radius"]
-    # infinity, the one-shot default, stays infinite
-    assert optimize_trajectory(m, init, cfg).radius_final == np.inf
+    # infinity, the one-shot default, is the radius the first pass prices
+    # with, and stays infinite
+    res = optimize_trajectory(m, init, cfg)
+    assert res.trace[0]["trust_radius"] == np.inf
+    assert res.radius_final == np.inf
 
 
 def test_config_from_json_rejects_unknown_fields():
@@ -735,14 +738,12 @@ def test_zero_gap_rejection_keeps_trust_radius(monkeypatch):
     assert all(r["trust_radius"] > 0 for r in res.trace)
 
 
-def test_trust_radius_halves_to_gap_and_doubles(monkeypatch):
-    # cartpole c_t = 1 alternates rejected and accepted shifts; with a cap
-    # that never binds, each pass's radius follows from the one before
+def test_trust_radius_halves_to_gap_and_doubles():
+    # cartpole c_t = 1 alternates rejected and accepted shifts, and each
+    # pass's radius follows from the one before: nothing else bounds it
     from horizonddp import CartpoleModel
 
     m = CartpoleModel(c_t=1.0)
-    cap = 1e6
-    monkeypatch.setattr(solver_mod, "_default_trust_radius", lambda traj: cap)
     cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
                        max_iterations=300)
     res = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
@@ -753,8 +754,8 @@ def test_trust_radius_halves_to_gap_and_doubles(monkeypatch):
         if r["t_tried"] == r["t_bar"]:
             expected = r["trust_radius"]
         elif r["rejected"] is None:
-            expected = min(cap, 2.0 * r["trust_radius"])
-            doubled += expected < cap
+            expected = 2.0 * r["trust_radius"]
+            doubled += expected < np.inf
         else:
             expected = 0.5 * gap if gap > 0 else r["trust_radius"]
             shrunk += gap > 0
