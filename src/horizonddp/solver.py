@@ -20,6 +20,17 @@ in a trust region that widens only after a step lands on its boundary
 (Nocedal & Wright, Alg. 4.1), the first pass of every solve keeps the
 cap: from a cold nominal every gap can be 0, and its prices of far
 horizons are then optimistic with nothing to flag them.
+
+The line search backtracks over ``_STEP_SIZES``.  Once the cost has
+settled, first-order iLQR converges only linearly, so a full step at T-bar
+that lowers J by less than ``convergence_tol`` relative is followed by one
+rollout at alpha* = s / c, the minimizer of the quadratic through
+J(0) = J, J'(0) = -s and J(1) = j_1 (Nocedal & Wright, eq. 3.58).  The
+slope s = 2 (J - J_T-bar) comes from T-bar's price J + dV(1) = J - s/2
+(Tassa, Erez & Todorov 2012), and c = 2 (j_1 - J + s).  It is made only
+when c > 0 and |alpha* - 1| max|k| >= ``k_tol``, so an LQ problem, where
+alpha* = 1 to rounding, never pays for it, and its step is kept only if
+it lowers J below j_1.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .model import (SystemModel, check_count, check_nonnegative,
 from .trajectory import Trajectory, _path_cost, trajectory_cost
 
 _EXACT_MODEL_RTOL = 1e-12
-# line search: step sizes 1, 1/2, 1/4, ... down to a 1e-3 floor
+# line search: the ten step sizes 1, 1/2, 1/4, ..., 2**-9 (about 0.00195)
 _STEP_SIZES = tuple(0.5 ** i for i in range(10))
 # a solve started from a carried trust radius first widens it by this factor
 _RADIUS_REGROWTH = 1.25
@@ -91,10 +102,11 @@ class SolverResult:
 
     ``trace`` holds one dict per iteration: ``iteration``, ``t_bar`` (the
     horizon the pass started from), ``j`` (the cost it ended on), ``alpha``
-    (the accepted step size, or None), ``gamma``, ``t_star``, ``t_tried``,
-    ``rejected``, ``accepted``, ``trust_radius`` (the radius the pass
-    priced with: infinite in a one-shot solve until a shifted try is
-    rejected), ``t_low`` (the lowest horizon it priced) and
+    (the accepted step size: one of ``_STEP_SIZES``, or the tail's
+    interpolated alpha*; None when no step was accepted), ``gamma``,
+    ``t_star``, ``t_tried``, ``rejected``, ``accepted``, ``trust_radius``
+    (the radius the pass priced with: infinite in a one-shot solve until a
+    shifted try is rejected), ``t_low`` (the lowest horizon it priced) and
     ``candidates``, the :class:`CandidateEvaluation` list the pass priced.
     ``t_tried`` is the horizon the line search tried first and ``t_star``
     the one the iteration ended on: T-bar when a shifted try was rejected
@@ -359,6 +371,19 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             continue
 
         rel = (J - j_new) / scale
+        # settled tail (see the module docstring): only the feedforward
+        # test keeps the solve going, so try the quadratic's minimizer once
+        if alpha == 1.0 and t_star == t_bar and rel < cfg.convergence_tol:
+            s = 2.0 * (J - candidates[t_bar - lo].J_T)
+            c = 2.0 * (j_new - J + s)
+            if c > 0 and (abs(s / c - 1.0) * back.max_feedforward(0)
+                          >= cfg.k_tol):
+                alpha_star = s / c
+                step_traj, j_step = rollout(model, back, t0=0,
+                                            alpha=alpha_star,
+                                            x0=traj.states[0])
+                if j_step < j_new:
+                    new_traj, j_new, alpha = step_traj, j_step, alpha_star
         exact_model = (alpha == 1.0
                        and abs(j_new - candidates[t_star - lo].J_T)
                        <= _EXACT_MODEL_RTOL * max(1.0, abs(j_new)))

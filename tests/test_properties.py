@@ -14,7 +14,7 @@ from conftest import random_lq
 from horizonddp import (SolverConfig, backward_sweep, initial_trajectory,
                         lti_optimal_horizon, optimize_trajectory,
                         riccati_sweep)
-from horizonddp.solver import evaluate_candidates
+from horizonddp.solver import _STEP_SIZES, evaluate_candidates
 
 BOUNDS = (1, 60)
 WINDOW = 10
@@ -59,6 +59,9 @@ def test_solve_reaches_the_exact_optimum(seed, c_t, scale, offset):
         assert res.iterations == 1
     accepted = [r["j"] for r in res.trace if r["accepted"]]
     assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+    # an exact quadratic model leaves the tail's interpolated step at 1:
+    # every accepted step is a ladder rung
+    assert all(r["alpha"] in (None, *_STEP_SIZES) for r in res.trace)
     # the first pass prices every horizon as the Riccati curve does
     first = res.trace[0]["candidates"]
     assert [c.T for c in first] == list(range(max(BOUNDS[0], T0 - WINDOW),

@@ -667,7 +667,7 @@ def test_trace_keeps_rejected_horizon_on_quadrotor():
     x0[:3] = [1.5, 1.0, -1.0]
     res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
                               SolverConfig(horizon_bounds=(5, 150), window_s=10))
-    assert res.converged and res.iterations == 22 and res.t_star == 34
+    assert res.converged and res.iterations == 12 and res.t_star == 34
     retried = [r for r in res.trace if r["t_tried"] != r["t_star"]]
     assert retried
     for r in retried:
@@ -698,9 +698,9 @@ def test_trust_radius_stops_retrying_mispriced_shift(monkeypatch):
     res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
                               SolverConfig(horizon_bounds=(5, 150), window_s=10))
     assert len(calls) <= 40
-    assert res.converged and res.iterations == 22 and res.t_star == 34
+    assert res.converged and res.iterations == 12 and res.t_star == 34
     # pinned to the bit: a change in how the backup rounds moves it by ulps
-    assert res.cost == 82.40213661605743
+    assert res.cost == 82.40213661604287
     rejected = [r for r in res.trace if r["rejected"] is not None]
     assert [(r["iteration"], r["t_tried"]) for r in rejected] == [(2, 30)]
     tried = next(c for c in rejected[0]["candidates"] if c.T == 30)
@@ -734,8 +734,77 @@ def test_zero_gap_rejection_keeps_trust_radius(monkeypatch):
     first = res.trace[0]
     assert first["rejected"] == "no_decrease" and first["t_tried"] == 140
     assert all(c.gap == 0.0 for c in first["candidates"])
-    assert res.converged and res.iterations == 27 and res.t_star == 31
+    assert res.converged and res.iterations == 23 and res.t_star == 31
     assert all(r["trust_radius"] > 0 for r in res.trace)
+
+
+def _rung_or_none(alpha):
+    return alpha is None or alpha in solver_mod._STEP_SIZES
+
+
+def test_lq_tail_makes_no_interpolated_rollout(rng, monkeypatch):
+    # criterion 1's double integrator: a full step realizes its price, so
+    # alpha* = 1 to rounding.  A start near the optimum reaches the tail
+    # rule on its first pass, and the others cross the window first; no
+    # rollout leaves the ladder
+    alphas = []
+    inner = solver_mod.rollout
+
+    def recorded(*args, **kwargs):
+        alphas.append(kwargs["alpha"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "rollout", recorded)
+    m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
+    cfg = SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    x0 = np.array([2.0, 0.0])
+    t_exact, _, _ = lti_optimal_horizon(m.to_lti_problem((1, 120)), x0)
+    results = [optimize_trajectory(m, initial_trajectory(m, x0, T0), cfg)
+               for T0 in (20, t_exact + 5, 120)]
+    near = rollout_controls(m, x0, results[1].trajectory.controls + 1e-4
+                            * rng.standard_normal((t_exact, 1)))
+    results.append(optimize_trajectory(m, near, cfg))
+    # the near start's first pass is a full step at T-bar below the
+    # relative tolerance: the tail rule's condition
+    first, J0 = results[-1].trace[0], trajectory_cost(m, near)
+    assert first["alpha"] == 1.0 and first["t_star"] == first["t_bar"]
+    assert J0 - first["j"] < cfg.convergence_tol * max(1.0, J0)
+    for res in results:
+        assert res.converged and res.t_star == t_exact
+        assert all(_rung_or_none(r["alpha"]) for r in res.trace)
+    assert alphas and all(a in solver_mod._STEP_SIZES for a in alphas)
+
+
+def test_tail_interpolation_on_quadrotor():
+    # criterion-5 start: the settled tail takes interpolated steps at T-bar
+    # and ends in half the passes of the ladder alone (22), on the same
+    # horizon and within 1e-9 of its cost
+    from horizonddp import QuadrotorModel
+
+    m = QuadrotorModel(c_t=1.0)
+    x0 = np.zeros(12)
+    x0[:3] = [1.5, 1.0, -1.0]
+    res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
+                              SolverConfig(horizon_bounds=(5, 150), window_s=10))
+    assert res.converged and res.iterations <= 12 and res.t_star == 34
+    assert res.cost == pytest.approx(82.40213661605743, rel=1e-9)
+    interpolated = [r for r in res.trace if not _rung_or_none(r["alpha"])]
+    assert interpolated
+    for r in interpolated:
+        assert r["accepted"] and r["t_star"] == r["t_bar"]
+
+
+def test_fixed_horizon_tail_converges():
+    # the oracle's cartpole solve at T = 65, c_t = 3 crept to the iteration
+    # budget on the ladder alone; the tail's interpolated steps end it
+    from horizonddp import CartpoleModel, fixed_horizon_ddp
+
+    cfg = SolverConfig(horizon_bounds=(10, 400), window_s=10,
+                       max_iterations=300)
+    _, _, res = fixed_horizon_ddp(CartpoleModel(c_t=3.0), 65, cfg,
+                                  np.zeros(4))
+    assert res.converged
+    assert any(not _rung_or_none(r["alpha"]) for r in res.trace)
 
 
 def test_trust_radius_halves_to_gap_and_doubles():
@@ -821,7 +890,7 @@ def test_deterministic_reruns_bitwise(rng):
     b = optimize_trajectory(m, initial_trajectory(m, np.zeros(4), 150), cfg)
     assert a.t_star == b.t_star and a.iterations == b.iterations
     # fingerprint of this solve: a changed bit anywhere shows up here
-    assert (a.iterations, a.t_star) == (19, 23)
+    assert (a.iterations, a.t_star) == (16, 23)
     npt.assert_array_equal(a.trajectory.states, b.trajectory.states)
     npt.assert_array_equal(a.trajectory.controls, b.trajectory.controls)
     assert a.cost == b.cost

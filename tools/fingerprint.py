@@ -20,18 +20,19 @@ every MPC step record except its wall-clock solve time, so two trees with
 the same digest solve these problems bit for bit alike.  One summary line
 per run goes to stderr, with the run's final cost to the last bit, the
 line-search rollouts the run made, how many of them rolled out a shifted
-horizon (t0 != 0), the model ``step`` calls the run made, the first 12
-hex digits of the digest of the run's answer (``plan``: a solve's
-trajectory, or an episode's step states, actions and planned horizons and
-its final state) and those of the run's own digest; the digest of all runs
-goes to stdout.  The counts are reported, not hashed.
+horizon (t0 != 0), how many rolled out the tail's interpolated step size
+(an alpha not in ``solver._STEP_SIZES``), the model ``step`` calls the run
+made, the first 12 hex digits of the digest of the run's answer (``plan``:
+a solve's trajectory, or an episode's step states, actions and planned
+horizons and its final state) and those of the run's own digest; the
+digest of all runs goes to stdout.  The counts are reported, not hashed.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
-rollouts, shifted rollouts and step calls, with the relative gap between
-their final costs, the two plan digests and the two run digests, so that a
-moved total digest can be traced to its runs, and a moved run digest to
-the answer or only to the trace.  The exit status is 1 when a count
+rollouts, shifted and interpolated rollouts and step calls, with the
+relative gap between their final costs, the two plan digests and the two
+run digests, so that a moved total digest can be traced to its runs, and a
+moved run digest to the answer or only to the trace.  The exit status is 1 when a count
 differs or a gap exceeds 1e-12; plan or run digests that differ do not
 change it.
 """
@@ -154,12 +155,14 @@ def _summary(result) -> str:
 
 
 def _count_rollouts(solver, counts: dict) -> None:
-    """Wrap ``solver.rollout`` so each call, and each shifted one, is counted."""
+    """Wrap ``solver.rollout`` so each call, each shifted one and each one
+    off the step-size ladder is counted."""
     inner = solver.rollout
 
     def rollout(*args, **kwargs):
         counts["rollouts"] += 1
         counts["shifted"] += kwargs["t0"] != 0
+        counts["interpolated"] += kwargs["alpha"] not in solver._STEP_SIZES
         return inner(*args, **kwargs)
 
     solver.rollout = rollout
@@ -186,7 +189,7 @@ def fingerprint(tree: Path) -> str:
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
-    counts = {"rollouts": 0, "shifted": 0, "step_calls": 0}
+    counts = {"rollouts": 0, "shifted": 0, "interpolated": 0, "step_calls": 0}
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
     h = hashlib.sha256()
@@ -197,10 +200,12 @@ def fingerprint(tree: Path) -> str:
             _feed(digest, result)
         _feed(plan, _plan(result))
         print(f"{label}: {_summary(result)} rollouts={counts['rollouts']} "
-              f"shifted={counts['shifted']} step_calls={counts['step_calls']} "
+              f"shifted={counts['shifted']} "
+              f"interpolated={counts['interpolated']} "
+              f"step_calls={counts['step_calls']} "
               f"plan={plan.hexdigest()[:12]} digest={run.hexdigest()[:12]}",
               file=sys.stderr)
-        counts.update(rollouts=0, shifted=0, step_calls=0)
+        counts.update(rollouts=0, shifted=0, interpolated=0, step_calls=0)
     return h.hexdigest()
 
 
