@@ -557,9 +557,10 @@ class Obstacle:
         remaining = float(sim_time)
         disp = np.zeros(2)
         for duration, vel in self.schedule:
-            dt = min(remaining, duration)
-            if dt <= 0:
+            if remaining <= 0:
                 break
+            # a zero-duration segment adds nothing and ends nothing
+            dt = min(remaining, duration)
             disp += dt * np.asarray(vel)
             remaining -= dt
         return disp

@@ -31,6 +31,19 @@ slope s = 2 (J - J_T-bar) comes from T-bar's price J + dV(1) = J - s/2
 when c > 0 and |alpha* - 1| max|k| >= ``k_tol``, so an LQ problem, where
 alpha* = 1 to rounding, never pays for it, and its step is kept only if
 it lowers J below j_1.
+
+A shifted try (T != T-bar) may stop its ladder early.  In a shifted
+rollout alpha scales only ``k``: the gap term ``K dx`` stays, so phi(0)
+is the shift-only rollout, not J, and a smaller alpha has no descent
+guarantee.  After its third or a later failed rung alpha, the try stops
+when j(alpha), j(2 alpha) and j(4 alpha) each lie within |J| of J and
+the quadratic through them is >= J at every rung left below alpha
+(interpolation line search, Nocedal & Wright, Sec. 3.5); the retry at
+T-bar follows as after a full ladder.  Rungs farther than |J| from J have
+left the region where a smooth interpolant means anything: a cartpole
+swing-up ladder at J + 7.5e7, + 3.2e7, + 1.6e7 goes on to lower J by 1315
+at alpha = 1/8.  The T-bar ladder is never cut: there phi(0) = J and the
+step is a descent direction, so its alpha floor is a safeguard.
 """
 
 from __future__ import annotations
@@ -113,7 +126,9 @@ class SolverResult:
     and retried.
     ``rejected`` is None unless a try failed, and then names why:
     "no_decrease" when no step size down to the alpha floor lowered the
-    cost.
+    cost.  A shifted ladder may stop before that floor, once the quadratic
+    through its last three failed rungs rules out the rest (see the module
+    docstring).
 
     ``status`` is "converged"; "max_iterations" when the iteration budget
     ran out first; "backward_failure" when a sweep still failed at the
@@ -264,6 +279,25 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
     return Trajectory(states=states, controls=controls), float(cost)
 
 
+def _rest_ruled_out(J: float, rungs, rest) -> bool:
+    """Whether the quadratic through three failed rungs stays >= J at
+    every step size in ``rest``.
+
+    ``rungs`` holds the (alpha, j) pairs of the last failed rungs, largest
+    alpha first.  It rules nothing out with fewer than three rungs, or when
+    one of them lies farther than |J| from J (a non-finite one does):
+    there the rollouts have left the region where a smooth interpolant
+    means anything.  The quadratic is in Newton form over divided
+    differences.
+    """
+    if len(rungs) < 3 or not all(abs(j - J) <= abs(J) for _, j in rungs):
+        return False
+    (a0, j0), (a1, j1), (a2, j2) = rungs
+    d01 = (j1 - j0) / (a1 - a0)
+    d012 = ((j2 - j1) / (a2 - a1) - d01) / (a2 - a0)
+    return all(j0 + (b - a0) * (d01 + (b - a1) * d012) >= J for b in rest)
+
+
 def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         cfg: SolverConfig,
                         gamma: float = GAMMA_MIN,
@@ -342,11 +376,17 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         # a mispriced shifted horizon is retried at T-bar before gamma rises
         for t_star in dict.fromkeys((t_tried, t_bar)):
             record["t_star"] = t_star
-            for alpha in _STEP_SIZES:
+            failed = []
+            for i, alpha in enumerate(_STEP_SIZES):
                 # t0 by keyword: perfbench/tracing.py reads it from the call
                 new_traj, j_new = rollout(model, back, t0=t_bar - t_star,
                                           alpha=alpha, x0=traj.states[0])
                 if j_new < J:
+                    break
+                # only a shifted ladder may stop early (module docstring)
+                failed.append((alpha, j_new))
+                if t_star != t_bar and _rest_ruled_out(J, failed[-3:],
+                                                       _STEP_SIZES[i + 1:]):
                     break
             if j_new < J:
                 break

@@ -351,6 +351,16 @@ def test_obstacle_schedule_displacement():
     npt.assert_allclose(obs.displacement(100.0), [2.0, -2.0])
 
 
+def test_zero_duration_segment_does_not_end_the_schedule():
+    obs = Obstacle(center=(0.0, 0.0), radius=1.0,
+                   schedule=((0.0, (1.0, 0.0)), (2.0, (0.0, 1.0)),
+                             (0.0, (5.0, 5.0)), (1.0, (-1.0, 0.0))))
+    npt.assert_array_equal(obs.displacement(1.0), [0.0, 1.0])
+    npt.assert_array_equal(obs.displacement(2.5), [-0.5, 2.0])
+    npt.assert_array_equal(obs.displacement(10.0), [-1.0, 2.0])
+    npt.assert_array_equal(obs.displacement(0.0), [0.0, 0.0])
+
+
 @pytest.mark.parametrize("duration", [np.nan, np.inf, -1.0, "1.0"])
 def test_obstacle_rejects_bad_schedule_duration(duration):
     # min(remaining, nan) is remaining: a NaN duration moved the obstacle

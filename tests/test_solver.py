@@ -697,7 +697,8 @@ def test_trust_radius_stops_retrying_mispriced_shift(monkeypatch):
     x0[:3] = [1.5, 1.0, -1.0]
     res = optimize_trajectory(m, initial_trajectory(m, x0, 40),
                               SolverConfig(horizon_bounds=(5, 150), window_s=10))
-    assert len(calls) <= 40
+    # the rejected shift stops after three rungs (see the ladder tests)
+    assert len(calls) == 17 and sum(t0 != 0 for t0 in calls) == 4
     assert res.converged and res.iterations == 12 and res.t_star == 34
     # pinned to the bit: a change in how the backup rounds moves it by ulps
     assert res.cost == 82.40213661604287
@@ -736,6 +737,77 @@ def test_zero_gap_rejection_keeps_trust_radius(monkeypatch):
     assert all(c.gap == 0.0 for c in first["candidates"])
     assert res.converged and res.iterations == 23 and res.t_star == 31
     assert all(r["trust_radius"] > 0 for r in res.trace)
+
+
+# the three failed rungs j(1), j(1/2), j(1/4) of a rejected shifted ladder
+# on nav-mpc at seed 1, where J = 392.79; its later rungs level off at
+# J + 2.96
+_NAV_PLATEAU = (392.79, (92.97, 26.89, 9.70))
+# cartpole swing-up ladders whose fourth rung, alpha = 1/8, lowers J by
+# 1315 and by 54: their first three rungs overshoot J by more than J
+_CARTPOLE_CLIFFS = ((6529.83, (7.5e7, 3.2e7, 1.6e7)),
+                    (8046.60, (4.8e8, 9.7e6, 9.4e6)))
+
+
+def _rungs(J, excess):
+    return [(alpha, J + d) for alpha, d in zip(solver_mod._STEP_SIZES, excess)]
+
+
+def test_shifted_ladder_stops_on_a_plateau_above_J():
+    J, excess = _NAV_PLATEAU
+    rungs = _rungs(J, excess)
+    steps = solver_mod._STEP_SIZES
+    assert not solver_mod._rest_ruled_out(J, rungs[:2], steps[2:])
+    assert solver_mod._rest_ruled_out(J, rungs, steps[3:])
+
+
+@pytest.mark.parametrize("J, excess", _CARTPOLE_CLIFFS)
+def test_shifted_ladder_keeps_going_past_a_cliff(J, excess):
+    assert not solver_mod._rest_ruled_out(J, _rungs(J, excess),
+                                          solver_mod._STEP_SIZES[3:])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_shifted_ladder_never_stops_on_a_non_finite_rung(bad, position):
+    J, excess = _NAV_PLATEAU
+    rungs = _rungs(J, excess)
+    rungs[position] = (rungs[position][0], bad)
+    assert not solver_mod._rest_ruled_out(J, rungs,
+                                          solver_mod._STEP_SIZES[3:])
+
+
+def test_shifted_ladder_keeps_going_where_the_quadratic_dips_below_J():
+    # J + 3, J + 1, J + 0.2 at alpha = 1, 1/2, 1/4: the quadratic through
+    # them is J - 0.15 at alpha = 1/8.  Through J + 0.5 at 1/4 instead, it
+    # stays above J + 1/3 on [0, 1/4]
+    J = 100.0
+    assert not solver_mod._rest_ruled_out(J, _rungs(J, (3.0, 1.0, 0.2)),
+                                          solver_mod._STEP_SIZES[3:])
+    assert solver_mod._rest_ruled_out(J, _rungs(J, (3.0, 1.0, 0.5)),
+                                      solver_mod._STEP_SIZES[3:])
+
+
+def test_only_a_shifted_ladder_stops_early(monkeypatch):
+    # every rung lands on the same plateau above J: the shifted try stops
+    # after three rungs, and the retry at T-bar, a descent direction whose
+    # alpha floor is a safeguard, walks all ten
+    m = DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2), Qf=10 * np.eye(2))
+    init = initial_trajectory(m, np.array([2.0, 0.0]), 40)
+    plateau = trajectory_cost(m, init) + 1.0
+    calls = []
+
+    def flat(*args, **kwargs):
+        calls.append(kwargs["t0"])
+        return None, plateau
+
+    monkeypatch.setattr(solver_mod, "rollout", flat)
+    res = optimize_trajectory(m, init, SolverConfig(horizon_bounds=(1, 120),
+                                                    window_s=10,
+                                                    max_iterations=1))
+    assert calls == [-10] * 3 + [0] * 10
+    first = res.trace[0]
+    assert first["t_tried"] == 50 and first["rejected"] == "no_decrease"
 
 
 def _rung_or_none(alpha):

@@ -21,20 +21,21 @@ the same digest solve these problems bit for bit alike.  One summary line
 per run goes to stderr, with the run's final cost to the last bit, the
 line-search rollouts the run made, how many of them rolled out a shifted
 horizon (t0 != 0), how many rolled out the tail's interpolated step size
-(an alpha not in ``solver._STEP_SIZES``), the model ``step`` calls the run
-made, the first 12 hex digits of the digest of the run's answer (``plan``:
-a solve's trajectory, or an episode's step states, actions and planned
-horizons and its final state) and those of the run's own digest; the
-digest of all runs goes to stdout.  The counts are reported, not hashed.
+(an alpha not in ``solver._STEP_SIZES``), how many shifted tries were
+rejected and how many rollouts those tries spent, the model ``step`` calls
+the run made, the first 12 hex digits of the digest of the run's answer
+(``plan``: a solve's trajectory, or an episode's step states, actions and
+planned horizons and its final state) and those of the run's own digest;
+the digest of all runs goes to stdout.  The counts are reported, not hashed.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
-rollouts, shifted and interpolated rollouts and step calls, with the
-relative gap between their final costs, the two plan digests and the two
-run digests, so that a moved total digest can be traced to its runs, and a
-moved run digest to the answer or only to the trace.  The exit status is 1 when a count
-differs or a gap exceeds 1e-12; plan or run digests that differ do not
-change it.
+rollouts, shifted and interpolated rollouts, rejected shifted tries and
+their rollouts, and step calls, with the relative gap between their final
+costs, the two plan digests and the two run digests, so that a moved
+total digest can be traced to its runs, and a moved run digest to the
+answer or only to the trace.  The exit status is 1 when a count differs or
+a gap exceeds 1e-12; plan or run digests that differ do not change it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ import numpy as np
 
 # wall-clock fields, the only ones that differ between identical runs
 _SKIP_FIELDS = {"solve_time"}
+# the per-run counts of the summary line, reset between runs
+_COUNTS = ("rollouts", "shifted", "interpolated", "rejected_shifts",
+           "rejected_rollouts", "step_calls")
 
 
 def _feed(h, obj) -> None:
@@ -155,15 +159,30 @@ def _summary(result) -> str:
 
 
 def _count_rollouts(solver, counts: dict) -> None:
-    """Wrap ``solver.rollout`` so each call, each shifted one and each one
-    off the step-size ladder is counted."""
-    inner = solver.rollout
+    """Wrap ``solver.rollout`` so each call, each shifted one, each one off
+    the step-size ladder, and each rejected shifted try with the rollouts
+    it spent are counted.
 
-    def rollout(*args, **kwargs):
+    A shifted try is rejected exactly when its pass retries at T-bar: the
+    next rollout then reads the same sweep record at t0 = 0, while the
+    pass after an accepted shifted try makes a new record.
+    """
+    inner = solver.rollout
+    ladder = {"back": None, "rollouts": 0}
+
+    def rollout(model, back, **kwargs):
         counts["rollouts"] += 1
-        counts["shifted"] += kwargs["t0"] != 0
         counts["interpolated"] += kwargs["alpha"] not in solver._STEP_SIZES
-        return inner(*args, **kwargs)
+        if kwargs["t0"] != 0:
+            counts["shifted"] += 1
+            if back is not ladder["back"]:
+                ladder.update(back=back, rollouts=0)
+            ladder["rollouts"] += 1
+        elif back is ladder["back"]:
+            counts["rejected_shifts"] += 1
+            counts["rejected_rollouts"] += ladder["rollouts"]
+            ladder.update(back=None, rollouts=0)
+        return inner(model, back, **kwargs)
 
     solver.rollout = rollout
 
@@ -189,7 +208,7 @@ def fingerprint(tree: Path) -> str:
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
-    counts = {"rollouts": 0, "shifted": 0, "interpolated": 0, "step_calls": 0}
+    counts = dict.fromkeys(_COUNTS, 0)
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
     h = hashlib.sha256()
@@ -199,13 +218,11 @@ def fingerprint(tree: Path) -> str:
             _feed(digest, label)
             _feed(digest, result)
         _feed(plan, _plan(result))
-        print(f"{label}: {_summary(result)} rollouts={counts['rollouts']} "
-              f"shifted={counts['shifted']} "
-              f"interpolated={counts['interpolated']} "
-              f"step_calls={counts['step_calls']} "
+        tally = " ".join(f"{key}={counts[key]}" for key in _COUNTS)
+        print(f"{label}: {_summary(result)} {tally} "
               f"plan={plan.hexdigest()[:12]} digest={run.hexdigest()[:12]}",
               file=sys.stderr)
-        counts.update(rollouts=0, shifted=0, interpolated=0, step_calls=0)
+        counts.update(dict.fromkeys(_COUNTS, 0))
     return h.hexdigest()
 
 
