@@ -18,6 +18,16 @@ has a floor of at least gamma' and, by induction down from the terminal,
 the same successor, so a restart from the terminal would back it up to the
 same bits; the failed row is always backed up again.
 
+The same rule carries backups across solves.  A sweep keeps its blocks C,
+F and F2, its floors and the model it linearized.  A later sweep given it
+as ``reuse``, by the same model object and in the same mode, whose
+trajectory is the tail of the carried nominal to the bit (an MPC replan
+along the plan the previous solve ended on), linearizes only its new
+prefix knots.  It copies the blocks, values, gains and floors of the
+shared rows, and starts its backup at the highest row whose floor is not
+at least its gamma: the rows above it get the same bits as a sweep from
+the terminal, by the induction above.
+
 Each quadratic is one symmetric block in homogeneous coordinates, with a
 constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
 z = (dx, 1) the value is V(dx) = 1/2 z'Pz with
@@ -56,7 +66,7 @@ is then exact whatever the prefix states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,6 +200,10 @@ class BackwardResult:
     ``V_xx``, ``V_x`` and ``V_0``, and ``K``, ``k`` the gains of the N
     steps, so the policy at time t is
     ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
+    ``C``, ``F`` and ``F2`` are the knots' blocks (F2 None in first-order
+    mode), ``floors`` the gamma up to which each row's backup holds, and
+    ``model`` the model linearized: what a later sweep along the same
+    nominal tail reuses.
     """
 
     states: np.ndarray
@@ -199,6 +213,11 @@ class BackwardResult:
     k: np.ndarray
     gamma_used: float
     prefix_len: int
+    C: np.ndarray | None = None
+    F: np.ndarray | None = None
+    F2: np.ndarray | None = None
+    floors: list = field(default_factory=list)
+    model: SystemModel | None = None
 
     V_xx = property(lambda self: self.P[:, :-1, :-1])
     V_x = property(lambda self: self.P[:, -1, :-1])
@@ -346,7 +365,8 @@ def _linearize(model: SystemModel, states, controls, second_order):
     if controls.shape[0] == 0:
         # a per-knot expansion of no knots has no shape to build blocks from
         n, w = model.dim_x, model.dim_x + 1 + model.dim_u
-        return np.empty((0, w, w)), np.zeros((0, n + 1, w)), None
+        return (np.empty((0, w, w)), np.zeros((0, n + 1, w)),
+                np.zeros((0, n, w, w)) if second_order else None)
     C = _cost_block(expand_cost(model, states, controls))
     F, F2 = _dynamics_block(
         expand_dynamics(model, states, controls, second_order))
@@ -375,9 +395,23 @@ def _sweep_once(costs, dyns, gamma, out, top):
         raise
 
 
+def _shared_tail(reuse, model, traj: Trajectory, second_order) -> int:
+    """The row of ``reuse`` at which ``traj`` starts, when ``reuse``
+    linearized the same model object in the same mode and its nominal ends
+    in ``traj`` to the bit, or -1."""
+    if (reuse is None or reuse.model is not model
+            or (reuse.F2 is not None) != second_order):
+        return -1
+    r0 = reuse.controls.shape[0] - traj.horizon
+    if (r0 >= 0 and np.array_equal(reuse.controls[r0:], traj.controls)
+            and np.array_equal(reuse.states[r0:], traj.states)):
+        return r0
+    return -1
+
+
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
-                   gamma: float = GAMMA_MIN,
-                   second_order: bool = False) -> BackwardResult:
+                   gamma: float = GAMMA_MIN, second_order: bool = False,
+                   reuse: BackwardResult | None = None) -> BackwardResult:
     """Value expansions and gains for t from the terminal step down to -S.
 
     ``prefix`` is a (states, controls) pair of negative-time knots ordered
@@ -387,20 +421,29 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     each; on factorization failure gamma is escalated tenfold, and from at
     least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both and every
     backup above the highest knot the new gamma may lift (see the module
-    docstring).  Raises ExpansionError naming the derivative method that
-    gave a non-finite value.
+    docstring).  Given a carried sweep ``reuse`` whose nominal ends in
+    ``traj`` to the bit, by the same model object and in the same mode,
+    only the prefix knots are linearized, and the trajectory's rows are
+    copied from it under the same rule.  Raises ExpansionError naming the
+    derivative method that gave a non-finite value, and ValueError unless
+    gamma is finite and >= 0.
     """
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and >= 0")
     n, m = model.dim_x, model.dim_u
     pre_states, pre_controls = prefix
     pre_states = np.asarray(pre_states, dtype=float).reshape(-1, n)
     pre_controls = np.asarray(pre_controls, dtype=float).reshape(-1, m)
     if pre_states.shape[0] != pre_controls.shape[0]:
         raise ValueError("prefix states and controls must have equal length")
+    S = pre_states.shape[0]
     states = np.vstack([pre_states, traj.states])
     controls = np.vstack([pre_controls, traj.controls])
+    r0 = _shared_tail(reuse, model, traj, second_order)
+    lin = len(controls) if r0 < 0 else S
     phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
     terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
-    C, F, F2 = _linearize(model, states[:-1], controls, second_order)
+    C, F, F2 = _linearize(model, states[:lin], controls[:lin], second_order)
     # a non-finite derivative would fail every gamma; name it instead
     for name, block in (("running_cost_derivatives", C),
                         ("dynamics_jacobians", F),
@@ -408,17 +451,29 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
                         ("terminal_cost_derivatives", terminal.P)):
         if block is not None and not np.isfinite(block).all():
             raise ExpansionError(f"non-finite value from {name}")
-    for g, (x, u) in enumerate(zip(pre_states, pre_controls)):
-        F[g, :n, n] = model.step(x, u) - states[g + 1]
-    dyns = list(zip(F, [None] * len(F) if F2 is None else F2))
 
     P = np.empty((len(controls) + 1, n + 1, n + 1))
     P[-1] = terminal.P
     K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
     floors = [-math.inf] * len(controls)
-    top = len(controls) - 1
+    if r0 >= 0:
+        C = np.concatenate([C, reuse.C[r0:]])
+        F = np.concatenate([F, reuse.F[r0:]])
+        if second_order:
+            F2 = np.concatenate([F2, reuse.F2[r0:]])
+        P[S:-1], K[S:], k[S:] = reuse.P[r0:-1], reuse.K[r0:], reuse.k[r0:]
+        floors[S:] = reuse.floors[r0:]
+    for g, (x, u) in enumerate(zip(pre_states, pre_controls)):
+        F[g, :n, n] = model.step(x, u) - states[g + 1]
+    dyns = list(zip(F, [None] * len(F) if F2 is None else F2))
+
     g = float(gamma)
     while True:
+        # from the terminal down: a row kept from the carried sweep or
+        # through a retry may be lifted by this gamma, and a failed row's
+        # -inf ends the scan
+        top = next((i for i in range(len(floors) - 1, -1, -1)
+                    if not floors[i] >= g), -1)
         try:
             _sweep_once(C, dyns, g, (P, K, k, floors), top)
             break
@@ -427,10 +482,7 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
             if g > GAMMA_MAX:
                 raise BackwardSweepError(
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
-        # from the terminal down: a row kept through one retry may be lifted
-        # by the next gamma, and the failed row's -inf ends the scan
-        top = next(i for i in range(len(floors) - 1, -1, -1)
-                   if not floors[i] >= g)
 
     return BackwardResult(states=states, controls=controls, P=P, K=K, k=k,
-                          gamma_used=g, prefix_len=pre_states.shape[0])
+                          gamma_used=g, prefix_len=S, C=C, F=F, F2=F2,
+                          floors=floors, model=model)

@@ -223,10 +223,13 @@ def _episode_summary(model, log) -> dict:
         goal = np.asarray(goal, dtype=float)
         goal_distance = float(np.linalg.norm(log.final_state[:goal.size] - goal))
     times = [rec.solve_time for rec in log.steps]
+    stats = ((np.mean(times), *np.percentile(times, [50, 95]), max(times))
+             if times else (0.0,) * 4)
     return {"terminated": log.terminated, "steps": log.steps_used,
             "total_cost": log.total_cost,
             "final_goal_distance": goal_distance,
-            "mean_solve_time_s": float(np.mean(times)) if times else 0.0}
+            **{f"{name}_solve_time_s": float(value) for name, value
+               in zip(("mean", "p50", "p95", "max"), stats)}}
 
 
 def cmd_mpc(cfg: dict, out: Path, seed: int) -> int:

@@ -6,9 +6,14 @@ observed state to warm-start a budgeted solve against the current world
 snapshot, the first control is applied to the (possibly noisy) plant, and
 the episode ends once the plan's last control has been applied.  Each replan
 starts from the regularization and horizon trust radius the previous solve
-ended on.  Passing ``t_fixed`` runs the fixed receding-horizon baseline
-through the same loop: every replan solves at that horizon, and the episode
-runs to the step limit.
+ended on, and from the sweep it ended on when it stopped at the
+stationarity test.  Along a noise-free plan the observed state is then the
+plan's next state to the bit: the warm start is read off that sweep's rows,
+and the replan's first sweep backs up only its new prefix, keeping every
+row whose floor is at least its gamma, as a gamma retry does.  Passing
+``t_fixed`` runs the fixed receding-horizon baseline through the same
+loop: every replan solves at that horizon, and the episode runs to the
+step limit.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .backward import BackwardResult
 from .model import SystemModel, check_count, check_nonnegative
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import SolverConfig, optimize_trajectory
-from .trajectory import rollout_controls, initial_trajectory
+from .trajectory import Trajectory, rollout_controls, initial_trajectory
 
 
 @dataclass
@@ -75,16 +81,35 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
     return model
 
 
+def _warm_start(model: SystemModel, x0, controls: np.ndarray,
+                sweep: BackwardResult | None) -> Trajectory:
+    """The rollout of ``controls`` from ``x0``: the carried sweep's rows
+    from its plan's next knot on when they hold it to the bit (the same
+    model object, those controls and that state), else a new rollout."""
+    if sweep is not None and sweep.model is model:
+        g = sweep.prefix_len + 1
+        if (np.array_equal(controls, sweep.controls[g:])
+                and np.array_equal(x0, sweep.states[g])):
+            return Trajectory(states=sweep.states[g:],
+                              controls=sweep.controls[g:])
+    return rollout_controls(model, x0, controls)
+
+
 def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
-             cfg: MpcConfig, gamma: float, radius: float = math.inf):
+             cfg: MpcConfig, gamma: float, radius: float = math.inf,
+             sweep: BackwardResult | None = None):
     """One budgeted replan from the previous plan's remaining controls.
 
     The controls, with the last one held up to the solver's lower horizon
     bound, are rolled out from ``observed_x0`` to warm-start the solve.
     ``gamma`` and ``radius`` are the regularization level and horizon trust
     radius carried from the previous step, so neither is re-learned from
-    scratch every replan; ``info["gamma"]`` and ``info["radius"]`` are the
-    levels to carry on, and ``info["iterations"]`` and ``info["degraded"]``
+    scratch every replan.  ``sweep`` is the previous solve's final sweep,
+    or None: when ``observed_x0`` is its plan's next state to the bit, the
+    warm start is read off its rows instead of rolled out, and the solve's
+    first sweep reuses the rows it shares (see ``backward_sweep``).
+    ``info["gamma"]``, ``info["radius"]`` and ``info["sweep"]`` are what
+    to carry on, and ``info["iterations"]`` and ``info["degraded"]``
     describe the replan.  Returns
     (action, new_controls, new_horizon, info).  When the replan raises
     ``FloatingPointError`` (a non-finite state, or an ``ExpansionError``)
@@ -96,15 +121,16 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     if short > 0:
         controls = np.pad(controls, ((0, short), (0, 0)), mode="edge")
     try:
-        warm = rollout_controls(model_snapshot, observed_x0, controls)
+        warm = _warm_start(model_snapshot, observed_x0, controls, sweep)
         result = optimize_trajectory(model_snapshot, warm, inner_cfg, gamma,
-                                     radius)
+                                     radius, sweep=sweep)
         info = {"iterations": result.iterations, "degraded": False,
-                "gamma": result.gamma_final, "radius": result.radius_final}
+                "gamma": result.gamma_final, "radius": result.radius_final,
+                "sweep": result.sweep}
         controls = result.trajectory.controls
     except FloatingPointError:
         info = {"iterations": 0, "degraded": True, "gamma": gamma,
-                "radius": radius}
+                "radius": radius, "sweep": None}
     return controls[0], controls, controls.shape[0], info
 
 
@@ -142,7 +168,7 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
                               t_fixed or cfg.initial_horizon or (lo + hi) // 2)
     first = optimize_trajectory(snapshot, init, cfg.solver)
     controls = first.trajectory.controls
-    gamma, radius = first.gamma_final, first.radius_final
+    gamma, radius, sweep = first.gamma_final, first.radius_final, first.sweep
     sim_time = 0.0
 
     while len(log.steps) < cfg.step_limit:
@@ -153,9 +179,9 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
 
         tic = time.perf_counter()
         action, controls, t_bar, info = mpc_step(controls, x, snapshot, cfg,
-                                                 gamma, radius)
+                                                 gamma, radius, sweep)
         solve_time = time.perf_counter() - tic
-        gamma, radius = info["gamma"], info["radius"]
+        gamma, radius, sweep = info["gamma"], info["radius"], info["sweep"]
 
         running = snapshot.running_cost(x, action)
         log.steps.append(StepRecord(

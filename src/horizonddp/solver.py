@@ -139,7 +139,12 @@ class SolverResult:
     adapt: a pass prices down to T-bar - ``window_s``, or down to the
     lower bound right after an accepted move onto that edge.
     ``gamma_final`` and ``radius_final`` are the levels the solve ended on,
-    for a warm-started replan to start from.
+    for a warm-started replan to start from.  ``sweep`` is the last pass's
+    :class:`BackwardResult` when the solve ended at the stationarity test,
+    so that its nominal is the returned trajectory, and None otherwise: a
+    replan along that trajectory's tail passes it on, and its first sweep
+    copies the rows it shares, as a gamma retry keeps the rows above the
+    first knot the new gamma may lift.
     """
 
     trajectory: Trajectory
@@ -151,6 +156,7 @@ class SolverResult:
     trace: list = field(default_factory=list)
     gamma_final: float = 0.0
     radius_final: float = math.inf
+    sweep: BackwardResult | None = None
 
 
 class Prefix:
@@ -301,7 +307,8 @@ def _rest_ruled_out(J: float, rungs, rest) -> bool:
 def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         cfg: SolverConfig,
                         gamma: float = GAMMA_MIN,
-                        radius: float = math.inf) -> SolverResult:
+                        radius: float = math.inf,
+                        sweep: BackwardResult | None = None) -> SolverResult:
     """Outer loop: sweep, select horizon, line-searched forward pass.
 
     Iterations count outer passes (one backward sweep each).  Convergence
@@ -318,7 +325,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     previous solve's ``radius_final``, widened once by ``_RADIUS_REGROWTH``
     here.  The default, infinity, admits every priced horizon until a
     shifted try is rejected, and a doubling keeps it infinite.  It must be
-    > 0, or no horizon would be admissible.
+    > 0, or no horizon would be admissible.  ``sweep`` is the previous
+    solve's ``SolverResult.sweep``; the first pass's sweep reuses the rows
+    it shares with it (see ``backward_sweep``).
     """
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):
@@ -339,9 +348,11 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         prefix = extend_backward(model, traj, cfg.window_s)
+        reuse, sweep = sweep, None
         try:
             back = backward_sweep(model, traj, (prefix.states, prefix.controls),
-                                  gamma=gamma, second_order=cfg.second_order)
+                                  gamma=gamma, second_order=cfg.second_order,
+                                  reuse=reuse)
         except BackwardSweepError:
             status = "backward_failure"
             break
@@ -371,6 +382,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                 and (J - candidates[t_bar - lo].J_T)
                 < cfg.convergence_tol * scale):
             status = "converged"
+            sweep = back
             break
 
         # a mispriced shifted horizon is retried at T-bar before gamma rises
@@ -446,4 +458,5 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     return SolverResult(trajectory=traj, t_star=t_bar, cost=J,
                         iterations=iterations,
                         converged=status == "converged", status=status,
-                        trace=trace, gamma_final=gamma, radius_final=radius)
+                        trace=trace, gamma_final=gamma, radius_final=radius,
+                        sweep=sweep)

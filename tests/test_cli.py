@@ -412,6 +412,27 @@ def test_mpc_command(tmp_path):
         assert len(log["steps"][0]["action"]) == 2
 
 
+def test_mpc_summary_reports_solve_time_percentiles(tmp_path):
+    # each episode's replan solve times at p50, p95 and max, beside the mean
+    doc = {"model": {"model": "pointmass_nav", "c_t": 5.0},
+           "solver": {"horizon_bounds": [1, 40], "window_s": 5},
+           "x0": [0.0, 0.0, 0.0, 0.0], "initial_horizon": 20,
+           "step_limit": 30, "receding_horizon": 10}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["mpc", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "mpc_summary.json").read_text())
+    for name in ("optimal", "receding"):
+        log = json.loads((out / f"episode_{name}.json").read_text())
+        times = [step["solve_time"] for step in log["steps"]]
+        assert len(times) > 1
+        entry = summary[name]
+        assert entry["mean_solve_time_s"] == np.mean(times)
+        assert entry["p50_solve_time_s"] == np.percentile(times, 50)
+        assert entry["p95_solve_time_s"] == np.percentile(times, 95)
+        assert entry["max_solve_time_s"] == max(times)
+
+
 def test_write_json_encodes_numpy_and_dataclasses(tmp_path):
     path = tmp_path / "doc.json"
     _write_json(path, {

@@ -1,6 +1,8 @@
 """Closed-loop episode driver: termination, determinism, degraded steps."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,11 +12,13 @@ from conftest import nan_derivative_cartpole, random_lq
 from horizonddp import (CartpoleModel, ExpansionError, MpcConfig,
                         PointMassNavModel, QuadrotorModel, SolverConfig,
                         initial_trajectory, mpc_step, optimize_trajectory,
-                        run_episode)
+                        rollout_controls, run_episode)
+import horizonddp.backward as backward_mod
 import horizonddp.mpc as mpc_mod
 import horizonddp.solver as solver_mod
 from horizonddp.backward import GAMMA_MIN
 from test_acceptance import nav_scenario
+from test_backward import assert_same_sweep
 
 
 def lq_mpc_setup(rng, c_t=0.05):
@@ -158,9 +162,11 @@ def test_replan_holds_last_control_up_to_lower_bound(rng, monkeypatch):
     x = rng.standard_normal(model.dim_x)
     warm_starts = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
+                  sweep=None):
         warm_starts.append(initial)
-        return optimize_trajectory(model, initial, cfg, gamma, radius)
+        return optimize_trajectory(model, initial, cfg, gamma, radius,
+                                   sweep=sweep)
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
     action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg,
@@ -205,8 +211,10 @@ def test_gamma_carries_between_steps(monkeypatch):
     model, cfg = nav_scenario()
     solves = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
-        result = optimize_trajectory(model, initial, cfg, gamma, radius)
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
+                  sweep=None):
+        result = optimize_trajectory(model, initial, cfg, gamma, radius,
+                                     sweep=sweep)
         solves.append((gamma, result.gamma_final))
         return result
 
@@ -225,8 +233,10 @@ def test_trust_radius_carries_between_steps(monkeypatch):
     model, cfg = nav_scenario()
     solves = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
-        result = optimize_trajectory(model, initial, cfg, gamma, radius)
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
+                  sweep=None):
+        result = optimize_trajectory(model, initial, cfg, gamma, radius,
+                                     sweep=sweep)
         solves.append((radius, result))
         return result
 
@@ -257,8 +267,10 @@ def test_carried_radius_regrows_after_rejected_replans(monkeypatch):
             return None, math.inf
         return rollout(model, back, t0=t0, alpha=alpha, x0=x0)
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf):
-        result = optimize_trajectory(model, initial, cfg, gamma, radius)
+    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
+                  sweep=None):
+        result = optimize_trajectory(model, initial, cfg, gamma, radius,
+                                     sweep=sweep)
         solves.append(result)
         return result
 
@@ -308,3 +320,181 @@ def test_config_and_mode_validation(rng):
     with pytest.raises(ValueError, match="horizon_bounds"):
         run_episode(model, np.zeros(model.dim_x), MpcConfig(
             solver=SolverConfig(horizon_bounds=(10, 60), window_s=5)))
+
+
+# ---------------------------------------------------------------------------
+# the sweep carried between replans
+# ---------------------------------------------------------------------------
+
+
+def quadrotor_episode():
+    """The noise-free MPC episode from the criterion-5 quadrotor start."""
+    x0 = np.concatenate([[1.5, 1.0, -1.0], np.zeros(9)])
+    return QuadrotorModel(c_t=1.0), x0, MpcConfig(
+        solver=SolverConfig(horizon_bounds=(1, 150), window_s=10),
+        inner_iterations=5, step_limit=200, initial_horizon=40)
+
+
+def cartpole_episode(c_t, second_order=False):
+    """A noise-free swing-up episode of the cartpole-sweep workload."""
+    return CartpoleModel(c_t=c_t), np.zeros(4), MpcConfig(
+        solver=SolverConfig(horizon_bounds=(1, 400), window_s=10,
+                            max_iterations=300, second_order=second_order),
+        inner_iterations=5, step_limit=500, initial_horizon=150)
+
+
+def noise_free_nav_episode():
+    model, cfg = nav_scenario()
+    return model, np.zeros(4), replace(cfg, noise_scale=0.0)
+
+
+def without_carried_sweeps(monkeypatch):
+    """Solve every replan with no sweep carried in or out."""
+    def forgetful(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
+                  sweep=None):
+        return replace(optimize_trajectory(model, initial, cfg, gamma, radius),
+                       sweep=None)
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", forgetful)
+
+
+def checking_carried_sweeps(monkeypatch):
+    """Check every sweep given a carried one against a fresh sweep, and every
+    warm start against ``rollout_controls``; count the replans, the sweeps
+    given a carried one, those that reused its rows, and the warm starts
+    rolled out."""
+    counts = Counter()
+    sweep_fn, linearize = solver_mod.backward_sweep, backward_mod._linearize
+    linearized = []
+
+    def counting_linearize(model, states, controls, second_order):
+        linearized.append(controls.shape[0])
+        return linearize(model, states, controls, second_order)
+
+    def checked(model, traj, prefix, gamma=GAMMA_MIN, second_order=False,
+                reuse=None):
+        back = sweep_fn(model, traj, prefix, gamma=gamma,
+                        second_order=second_order, reuse=reuse)
+        if reuse is not None:
+            counts["carried"] += 1
+            counts["reused"] += linearized[-1] < back.controls.shape[0]
+            assert_same_sweep(back, sweep_fn(model, traj, prefix, gamma=gamma,
+                                             second_order=second_order))
+        return back
+
+    def replan(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
+               sweep=None):
+        counts["solves"] += 1
+        rolled = rollout_controls(model, initial.states[0], initial.controls)
+        npt.assert_array_equal(initial.states, rolled.states)
+        npt.assert_array_equal(initial.controls, rolled.controls)
+        return optimize_trajectory(model, initial, cfg, gamma, radius,
+                                   sweep=sweep)
+
+    def counting_rollout(model, x0, controls):
+        counts["rolled_out"] += 1
+        return rollout_controls(model, x0, controls)
+
+    monkeypatch.setattr(backward_mod, "_linearize", counting_linearize)
+    monkeypatch.setattr(solver_mod, "backward_sweep", checked)
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", replan)
+    monkeypatch.setattr(mpc_mod, "rollout_controls", counting_rollout)
+    return counts
+
+
+def assert_same_episode(a, b):
+    assert a.steps_used == b.steps_used and a.total_cost == b.total_cost
+    for ra, rb in zip(a.steps, b.steps):
+        npt.assert_array_equal(ra.state, rb.state)
+        npt.assert_array_equal(ra.action, rb.action)
+        assert ra.planned_horizon == rb.planned_horizon
+        assert ra.inner_iterations == rb.inner_iterations
+    npt.assert_array_equal(a.final_state, b.final_state)
+
+
+@pytest.mark.parametrize("build,carried,reused", [
+    (quadrotor_episode, 31, 31),
+    (lambda: cartpole_episode(10.0), 29, 29),
+    (lambda: cartpole_episode(30.0), 22, 22),
+    (lambda: cartpole_episode(10.0, second_order=True), 30, 30),
+    (noise_free_nav_episode, 30, 0)],
+    ids=["quadrotor", "cartpole-10", "cartpole-30", "cartpole-ddp", "nav"])
+def test_carried_sweep_is_a_fresh_sweep(build, carried, reused, monkeypatch):
+    # along a noise-free plan a replan's warm start and first sweep are
+    # read off the sweep the previous solve ended on, to the bit, and the
+    # episode is the one solved without carrying it.  Every replan after a
+    # solve that ended at the stationarity test carries its sweep; the nav
+    # planner sees a new snapshot model every step, so it never reuses one
+    model, x0, cfg = build()
+    without_carried_sweeps(monkeypatch)
+    reference = run_episode(model, x0, cfg)
+    monkeypatch.undo()
+    counts = checking_carried_sweeps(monkeypatch)
+    log = run_episode(model, x0, cfg)
+    assert_same_episode(log, reference)
+    assert not any(rec.degraded for rec in log.steps)
+    assert counts["solves"] == log.steps_used + 1
+    assert counts["carried"] == carried and counts["reused"] == reused
+    assert counts["rolled_out"] == log.steps_used - reused
+
+
+def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
+    # a replan from a state one ulp away from the carried plan rolls its
+    # warm start out and backs up every knot, as a replan carrying nothing
+    model, x0, cfg = quadrotor_episode()
+    replans = []
+    step = mpc_mod.mpc_step
+
+    def recording(controls, x, snapshot, cfg, gamma, radius, sweep):
+        out = step(controls, x, snapshot, cfg, gamma, radius, sweep)
+        replans.append((x, out))
+        return out
+
+    monkeypatch.setattr(mpc_mod, "mpc_step", recording)
+    run_episode(model, x0, cfg)
+    monkeypatch.undo()
+    # the first replan that carries its sweep on
+    x, (action, plan, _, info) = next(
+        replan for replan in replans if replan[1][3]["sweep"] is not None)
+    assert plan.shape[0] > 10
+    sweep, gamma, radius = info["sweep"], info["gamma"], info["radius"]
+    npt.assert_array_equal(sweep.controls[sweep.prefix_len:], plan)
+    x1 = model.step(x, action)
+    nudged = x1.copy()
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+    counts = checking_carried_sweeps(monkeypatch)
+    for x, reused in ((x1, 1), (nudged, 0)):
+        counts.clear()
+        action, controls, t_bar, info = mpc_step(plan[1:], x, model, cfg,
+                                                 gamma, radius, sweep)
+        assert counts["reused"] == reused
+        assert counts["rolled_out"] == 1 - reused
+        ref = mpc_step(plan[1:], x, model, cfg, gamma, radius)
+        npt.assert_array_equal(action, ref[0])
+        npt.assert_array_equal(controls, ref[1])
+        assert t_bar == ref[2]
+        assert {key: info[key] for key in ("iterations", "gamma", "radius")} \
+            == {key: ref[3][key] for key in ("iterations", "gamma", "radius")}
+
+
+def test_quadrotor_episode_work_counts(monkeypatch):
+    # the criterion-5 quadrotor episode backs up 1309 knots and takes 2435
+    # model steps when every replan rolls out its warm start and backs up
+    # every knot; the carried sweep spares 496 of each
+    counts = Counter()
+    q_expansion, step = backward_mod.q_expansion, QuadrotorModel.step
+
+    def counting_q_expansion(C, dyn, nxt):
+        counts["backups"] += 1
+        return q_expansion(C, dyn, nxt)
+
+    def counting_step(self, x, u):
+        counts["steps"] += 1
+        return step(self, x, u)
+
+    monkeypatch.setattr(backward_mod, "q_expansion", counting_q_expansion)
+    monkeypatch.setattr(QuadrotorModel, "step", counting_step)
+    model, x0, cfg = quadrotor_episode()
+    log = run_episode(model, x0, cfg)
+    assert log.steps_used == 34
+    assert counts == {"backups": 813, "steps": 1939}

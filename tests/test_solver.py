@@ -1,5 +1,7 @@
 """Outer loop: prefix extension, candidate pricing, horizon selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -92,6 +94,38 @@ def test_radius_argument_regrows_once_and_is_returned():
     res = optimize_trajectory(m, init, cfg)
     assert res.trace[0]["trust_radius"] == np.inf
     assert res.radius_final == np.inf
+
+
+def test_result_carries_the_sweep_of_a_stationary_end(monkeypatch):
+    # only a solve that ends at the stationarity test returns its last
+    # sweep, whose nominal is the returned trajectory; a carried sweep goes
+    # to the first pass alone
+    m = DoubleIntegratorModel()
+    init = initial_trajectory(m, np.array([1.0, 0.0]), 20)
+    # a window of 2 walks from T = 20 to the lower edge, then to T* = 1
+    cfg = SolverConfig(horizon_bounds=(1, 40), window_s=2)
+    for max_iterations in (1, 100):
+        res = optimize_trajectory(
+            m, init, replace(cfg, max_iterations=max_iterations))
+        assert res.trace[-1]["accepted"] and res.sweep is None
+    assert res.status == "converged" and res.iterations == 2
+    again = optimize_trajectory(m, res.trajectory, cfg)
+    assert again.iterations == 1 and not again.trace[0]["accepted"]
+    sweep = again.sweep
+    npt.assert_array_equal(sweep.states[sweep.prefix_len:],
+                           again.trajectory.states)
+    npt.assert_array_equal(sweep.controls[sweep.prefix_len:],
+                           again.trajectory.controls)
+    carried = []
+    backward_sweep = solver_mod.backward_sweep
+
+    def recording(*args, reuse=None, **kwargs):
+        carried.append(reuse)
+        return backward_sweep(*args, reuse=reuse, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "backward_sweep", recording)
+    optimize_trajectory(m, init, cfg, sweep=sweep)
+    assert carried == [sweep, None]
 
 
 def test_config_from_json_rejects_unknown_fields():

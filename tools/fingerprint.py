@@ -23,7 +23,8 @@ line-search rollouts the run made, how many of them rolled out a shifted
 horizon (t0 != 0), how many rolled out the tail's interpolated step size
 (an alpha not in ``solver._STEP_SIZES``), how many shifted tries were
 rejected and how many rollouts those tries spent, the model ``step`` calls
-the run made, the first 12 hex digits of the digest of the run's answer
+the run made, its knot backups (``backward.q_expansion`` calls), the
+first 12 hex digits of the digest of the run's answer
 (``plan``: a solve's trajectory, or an episode's step states, actions and
 planned horizons and its final state) and those of the run's own digest;
 the digest of all runs goes to stdout.  The counts are reported, not hashed.
@@ -31,10 +32,10 @@ the digest of all runs goes to stdout.  The counts are reported, not hashed.
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts, shifted and interpolated rollouts, rejected shifted tries and
-their rollouts, and step calls, with the relative gap between their final
-costs, the two plan digests and the two run digests, so that a moved
-total digest can be traced to its runs, and a moved run digest to the
-answer or only to the trace.  The exit status is 1 when a count differs or
+their rollouts, step calls and knot backups, with the relative gap
+between their final costs, the two plan digests and the two run digests,
+so that a moved total digest can be traced to its runs, and a moved run
+digest to the answer or only to the trace.  The exit status is 1 when a count differs or
 a gap exceeds 1e-12; plan or run digests that differ do not change it.
 """
 
@@ -53,7 +54,7 @@ import numpy as np
 _SKIP_FIELDS = {"solve_time"}
 # the per-run counts of the summary line, reset between runs
 _COUNTS = ("rollouts", "shifted", "interpolated", "rejected_shifts",
-           "rejected_rollouts", "step_calls")
+           "rejected_rollouts", "step_calls", "backups")
 
 
 def _feed(h, obj) -> None:
@@ -200,9 +201,22 @@ def _count_steps(models, counts: dict) -> None:
         cls.step = step
 
 
+def _count_backups(backward, counts: dict) -> None:
+    """Wrap ``backward.q_expansion``, which the sweep calls once per knot it
+    backs up, so each knot backup is counted."""
+    inner = backward.q_expansion
+
+    def q_expansion(C, dyn, nxt):
+        counts["backups"] += 1
+        return inner(C, dyn, nxt)
+
+    backward.q_expansion = q_expansion
+
+
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
+    import horizonddp.backward
     import horizonddp.models
     import horizonddp.solver
 
@@ -211,6 +225,7 @@ def fingerprint(tree: Path) -> str:
     counts = dict.fromkeys(_COUNTS, 0)
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
+    _count_backups(horizonddp.backward, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
         run, plan = hashlib.sha256(), hashlib.sha256()
