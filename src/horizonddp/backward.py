@@ -226,9 +226,10 @@ class BackwardResult:
     def value_at(self, t: int) -> ValueExpansion:
         return ValueExpansion.of_block(self.P[t + self.prefix_len])
 
-    def max_feedforward(self, t0: int = 0) -> float:
-        """Largest ||k_t||_inf over the policy from t0 onward."""
-        return float(np.max(np.abs(self.k[t0 + self.prefix_len:]), initial=0.0))
+    def max_feedforward(self) -> float:
+        """Largest ||k_t||_inf over the nominal's own steps, t >= 0: the
+        feedforward of the policy at T-bar, without the prefix."""
+        return float(np.max(np.abs(self.k[self.prefix_len:]), initial=0.0))
 
 
 def q_expansion(C: np.ndarray, dyn, nxt: ValueExpansion) -> QExpansion:

@@ -141,8 +141,9 @@ class SolverResult:
     ``gamma_final`` and ``radius_final`` are the levels the solve ended on,
     for a warm-started replan to start from.  ``sweep`` is the last pass's
     :class:`BackwardResult` when the solve ended at the stationarity test,
-    so that its nominal is the returned trajectory, and None otherwise: a
-    replan along that trajectory's tail passes it on, and its first sweep
+    so that its nominal is the returned trajectory, and None otherwise; a
+    converged solve carries it unless it ended on an exact step.  A replan
+    along that trajectory's tail passes it on, and its first sweep
     copies the rows it shares, as a gamma retry keeps the rows above the
     first knot the new gamma may lift.
     """
@@ -312,10 +313,13 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     """Outer loop: sweep, select horizon, line-searched forward pass.
 
     Iterations count outer passes (one backward sweep each).  Convergence
-    is declared when the sweep is stationary at the selected horizon, or
-    when an accepted full step was predicted exactly by the quadratic
-    model, or when the relative cost decrease and feedforward gains both
-    drop below tolerance.
+    is declared in one of two ways: before any rollout, when the sweep is
+    stationary at T-bar (T-bar selected, feedforward below ``k_tol``, and
+    T-bar's price within ``convergence_tol`` relative of J); or right after
+    an accepted full step that lands on its sweep's price to rounding, the
+    quadratic model being exact there, unless it landed on an end of the
+    window its pass priced.  A small decrease alone ends nothing: the
+    solve goes on until its sweep is stationary.
 
     ``gamma`` is the Q_uu regularization the first sweep starts from; a
     warm-started replan passes the previous solve's ``gamma_final``.  The
@@ -361,10 +365,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         candidates = evaluate_candidates(back, cfg.horizon_bounds,
                                          t_bar if lift else cfg.window_s,
                                          radius)
-        # the window's top edge is where a full prefix reaches, so a pass
-        # with an empty prefix never selects a horizon on it
-        lo = candidates[0].T
-        hi = min(t_max, t_bar + cfg.window_s)
+        lo, hi = candidates[0].T, candidates[-1].T
         t_tried = select_horizon(candidates, t_bar)
         record = {
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
@@ -378,7 +379,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         # at a window edge only where that edge is a bound or the prefix is
         # empty)
         scale = max(1.0, abs(J))
-        if (t_tried == t_bar and back.max_feedforward(0) < cfg.k_tol
+        if (t_tried == t_bar and back.max_feedforward() < cfg.k_tol
                 and (J - candidates[t_bar - lo].J_T)
                 < cfg.convergence_tol * scale):
             status = "converged"
@@ -423,12 +424,13 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             continue
 
         rel = (J - j_new) / scale
-        # settled tail (see the module docstring): only the feedforward
-        # test keeps the solve going, so try the quadratic's minimizer once
+        # settled tail (see the module docstring): unless the step is
+        # exact, the solve goes on until a sweep is stationary, so try the
+        # quadratic's minimizer once
         if alpha == 1.0 and t_star == t_bar and rel < cfg.convergence_tol:
             s = 2.0 * (J - candidates[t_bar - lo].J_T)
             c = 2.0 * (j_new - J + s)
-            if c > 0 and (abs(s / c - 1.0) * back.max_feedforward(0)
+            if c > 0 and (abs(s / c - 1.0) * back.max_feedforward()
                           >= cfg.k_tol):
                 alpha_star = s / c
                 step_traj, j_step = rollout(model, back, t0=0,
@@ -444,14 +446,11 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         # pass only; a lifted pass's edge is t_min, and with window_s = 0
         # the edge is T-bar, so neither lifts
         lift = t_min < t_star == lo < t_bar
-        at_window_edge = lift or (cfg.window_s > 0 and t_star == hi < t_max)
-        t0 = t_bar - t_star
+        at_window_edge = lift or t_bar < t_star == hi < t_max
         traj, J, t_bar = new_traj, j_new, t_star
         record.update(alpha=alpha, accepted=True, j=J)
         gamma = max(gamma / 2.0, GAMMA_MIN)
-        if not at_window_edge and (
-                exact_model or (rel < cfg.convergence_tol
-                                and back.max_feedforward(t0) < cfg.k_tol)):
+        if exact_model and not at_window_edge:
             status = "converged"
             break
 

@@ -474,7 +474,7 @@ def test_expected_improvement_nonpositive_off_optimum(rng):
     back = backward_sweep(model, traj, empty_prefix(model), gamma=0.0)
     # V_0 at t = 0 is the cost the alpha = 1 step predicts from x0
     assert back.value_at(0).V_0 < trajectory_cost(model, traj)
-    assert back.max_feedforward(0) > 0.0
+    assert back.max_feedforward() > 0.0
 
 
 class ConcaveControl(LinearQuadraticModel):

@@ -128,6 +128,33 @@ def test_result_carries_the_sweep_of_a_stationary_end(monkeypatch):
     assert carried == [sweep, None]
 
 
+@pytest.mark.parametrize("tol, J, iterations", [
+    (1e-4, 82.40442581452723, 7),
+    (1e-3, 82.4261276536489, 5),
+], ids=["1e-4", "1e-3"])
+def test_small_decrease_alone_does_not_end_a_solve(tol, J, iterations):
+    # criterion-5 start with a loose k_tol: the last accepted step lowers J
+    # by less than tol and is not exact, so the solve ends one pass later,
+    # at a stationary sweep that it returns
+    from horizonddp import QuadrotorModel
+
+    m = QuadrotorModel(c_t=1.0)
+    x0 = np.zeros(12)
+    x0[:3] = [1.5, 1.0, -1.0]
+    cfg = SolverConfig(horizon_bounds=(5, 150), window_s=10,
+                       convergence_tol=tol, k_tol=0.1)
+    res = optimize_trajectory(m, initial_trajectory(m, x0, 40), cfg)
+    assert res.converged and not res.trace[-1]["accepted"]
+    sweep = res.sweep
+    assert sweep is not None
+    npt.assert_array_equal(sweep.states[sweep.prefix_len:],
+                           res.trajectory.states)
+    npt.assert_array_equal(sweep.controls[sweep.prefix_len:],
+                           res.trajectory.controls)
+    assert res.t_star == 34
+    assert (res.cost, res.iterations) == (J, iterations)
+
+
 def test_config_from_json_rejects_unknown_fields():
     cfg = SolverConfig.from_json({"window_s": 4, "horizon_bounds": [2, 9]})
     assert cfg.window_s == 4 and cfg.horizon_bounds == (2, 9)

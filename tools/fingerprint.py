@@ -23,20 +23,25 @@ line-search rollouts the run made, how many of them rolled out a shifted
 horizon (t0 != 0), how many rolled out the tail's interpolated step size
 (an alpha not in ``solver._STEP_SIZES``), how many shifted tries were
 rejected and how many rollouts those tries spent, the model ``step`` calls
-the run made, its knot backups (``backward.q_expansion`` calls), the
-first 12 hex digits of the digest of the run's answer
-(``plan``: a solve's trajectory, or an episode's step states, actions and
-planned horizons and its final state) and those of the run's own digest;
-the digest of all runs goes to stdout.  The counts are reported, not hashed.
+the run made, its knot backups (``backward.q_expansion`` calls), how its
+converged solves ended (``stationary``: the last trace record was not
+accepted, so the solve stopped at a stationary sweep; ``stepped``: it
+was, so the solve stopped on an exact step; an episode counts its first
+solve and every replan), the first 12 hex digits of the digest of the
+run's answer (``plan``: a solve's trajectory, or an episode's step states,
+actions and planned horizons and its final state) and those of the run's
+own digest; the digest of all runs goes to stdout.  The counts are
+reported, not hashed.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts, shifted and interpolated rollouts, rejected shifted tries and
-their rollouts, step calls and knot backups, with the relative gap
-between their final costs, the two plan digests and the two run digests,
-so that a moved total digest can be traced to its runs, and a moved run
-digest to the answer or only to the trace.  The exit status is 1 when a count differs or
-a gap exceeds 1e-12; plan or run digests that differ do not change it.
+their rollouts, step calls, knot backups and stationary and stepped ends,
+with the relative gap between their final costs, the two plan digests and
+the two run digests, so that a moved total digest can be traced to its
+runs, and a moved run digest to the answer or only to the trace.  The exit
+status is 1 when a count differs or a gap exceeds 1e-12; plan or run
+digests that differ do not change it.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ import numpy as np
 _SKIP_FIELDS = {"solve_time"}
 # the per-run counts of the summary line, reset between runs
 _COUNTS = ("rollouts", "shifted", "interpolated", "rejected_shifts",
-           "rejected_rollouts", "step_calls", "backups")
+           "rejected_rollouts", "step_calls", "backups", "stationary",
+           "stepped")
 
 
 def _feed(h, obj) -> None:
@@ -213,11 +219,31 @@ def _count_backups(backward, counts: dict) -> None:
     backward.q_expansion = q_expansion
 
 
+def _count_ends(modules, counts: dict) -> None:
+    """Wrap ``optimize_trajectory`` at each module's binding (the package's,
+    which the one-shot runs call, and ``mpc``'s, which an episode calls for
+    its first solve and every replan), so each converged solve is counted
+    as ``stepped`` when its last trace record was accepted, and as
+    ``stationary`` otherwise."""
+    for module in modules:
+        inner = module.optimize_trajectory
+
+        def optimize_trajectory(*args, inner=inner, **kwargs):
+            result = inner(*args, **kwargs)
+            if result.converged:
+                accepted = result.trace[-1]["accepted"]
+                counts["stepped" if accepted else "stationary"] += 1
+            return result
+
+        module.optimize_trajectory = optimize_trajectory
+
+
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
     import horizonddp.backward
     import horizonddp.models
+    import horizonddp.mpc
     import horizonddp.solver
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
@@ -226,6 +252,7 @@ def fingerprint(tree: Path) -> str:
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
     _count_backups(horizonddp.backward, counts)
+    _count_ends((hd, horizonddp.mpc), counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
         run, plan = hashlib.sha256(), hashlib.sha256()
