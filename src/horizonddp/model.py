@@ -9,7 +9,10 @@ Non-finite values follow one policy.  An evaluation that turns non-finite
 raises ``FloatingPointError``; ``ExpansionError`` is the one a derivative
 expansion raises, naming the method that produced the value.  A rollout
 turns it into an infinite cost, a negative-time prefix into an empty one,
-and an MPC replan into a degraded step.
+and an MPC replan into a degraded step.  A differenced expansion takes its
+slopes through one central-difference routine, evaluates all of its points
+and tests its result once: an infinite value on both sides of a point
+differences to a NaN, which that one test rejects.
 """
 
 from __future__ import annotations
@@ -207,90 +210,81 @@ class DynamicsExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _h_first(v: np.ndarray) -> np.ndarray:
-    return np.maximum(FD_STEP_FIRST, FD_STEP_FIRST * np.abs(v))
-
-
-def _h_second(v: np.ndarray) -> np.ndarray:
-    return np.maximum(FD_STEP_SECOND, FD_STEP_SECOND * np.abs(v))
-
-
 def _require_finite(value, what: str):
     if not np.all(np.isfinite(value)):
         raise ExpansionError(f"non-finite value while evaluating {what}")
     return value
 
 
-def _fd_jacobian(fun, v, what):
-    """Central-difference Jacobian of a function of a vector; of a scalar
-    function, its gradient."""
+def _slopes(fun, v, rel):
+    """Central differences of ``fun`` along each coordinate k of v's last
+    axis, with step h_k = max(rel, rel*|v_k|), stacked on a new last axis:
+    the Jacobian of a function of a vector, or a scalar function's
+    gradient.  v may carry leading knot axes, which ``fun`` keeps in front
+    of its own."""
     v = np.asarray(v, dtype=float)
-    h = _h_first(v)
+    h = np.maximum(rel, rel * np.abs(v))
     cols = []
-    for i in range(v.size):
-        e = np.zeros(v.size)
-        e[i] = h[i]
-        fp = _require_finite(np.asarray(fun(v + e), dtype=float), f"{what} at +e_{i}")
-        fm = _require_finite(np.asarray(fun(v - e), dtype=float), f"{what} at -e_{i}")
-        cols.append((fp - fm) / (2.0 * h[i]))
+    # an inf on both sides differences to the NaN the caller's test rejects
+    with np.errstate(invalid="ignore"):
+        for k in range(v.shape[-1]):
+            e = np.zeros_like(v)
+            e[..., k] = h[..., k]
+            fp, fm = (np.asarray(fun(p), dtype=float) for p in (v + e, v - e))
+            # 2 h_k per knot, broadcast over the axes of fun's value
+            step = 2.0 * h[..., k].reshape(h.shape[:-1]
+                                           + (1,) * (fp.ndim - v.ndim + 1))
+            cols.append((fp - fm) / step)
     return np.stack(cols, axis=-1)
 
 
-def _fd_hessian(fun, v, what):
-    """Central-difference Hessian of a scalar function of a vector."""
+def _fd_hessian(fun, v):
+    """Central-difference Hessian of a scalar function of a vector, by the
+    four-point stencil with steps max(FD_STEP_SECOND, FD_STEP_SECOND*|v_i|)."""
     v = np.asarray(v, dtype=float)
     n = v.size
-    h = _h_second(v)
-    f0 = _require_finite(fun(v), f"{what} at nominal")
+    h = np.maximum(FD_STEP_SECOND, FD_STEP_SECOND * np.abs(v))
+    f0 = fun(v)
     H = np.zeros((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        fpp = _require_finite(fun(v + ei), f"{what} at +e_{i}")
-        fmm = _require_finite(fun(v - ei), f"{what} at -e_{i}")
-        H[i, i] = (fpp - 2.0 * f0 + fmm) / (h[i] ** 2)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            fpq = _require_finite(fun(v + ei + ej), f"{what} at +e_{i}+e_{j}")
-            fpm = _require_finite(fun(v + ei - ej), f"{what} at +e_{i}-e_{j}")
-            fmp = _require_finite(fun(v - ei + ej), f"{what} at -e_{i}+e_{j}")
-            fmn = _require_finite(fun(v - ei - ej), f"{what} at -e_{i}-e_{j}")
-            H[i, j] = H[j, i] = (fpq - fpm - fmp + fmn) / (4.0 * h[i] * h[j])
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            ei = np.zeros(n)
+            ei[i] = h[i]
+            H[i, i] = (fun(v + ei) - 2.0 * f0 + fun(v - ei)) / (h[i] ** 2)
+            for j in range(i + 1, n):
+                ej = np.zeros(n)
+                ej[j] = h[j]
+                H[i, j] = H[j, i] = (
+                    fun(v + ei + ej) - fun(v + ei - ej) - fun(v - ei + ej)
+                    + fun(v - ei - ej)) / (4.0 * h[i] * h[j])
     return H
 
 
 def _fd_cost_derivatives(model: SystemModel, x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n, m = x.size, u.size
+    n = np.size(x)
     z = np.concatenate([x, u])
 
     def cost_z(zz):
         return model.running_cost(zz[:n], zz[n:])
 
-    g = _fd_jacobian(cost_z, z, "running_cost")
-    H = _fd_hessian(cost_z, z, "running_cost")
-    l_x, l_u = g[:n], g[n:]
-    l_xx = sym(H[:n, :n])
-    l_uu = sym(H[n:, n:])
-    l_ux = H[n:, :n]
-    return l_x, l_u, l_xx, l_ux, l_uu
+    g = _slopes(cost_z, z, FD_STEP_FIRST)
+    H = _fd_hessian(cost_z, z)
+    _require_finite(np.append(g, H), "running_cost")
+    return g[:n], g[n:], sym(H[:n, :n]), H[n:, :n], sym(H[n:, n:])
 
 
 def _fd_dynamics_jacobians(model: SystemModel, x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    f_x = _fd_jacobian(lambda v: model.step(v, u), x, "step wrt x")
-    f_u = _fd_jacobian(lambda v: model.step(x, v), u, "step wrt u")
-    return f_x, f_u
+    n = np.size(x)
+    J = _require_finite(_slopes(lambda z: model.step(z[:n], z[n:]),
+                                np.concatenate([x, u]), FD_STEP_FIRST), "step")
+    return J[:, :n], J[:, n:]
 
 
 def _fd_terminal_derivatives(model: SystemModel, x):
-    x = np.asarray(x, dtype=float)
-    phi_x = _fd_jacobian(model.terminal_cost, x, "terminal_cost")
-    phi_xx = sym(_fd_hessian(model.terminal_cost, x, "terminal_cost"))
-    return phi_x, phi_xx
+    phi_x = _slopes(model.terminal_cost, x, FD_STEP_FIRST)
+    phi_xx = _fd_hessian(model.terminal_cost, x)
+    _require_finite(np.append(phi_x, phi_xx), "terminal_cost")
+    return phi_x, sym(phi_xx)
 
 
 def _dynamics_jacobians_any(model: SystemModel, x, u):
@@ -371,25 +365,19 @@ def expand_dynamics(model: SystemModel, x, u,
 
 
 def _dynamics_second_order(model: SystemModel, x, u):
-    """Second-order tensors via central differences of the Jacobians, at
-    one knot or at every knot of a leading axis at once."""
+    """Second-order tensors as the slopes of [f_x | f_u] along each
+    coordinate of z = (x, u), at one knot or at every knot of a leading
+    axis at once."""
     n = x.shape[-1]
-    z = np.concatenate([x, u], axis=-1)
-    h = _h_second(z)
-    # the slopes of f_x and f_u along each coordinate k of z = (x, u)
-    d_fx, d_fu = [], []
-    for k in range(z.shape[-1]):
-        e = np.zeros_like(z)
-        e[..., k] = h[..., k]
-        (fx_p, fu_p), (fx_m, fu_m) = (
-            _dynamics_jacobians_any(model, v[..., :n], v[..., n:])
-            for v in (z + e, z - e))
-        step = 2.0 * h[..., k, None, None]
-        d_fx.append((fx_p - fx_m) / step)
-        d_fu.append((fu_p - fu_m) / step)
-    # symmetrize the Hessian slices
-    return (sym(np.stack(d_fx[:n], axis=-1)), np.stack(d_fu[:n], axis=-1),
-            sym(np.stack(d_fu[n:], axis=-1)))
+
+    def jacobians(z):
+        return np.concatenate(
+            _dynamics_jacobians_any(model, z[..., :n], z[..., n:]), axis=-1)
+
+    d = _slopes(jacobians, np.concatenate([x, u], axis=-1), FD_STEP_SECOND)
+    # d[..., i, j, k] is the slope of entry (i, j) of [f_x | f_u] along
+    # z_k; symmetrize the Hessian slices
+    return sym(d[..., :n, :n]), d[..., n:, :n], sym(d[..., n:, n:])
 
 
 def expand_terminal(model: SystemModel, x):

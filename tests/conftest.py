@@ -53,6 +53,19 @@ class LinearQuadraticModel(SystemModel):
                           horizon_bounds=horizon_bounds, c_t=self.c_t)
 
 
+class NumericLq(LinearQuadraticModel):
+    """LQ model with every analytic derivative hidden, forcing differencing."""
+
+    def dynamics_jacobians(self, x, u):
+        return None
+
+    def running_cost_derivatives(self, x, u):
+        return None
+
+    def terminal_cost_derivatives(self, x):
+        return None
+
+
 def nan_derivative_cartpole(method, entry):
     """A cartpole whose derivative ``method`` returns NaN at ``entry``, an
     (output, row, col) index applied to every knot."""

@@ -1,28 +1,16 @@
 """Expansion machinery: finite differences, derivative checking."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import horizonddp.model as model_api
-from conftest import LinearQuadraticModel, random_lq
+from conftest import LinearQuadraticModel, NumericLq, random_lq
 from horizonddp import (ExpansionError, SystemModel, check_derivatives,
                         expand_cost, expand_dynamics, expand_terminal)
-
-
-class NumericLq(LinearQuadraticModel):
-    """LQ model with every analytic derivative hidden, forcing differencing."""
-
-    def dynamics_jacobians(self, x, u):
-        return None
-
-    def running_cost_derivatives(self, x, u):
-        return None
-
-    def terminal_cost_derivatives(self, x):
-        return None
 
 
 class CubicModel(SystemModel):
@@ -97,6 +85,44 @@ def test_expansion_error_names_the_evaluation():
 
     with pytest.raises(ExpansionError, match="running_cost"):
         expand_cost(BadCost(), np.array([0.75]), np.zeros(1))
+
+
+
+class FiniteAtOneState(SystemModel):
+    """One-state model whose costs and step are finite at x = 0.5 alone, so
+    every differenced point is infinite on both sides of the nominal."""
+
+    dim_x = 1
+    dim_u = 1
+
+    @staticmethod
+    def _at(x, value):
+        return value if x[0] == 0.5 else np.inf * np.ones_like(value)
+
+    def step(self, x, u):
+        return self._at(x, np.array([x[0] + u[0]]))
+
+    # numpy floats: an inf - inf of the four-point stencil would warn too
+    def running_cost(self, x, u):
+        return self._at(x, np.float64(u[0] ** 2))
+
+    def terminal_cost(self, x):
+        return self._at(x, np.float64(1.0))
+
+
+def test_infinite_differences_are_one_expansion_error():
+    # inf - inf differences to a NaN without a RuntimeWarning, and the one
+    # test of each expansion names its method
+    m, x, u = FiniteAtOneState(), np.array([0.5]), np.array([0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExpansionError, match="running_cost"):
+            expand_cost(m, x, u)
+        with pytest.raises(ExpansionError, match="terminal_cost"):
+            expand_terminal(m, x)
+        for second_order in (False, True):
+            with pytest.raises(ExpansionError, match="step"):
+                expand_dynamics(m, x, u, second_order)
 
 
 def test_check_derivatives_passes_clean_model(rng):

@@ -95,3 +95,33 @@ def test_tracer_hooks_read_solve_and_episode_records():
     assert shifts_tried == sum(r["t_tried"] != r["t_bar"] for r in res.trace)
     assert shifts_tried > 0
     assert tracer.counts()["mpc.replans"] == log.steps_used == 10
+
+
+def test_tracer_hooks_count_prefix_candidates_and_fixed_solves():
+    # the prefix, candidate and fixed-solve hooks read their counts from the
+    # results they wrap
+    m = models.DoubleIntegratorModel(c_t=0.02, Q=0.01 * np.eye(2),
+                                     Qf=10 * np.eye(2))
+    cfg = solver.SolverConfig(horizon_bounds=(1, 120), window_s=10)
+    x0 = np.array([2.0, 0.0])
+    tracer = _tracer()
+    tracer.install()
+    try:
+        with tracer.recording():
+            res = solver.optimize_trajectory(m, initial_trajectory(m, x0, 40),
+                                             cfg)
+        solve_counts = tracer.counts()
+        with tracer.recording():
+            _, _, fixed = oracle.fixed_horizon_ddp(m, res.t_star, cfg, x0)
+        counts = tracer.counts()
+    finally:
+        tracer.uninstall()
+    assert res.iterations == 3
+    # one prefix of window_s knots per pass
+    assert solve_counts["solver.prefix_knots"] == cfg.window_s * res.iterations
+    assert solve_counts["solver.candidates_priced"] == sum(
+        len(r["candidates"]) for r in res.trace) == 63
+    assert counts["oracle.fixed_solves"] == 1
+    assert counts["oracle.fixed_iterations"] == fixed.iterations > 0
+    # a fixed-horizon solve prices no horizon but its own
+    assert counts["solver.prefix_knots"] == 30

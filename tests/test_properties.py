@@ -10,8 +10,9 @@ import numpy.testing as npt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_lq
-from horizonddp import (SolverConfig, backward_sweep, initial_trajectory,
+from conftest import NumericLq, random_lq
+from horizonddp import (LtiProblem, PointMassNavModel, SolverConfig,
+                        backward_sweep, initial_trajectory,
                         lti_optimal_horizon, optimize_trajectory,
                         riccati_sweep)
 from horizonddp.solver import _STEP_SIZES, evaluate_candidates
@@ -108,3 +109,47 @@ def test_sweep_rows_match_riccati_in_both_modes(seed, c_t, scale, offset):
                     (second.V_xx, second.V_x, second.V_0, second.K, second.k)):
         npt.assert_allclose(b, a, rtol=1e-12,
                             atol=1e-12 * max(1.0, np.max(np.abs(a))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(**lq_cases)
+def test_differenced_derivatives_reach_the_exact_optimum(seed, c_t, scale,
+                                                         offset):
+    # the central-difference fallbacks are exact to rounding on an LQ
+    # model, so a model without analytic derivatives solves as exactly
+    _, model, x0, t_exact, j_exact, _, T0 = _case(seed, c_t, scale, offset)
+    numeric = NumericLq(model.A, model.B, model.Q, model.R, model.Qf,
+                        c_t=model.c_t)
+    cfg = SolverConfig(horizon_bounds=BOUNDS, window_s=WINDOW)
+    res = optimize_trajectory(numeric, initial_trajectory(numeric, x0, T0),
+                              cfg)
+    assert res.converged
+    assert res.t_star == t_exact
+    assert _close(res.cost, j_exact)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(goal=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+       c_t=st.floats(0.05, 2.0), w_u=st.floats(0.1, 1.0),
+       w_vel=st.floats(0.01, 0.2),
+       position=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       velocity=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_lq_tracking_reaches_the_exact_optimum(goal, c_t, w_u, w_vel,
+                                               position, velocity):
+    # an obstacle-free navigation model is LQ in coordinates shifted by its
+    # reference, so one pass lands on the exact optimum from either side
+    bounds = (1, 120)
+    model = PointMassNavModel(goal=goal, c_t=c_t, w_u=w_u, w_vel=w_vel)
+    x0 = np.array([*position, *velocity])
+    t_exact, j_exact, _ = lti_optimal_horizon(
+        LtiProblem(model.A, model.B, model.Q, model.R, model.Qf, bounds,
+                   c_t=c_t), x0 - model.x_ref)
+    cfg = SolverConfig(horizon_bounds=bounds, window_s=10)
+    for offset in (-7, 5):
+        T0 = int(np.clip(t_exact + offset, *bounds))
+        res = optimize_trajectory(model, initial_trajectory(model, x0, T0),
+                                  cfg)
+        assert res.converged
+        assert res.t_star == t_exact
+        assert _close(res.cost, j_exact)
+        assert res.iterations == 1
