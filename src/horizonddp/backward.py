@@ -70,9 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (CostExpansion, DynamicsExpansion, ExpansionError,
-                    SystemModel, expand_cost, expand_dynamics,
-                    expand_terminal)
+from .model import (CostExpansion, DynamicsExpansion, SystemModel,
+                    expand_cost, expand_dynamics, expand_terminal)
 from .trajectory import Trajectory
 
 # Q_uu regularization bounds: gamma never relaxes below the floor, and a
@@ -425,9 +424,10 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     docstring).  Given a carried sweep ``reuse`` whose nominal ends in
     ``traj`` to the bit, by the same model object and in the same mode,
     only the prefix knots are linearized, and the trajectory's rows are
-    copied from it under the same rule.  Raises ExpansionError naming the
-    derivative method that gave a non-finite value, and ValueError unless
-    gamma is finite and >= 0.
+    copied from it under the same rule.  An expansion that comes out
+    non-finite, which would fail every gamma, raises its ExpansionError
+    (see ``model.py``); the sweep raises ValueError unless gamma is finite
+    and >= 0.
     """
     if not 0.0 <= gamma < math.inf:
         raise ValueError("gamma must be finite and >= 0")
@@ -445,13 +445,6 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
     terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
     C, F, F2 = _linearize(model, states[:lin], controls[:lin], second_order)
-    # a non-finite derivative would fail every gamma; name it instead
-    for name, block in (("running_cost_derivatives", C),
-                        ("dynamics_jacobians", F),
-                        ("dynamics_jacobians", F2),
-                        ("terminal_cost_derivatives", terminal.P)):
-        if block is not None and not np.isfinite(block).all():
-            raise ExpansionError(f"non-finite value from {name}")
 
     P = np.empty((len(controls) + 1, n + 1, n + 1))
     P[-1] = terminal.P

@@ -6,13 +6,25 @@ of all three, built from analytic derivatives when the model provides them
 and from central finite differences otherwise.
 
 Non-finite values follow one policy.  An evaluation that turns non-finite
-raises ``FloatingPointError``; ``ExpansionError`` is the one a derivative
-expansion raises, naming the method that produced the value.  A rollout
-turns it into an infinite cost, a negative-time prefix into an empty one,
-and an MPC replan into a degraded step.  A differenced expansion takes its
-slopes through one central-difference routine, evaluates all of its points
-and tests its result once: an infinite value on both sides of a point
-differences to a NaN, which that one test rejects.
+raises ``FloatingPointError``.  The exception is the exact linear map of
+``models.py`` (double integrator, navigator): its ``step`` returns an
+overflowed or NaN state as it is, and ``Trajectory.consistency_error``
+reports that state's defect as non-finite rather than raising.
+``ExpansionError`` is the one a derivative expansion raises.  Each
+expansion tests its own output once: its nominal value, then its
+derivatives, naming the analytic method that made a non-finite one
+(``running_cost_derivatives``, ``dynamics_jacobians``,
+``terminal_cost_derivatives``) or, when the model returns None, the
+evaluation the fallback differenced (``running_cost``, ``step``,
+``terminal_cost``).  The second-order dynamics tensors are differenced
+from the Jacobians, each of them such an expansion, and tested once more
+as ``dynamics_jacobians``.  A rollout turns the error into an infinite
+cost, a negative-time prefix into an empty one, and an MPC replan into a
+degraded step.  A differenced expansion takes its slopes through one
+central-difference routine and evaluates all of its points before its
+test: an infinite value on both sides of a point differences to a NaN,
+which that test rejects.  ``check_derivatives`` raises nothing for a
+non-finite derivative; its report lists that entry as a failure.
 """
 
 from __future__ import annotations
@@ -32,7 +44,9 @@ DERIVATIVE_CHECK_TOL = 1e-4
 
 
 class ExpansionError(FloatingPointError):
-    """A cost or dynamics evaluation became non-finite during expansion."""
+    """A cost or dynamics expansion came out non-finite.  Each expansion
+    tests its own output once, and the message names the analytic
+    derivative method, or the evaluation a fallback differenced."""
 
 
 def sym(M: np.ndarray) -> np.ndarray:
@@ -210,12 +224,6 @@ class DynamicsExpansion:
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(value, what: str):
-    if not np.all(np.isfinite(value)):
-        raise ExpansionError(f"non-finite value while evaluating {what}")
-    return value
-
-
 def _slopes(fun, v, rel):
     """Central differences of ``fun`` along each coordinate k of v's last
     axis, with step h_k = max(rel, rel*|v_k|), stacked on a new last axis:
@@ -269,30 +277,49 @@ def _fd_cost_derivatives(model: SystemModel, x, u):
 
     g = _slopes(cost_z, z, FD_STEP_FIRST)
     H = _fd_hessian(cost_z, z)
-    _require_finite(np.append(g, H), "running_cost")
     return g[:n], g[n:], sym(H[:n, :n]), H[n:, :n], sym(H[n:, n:])
 
 
 def _fd_dynamics_jacobians(model: SystemModel, x, u):
     n = np.size(x)
-    J = _require_finite(_slopes(lambda z: model.step(z[:n], z[n:]),
-                                np.concatenate([x, u]), FD_STEP_FIRST), "step")
+    J = _slopes(lambda z: model.step(z[:n], z[n:]), np.concatenate([x, u]),
+                FD_STEP_FIRST)
     return J[:, :n], J[:, n:]
 
 
 def _fd_terminal_derivatives(model: SystemModel, x):
     phi_x = _slopes(model.terminal_cost, x, FD_STEP_FIRST)
     phi_xx = _fd_hessian(model.terminal_cost, x)
-    _require_finite(np.append(phi_x, phi_xx), "terminal_cost")
     return phi_x, sym(phi_xx)
 
 
-def _dynamics_jacobians_any(model: SystemModel, x, u):
-    jac = model.dynamics_jacobians(x, u)
-    if jac is None:
-        return _fd_dynamics_jacobians(model, x, u)
-    f_x, f_u = jac
-    return np.asarray(f_x, dtype=float), np.asarray(f_u, dtype=float)
+# each optional derivative method's fallback, and the evaluation it differences
+_FALLBACKS = {
+    "running_cost_derivatives": (_fd_cost_derivatives, "running_cost"),
+    "dynamics_jacobians": (_fd_dynamics_jacobians, "step"),
+    "terminal_cost_derivatives": (_fd_terminal_derivatives, "terminal_cost"),
+}
+
+
+def _require_finite(name: str, *values) -> list:
+    """values as float arrays; raises ExpansionError naming ``name`` unless
+    every entry is finite."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise ExpansionError(f"non-finite value from {name}")
+    return arrays
+
+
+def _derivatives(model: SystemModel, method: str, *args) -> list:
+    """``model.<method>(*args)`` as float arrays or, when the model returns
+    None, the central differences of the evaluation that method
+    differentiates; an expansion's one test, naming the method or the
+    differenced evaluation."""
+    value = getattr(model, method)(*args)
+    if value is None:
+        fallback, method = _FALLBACKS[method]
+        value = fallback(model, *args)
+    return _require_finite(method, *value)
 
 
 def running_costs(model: SystemModel, states, controls) -> list:
@@ -333,12 +360,9 @@ def expand_cost(model: SystemModel, x, u) -> CostExpansion:
     u = np.asarray(u, dtype=float)
     if x.ndim == 2 and not model.stacked_derivatives:
         return _knot_by_knot(expand_cost, model, x, u)
-    l = _require_finite(np.asarray(model.running_cost(x, u), dtype=float),
-                        "running_cost at nominal")
-    analytic = model.running_cost_derivatives(x, u)
-    if analytic is None:
-        analytic = _fd_cost_derivatives(model, x, u)
-    l_x, l_u, l_xx, l_ux, l_uu = (np.asarray(a, dtype=float) for a in analytic)
+    l, = _require_finite("running_cost at nominal", model.running_cost(x, u))
+    l_x, l_u, l_xx, l_ux, l_uu = _derivatives(
+        model, "running_cost_derivatives", x, u)
     # l[()] is a float at one knot and the (N,) array of stacked knots
     return CostExpansion(l=l[()], l_x=l_x, l_u=l_u, l_xx=sym(l_xx), l_ux=l_ux,
                          l_uu=sym(l_uu))
@@ -351,16 +375,18 @@ def expand_dynamics(model: SystemModel, x, u,
     Given states (N, n) and controls (N, m), every field gains a leading
     knot axis, as in ``expand_cost``.  Second-order tensors are computed
     only on request (iLQR mode leaves them absent); they are differenced
-    from the Jacobians.
+    from the Jacobians, each of them tested as an expansion, and tested
+    once as ``dynamics_jacobians``.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim == 2 and not model.stacked_derivatives:
         return _knot_by_knot(expand_dynamics, model, x, u, want_second_order)
-    f_x, f_u = _dynamics_jacobians_any(model, x, u)
+    f_x, f_u = _derivatives(model, "dynamics_jacobians", x, u)
     f_xx = f_ux = f_uu = None
     if want_second_order:
-        f_xx, f_ux, f_uu = _dynamics_second_order(model, x, u)
+        f_xx, f_ux, f_uu = _require_finite(
+            "dynamics_jacobians", *_dynamics_second_order(model, x, u))
     return DynamicsExpansion(f_x=f_x, f_u=f_u, f_xx=f_xx, f_ux=f_ux, f_uu=f_uu)
 
 
@@ -371,8 +397,8 @@ def _dynamics_second_order(model: SystemModel, x, u):
     n = x.shape[-1]
 
     def jacobians(z):
-        return np.concatenate(
-            _dynamics_jacobians_any(model, z[..., :n], z[..., n:]), axis=-1)
+        return np.concatenate(_derivatives(
+            model, "dynamics_jacobians", z[..., :n], z[..., n:]), axis=-1)
 
     d = _slopes(jacobians, np.concatenate([x, u], axis=-1), FD_STEP_SECOND)
     # d[..., i, j, k] is the slope of entry (i, j) of [f_x | f_u] along
@@ -383,13 +409,9 @@ def _dynamics_second_order(model: SystemModel, x, u):
 def expand_terminal(model: SystemModel, x):
     """Terminal-cost expansion: (phi, phi_x, phi_xx)."""
     x = np.asarray(x, dtype=float)
-    phi = float(_require_finite(model.terminal_cost(x), "terminal_cost at nominal"))
-    analytic = model.terminal_cost_derivatives(x)
-    if analytic is not None:
-        phi_x, phi_xx = (np.asarray(a, dtype=float) for a in analytic)
-    else:
-        phi_x, phi_xx = _fd_terminal_derivatives(model, x)
-    return phi, phi_x, sym(phi_xx)
+    phi, = _require_finite("terminal_cost at nominal", model.terminal_cost(x))
+    phi_x, phi_xx = _derivatives(model, "terminal_cost_derivatives", x)
+    return float(phi), phi_x, sym(phi_xx)
 
 
 # ---------------------------------------------------------------------------

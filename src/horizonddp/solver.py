@@ -181,9 +181,9 @@ def extend_backward(model: SystemModel, traj: Trajectory, S: int) -> Prefix:
     singular map), and for a chain that overflows or leaves the model's
     admissible region (a non-finite state does), since the linearization
     at a guess past a singularity of the dynamics would wreck the sweep at
-    any regularization.
+    any regularization.  Raises ValueError unless S is an integer >= 0.
     """
-    S = int(S)
+    check_count("S", S, 0)
     states = np.zeros((S, model.dim_x))
     x = x0 = traj.states[0]
     u0 = traj.controls[0] if traj.horizon > 0 else model.nominal_control(x0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemModel, running_costs
+from .model import SystemModel, check_count, running_costs
 
 CONSISTENCY_TOL = 1e-8
 
@@ -62,9 +62,11 @@ def rollout_controls(model: SystemModel, x0: np.ndarray,
 
 
 def initial_trajectory(model: SystemModel, x0: np.ndarray, T: int) -> Trajectory:
-    """Default nominal: the model's nominal control held for T steps."""
+    """Default nominal: the model's nominal control held for T steps;
+    raises ValueError unless T is an integer >= 0."""
+    check_count("T", T, 0)
     x0 = np.asarray(x0, dtype=float)
-    controls = np.tile(model.nominal_control(x0), (int(T), 1))
+    controls = np.tile(model.nominal_control(x0), (T, 1))
     return rollout_controls(model, x0, controls)
 
 

@@ -8,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 import horizonddp.model as model_api
-from conftest import LinearQuadraticModel, NumericLq, random_lq
+from conftest import (LinearQuadraticModel, NumericLq, nan_derivative_cartpole,
+                      random_lq)
 from horizonddp import (ExpansionError, SystemModel, check_derivatives,
                         expand_cost, expand_dynamics, expand_terminal)
 
@@ -123,6 +124,71 @@ def test_infinite_differences_are_one_expansion_error():
         for second_order in (False, True):
             with pytest.raises(ExpansionError, match="step"):
                 expand_dynamics(m, x, u, second_order)
+
+
+def _expand_terminal(model, x, u):
+    return expand_terminal(model, x)
+
+
+@pytest.mark.parametrize("method,entry,expand,knots", [
+    ("running_cost_derivatives", (2, 1, 1), expand_cost, ()),
+    ("running_cost_derivatives", (2, 1, 1), expand_cost, (5,)),
+    ("dynamics_jacobians", (0, 2, 3), expand_dynamics, ()),
+    ("dynamics_jacobians", (0, 2, 3), expand_dynamics, (5,)),
+    # a terminal expansion takes one state
+    ("terminal_cost_derivatives", (1, 2, 2), _expand_terminal, ())],
+    ids=["l_xx", "l_xx-stacked", "f_x", "f_x-stacked", "phi_xx"])
+def test_nan_analytic_derivative_names_its_method(method, entry, expand,
+                                                  knots, rng):
+    # each public expansion tests the model's own derivatives, not only
+    # the differenced ones
+    model = nan_derivative_cartpole(method, entry)
+    x, u = rng.standard_normal(knots + (4,)), rng.standard_normal(knots + (1,))
+    with pytest.raises(ExpansionError, match=f"from {method}$"):
+        expand(model, x, u)
+
+
+def test_overflowing_second_order_tensor_is_an_expansion_error():
+    # the Jacobians are finite at every point, but jump by 2e308 across
+    # x = 0, so that only the tensor differenced from them is not finite
+    class Jump(CubicModel):
+        def dynamics_jacobians(self, x, u):
+            return np.array([[math.copysign(1e308, x[0])]]), np.ones((1, 1))
+
+    m = Jump()
+    expand_dynamics(m, np.zeros(1), np.zeros(1))      # first order is fine
+    with np.errstate(over="ignore"):
+        with pytest.raises(ExpansionError, match="from dynamics_jacobians$"):
+            expand_dynamics(m, np.zeros(1), np.zeros(1), True)
+
+
+class AnalyticAtOneState(FiniteAtOneState):
+    """FiniteAtOneState with finite analytic derivatives everywhere."""
+
+    def dynamics_jacobians(self, x, u):
+        return np.ones((1, 1)), np.ones((1, 1))
+
+    def running_cost_derivatives(self, x, u):
+        return (np.zeros(1), 2.0 * u, np.zeros((1, 1)), np.zeros((1, 1)),
+                np.full((1, 1), 2.0))
+
+    def terminal_cost_derivatives(self, x):
+        return np.zeros(1), np.zeros((1, 1))
+
+
+def test_check_derivatives_reports_non_finite_differences():
+    # the analytic derivatives are finite, but every difference along x is
+    # not: the report lists those entries as failures and raises nothing,
+    # while the differences along u alone stay finite and pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_derivatives(AnalyticAtOneState(),
+                                   [(np.array([0.5]), np.array([0.2]))])
+    assert report.failures == ["f_x", "l_ux", "l_x", "l_xx", "phi_x", "phi_xx"]
+    assert not any(map(math.isfinite, (report.discrepancies[name]
+                                       for name in report.failures)))
+    assert all(report.discrepancies[name] <= report.tol
+               for name in ("f_u", "l_u", "l_uu"))
 
 
 def test_check_derivatives_passes_clean_model(rng):

@@ -235,6 +235,18 @@ def test_quadrotor_step_raises_on_non_finite_state(index, value, message):
             m.step(xu[:12], xu[12:])
 
 
+@pytest.mark.parametrize("model", [DoubleIntegratorModel(),
+                                   PointMassNavModel()],
+                         ids=["double-integrator", "nav"])
+def test_linear_step_returns_an_overflow(model):
+    # the exception to the non-finite policy (see model.py): an overflowing
+    # A x + B u comes back as inf, not as FloatingPointError, so that
+    # consistency_error stays non-finite rather than raising
+    x, u = np.full(model.dim_x, 1.7e308), np.full(model.dim_u, 1.7e308)
+    with np.errstate(over="ignore"):
+        npt.assert_array_equal(model.step(x, u), np.inf)
+
+
 @pytest.mark.parametrize("model", [CartpoleModel(), QuadrotorModel()],
                          ids=["cartpole", "quadrotor"])
 def test_float_step_matches_array_rk4(model, rng):

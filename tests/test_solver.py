@@ -186,6 +186,18 @@ def test_extend_backward_zero_length(rng):
     assert len(prefix) == 0
 
 
+@pytest.mark.parametrize("count", [2.5, True, -1])
+def test_knot_counts_are_checked_not_truncated(count):
+    # int() would turn 2.5 into a 2-knot prefix or a 2-step trajectory,
+    # and True into a 1-knot prefix
+    m = DoubleIntegratorModel()
+    traj = initial_trajectory(m, np.array([1.0, 0.0]), 3)
+    with pytest.raises(ValueError, match="S must be an integer >= 0"):
+        extend_backward(m, traj, count)
+    with pytest.raises(ValueError, match="T must be an integer >= 0"):
+        initial_trajectory(m, np.array([1.0, 0.0]), count)
+
+
 def test_extend_backward_fixed_point_constant():
     # start at rest with zero control: the preimage guess stays at rest
     from horizonddp import CartpoleModel

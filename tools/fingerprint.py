@@ -12,6 +12,10 @@ Imports ``horizonddp`` from ``<tree>/src`` and runs:
   episode from its start (bounds (1, 150), 5 inner iterations, initial
   horizon 40);
 - the second-order (DDP) cartpole solve at c_t = 10;
+- the cartpole solve at c_t = 30 with every derivative differenced knot by
+  knot (a ``CartpoleModel`` without ``stacked_derivatives`` whose three
+  derivative methods return None), which reaches the fallback paths of
+  ``horizonddp.model``;
 - the criterion-6 navigation episode, optimal-horizon and as the receding
   baseline at t_fixed = 40.
 
@@ -101,6 +105,11 @@ def _feed(h, obj) -> None:
         raise TypeError(f"cannot fingerprint {type(obj).__name__}")
 
 
+def _no_derivatives(self, *args):
+    """A derivative method that leaves its derivatives to differencing."""
+    return None
+
+
 def _runs(hd):
     """Yield (label, result) for every fingerprinted run."""
     cartpole = hd.SolverConfig(horizon_bounds=(10, 400), window_s=10,
@@ -130,6 +139,14 @@ def _runs(hd):
     yield "cartpole ddp c_t=10", hd.optimize_trajectory(
         model, hd.initial_trajectory(model, np.zeros(4), 150),
         dataclasses.replace(cartpole, second_order=True))
+
+    differenced = type("DifferencedCartpole", (hd.CartpoleModel,), {
+        "stacked_derivatives": False, "dynamics_jacobians": _no_derivatives,
+        "running_cost_derivatives": _no_derivatives,
+        "terminal_cost_derivatives": _no_derivatives})(c_t=30.0)
+    yield "cartpole differenced c_t=30", hd.optimize_trajectory(
+        differenced, hd.initial_trajectory(differenced, np.zeros(4), 150),
+        cartpole)
 
     obstacles = (
         hd.Obstacle(center=(3.0, 0.5), radius=0.8, weight=30.0,
