@@ -24,9 +24,10 @@ as ``reuse``, by the same model object and in the same mode, whose
 trajectory is the tail of the carried nominal to the bit (an MPC replan
 along the plan the previous solve ended on), linearizes only its new
 prefix knots.  It copies the blocks, values, gains and floors of the
-shared rows, and starts its backup at the highest row whose floor is not
-at least its gamma: the rows above it get the same bits as a sweep from
-the terminal, by the induction above.
+shared rows, the terminal value block among them, and starts its backup
+at the highest row whose floor is not at least its gamma: the rows above
+it get the same bits as a sweep from the terminal, by the induction
+above.
 
 Each quadratic is one symmetric block in homogeneous coordinates, with a
 constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
@@ -194,7 +195,8 @@ class BackwardResult:
     """Sweep output over t in [-prefix_len, T], row g = t + prefix_len.
 
     ``states`` (N+1 rows) and ``controls`` (N rows) are the extended
-    nominal the sweep linearized along: the prefix, then the trajectory.
+    nominal the sweep linearized along: the prefix, then the trajectory,
+    both read-only.
     ``P`` holds the value block at each of the N+1 states, read through
     ``V_xx``, ``V_x`` and ``V_0``, and ``K``, ``k`` the gains of the N
     steps, so the policy at time t is
@@ -423,11 +425,11 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     backup above the highest knot the new gamma may lift (see the module
     docstring).  Given a carried sweep ``reuse`` whose nominal ends in
     ``traj`` to the bit, by the same model object and in the same mode,
-    only the prefix knots are linearized, and the trajectory's rows are
-    copied from it under the same rule.  An expansion that comes out
-    non-finite, which would fail every gamma, raises its ExpansionError
-    (see ``model.py``); the sweep raises ValueError unless gamma is finite
-    and >= 0.
+    only the prefix knots are linearized, and the trajectory's rows and
+    terminal block are copied from it under the same rule.  An expansion
+    that comes out non-finite, which would fail every gamma, raises its
+    ExpansionError (see ``model.py``); the sweep raises ValueError unless
+    gamma is finite and >= 0.
     """
     if not 0.0 <= gamma < math.inf:
         raise ValueError("gamma must be finite and >= 0")
@@ -440,14 +442,22 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     S = pre_states.shape[0]
     states = np.vstack([pre_states, traj.states])
     controls = np.vstack([pre_controls, traj.controls])
+    # read-only: a later sweep reuses these rows, and a warm start read
+    # off them is trusted as simulated (see trajectory.py)
+    states.flags.writeable = controls.flags.writeable = False
     r0 = _shared_tail(reuse, model, traj, second_order)
     lin = len(controls) if r0 < 0 else S
-    phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
-    terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi)
+    if r0 < 0:
+        phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
+        terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi).P
+    else:
+        # the same terminal state and model object: expand_terminal's
+        # block to the bit
+        terminal = reuse.P[-1]
     C, F, F2 = _linearize(model, states[:lin], controls[:lin], second_order)
 
     P = np.empty((len(controls) + 1, n + 1, n + 1))
-    P[-1] = terminal.P
+    P[-1] = terminal
     K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
     floors = [-math.inf] * len(controls)
     if r0 >= 0:

@@ -8,8 +8,9 @@ and from central finite differences otherwise.
 Non-finite values follow one policy.  An evaluation that turns non-finite
 raises ``FloatingPointError``.  The exception is the exact linear map of
 ``models.py`` (double integrator, navigator): its ``step`` returns an
-overflowed or NaN state as it is, and ``Trajectory.consistency_error``
-reports that state's defect as non-finite rather than raising.
+overflowed or NaN state as it is.  ``Trajectory.consistency_error``
+reports a non-finite state's defect as non-finite rather than raising on
+every model: NaN from such a step, inf where ``step`` raises.
 ``ExpansionError`` is the one a derivative expansion raises.  Each
 expansion tests its own output once: its nominal value, then its
 derivatives, naming the analytic method that made a non-finite one

@@ -10,10 +10,12 @@ ended on, and from the sweep it ended on when it stopped at the
 stationarity test.  Along a noise-free plan the observed state is then the
 plan's next state to the bit: the warm start is read off that sweep's rows,
 and the replan's first sweep backs up only its new prefix, keeping every
-row whose floor is at least its gamma, as a gamma retry does.  Passing
-``t_fixed`` runs the fixed receding-horizon baseline through the same
-loop: every replan solves at that horizon, and the episode runs to the
-step limit.
+row whose floor is at least its gamma, as a gamma retry does.  Either way
+the warm start is simulated under the snapshot the replan solves against,
+so the solve's entry check only tests it finite instead of stepping it
+again (see ``trajectory.py``).  Passing ``t_fixed`` runs the fixed
+receding-horizon baseline through the same loop: every replan solves at
+that horizon, and the episode runs to the step limit.
 """
 
 from __future__ import annotations
@@ -85,13 +87,16 @@ def _warm_start(model: SystemModel, x0, controls: np.ndarray,
                 sweep: BackwardResult | None) -> Trajectory:
     """The rollout of ``controls`` from ``x0``: the carried sweep's rows
     from its plan's next knot on when they hold it to the bit (the same
-    model object, those controls and that state), else a new rollout."""
+    model object, those controls and that state), else a new rollout.
+    Either is marked as ``model``'s own: the rows are the tail of a
+    nominal that model simulated or checked, and the sweep's nominal is
+    read-only."""
     if sweep is not None and sweep.model is model:
         g = sweep.prefix_len + 1
         if (np.array_equal(controls, sweep.controls[g:])
                 and np.array_equal(x0, sweep.states[g])):
-            return Trajectory(states=sweep.states[g:],
-                              controls=sweep.controls[g:])
+            return Trajectory.simulated(model, sweep.states[g:],
+                                        sweep.controls[g:])
     return rollout_controls(model, x0, controls)
 
 

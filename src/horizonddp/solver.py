@@ -253,11 +253,12 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
 
     Returns (trajectory, cost); a non-finite excursion yields cost inf so
     the line search rejects the step, and no state past the first one out
-    of the box is stepped from.  The feedforward of every knot is formed
-    in one op, and each knot adds its feedback into its row in place, in
-    the order of ``controls[g] + alpha * k[g] + K[g] @ dx``.  The running
-    costs of all knots are taken in one call once the states are rolled
-    out.
+    of the box is stepped from.  The trajectory is marked as ``model``'s
+    own (see ``Trajectory.simulated``).  The feedforward of every knot is
+    formed in one op, and each knot adds its feedback into its row in
+    place, in the order of ``controls[g] + alpha * k[g] + K[g] @ dx``.
+    The running costs of all knots are taken in one call once the states
+    are rolled out.
     """
     g0 = t0 + back.prefix_len
     T = back.controls.shape[0] - g0
@@ -283,7 +284,7 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
         return None, math.inf
     if not math.isfinite(cost):
         return None, math.inf
-    return Trajectory(states=states, controls=controls), float(cost)
+    return Trajectory.simulated(model, states, controls), float(cost)
 
 
 def _rest_ruled_out(J: float, rungs, rest) -> bool:
@@ -332,6 +333,12 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     > 0, or no horizon would be admissible.  ``sweep`` is the previous
     solve's ``SolverResult.sweep``; the first pass's sweep reuses the rows
     it shares with it (see ``backward_sweep``).
+
+    An inconsistent ``initial`` is rejected by ``assert_consistent``:
+    FloatingPointError on a non-finite defect, ValueError on one above
+    ``CONSISTENCY_TOL``.  One the library simulated under this model
+    object (``initial_trajectory``, ``rollout_controls``, an MPC warm
+    start) is only tested finite; any other is stepped through again.
     """
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):

@@ -1,7 +1,22 @@
-"""Nominal trajectories and objective evaluation."""
+"""Nominal trajectories and objective evaluation.
+
+A trajectory is checked against a model by stepping every knot through it
+again, except one the library simulated itself: ``rollout_controls`` (and
+so ``initial_trajectory``), the solver's ``rollout`` and an MPC warm start
+read off a carried sweep build theirs with ``Trajectory.simulated``, which
+records the model object that stepped it and makes both arrays read-only.
+Checked against that same model object, such a trajectory is only tested
+finite: its defects are 0 by construction, or, for a warm start, those of
+a nominal that already passed the check.  A trajectory built by a
+caller, an edited copy (whose arrays are new or writable again) and a
+check against any other model object, such as a new navigation snapshot,
+are stepped through in full.  As the carried sweep of ``backward.py`` does,
+the mark trusts a model object not to change its parameters in between.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +33,10 @@ class Trajectory:
     states: np.ndarray    # (T+1, dim_x)
     controls: np.ndarray  # (T, dim_u)
 
+    # the model object whose step made the arrays (see the module
+    # docstring); not a field, so ==, repr and fields() ignore it
+    _simulated_by = None
+
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         controls = np.asarray(self.controls, dtype=float)
@@ -28,21 +47,43 @@ class Trajectory:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "controls", controls)
 
+    @classmethod
+    def simulated(cls, model: SystemModel, states, controls) -> "Trajectory":
+        """The trajectory ``model.step`` made (or a tail of one that passed
+        ``assert_consistent(model)``), marked as that model object's own,
+        with both arrays made read-only.  The caller hands the arrays
+        over: no writable alias of them may survive."""
+        traj = cls(states=states, controls=controls)
+        traj.states.flags.writeable = traj.controls.flags.writeable = False
+        object.__setattr__(traj, "_simulated_by", model)
+        return traj
+
     @property
     def horizon(self) -> int:
         return self.controls.shape[0]
 
     def consistency_error(self, model: SystemModel) -> float:
         """Max dynamics defect ||x_{t+1} - f(x_t, u_t)||_inf along the path,
-        non-finite when any defect is."""
-        defects = [self.states[t + 1] - model.step(self.states[t], self.controls[t])
-                   for t in range(self.horizon)]
+        stepping every knot: NaN or inf when a defect is non-finite, and inf
+        when ``step`` raises FloatingPointError on a non-finite state."""
+        try:
+            defects = [self.states[t + 1]
+                       - model.step(self.states[t], self.controls[t])
+                       for t in range(self.horizon)]
+        except FloatingPointError:
+            return math.inf
         return float(np.max(np.abs(defects), initial=0.0))
 
     def assert_consistent(self, model: SystemModel):
         """Raise FloatingPointError on a non-finite defect, ValueError on
-        one above CONSISTENCY_TOL."""
-        err = self.consistency_error(model)
+        one above CONSISTENCY_TOL.  A trajectory simulated by this model
+        object, whose arrays are still read-only, has no defect: only its
+        states are tested finite (see the module docstring)."""
+        if (self._simulated_by is model and not self.states.flags.writeable
+                and not self.controls.flags.writeable):
+            err = 0.0 if np.isfinite(self.states).all() else math.inf
+        else:
+            err = self.consistency_error(model)
         if not np.isfinite(err):
             raise FloatingPointError(
                 f"trajectory dynamically inconsistent: defect {err}")
@@ -52,13 +93,14 @@ class Trajectory:
 
 def rollout_controls(model: SystemModel, x0: np.ndarray,
                      controls: np.ndarray) -> Trajectory:
-    """Simulate an open-loop control sequence from x0."""
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    """Simulate an open-loop control sequence from x0; the trajectory
+    holds a copy of the controls."""
+    controls = np.array(controls, dtype=float, ndmin=2)
     states = np.zeros((controls.shape[0] + 1, model.dim_x))
     states[0] = np.asarray(x0, dtype=float)
     for t in range(controls.shape[0]):
         states[t + 1] = model.step(states[t], controls[t])
-    return Trajectory(states=states, controls=controls)
+    return Trajectory.simulated(model, states, controls)
 
 
 def initial_trajectory(model: SystemModel, x0: np.ndarray, T: int) -> Trajectory:

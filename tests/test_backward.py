@@ -754,9 +754,15 @@ def _replan_case(name, rng):
 
 
 def _counting_sweeps(monkeypatch):
-    """Count the knots each sweep linearizes and backs up."""
+    """Count the knots each sweep linearizes and backs up, and its terminal
+    expansions."""
     counts = Counter()
     linearize, expansion = backward._linearize, backward.q_expansion
+    terminal = backward.expand_terminal
+
+    def counting_terminal(model, x):
+        counts["terminals"] += 1
+        return terminal(model, x)
 
     def counting_linearize(model, states, controls, second_order):
         counts["linearized"] += controls.shape[0]
@@ -768,6 +774,7 @@ def _counting_sweeps(monkeypatch):
 
     monkeypatch.setattr(backward, "_linearize", counting_linearize)
     monkeypatch.setattr(backward, "q_expansion", counting_expansion)
+    monkeypatch.setattr(backward, "expand_terminal", counting_terminal)
     return counts
 
 
@@ -785,15 +792,16 @@ def assert_same_sweep(a, b):
 @pytest.mark.parametrize("name", ["cartpole", "quadrotor"])
 def test_carried_sweep_backs_up_only_the_new_prefix(name, rng, monkeypatch):
     # at the gamma it ended on, every row the carried sweep shares with the
-    # replan is kept, and the replan's sweep is a fresh one to the bit
+    # replan is kept, its terminal block among them, and the replan's
+    # sweep is a fresh one to the bit
     model, carried, tail, prefix = _replan_case(name, rng)
     counts = _counting_sweeps(monkeypatch)
     back = backward_sweep(model, tail, prefix, gamma=carried.gamma_used,
                           reuse=carried)
-    assert counts == {"linearized": 3, "backups": 3}
+    assert counts == {"linearized": 3, "backups": 3}   # and no terminal
     counts.clear()
     fresh = backward_sweep(model, tail, prefix, gamma=carried.gamma_used)
-    assert counts["backups"] == 3 + tail.horizon
+    assert counts["backups"] == 3 + tail.horizon and counts["terminals"] == 1
     assert_same_sweep(back, fresh)
 
 
@@ -863,7 +871,7 @@ def test_no_reuse_off_the_carried_tail(change, rng, monkeypatch):
     back = backward_sweep(model, tail, prefix, gamma=carried.gamma_used,
                           second_order=second_order, reuse=carried)
     knots = back.controls.shape[0]
-    assert counts == {"linearized": knots, "backups": knots}
+    assert counts == {"linearized": knots, "backups": knots, "terminals": 1}
     assert_same_sweep(back, backward_sweep(model, tail, prefix,
                                            gamma=carried.gamma_used,
                                            second_order=second_order))

@@ -1,7 +1,9 @@
 """Benchmark systems: fixed points, integrator accuracy, obstacle math."""
 
+import copy
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -431,8 +433,13 @@ def test_nav_running_cost_includes_obstacles():
     assert m.running_cost(x, u) == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("model", [DoubleIntegratorModel(), PointMassNavModel()])
+@pytest.mark.parametrize("model", [
+    DoubleIntegratorModel(), PointMassNavModel(), CartpoleModel(),
+    QuadrotorModel()])
 def test_consistency_check_rejects_nan_and_defects(model):
+    # a linear step returns the NaN state, whose defect is NaN; an RK4 step
+    # raises on it, which reads as an infinite defect
+    rk4 = isinstance(model, (CartpoleModel, QuadrotorModel))
     traj = initial_trajectory(model, np.full(model.dim_x, 0.5), 6)
     assert traj.consistency_error(model) == 0.0
     traj.assert_consistent(model)
@@ -443,13 +450,75 @@ def test_consistency_check_rejects_nan_and_defects(model):
     states[3, 0] = np.nan
     bad = Trajectory(states=states, controls=traj.controls)
     with np.errstate(invalid="ignore"):
-        assert math.isnan(bad.consistency_error(model))
+        npt.assert_equal(bad.consistency_error(model),
+                         math.inf if rk4 else math.nan)
         with pytest.raises(FloatingPointError, match="inconsistent"):
             bad.assert_consistent(model)
     with pytest.raises(ValueError, match="2-D"):
         Trajectory(states=states[0], controls=traj.controls)
     with pytest.raises(ValueError, match="one more row"):
         Trajectory(states=states[1:], controls=traj.controls)
+
+
+def counting_steps(monkeypatch, cls):
+    """Count the ``step`` calls of every model of class ``cls``."""
+    counts = Counter()
+    step = cls.step
+
+    def counting(self, x, u):
+        counts["steps"] += 1
+        return step(self, x, u)
+
+    monkeypatch.setattr(cls, "step", counting)
+    return counts
+
+
+def test_simulated_trajectory_is_trusted_only_while_unedited(monkeypatch):
+    # a trajectory the library simulated is checked against its own model
+    # object by a finiteness test alone; its arrays cannot be written, and
+    # a copy that can be (a caller-built one, or a deep copy carrying the
+    # mark) is stepped through again
+    model = CartpoleModel()
+    traj = initial_trajectory(model, np.full(4, 0.5), 6)
+    for array in (traj.states, traj.controls):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    counts = counting_steps(monkeypatch, CartpoleModel)
+    traj.assert_consistent(model)
+    assert counts["steps"] == 0
+    Trajectory(states=traj.states, controls=traj.controls).assert_consistent(
+        model)
+    assert counts["steps"] == 6
+    model_copy, deep = copy.deepcopy((model, traj))
+    assert deep._simulated_by is model_copy
+    deep.states[3, 0] += 1e-3
+    with pytest.raises(ValueError, match="inconsistent"):
+        deep.assert_consistent(model_copy)
+
+
+def test_simulated_trajectory_is_stepped_under_another_model(monkeypatch):
+    # a new navigation snapshot is another model object: a trajectory the
+    # previous snapshot simulated is stepped through in full, and a NaN
+    # state fails the finiteness test of its own snapshot
+    base = PointMassNavModel(obstacles=(Obstacle(
+        center=(1.0, 1.0), radius=0.5, schedule=((4.0, (0.2, 0.0)),)),))
+    first = obstacle_schedule_advance(base, 0.0)
+    second = obstacle_schedule_advance(base, 0.1)
+    traj = initial_trajectory(first, np.zeros(4), 8)
+    with np.errstate(invalid="ignore"):
+        bad = initial_trajectory(first, np.full(4, np.nan), 8)
+    counts = counting_steps(monkeypatch, PointMassNavModel)
+    traj.assert_consistent(first)
+    with pytest.raises(FloatingPointError, match="inconsistent"):
+        bad.assert_consistent(first)
+    assert counts["steps"] == 0
+    traj.assert_consistent(second)
+    assert counts["steps"] == 8
+    # the mark is no field: repr and the field list ignore it
+    assert [f.name for f in dataclasses.fields(Trajectory)] == [
+        "states", "controls"]
+    assert repr(Trajectory(states=traj.states, controls=traj.controls)) \
+        == repr(traj)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import LinearQuadraticModel, random_lq
-from horizonddp import (BackwardResult, CandidateEvaluation,
+from horizonddp import (BackwardResult, CandidateEvaluation, CartpoleModel,
                         DoubleIntegratorModel, SolverConfig, SystemModel,
-                        backward_sweep, initial_trajectory,
+                        Trajectory, backward_sweep, initial_trajectory,
                         lti_optimal_horizon, optimize_trajectory,
                         riccati_sweep, rollout_controls, select_horizon,
                         trajectory_cost)
@@ -727,6 +727,54 @@ def test_initial_horizon_out_of_bounds_rejected():
     cfg = SolverConfig(horizon_bounds=(5, 10), window_s=2)
     with pytest.raises(ValueError, match="bounds"):
         optimize_trajectory(m, initial_trajectory(m, np.ones(2), 20), cfg)
+
+
+def _steps_before_first_rollout(monkeypatch, model, initial, cfg):
+    """The model ``step`` calls a one-pass solve makes before its first
+    line-search rollout."""
+    events = []
+    step, inner = type(model).step, solver_mod.rollout
+
+    def counting_step(self, x, u):
+        events.append("step")
+        return step(self, x, u)
+
+    def marking_rollout(*args, **kwargs):
+        events.append("rollout")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(type(model), "step", counting_step)
+    monkeypatch.setattr(solver_mod, "rollout", marking_rollout)
+    optimize_trajectory(model, initial, replace(cfg, max_iterations=1))
+    monkeypatch.undo()
+    return events.index("rollout")
+
+
+def test_simulated_initial_trajectory_is_not_stepped_again(monkeypatch):
+    # window_s = 0 builds no prefix, whose defects would take steps: the
+    # library's own initial trajectory is trusted, a caller-built copy of
+    # it is stepped through knot by knot
+    m = CartpoleModel(c_t=10.0)
+    cfg = SolverConfig(horizon_bounds=(30, 30), window_s=0)
+    init = initial_trajectory(m, np.zeros(4), 30)
+    assert _steps_before_first_rollout(monkeypatch, m, init, cfg) == 0
+    copied = Trajectory(states=init.states, controls=init.controls)
+    assert _steps_before_first_rollout(monkeypatch, m, copied, cfg) == 30
+
+
+def test_caller_built_initial_trajectory_gets_the_full_check():
+    m = CartpoleModel(c_t=10.0)
+    cfg = SolverConfig(horizon_bounds=(10, 60), window_s=5)
+    init = initial_trajectory(m, np.zeros(4), 30)
+    states = init.states.copy()
+    states[5, 1] += 1e-3
+    with pytest.raises(ValueError, match="inconsistent"):
+        optimize_trajectory(m, Trajectory(states=states,
+                                          controls=init.controls), cfg)
+    states[5, 1] = np.nan
+    with pytest.raises(FloatingPointError, match="inconsistent"):
+        optimize_trajectory(m, Trajectory(states=states,
+                                          controls=init.controls), cfg)
 
 
 def test_trace_keeps_rejected_horizon_on_quadrotor():
