@@ -190,7 +190,7 @@ class QExpansion:
     Q_0 = property(lambda self: 0.5 * float(self.Q[self.n, self.n]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardResult:
     """Sweep output over t in [-prefix_len, T], row g = t + prefix_len.
 

@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NONCONVERGED = 2
 
+# check draws at most this many states per sample before it gives up
+DRAWS_PER_SAMPLE = 100
+
 # top-level keys that mpc passes to MpcConfig as they stand
 MPC_KEYS = ("inner_iterations", "noise_scale", "step_limit", "initial_horizon")
 # top-level config keys that some command reads: one config file may serve
@@ -186,7 +189,9 @@ def cmd_sweep_ct(cfg: dict, out: Path, seed: int) -> int:
             rows.append((c_t, result.t_star, result.t_star * dt, None,
                          result.cost, None, None, False))
             continue
-        err_pct = 100.0 * (result.cost - sweep.j_exact) / sweep.j_exact
+        # a relative error has no meaning against an exact cost of 0
+        err_pct = (100.0 * (result.cost - sweep.j_exact) / sweep.j_exact
+                   if sweep.j_exact != 0 else None)
         rows.append((c_t, result.t_star, result.t_star * dt, sweep.t_exact,
                      result.cost, sweep.j_exact, err_pct, True))
     _write_table(out / "sweep_ct.csv",
@@ -263,15 +268,22 @@ def cmd_check(cfg: dict, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     n_samples = cfg.get("samples", 100)
     check_count("samples", n_samples, 1)
-    # a non-finite scale draws no admissible state, so sampling never ends
     scale = check_nonnegative("sample_scale", cfg.get("sample_scale", 0.3),
                               positive=True)
     samples = []
-    while len(samples) < n_samples:
+    for _ in range(DRAWS_PER_SAMPLE * n_samples):
         x = scale * rng.standard_normal(model.dim_x)
         u = model.nominal_control(x) + scale * rng.standard_normal(model.dim_u)
         if model.admissible(x):
             samples.append((x, u))
+            if len(samples) == n_samples:
+                break
+    else:
+        # a scale far beyond the admissible region would draw forever
+        raise ValueError(
+            f"{len(samples)} of {n_samples} samples admissible after "
+            f"{DRAWS_PER_SAMPLE * n_samples} draws; lower sample_scale "
+            f"(now {scale:g})")
     report = check_derivatives(model, samples)
     _write_json(out / "derivative_report.json", {
         "model": model_cfg["model"],

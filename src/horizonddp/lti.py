@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _finite_array, check_nonnegative, check_range, sym
+from .model import (_finite_array, _frozen_array, check_nonnegative,
+                    check_range, sym)
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -38,12 +39,6 @@ def _check_weight(M, name, semidefinite):
         kind = "semidefinite" if semidefinite else "definite"
         raise ValueError(f"{name} must be positive {kind} "
                          f"(min eigenvalue {lam[0]:.3e})")
-
-
-def _frozen_array(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

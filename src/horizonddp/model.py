@@ -104,6 +104,13 @@ def _finite_array(value, shape: tuple, name: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _frozen_array(a) -> np.ndarray:
+    """A read-only float copy of ``a``."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def from_fields(cls, doc: dict, what: str):
     """``cls(**doc)`` for a dataclass ``cls`` built from a config document;
     raises ValueError naming each key of ``doc`` that is not a field, and
@@ -192,7 +199,7 @@ class SystemModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostExpansion:
     """Quadratic running-cost model at a nominal pair, or at a stack of
     pairs with a leading knot axis on every field."""
@@ -205,7 +212,7 @@ class CostExpansion:
     l_uu: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicsExpansion:
     """Local dynamics model: Jacobians, optional second-order tensors.
 

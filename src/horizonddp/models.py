@@ -1,9 +1,12 @@
 """Benchmark systems: double integrator, cartpole, quadrotor, point-mass nav.
 
-Each model is a dataclass whose fields are its parameters, and so the keys
-of its config document.  Cartpole and quadrotor integrate their continuous
-equations of motion with fixed-step RK4 (``_RK4Dynamics``); the two
-double-integrator variants use the exact discrete map (``_LinearDynamics``).
+Each model is a frozen dataclass whose fields are its parameters, and so
+the keys of its config document; every array it holds is a read-only
+copy.  A carried sweep and ``Trajectory.assert_consistent`` trust a model
+object's identity, which holds only while its parameters cannot change.
+Cartpole and quadrotor integrate their continuous equations of motion
+with fixed-step RK4 (``_RK4Dynamics``); the two double-integrator
+variants use the exact discrete map (``_LinearDynamics``).
 Every model's cost is one quadratic about a state reference ``x_ref`` and
 a control reference ``u_ref`` (``_QuadraticCost``), whose weights each
 model builds in its ``__post_init__`` from its own fields; the navigator
@@ -27,8 +30,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .lti import LtiProblem
-from .model import (SystemModel, _finite_array, check_nonnegative,
-                    from_fields, sym)
+from .model import (SystemModel, _finite_array, _frozen_array,
+                    check_nonnegative, from_fields, sym)
 
 GRAVITY = 9.81
 
@@ -156,6 +159,12 @@ def _as_floats(obj, positive=()):
                 f.name, getattr(obj, f.name), f.name in positive))
 
 
+def _set_arrays(model, **arrays):
+    """Store each array on the frozen ``model`` as a read-only copy."""
+    for name, value in arrays.items():
+        object.__setattr__(model, name, _frozen_array(value))
+
+
 # ---------------------------------------------------------------------------
 # shared dynamics and cost
 # ---------------------------------------------------------------------------
@@ -263,7 +272,7 @@ class _QuadraticCost(SystemModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
     """1-D double integrator with quadratic costs about the origin; exactly
     an LTI problem.  Q, R and Qf default to identities."""
@@ -281,12 +290,12 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
         _as_floats(self, positive=("dt",))
         for name, dim in (("Q", 2), ("R", 1), ("Qf", 2)):
             value = getattr(self, name)
-            setattr(self, name, sym(_finite_array(
-                np.eye(dim) if value is None else value, (dim, dim), name)))
-        self.goal = self.x_ref = np.zeros(2)
-        self.u_ref = np.zeros(1)
-        self.A = np.array([[1.0, self.dt], [0.0, 1.0]])
-        self.B = np.array([[0.0], [self.dt]])
+            _set_arrays(self, **{name: sym(_finite_array(
+                np.eye(dim) if value is None else value, (dim, dim), name))})
+        _set_arrays(self, goal=np.zeros(2), x_ref=np.zeros(2),
+                    u_ref=np.zeros(1),
+                    A=np.array([[1.0, self.dt], [0.0, 1.0]]),
+                    B=np.array([[0.0], [self.dt]]))
 
     def to_lti_problem(self, horizon_bounds) -> LtiProblem:
         return LtiProblem(A=self.A, B=self.B, Q=self.Q, R=self.R, Qf=self.Qf,
@@ -298,7 +307,7 @@ class DoubleIntegratorModel(_LinearDynamics, _QuadraticCost):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CartpoleModel(_RK4Dynamics, _QuadraticCost):
     """Cart with a hanging pole; force on the cart is the only control.
 
@@ -326,11 +335,11 @@ class CartpoleModel(_RK4Dynamics, _QuadraticCost):
     def __post_init__(self):
         _as_floats(self, positive=("cart_mass", "pole_mass", "pole_length",
                                    "dt"))
-        self.x_ref = np.array([0.0, 0.0, math.pi, 0.0])
-        self.u_ref = np.zeros(1)
-        self.Q = np.diag([0.0, self.w_xdot, 0.0, self.w_thetadot])
-        self.R = np.array([[self.w_u]])
-        self.Qf = np.diag([0.0, self.wf_xdot, self.wf_theta, self.wf_thetadot])
+        _set_arrays(
+            self, x_ref=np.array([0.0, 0.0, math.pi, 0.0]), u_ref=np.zeros(1),
+            Q=np.diag([0.0, self.w_xdot, 0.0, self.w_thetadot]),
+            R=np.array([[self.w_u]]),
+            Qf=np.diag([0.0, self.wf_xdot, self.wf_theta, self.wf_thetadot]))
 
     # equations of motion in manipulator form, solved for the accelerations
     def _xdot(self, x, u, sin, cos):
@@ -379,7 +388,7 @@ class CartpoleModel(_RK4Dynamics, _QuadraticCost):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
     """Euler-angle rigid-body quadrotor: 12 states, 4 controls.
 
@@ -412,17 +421,17 @@ class QuadrotorModel(_RK4Dynamics, _QuadraticCost):
     def __post_init__(self):
         _as_floats(self, positive=("mass", "dt"))
         # plain floats: the one-knot kernels read them
-        self.inertia = tuple(
+        object.__setattr__(self, "inertia", tuple(
             check_nonnegative("inertia", v, positive=True)
-            for v in _finite_array(self.inertia, (3,), "inertia").tolist())
-        self.goal = (np.zeros(12) if self.goal is None
-                     else _finite_array(self.goal, (12,), "goal"))
-        self.x_ref = self.goal
-        self.Q = np.diag([self.w_pos] * 3 + [self.w_att] * 3
-                         + [self.w_vel] * 3 + [self.w_rate] * 3)
-        self.R = np.diag([self.w_thrust] + [self.w_torque] * 3)
-        self.Qf = self.wf * np.eye(12)
-        self.u_ref = np.array([self.mass * self.gravity, 0.0, 0.0, 0.0])
+            for v in _finite_array(self.inertia, (3,), "inertia").tolist()))
+        goal = (np.zeros(12) if self.goal is None
+                else _finite_array(self.goal, (12,), "goal"))
+        _set_arrays(self, goal=goal, x_ref=goal,
+                    Q=np.diag([self.w_pos] * 3 + [self.w_att] * 3
+                              + [self.w_vel] * 3 + [self.w_rate] * 3),
+                    R=np.diag([self.w_thrust] + [self.w_torque] * 3),
+                    Qf=self.wf * np.eye(12),
+                    u_ref=np.array([self.mass * self.gravity, 0.0, 0.0, 0.0]))
 
     def _xdot(self, x, u, sin, cos):
         (_, _, _, phi, th, psi, vx, vy, vz, p, q, r), (thrust, tx, ty, tz) = x, u
@@ -584,7 +593,7 @@ class Obstacle:
         return c, grad, hess
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PointMassNavModel(_LinearDynamics, _QuadraticCost):
     """Planar double integrator steering to a goal through soft obstacles.
 
@@ -611,24 +620,27 @@ class PointMassNavModel(_LinearDynamics, _QuadraticCost):
 
     def __post_init__(self):
         _as_floats(self, positive=("dt", "arena_scale"))
-        self.goal = _finite_array(self.goal, (2,), "goal")
+        goal = _finite_array(self.goal, (2,), "goal")
         if not isinstance(self.obstacles, (list, tuple)):
             raise ValueError("obstacles must be a list of obstacles, "
                              f"got {self.obstacles!r}")
-        self.obstacles = tuple(
+        object.__setattr__(self, "obstacles", tuple(
             o if isinstance(o, Obstacle) else from_fields(Obstacle, o, "obstacle")
-            for o in self.obstacles)
+            for o in self.obstacles))
         dt_ = self.dt
-        self.A = np.array([[1.0, 0.0, dt_, 0.0],
-                           [0.0, 1.0, 0.0, dt_],
-                           [0.0, 0.0, 1.0, 0.0],
-                           [0.0, 0.0, 0.0, 1.0]])
-        self.B = np.array([[0.0, 0.0], [0.0, 0.0], [dt_, 0.0], [0.0, dt_]])
-        self.x_ref = np.concatenate([self.goal, np.zeros(2)])
-        self.u_ref = np.zeros(2)
-        self.Q = np.diag([0.0, 0.0, self.w_vel, self.w_vel])
-        self.R = self.w_u * np.eye(2)
-        self.Qf = np.diag([self.wf_pos, self.wf_pos, self.wf_vel, self.wf_vel])
+        _set_arrays(self, goal=goal,
+                    A=np.array([[1.0, 0.0, dt_, 0.0],
+                                [0.0, 1.0, 0.0, dt_],
+                                [0.0, 0.0, 1.0, 0.0],
+                                [0.0, 0.0, 0.0, 1.0]]),
+                    B=np.array([[0.0, 0.0], [0.0, 0.0], [dt_, 0.0],
+                                [0.0, dt_]]),
+                    x_ref=np.concatenate([goal, np.zeros(2)]),
+                    u_ref=np.zeros(2),
+                    Q=np.diag([0.0, 0.0, self.w_vel, self.w_vel]),
+                    R=self.w_u * np.eye(2),
+                    Qf=np.diag([self.wf_pos, self.wf_pos, self.wf_vel,
+                                self.wf_vel]))
 
     def running_cost(self, x, u):
         total = super().running_cost(x, u)

@@ -5,8 +5,9 @@ previous plan's controls (first knot dropped) are rolled out from the
 observed state to warm-start a budgeted solve against the current world
 snapshot, the first control is applied to the (possibly noisy) plant, and
 the episode ends once the plan's last control has been applied.  Each replan
-starts from the regularization and horizon trust radius the previous solve
-ended on, and from the sweep it ended on when it stopped at the
+resumes from the previous solve's ``SolverResult``, and the solver alone
+decides what it reads from it: the regularization and horizon trust radius
+that solve ended on, and the sweep it ended on when it stopped at the
 stationarity test.  Along a noise-free plan the observed state is then the
 plan's next state to the bit: the warm start is read off that sweep's rows,
 and the replan's first sweep backs up only its new prefix, keeping every
@@ -20,16 +21,14 @@ that horizon, and the episode runs to the step limit.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backward import BackwardResult
 from .model import SystemModel, check_count, check_nonnegative
 from .models import PointMassNavModel, obstacle_schedule_advance
-from .solver import SolverConfig, optimize_trajectory
+from .solver import SolverConfig, SolverResult, optimize_trajectory
 from .trajectory import Trajectory, rollout_controls, initial_trajectory
 
 
@@ -50,7 +49,7 @@ class MpcConfig:
         check_nonnegative("noise_scale", self.noise_scale)
 
 
-@dataclass
+@dataclass(eq=False)
 class StepRecord:
     sim_time: float
     state: np.ndarray
@@ -62,7 +61,7 @@ class StepRecord:
     degraded: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class EpisodeLog:
     steps: list = field(default_factory=list)
     final_state: np.ndarray | None = None
@@ -84,13 +83,14 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
 
 
 def _warm_start(model: SystemModel, x0, controls: np.ndarray,
-                sweep: BackwardResult | None) -> Trajectory:
-    """The rollout of ``controls`` from ``x0``: the carried sweep's rows
-    from its plan's next knot on when they hold it to the bit (the same
-    model object, those controls and that state), else a new rollout.
+                previous: SolverResult | None) -> Trajectory:
+    """The rollout of ``controls`` from ``x0``: the rows of ``previous``'s
+    sweep from its plan's next knot on when they hold it to the bit (the
+    same model object, those controls and that state), else a new rollout.
     Either is marked as ``model``'s own: the rows are the tail of a
     nominal that model simulated or checked, and the sweep's nominal is
     read-only."""
+    sweep = previous.sweep if previous is not None else None
     if sweep is not None and sweep.model is model:
         g = sweep.prefix_len + 1
         if (np.array_equal(controls, sweep.controls[g:])
@@ -101,41 +101,38 @@ def _warm_start(model: SystemModel, x0, controls: np.ndarray,
 
 
 def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
-             cfg: MpcConfig, gamma: float, radius: float = math.inf,
-             sweep: BackwardResult | None = None):
+             cfg: MpcConfig, previous: SolverResult | None = None):
     """One budgeted replan from the previous plan's remaining controls.
 
     The controls, with the last one held up to the solver's lower horizon
     bound, are rolled out from ``observed_x0`` to warm-start the solve.
-    ``gamma`` and ``radius`` are the regularization level and horizon trust
-    radius carried from the previous step, so neither is re-learned from
-    scratch every replan.  ``sweep`` is the previous solve's final sweep,
-    or None: when ``observed_x0`` is its plan's next state to the bit, the
-    warm start is read off its rows instead of rolled out, and the solve's
-    first sweep reuses the rows it shares (see ``backward_sweep``).
-    ``info["gamma"]``, ``info["radius"]`` and ``info["sweep"]`` are what
-    to carry on, and ``info["iterations"]`` and ``info["degraded"]``
-    describe the replan.  Returns
-    (action, new_controls, new_horizon, info).  When the replan raises
-    ``FloatingPointError`` (a non-finite state, or an ``ExpansionError``)
-    the first of the given controls is applied, they are returned as the
-    plan, and the step is flagged; any other exception propagates.
+    ``previous`` is the result of the solve before, or None; the solve
+    resumes from it (see ``optimize_trajectory``), so neither the
+    regularization nor the horizon trust radius is re-learned every
+    replan.  When ``observed_x0`` is its plan's next state to the bit, the
+    warm start is read off its sweep's rows instead of rolled out, and the
+    solve's first sweep reuses the rows it shares (see ``backward_sweep``).
+    ``info["iterations"]`` and ``info["degraded"]`` describe the replan,
+    and ``info["previous"]`` is the result the next replan resumes from.
+    Returns (action, new_controls, new_horizon, info).  When the replan
+    raises ``FloatingPointError`` (a non-finite state, or an
+    ``ExpansionError``) the first of the given controls is applied, they
+    are returned as the plan, ``previous`` is handed on unchanged, and the
+    step is flagged; any other exception propagates.
     """
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     short = cfg.solver.horizon_bounds[0] - controls.shape[0]
     if short > 0:
         controls = np.pad(controls, ((0, short), (0, 0)), mode="edge")
     try:
-        warm = _warm_start(model_snapshot, observed_x0, controls, sweep)
-        result = optimize_trajectory(model_snapshot, warm, inner_cfg, gamma,
-                                     radius, sweep=sweep)
-        info = {"iterations": result.iterations, "degraded": False,
-                "gamma": result.gamma_final, "radius": result.radius_final,
-                "sweep": result.sweep}
-        controls = result.trajectory.controls
+        warm = _warm_start(model_snapshot, observed_x0, controls, previous)
+        previous = optimize_trajectory(model_snapshot, warm, inner_cfg,
+                                       previous)
+        controls = previous.trajectory.controls
+        info = {"iterations": previous.iterations, "degraded": False}
     except FloatingPointError:
-        info = {"iterations": 0, "degraded": True, "gamma": gamma,
-                "radius": radius, "sweep": None}
+        info = {"iterations": 0, "degraded": True}
+    info["previous"] = previous
     return controls[0], controls, controls.shape[0], info
 
 
@@ -171,9 +168,8 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     lo, hi = cfg.solver.horizon_bounds
     init = initial_trajectory(snapshot, x,
                               t_fixed or cfg.initial_horizon or (lo + hi) // 2)
-    first = optimize_trajectory(snapshot, init, cfg.solver)
-    controls = first.trajectory.controls
-    gamma, radius, sweep = first.gamma_final, first.radius_final, first.sweep
+    previous = optimize_trajectory(snapshot, init, cfg.solver)
+    controls = previous.trajectory.controls
     sim_time = 0.0
 
     while len(log.steps) < cfg.step_limit:
@@ -184,9 +180,9 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
 
         tic = time.perf_counter()
         action, controls, t_bar, info = mpc_step(controls, x, snapshot, cfg,
-                                                 gamma, radius, sweep)
+                                                 previous)
         solve_time = time.perf_counter() - tic
-        gamma, radius, sweep = info["gamma"], info["radius"], info["sweep"]
+        previous = info["previous"]
 
         running = snapshot.running_cost(x, action)
         log.steps.append(StepRecord(

@@ -9,9 +9,10 @@ radius on the pricing adapt along the solve: a rejected shifted horizon
 sets the radius to half that candidate's initial-state gap, so a horizon
 the quadratic model misprices is not tried again every pass, and an
 accepted one doubles it.  Nothing else bounds the radius.  Both are
-returned, so an MPC replan starts from where the previous solve ended; a
-carried radius first regrows by ``_RADIUS_REGROWTH``, so one bad replan
-cannot freeze the horizon for the rest of an episode.
+returned, so an MPC replan that passes the previous result starts from
+where that solve ended; a carried radius first regrows by
+``_RADIUS_REGROWTH``, so one bad replan cannot freeze the horizon for the
+rest of an episode.
 
 The window is [T-bar - window_s, T-bar + S], except after an accepted move
 onto its lower edge (with that edge above the lower bound): the next pass
@@ -109,7 +110,7 @@ class CandidateEvaluation:
     gap: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverResult:
     """Outcome of a solve.
 
@@ -138,14 +139,17 @@ class SolverResult:
     solve regularization, the trust radius and the window's lower edge
     adapt: a pass prices down to T-bar - ``window_s``, or down to the
     lower bound right after an accepted move onto that edge.
-    ``gamma_final`` and ``radius_final`` are the levels the solve ended on,
-    for a warm-started replan to start from.  ``sweep`` is the last pass's
+    ``gamma_final`` and ``radius_final`` are the levels the solve ended on;
+    a warm-started replan passes the whole result to
+    ``optimize_trajectory`` as ``previous`` and starts from them, and from
+    ``sweep``.  ``sweep`` is the last pass's
     :class:`BackwardResult` when the solve ended at the stationarity test,
     so that its nominal is the returned trajectory, and None otherwise; a
     converged solve carries it unless it ended on an exact step.  A replan
-    along that trajectory's tail passes it on, and its first sweep
-    copies the rows it shares, as a gamma retry keeps the rows above the
-    first knot the new gamma may lift.
+    along that trajectory's tail reads its warm start off it, and its
+    first sweep copies the rows it shares, as a gamma retry keeps the rows
+    above the first knot the new gamma may lift.  ``==`` is identity, as
+    for every library record that holds arrays.
     """
 
     trajectory: Trajectory
@@ -233,14 +237,19 @@ def evaluate_candidates(back: BackwardResult, horizon_bounds, window_s: int,
 
 
 def select_horizon(candidates, t_bar: int) -> int:
-    """Cheapest admissible candidate, ties toward the smaller horizon.
+    """T-bar, unless an admissible candidate is priced strictly below
+    T-bar's own price: then the cheapest one, ties toward the smaller
+    horizon.
 
-    ``candidates`` must come in increasing T, as ``evaluate_candidates``
-    returns them.  With no admissible candidate the current horizon is
-    kept.  The outer loop never meets that case: T-bar is always in the
-    window, priced at dx = 0, which a positive trust radius admits.
+    ``candidates`` must come in increasing T, one per horizon, and hold
+    T-bar, as ``evaluate_candidates`` returns them.  A tie with T-bar keeps
+    T-bar: a move that the quadratic model prices no lower than staying
+    cannot be expected to lower J, and where every price equals J (a solve
+    started at its optimum) it would leave every rollout no better than J.
+    With no admissible candidate below T-bar's price, and so with none at
+    all, T-bar is kept.
     """
-    best_T, best_J = t_bar, math.inf
+    best_T, best_J = t_bar, candidates[t_bar - candidates[0].T].J_T
     for cand in candidates:
         if cand.admissible and cand.J_T < best_J:
             best_T, best_J = cand.T, cand.J_T
@@ -308,9 +317,7 @@ def _rest_ruled_out(J: float, rungs, rest) -> bool:
 
 def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         cfg: SolverConfig,
-                        gamma: float = GAMMA_MIN,
-                        radius: float = math.inf,
-                        sweep: BackwardResult | None = None) -> SolverResult:
+                        previous: SolverResult | None = None) -> SolverResult:
     """Outer loop: sweep, select horizon, line-searched forward pass.
 
     Iterations count outer passes (one backward sweep each).  Convergence
@@ -322,17 +329,19 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     window its pass priced.  A small decrease alone ends nothing: the
     solve goes on until its sweep is stationary.
 
-    ``gamma`` is the Q_uu regularization the first sweep starts from; a
-    warm-started replan passes the previous solve's ``gamma_final``.  The
-    first sweep raises ValueError unless it is finite and >= 0.  ``radius``
-    is the horizon trust radius on the initial-state gap, which rejected
-    shifted tries shrink and accepted ones widen; a replan passes the
-    previous solve's ``radius_final``, widened once by ``_RADIUS_REGROWTH``
-    here.  The default, infinity, admits every priced horizon until a
-    shifted try is rejected, and a doubling keeps it infinite.  It must be
-    > 0, or no horizon would be admissible.  ``sweep`` is the previous
-    solve's ``SolverResult.sweep``; the first pass's sweep reuses the rows
-    it shares with it (see ``backward_sweep``).
+    ``previous`` is the result of the solve a warm-started replan resumes
+    from, and this function alone decides what it reads from it:
+    - the first sweep's Q_uu regularization starts from its
+      ``gamma_final`` (``GAMMA_MIN`` without one); that sweep raises
+      ValueError unless it is finite and >= 0;
+    - the horizon trust radius on the initial-state gap, which rejected
+      shifted tries shrink and accepted ones widen, starts from its
+      ``radius_final`` widened once by ``_RADIUS_REGROWTH``.  It must be
+      > 0, or no horizon would be admissible.  Without ``previous`` it is
+      infinite: every priced horizon is admitted until a shifted try is
+      rejected, and a doubling keeps it infinite;
+    - the first pass's sweep reuses the rows it shares with its ``sweep``
+      (see ``backward_sweep``).
 
     An inconsistent ``initial`` is rejected by ``assert_consistent``:
     FloatingPointError on a non-finite defect, ValueError on one above
@@ -343,6 +352,10 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):
         raise ValueError("initial horizon outside bounds")
+    gamma, radius, sweep = GAMMA_MIN, math.inf, None
+    if previous is not None:
+        gamma, radius = previous.gamma_final, previous.radius_final
+        sweep = previous.sweep
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius!r}")
     initial.assert_consistent(model)

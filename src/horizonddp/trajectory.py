@@ -11,7 +11,8 @@ a nominal that already passed the check.  A trajectory built by a
 caller, an edited copy (whose arrays are new or writable again) and a
 check against any other model object, such as a new navigation snapshot,
 are stepped through in full.  As the carried sweep of ``backward.py`` does,
-the mark trusts a model object not to change its parameters in between.
+the mark keys on the model object, whose parameters and arrays are
+frozen (see ``models.py``).
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ from .model import SystemModel, check_count, running_costs
 CONSISTENCY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Nominal state sequence x_0..x_T and control sequence u_0..u_{T-1}."""
+    """Nominal state sequence x_0..x_T and control sequence u_0..u_{T-1}.
+
+    ``==`` is identity: compare the arrays to compare two trajectories."""
 
     states: np.ndarray    # (T+1, dim_x)
     controls: np.ndarray  # (T, dim_u)
 
     # the model object whose step made the arrays (see the module
-    # docstring); not a field, so ==, repr and fields() ignore it
+    # docstring); not a field, so repr and fields() ignore it
     _simulated_by = None
 
     def __post_init__(self):

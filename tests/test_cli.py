@@ -280,22 +280,40 @@ def test_check_command_reports_clean_model(tmp_path, capsys):
     assert "f_x" in out_text and "FAIL" not in out_text
 
 
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, "0.3"])
-def test_check_rejects_bad_sample_scale(tmp_path, scale):
-    # a subprocess with a timeout: a NaN scale once made sampling loop
-    # forever, as no non-finite state is admissible
-    cfg = write_config(tmp_path, {
-        "model": {"model": "double_integrator"}, "samples": 3,
-        "sample_scale": scale})
+def run_check(tmp_path, cfg):
+    """``horizonddp check`` in a subprocess with a timeout, so a sampling
+    loop that never ends fails the test instead of hanging it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "horizonddp.cli", "check", "--config", cfg,
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, "0.3"])
+def test_check_rejects_bad_sample_scale(tmp_path, scale):
+    # a NaN scale once made sampling loop forever, as no non-finite state
+    # is admissible
+    cfg = write_config(tmp_path, {
+        "model": {"model": "double_integrator"}, "samples": 3,
+        "sample_scale": scale})
+    out = run_check(tmp_path, cfg)
     assert out.returncode == 1
     assert out.stderr == "error: sample_scale must be finite and > 0\n"
+
+
+def test_check_without_admissible_draws_exits_1(tmp_path):
+    # a quadrotor state drawn at this scale almost never has |roll| and
+    # |pitch| below pi/2: the draws are bounded, and the error names the
+    # scale
+    cfg = write_config(tmp_path, {
+        "model": {"model": "quadrotor"}, "samples": 5, "sample_scale": 1e6})
+    out = run_check(tmp_path, cfg)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "sample_scale" in out.stderr
 
 
 def test_oracle_command(tmp_path):
@@ -339,6 +357,22 @@ def test_sweep_ct_command(tmp_path):
     assert len(rows) == 3
     # a larger per-step price shortens the chosen horizon
     assert int(rows[2][1]) <= int(rows[1][1])
+
+
+@pytest.mark.parametrize("bounds, window_s", [([10, 10], 0), ([1, 30], 5)])
+def test_sweep_ct_leaves_error_empty_at_zero_exact_cost(tmp_path, bounds,
+                                                        window_s):
+    # a start at the optimum with no time penalty costs 0 at every horizon:
+    # there is no relative error to report, and no division by zero
+    cfg = write_config(tmp_path, {
+        "model": {"model": "double_integrator"}, "x0": [0.0, 0.0],
+        "solver": {"horizon_bounds": bounds, "window_s": window_s},
+        "c_t_list": [0]})
+    out = tmp_path / "out"
+    assert main(["sweep-ct", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = read_csv(out / "sweep_ct.csv")[1:]
+    assert row[4] == row[5] == "0.0"
+    assert row[6] == "" and row[7] == "1"
 
 
 def test_sweep_ct_reports_non_converged_rows(tmp_path):

@@ -300,11 +300,12 @@ def test_stacked_stage_jacobians_match_per_stage_calls(model, rng,
     calls = []
     kernel = model._deriv_jacobians
 
-    def counted(x, u):
+    def counted(self, x, u):
         calls.append(np.shape(x))
         return kernel(x, u)
 
-    monkeypatch.setattr(model, "_deriv_jacobians", counted)
+    # the models are frozen: patch the class
+    monkeypatch.setattr(type(model), "_deriv_jacobians", counted)
     got = rk4_step_with_jacobian(model._deriv, model._deriv_jacobians,
                                  states, controls, model.dt)
     assert calls == [(160, model.dim_x)]
@@ -519,6 +520,56 @@ def test_simulated_trajectory_is_stepped_under_another_model(monkeypatch):
         "states", "controls"]
     assert repr(Trajectory(states=traj.states, controls=traj.controls)) \
         == repr(traj)
+
+
+@pytest.mark.parametrize("model", [
+    DoubleIntegratorModel(), CartpoleModel(), QuadrotorModel(),
+    PointMassNavModel()], ids=["double_integrator", "cartpole", "quadrotor",
+                               "pointmass_nav"])
+def test_models_are_frozen(model):
+    # the trust of assert_consistent and of a carried sweep keys on the
+    # model object, so its parameters and arrays cannot change in place
+    traj = initial_trajectory(model, np.full(model.dim_x, 0.5), 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.dt = 0.1
+    for name in ("Q", "R", "Qf", "x_ref", "u_ref"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0] += 1.0
+    assert traj.consistency_error(model) == 0.0
+    traj.assert_consistent(model)
+
+
+def test_model_holds_a_copy_of_the_caller_goal():
+    # a float goal is copied, so the caller's array stays writable and a
+    # later write to it leaves the model alone
+    for cls, n in ((QuadrotorModel, 12), (PointMassNavModel, 2)):
+        goal = np.ones(n)
+        model = cls(goal=goal)
+        goal[0] = 5.0
+        assert model.goal[0] == 1.0 and model.x_ref[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.goal[0] = 5.0
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # a deep copy holds distinct arrays: == answers False instead of
+    # raising on an array's truth value
+    from horizonddp import (MpcConfig, SolverConfig, backward_sweep,
+                            optimize_trajectory, run_episode)
+
+    model = DoubleIntegratorModel()
+    x0 = np.array([1.0, 0.0])
+    traj = initial_trajectory(model, x0, 5)
+    cfg = SolverConfig(horizon_bounds=(1, 10))
+    log = run_episode(model, x0, MpcConfig(solver=cfg, step_limit=2))
+    for record in (traj, optimize_trajectory(model, traj, cfg),
+                   backward_sweep(model, traj, (np.zeros((0, 2)),
+                                                np.zeros((0, 1)))),
+                   expand_cost(model, x0, traj.controls[0]),
+                   expand_dynamics(model, x0, traj.controls[0]),
+                   log, log.steps[0]):
+        assert record == record
+        assert not record == copy.deepcopy(record)
 
 
 # ---------------------------------------------------------------------------

@@ -112,17 +112,20 @@ def test_fixed_seed_is_bitwise_deterministic(rng):
 
 def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
     model, cfg = lq_mpc_setup(rng)
-    plan = optimize_trajectory(
+    previous = optimize_trajectory(
         model, initial_trajectory(model, np.ones(model.dim_x), 20),
-        cfg.solver).trajectory
+        cfg.solver)
+    plan = previous.trajectory
 
     def boom(*args, **kwargs):
         raise ExpansionError("solver knocked out")
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", boom)
     action, new_controls, t_bar, info = mpc_step(
-        plan.controls, np.ones(model.dim_x), model, cfg, GAMMA_MIN)
+        plan.controls, np.ones(model.dim_x), model, cfg, previous)
     assert info["degraded"] and info["iterations"] == 0
+    # the next replan resumes from the same solve, sweep and all
+    assert info["previous"] is previous
     npt.assert_array_equal(action, plan.controls[0])
     assert t_bar == plan.horizon
 
@@ -133,7 +136,7 @@ def test_nan_observed_state_is_a_degraded_step():
     cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 20), window_s=3))
     with np.errstate(invalid="ignore"):
         action, new_controls, t_bar, info = mpc_step(
-            controls, np.full(4, np.nan), model, cfg, GAMMA_MIN)
+            controls, np.full(4, np.nan), model, cfg)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, controls[0])
     assert new_controls is controls and t_bar == controls.shape[0]
@@ -148,7 +151,7 @@ def test_nan_derivative_replan_is_degraded():
     controls = initial_trajectory(model, np.zeros(4), 20).controls
     cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 40), window_s=3))
     action, new_controls, t_bar, info = mpc_step(
-        controls, np.zeros(4), model, cfg, GAMMA_MIN)
+        controls, np.zeros(4), model, cfg)
     assert info["degraded"] and info["iterations"] == 0
     npt.assert_array_equal(action, controls[0])
     assert new_controls is controls and t_bar == controls.shape[0]
@@ -162,15 +165,12 @@ def test_replan_holds_last_control_up_to_lower_bound(rng, monkeypatch):
     x = rng.standard_normal(model.dim_x)
     warm_starts = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
-                  sweep=None):
+    def recording(model, initial, cfg, previous=None):
         warm_starts.append(initial)
-        return optimize_trajectory(model, initial, cfg, gamma, radius,
-                                   sweep=sweep)
+        return optimize_trajectory(model, initial, cfg, previous)
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
-    action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg,
-                                                 GAMMA_MIN)
+    action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg)
     (warm,) = warm_starts
     npt.assert_array_equal(warm.states[0], x)
     npt.assert_array_equal(warm.controls[:5], controls)
@@ -184,8 +184,7 @@ def test_replan_holds_last_control_up_to_lower_bound(rng, monkeypatch):
 
     # a degraded replan returns the padded controls as the plan
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", knocked_out)
-    action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg,
-                                                 GAMMA_MIN)
+    action, new_controls, t_bar, info = mpc_step(controls, x, model, cfg)
     assert info["degraded"] and t_bar == 8
     npt.assert_array_equal(new_controls, warm.controls)
     npt.assert_array_equal(action, controls[0])
@@ -202,7 +201,7 @@ def test_non_numeric_replan_error_propagates(rng, monkeypatch, error):
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", bug)
     with pytest.raises(error):
-        mpc_step(controls, np.ones(model.dim_x), model, cfg, GAMMA_MIN)
+        mpc_step(controls, np.ones(model.dim_x), model, cfg)
 
 
 def test_gamma_carries_between_steps(monkeypatch):
@@ -211,19 +210,21 @@ def test_gamma_carries_between_steps(monkeypatch):
     model, cfg = nav_scenario()
     solves = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
-                  sweep=None):
-        result = optimize_trajectory(model, initial, cfg, gamma, radius,
-                                     sweep=sweep)
-        solves.append((gamma, result.gamma_final))
+    def recording(model, initial, cfg, previous=None):
+        result = optimize_trajectory(model, initial, cfg, previous)
+        solves.append((previous, result))
         return result
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
     log = run_episode(model, np.zeros(4), cfg)
     assert not any(rec.degraded for rec in log.steps)
     assert len(solves) == log.steps_used + 1
-    starts = [gamma for gamma, _ in solves[1:]]
-    assert starts == [final for _, final in solves[:-1]]
+    # each replan resumes from the solve before it
+    assert solves[0][0] is None
+    assert all(previous is result for (previous, _), (_, result)
+               in zip(solves[1:], solves[:-1]))
+    starts = [previous.gamma_final for previous, _ in solves[1:]]
+    assert starts == [result.gamma_final for _, result in solves[:-1]]
     assert sum(gamma > GAMMA_MIN for gamma in starts) >= len(starts) // 2
 
 
@@ -233,10 +234,10 @@ def test_trust_radius_carries_between_steps(monkeypatch):
     model, cfg = nav_scenario()
     solves = []
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
-                  sweep=None):
-        result = optimize_trajectory(model, initial, cfg, gamma, radius,
-                                     sweep=sweep)
+    def recording(model, initial, cfg, previous=None):
+        result = optimize_trajectory(model, initial, cfg, previous)
+        # a one-shot solve starts from an infinite radius
+        radius = math.inf if previous is None else previous.radius_final
         solves.append((radius, result))
         return result
 
@@ -267,10 +268,8 @@ def test_carried_radius_regrows_after_rejected_replans(monkeypatch):
             return None, math.inf
         return rollout(model, back, t0=t0, alpha=alpha, x0=x0)
 
-    def recording(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
-                  sweep=None):
-        result = optimize_trajectory(model, initial, cfg, gamma, radius,
-                                     sweep=sweep)
+    def recording(model, initial, cfg, previous=None):
+        result = optimize_trajectory(model, initial, cfg, previous)
         solves.append(result)
         return result
 
@@ -349,10 +348,10 @@ def noise_free_nav_episode():
 
 
 def without_carried_sweeps(monkeypatch):
-    """Solve every replan with no sweep carried in or out."""
-    def forgetful(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
-                  sweep=None):
-        return replace(optimize_trajectory(model, initial, cfg, gamma, radius),
+    """Solve every replan with no sweep carried in or out: every result
+    drops its sweep, so no replan resumes from one."""
+    def forgetful(model, initial, cfg, previous=None):
+        return replace(optimize_trajectory(model, initial, cfg, previous),
                        sweep=None)
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", forgetful)
@@ -382,14 +381,12 @@ def checking_carried_sweeps(monkeypatch):
                                              second_order=second_order))
         return back
 
-    def replan(model, initial, cfg, gamma=GAMMA_MIN, radius=math.inf,
-               sweep=None):
+    def replan(model, initial, cfg, previous=None):
         counts["solves"] += 1
         rolled = rollout_controls(model, initial.states[0], initial.controls)
         npt.assert_array_equal(initial.states, rolled.states)
         npt.assert_array_equal(initial.controls, rolled.controls)
-        return optimize_trajectory(model, initial, cfg, gamma, radius,
-                                   sweep=sweep)
+        return optimize_trajectory(model, initial, cfg, previous)
 
     def counting_rollout(model, x0, controls):
         counts["rolled_out"] += 1
@@ -445,8 +442,8 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
     replans = []
     step = mpc_mod.mpc_step
 
-    def recording(controls, x, snapshot, cfg, gamma, radius, sweep):
-        out = step(controls, x, snapshot, cfg, gamma, radius, sweep)
+    def recording(controls, x, snapshot, cfg, previous):
+        out = step(controls, x, snapshot, cfg, previous)
         replans.append((x, out))
         return out
 
@@ -455,9 +452,11 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
     monkeypatch.undo()
     # the first replan that carries its sweep on
     x, (action, plan, _, info) = next(
-        replan for replan in replans if replan[1][3]["sweep"] is not None)
+        replan for replan in replans
+        if replan[1][3]["previous"].sweep is not None)
     assert plan.shape[0] > 10
-    sweep, gamma, radius = info["sweep"], info["gamma"], info["radius"]
+    previous = info["previous"]
+    sweep = previous.sweep
     npt.assert_array_equal(sweep.controls[sweep.prefix_len:], plan)
     x1 = model.step(x, action)
     nudged = x1.copy()
@@ -466,15 +465,18 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
     for x, reused in ((x1, 1), (nudged, 0)):
         counts.clear()
         action, controls, t_bar, info = mpc_step(plan[1:], x, model, cfg,
-                                                 gamma, radius, sweep)
+                                                 previous)
         assert counts["reused"] == reused
         assert counts["rolled_out"] == 1 - reused
-        ref = mpc_step(plan[1:], x, model, cfg, gamma, radius)
+        # the same replan resumed from the same levels without the sweep
+        ref = mpc_step(plan[1:], x, model, cfg, replace(previous, sweep=None))
         npt.assert_array_equal(action, ref[0])
         npt.assert_array_equal(controls, ref[1])
         assert t_bar == ref[2]
-        assert {key: info[key] for key in ("iterations", "gamma", "radius")} \
-            == {key: ref[3][key] for key in ("iterations", "gamma", "radius")}
+        assert info["iterations"] == ref[3]["iterations"]
+        result, ref_result = info["previous"], ref[3]["previous"]
+        assert (result.gamma_final, result.radius_final) \
+            == (ref_result.gamma_final, ref_result.radius_final)
 
 
 def test_quadrotor_episode_work_counts(monkeypatch):

@@ -64,14 +64,17 @@ def test_config_validation():
 
 
 def test_gamma_argument_rejects_nan_negative_and_inf():
-    # an infinite gamma zeroes every gain: a cartpole solve then only
+    # a replan starts from the gamma its previous result ended on.  An
+    # infinite gamma zeroes every gain: a cartpole solve then only
     # shortens its unmoved nominal and reports that as converged
     m = DoubleIntegratorModel()
     init = initial_trajectory(m, np.array([1.0, 0.0]), 10)
+    cfg = SolverConfig(horizon_bounds=(1, 20))
+    previous = optimize_trajectory(m, init, cfg)
     for gamma in (np.nan, -1.0, np.inf):
         with pytest.raises(ValueError, match="gamma"):
-            optimize_trajectory(m, init, SolverConfig(horizon_bounds=(1, 20)),
-                                gamma=gamma)
+            optimize_trajectory(m, init, cfg,
+                                replace(previous, gamma_final=gamma))
 
 
 def test_radius_argument_regrows_once_and_is_returned():
@@ -80,10 +83,13 @@ def test_radius_argument_regrows_once_and_is_returned():
     m = DoubleIntegratorModel()
     init = initial_trajectory(m, np.array([1.0, 0.0]), 10)
     cfg = SolverConfig(horizon_bounds=(1, 20))
+    previous = optimize_trajectory(m, init, cfg)
     for radius in (np.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="radius"):
-            optimize_trajectory(m, init, cfg, radius=radius)
-    res = optimize_trajectory(m, init, cfg, radius=0.4)
+            optimize_trajectory(m, init, cfg,
+                                replace(previous, radius_final=radius))
+    res = optimize_trajectory(m, init, cfg,
+                              replace(previous, radius_final=0.4))
     assert res.trace[0]["trust_radius"] == 0.4 * solver_mod._RADIUS_REGROWTH
     # the last pass accepted a shift and doubled the radius it priced with
     last = res.trace[-1]
@@ -124,7 +130,7 @@ def test_result_carries_the_sweep_of_a_stationary_end(monkeypatch):
         return backward_sweep(*args, reuse=reuse, **kwargs)
 
     monkeypatch.setattr(solver_mod, "backward_sweep", recording)
-    optimize_trajectory(m, init, cfg, sweep=sweep)
+    optimize_trajectory(m, init, cfg, again)
     assert carried == [sweep, None]
 
 
@@ -337,14 +343,31 @@ def test_select_horizon_argmin_and_ties():
              CandidateEvaluation(T=4, t0=1, J_T=4.0, admissible=True,
                                  gap=0.1),
              CandidateEvaluation(T=5, t0=0, J_T=4.0, admissible=True,
-                                 gap=0.0)]
-    assert select_horizon(cands, 5) == 4  # tie -> smaller T
+                                 gap=0.0),
+             CandidateEvaluation(T=6, t0=-1, J_T=4.5, admissible=True,
+                                 gap=0.1)]
+    assert select_horizon(cands, 6) == 4  # tie -> smaller T
+    # a tie with T-bar keeps T-bar: only a strictly lower price moves
+    assert select_horizon(cands, 5) == 5
     cands[0] = CandidateEvaluation(T=3, t0=2, J_T=1.0, admissible=False,
                                    gap=0.2)
-    assert select_horizon(cands, 5) == 4  # inadmissible skipped
+    assert select_horizon(cands, 6) == 4  # inadmissible skipped
     none = [CandidateEvaluation(T=3, t0=0, J_T=1.0, admissible=False,
                                 gap=0.0)]
     assert select_horizon(none, 3) == 3
+
+
+def test_solve_started_at_its_optimum_converges_at_once():
+    # at the origin with no time penalty every candidate is priced at
+    # J = 0, and no rollout can lower J strictly: the tie keeps T-bar, so
+    # the first sweep is stationary.  A move to a smaller tied horizon
+    # would fail every ladder until gamma reached its ceiling
+    m = DoubleIntegratorModel(c_t=0.0)
+    res = optimize_trajectory(m, initial_trajectory(m, np.zeros(2), 10),
+                              SolverConfig(horizon_bounds=(1, 30), window_s=5))
+    assert res.status == "converged" and res.iterations == 1
+    assert res.t_star == 10 and res.cost == 0.0
+    assert {c.J_T for c in res.trace[0]["candidates"]} == {0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +431,9 @@ def test_rollout_returns_inf_when_step_raises(feedforward):
 def test_rollout_rejects_state_out_of_bounds(value, monkeypatch):
     # one test covers a non-finite state and one beyond the state bound
     model = DoubleIntegratorModel()
-    monkeypatch.setattr(model, "step", lambda x, u: np.array([0.0, value]))
+    # the models are frozen: patch the class
+    monkeypatch.setattr(DoubleIntegratorModel, "step",
+                        lambda self, x, u: np.array([0.0, value]))
     T = 3
     back = open_loop(np.zeros((T + 1, 2)), np.zeros((T, 1)), np.zeros((T, 1)))
     assert rollout(model, back, 0, 1.0, np.zeros(2)) == (None, np.inf)
@@ -446,15 +471,16 @@ def _sweep_case(model, x0, T, S, rng):
 
 
 def _counting_running_cost(model, monkeypatch):
-    """Record the leading shape of every running_cost call on this model."""
+    """Record the leading shape of every running_cost call on this model's
+    class (the models are frozen, so the class is patched)."""
     shapes = []
-    inner = model.running_cost
+    inner = type(model).running_cost
 
-    def counted(x, u):
+    def counted(self, x, u):
         shapes.append(np.shape(x)[:-1])
-        return inner(x, u)
+        return inner(self, x, u)
 
-    monkeypatch.setattr(model, "running_cost", counted)
+    monkeypatch.setattr(type(model), "running_cost", counted)
     return shapes
 
 
@@ -529,16 +555,16 @@ def test_rollout_matches_per_step_reference(name, rng, monkeypatch):
         assert new.controls.tobytes() == controls.tobytes()
         assert got == cost
     # a step that leaves the box at knot j is the last one taken
-    step = model.step
+    step = type(model).step
     for j, value in ((0, np.nan), (4, np.inf), (9, 1e9)):
         calls = []
 
-        def leaving(x, u):
+        def leaving(self, x, u):
             calls.append(None)
-            x_next = step(x, u)
+            x_next = step(self, x, u)
             return np.full_like(x_next, value) if len(calls) > j else x_next
 
-        monkeypatch.setattr(model, "step", leaving)
+        monkeypatch.setattr(type(model), "step", leaving)
         assert rollout(model, back, 0, 1.0, x0) == (None, np.inf)
         assert len(calls) == j + 1
 
@@ -548,10 +574,10 @@ def test_rollout_returns_inf_when_stacked_running_cost_raises(rng,
     model = _nav_model()
     _, back = _sweep_case(model, np.zeros(4), 10, 0, rng)
 
-    def overflowing(x, u):
+    def overflowing(self, x, u):
         raise FloatingPointError("running cost overflow")
 
-    monkeypatch.setattr(model, "running_cost", overflowing)
+    monkeypatch.setattr(type(model), "running_cost", overflowing)
     assert rollout(model, back, 0, 1.0, np.zeros(4)) == (None, np.inf)
 
 
