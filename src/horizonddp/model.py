@@ -198,6 +198,13 @@ class SystemModel:
         """
         raise NotImplementedError
 
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled or deep-copied model, its arrays read-only
+        again: numpy hands their copies back writable."""
+        for name, value in state.items():
+            object.__setattr__(self, name, _frozen_array(value)
+                               if isinstance(value, np.ndarray) else value)
+
 
 @dataclass(frozen=True, eq=False)
 class CostExpansion:
@@ -254,10 +261,13 @@ def _slopes(fun, v, rel):
     return np.stack(cols, axis=-1)
 
 
-def _fd_hessian(fun, v):
-    """Central-difference Hessian of a scalar function of a vector, by the
-    four-point stencil with steps max(FD_STEP_SECOND, FD_STEP_SECOND*|v_i|)."""
+def _fd_gradient_hessian(fun, v):
+    """Central-difference gradient and Hessian of a scalar function of a
+    vector: the gradient by ``_slopes`` with FD_STEP_FIRST, the Hessian by
+    the four-point stencil with steps max(FD_STEP_SECOND,
+    FD_STEP_SECOND*|v_i|)."""
     v = np.asarray(v, dtype=float)
+    g = _slopes(fun, v, FD_STEP_FIRST)
     n = v.size
     h = np.maximum(FD_STEP_SECOND, FD_STEP_SECOND * np.abs(v))
     f0 = fun(v)
@@ -273,19 +283,7 @@ def _fd_hessian(fun, v):
                 H[i, j] = H[j, i] = (
                     fun(v + ei + ej) - fun(v + ei - ej) - fun(v - ei + ej)
                     + fun(v - ei - ej)) / (4.0 * h[i] * h[j])
-    return H
-
-
-def _fd_cost_derivatives(model: SystemModel, x, u):
-    n = np.size(x)
-    z = np.concatenate([x, u])
-
-    def cost_z(zz):
-        return model.running_cost(zz[:n], zz[n:])
-
-    g = _slopes(cost_z, z, FD_STEP_FIRST)
-    H = _fd_hessian(cost_z, z)
-    return g[:n], g[n:], sym(H[:n, :n]), H[n:, :n], sym(H[n:, n:])
+    return g, H
 
 
 def _fd_dynamics_jacobians(model: SystemModel, x, u):
@@ -295,17 +293,26 @@ def _fd_dynamics_jacobians(model: SystemModel, x, u):
     return J[:, :n], J[:, n:]
 
 
+def _fd_cost_derivatives(model: SystemModel, x, u):
+    n = np.size(x)
+    g, H = _fd_gradient_hessian(lambda z: model.running_cost(z[:n], z[n:]),
+                                np.concatenate([x, u]))
+    return g[:n], g[n:], sym(H[:n, :n]), H[n:, :n], sym(H[n:, n:])
+
+
 def _fd_terminal_derivatives(model: SystemModel, x):
-    phi_x = _slopes(model.terminal_cost, x, FD_STEP_FIRST)
-    phi_xx = _fd_hessian(model.terminal_cost, x)
+    phi_x, phi_xx = _fd_gradient_hessian(model.terminal_cost, x)
     return phi_x, sym(phi_xx)
 
 
-# each optional derivative method's fallback, and the evaluation it differences
-_FALLBACKS = {
-    "running_cost_derivatives": (_fd_cost_derivatives, "running_cost"),
-    "dynamics_jacobians": (_fd_dynamics_jacobians, "step"),
-    "terminal_cost_derivatives": (_fd_terminal_derivatives, "terminal_cost"),
+# each optional derivative method: its central-difference fallback, the
+# evaluation that fallback differences, and the names of its outputs
+_OPTIONAL_DERIVATIVES = {
+    "dynamics_jacobians": (_fd_dynamics_jacobians, "step", ("f_x", "f_u")),
+    "running_cost_derivatives": (_fd_cost_derivatives, "running_cost",
+                                 ("l_x", "l_u", "l_xx", "l_ux", "l_uu")),
+    "terminal_cost_derivatives": (_fd_terminal_derivatives, "terminal_cost",
+                                  ("phi_x", "phi_xx")),
 }
 
 
@@ -325,7 +332,7 @@ def _derivatives(model: SystemModel, method: str, *args) -> list:
     differenced evaluation."""
     value = getattr(model, method)(*args)
     if value is None:
-        fallback, method = _FALLBACKS[method]
+        fallback, method, _ = _OPTIONAL_DERIVATIVES[method]
         value = fallback(model, *args)
     return _require_finite(method, *value)
 
@@ -457,7 +464,8 @@ def _rel_err(analytic, numeric):
 def check_derivatives(model: SystemModel, samples,
                       tol: float = DERIVATIVE_CHECK_TOL) -> DerivativeReport:
     """Cross-check every analytic derivative the model provides against
-    central finite differences over the given (x, u) samples."""
+    its central-difference fallback over the given (x, u) samples; the
+    report names each output as ``_OPTIONAL_DERIVATIVES`` does."""
     worst: dict = {}
 
     def record(name, err):
@@ -467,21 +475,13 @@ def check_derivatives(model: SystemModel, samples,
     for x, u in samples:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        jac = model.dynamics_jacobians(x, u)
-        if jac is not None:
-            fd_fx, fd_fu = _fd_dynamics_jacobians(model, x, u)
-            record("f_x", _rel_err(jac[0], fd_fx))
-            record("f_u", _rel_err(jac[1], fd_fu))
-        cost = model.running_cost_derivatives(x, u)
-        if cost is not None:
-            fd = _fd_cost_derivatives(model, x, u)
-            for name, a, b in zip(("l_x", "l_u", "l_xx", "l_ux", "l_uu"), cost, fd):
-                record(name, _rel_err(a, b))
-        term = model.terminal_cost_derivatives(x)
-        if term is not None:
-            fd_px, fd_pxx = _fd_terminal_derivatives(model, x)
-            record("phi_x", _rel_err(term[0], fd_px))
-            record("phi_xx", _rel_err(term[1], fd_pxx))
+        for method, (fd, evaluation, names) in _OPTIONAL_DERIVATIVES.items():
+            # the terminal cost and its derivatives take the state alone
+            args = (x,) if evaluation == "terminal_cost" else (x, u)
+            analytic = getattr(model, method)(*args)
+            if analytic is not None:
+                for name, a, b in zip(names, analytic, fd(model, *args)):
+                    record(name, _rel_err(a, b))
 
     failures = [name for name, value in worst.items() if not value <= tol]
     return DerivativeReport(discrepancies=worst, tol=tol, failures=sorted(failures))

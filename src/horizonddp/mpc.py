@@ -114,12 +114,15 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     solve's first sweep reuses the rows it shares (see ``backward_sweep``).
     ``info["iterations"]`` and ``info["degraded"]`` describe the replan,
     and ``info["previous"]`` is the result the next replan resumes from.
-    Returns (action, new_controls, new_horizon, info).  When the replan
+    Returns (action, new_controls, new_horizon, info), and raises
+    ValueError for a plan without controls.  When the replan
     raises ``FloatingPointError`` (a non-finite state, or an
     ``ExpansionError``) the first of the given controls is applied, they
     are returned as the plan, ``previous`` is handed on unchanged, and the
     step is flagged; any other exception propagates.
     """
+    if controls.shape[0] < 1:
+        raise ValueError("controls must hold at least one knot")
     inner_cfg = replace(cfg.solver, max_iterations=cfg.inner_iterations)
     short = cfg.solver.horizon_bounds[0] - controls.shape[0]
     if short > 0:
@@ -153,8 +156,9 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
         cfg = replace(cfg, solver=replace(cfg.solver, window_s=0,
                                           horizon_bounds=(t_fixed, t_fixed)))
     elif cfg.solver.horizon_bounds[0] > 1:
-        # the horizon counts down to one, and every replan below the lower
-        # bound would fail
+        # mpc_step pads the plan up to the lower bound, so the horizon
+        # would never count down to zero: the episode would run to the step
+        # limit without terminating
         raise ValueError("an optimal-horizon episode requires "
                          "horizon_bounds[0] == 1")
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -585,6 +586,29 @@ BUILTIN_MODELS = [
         obstacles=(Obstacle(center=(1.0, 1.0), radius=0.7, weight=2.0),
                    Obstacle(center=(-0.5, 0.2), radius=0.4, weight=5.0)))),
 ]
+
+
+@pytest.mark.parametrize("route", [
+    copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+    ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("name,builder", BUILTIN_MODELS)
+def test_copied_models_stay_frozen(name, builder, route):
+    # numpy hands a copied or unpickled array back writable, and an edit in
+    # place would leave a trajectory simulated under the copy trusted
+    model = builder()
+    copied = route(model)
+    arrays = {k: v for k, v in vars(copied).items()
+              if isinstance(v, np.ndarray)}
+    assert arrays and arrays.keys() == {
+        k for k, v in vars(model).items() if isinstance(v, np.ndarray)}
+    traj = initial_trajectory(copied, np.full(copied.dim_x, 0.5), 5)
+    for k, a in arrays.items():
+        npt.assert_array_equal(a, getattr(model, k))
+        assert not a.flags.writeable, k
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] += 0.5
+    assert traj.consistency_error(copied) == 0.0
+    traj.assert_consistent(copied)
 
 
 def _random_knots(m, rng, count, scale=0.4):

@@ -9,10 +9,11 @@ import numpy.testing as npt
 import pytest
 
 from conftest import nan_derivative_cartpole, random_lq
-from horizonddp import (CartpoleModel, ExpansionError, MpcConfig,
-                        PointMassNavModel, QuadrotorModel, SolverConfig,
-                        initial_trajectory, mpc_step, optimize_trajectory,
-                        rollout_controls, run_episode)
+from horizonddp import (CartpoleModel, DoubleIntegratorModel,
+                        ExpansionError, MpcConfig, PointMassNavModel,
+                        QuadrotorModel, SolverConfig, initial_trajectory,
+                        mpc_step, optimize_trajectory, rollout_controls,
+                        run_episode)
 import horizonddp.backward as backward_mod
 import horizonddp.mpc as mpc_mod
 import horizonddp.solver as solver_mod
@@ -202,6 +203,15 @@ def test_non_numeric_replan_error_propagates(rng, monkeypatch, error):
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", bug)
     with pytest.raises(error):
         mpc_step(controls, np.ones(model.dim_x), model, cfg)
+
+
+def test_mpc_step_rejects_an_empty_plan():
+    # a plan without controls has no last control to hold up to the lower
+    # bound: the error names the argument instead of numpy's padding
+    model = DoubleIntegratorModel()
+    cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 30)))
+    with pytest.raises(ValueError, match="controls"):
+        mpc_step(np.zeros((0, model.dim_u)), np.zeros(model.dim_x), model, cfg)
 
 
 def test_gamma_carries_between_steps(monkeypatch):

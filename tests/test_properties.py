@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NumericLq, random_lq
-from horizonddp import (LtiProblem, PointMassNavModel, SolverConfig,
-                        backward_sweep, initial_trajectory,
+from horizonddp import (LtiProblem, MpcConfig, PointMassNavModel,
+                        SolverConfig, backward_sweep, initial_trajectory,
                         lti_optimal_horizon, optimize_trajectory,
-                        riccati_sweep)
+                        riccati_sweep, run_episode)
 from horizonddp.solver import _STEP_SIZES, evaluate_candidates
 
 BOUNDS = (1, 60)
@@ -126,6 +126,21 @@ def test_differenced_derivatives_reach_the_exact_optimum(seed, c_t, scale,
     assert res.converged
     assert res.t_star == t_exact
     assert _close(res.cost, j_exact)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(**lq_cases)
+def test_noise_free_episode_costs_its_plan(seed, c_t, scale, offset):
+    # Bellman's principle: replanning along its own plan, a noise-free
+    # episode applies the first solve's plan to the end and pays its cost
+    _, model, x0, _, _, _, T0 = _case(seed, c_t, scale, offset)
+    cfg = MpcConfig(solver=SolverConfig(horizon_bounds=BOUNDS,
+                                        window_s=WINDOW), initial_horizon=T0)
+    first = optimize_trajectory(model, initial_trajectory(model, x0, T0),
+                                cfg.solver)
+    log = run_episode(model, x0, cfg)
+    assert log.terminated and log.steps_used == first.t_star
+    assert abs(log.total_cost - first.cost) <= 1e-9 * abs(first.cost)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)

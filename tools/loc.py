@@ -1,11 +1,13 @@
 """Code lines of each module of a source tree's ``horizonddp`` package.
 
-Usage: python3 tools/loc.py [<tree>]
+Usage: python3 tools/loc.py [<tree> [<other-tree>]]
 
 Counts the lines of every ``<tree>/src/horizonddp/*.py`` (the tree
 defaults to the current directory) that hold code: blank lines,
 comment-only lines and docstrings (the leading string of a module, class
 or function) are skipped.  Prints one line per module and the total.
+Given a second tree, each line holds both counts and their difference,
+the second less the first; a module missing from one tree counts 0 there.
 """
 
 from __future__ import annotations
@@ -36,14 +38,22 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def module_counts(tree: Path) -> dict:
+    """Code lines of each module of ``tree``'s package, by file name."""
+    return {path.name: code_lines(path.read_text())
+            for path in (tree / "src" / "horizonddp").glob("*.py")}
+
+
 def main(argv: list) -> int:
-    tree = Path(argv[1] if len(argv) > 1 else ".")
-    total = 0
-    for path in sorted((tree / "src" / "horizonddp").glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    tables = [module_counts(Path(tree)) for tree in argv[1:3] or ["."]]
+    names = sorted(set().union(*tables))
+    rows = [(name, [t.get(name, 0) for t in tables]) for name in names]
+    rows.append(("total", [sum(t.values()) for t in tables]))
+    for name, counts in rows:
+        cells = [f"{c:6d}" for c in counts]
+        if len(counts) == 2:
+            cells.append(f"{counts[1] - counts[0]:+6d}")
+        print("  ".join(cells + [name]))
     return 0
 
 
