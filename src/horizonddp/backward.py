@@ -27,7 +27,12 @@ prefix knots.  It copies the blocks, values, gains and floors of the
 shared rows, the terminal value block among them, and starts its backup
 at the highest row whose floor is not at least its gamma: the rows above
 it get the same bits as a sweep from the terminal, by the induction
-above.
+above.  ``shared_tail`` makes that test, and the solver makes the same
+one to decide that such a replan's first pass needs no prefix: a solve
+carries its sweep only when it ended at the stationarity test, so the
+carried sweep also certifies its plan stationary.  That first sweep then
+linearizes nothing, and backs up only the shared rows its gamma may
+lift.
 
 Each quadratic is one symmetric block in homogeneous coordinates, with a
 constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
@@ -397,10 +402,11 @@ def _sweep_once(costs, dyns, gamma, out, top):
         raise
 
 
-def _shared_tail(reuse, model, traj: Trajectory, second_order) -> int:
+def shared_tail(reuse, model, traj: Trajectory, second_order) -> int:
     """The row of ``reuse`` at which ``traj`` starts, when ``reuse``
     linearized the same model object in the same mode and its nominal ends
-    in ``traj`` to the bit, or -1."""
+    in ``traj`` to the bit, or -1.  The one test both for the rows a sweep
+    reuses and for the solver's first pass without a prefix."""
     if (reuse is None or reuse.model is not model
             or (reuse.F2 is not None) != second_order):
         return -1
@@ -445,7 +451,7 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     # read-only: a later sweep reuses these rows, and a warm start read
     # off them is trusted as simulated (see trajectory.py)
     states.flags.writeable = controls.flags.writeable = False
-    r0 = _shared_tail(reuse, model, traj, second_order)
+    r0 = shared_tail(reuse, model, traj, second_order)
     lin = len(controls) if r0 < 0 else S
     if r0 < 0:
         phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_finite_array, _frozen_array, check_nonnegative,
-                    check_range, sym)
+from .model import (_finite_array, _frozen_array, _setstate_frozen,
+                    check_nonnegative, check_range, sym)
 
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-10
@@ -52,6 +52,9 @@ class LtiProblem:
     Qf: np.ndarray
     horizon_bounds: tuple[int, int]
     c_t: float = 0.0
+
+    # a pickled or deep-copied problem keeps its matrices read-only
+    __setstate__ = _setstate_frozen
 
     def __post_init__(self):
         for name in ("A", "B", "Q", "R", "Qf"):

@@ -111,6 +111,15 @@ def _frozen_array(a) -> np.ndarray:
     return out
 
 
+def _setstate_frozen(self, state: dict) -> None:
+    """``__setstate__`` of a frozen record: restore a pickled or
+    deep-copied object, its arrays read-only again, as numpy hands their
+    copies back writable."""
+    for name, value in state.items():
+        object.__setattr__(self, name, _frozen_array(value)
+                           if isinstance(value, np.ndarray) else value)
+
+
 def from_fields(cls, doc: dict, what: str):
     """``cls(**doc)`` for a dataclass ``cls`` built from a config document;
     raises ValueError naming each key of ``doc`` that is not a field, and
@@ -198,12 +207,7 @@ class SystemModel:
         """
         raise NotImplementedError
 
-    def __setstate__(self, state: dict) -> None:
-        """Restore a pickled or deep-copied model, its arrays read-only
-        again: numpy hands their copies back writable."""
-        for name, value in state.items():
-            object.__setattr__(self, name, _frozen_array(value)
-                               if isinstance(value, np.ndarray) else value)
+    __setstate__ = _setstate_frozen
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,10 +8,12 @@ the episode ends once the plan's last control has been applied.  Each replan
 resumes from the previous solve's ``SolverResult``, and the solver alone
 decides what it reads from it: the regularization and horizon trust radius
 that solve ended on, and the sweep it ended on when it stopped at the
-stationarity test.  Along a noise-free plan the observed state is then the
-plan's next state to the bit: the warm start is read off that sweep's rows,
-and the replan's first sweep backs up only its new prefix, keeping every
-row whose floor is at least its gamma, as a gamma retry does.  Either way
+stationarity test, which the carried sweep certifies.  Along a noise-free
+plan the observed state is then the plan's next state to the bit: the warm
+start is read off that sweep's rows, and the replan's first pass builds no
+prefix, since the solve that carried the sweep has priced the horizons
+above its plan.  That pass's sweep keeps every row whose floor is at least
+its gamma, as a gamma retry does, and backs up only the others.  Either way
 the warm start is simulated under the snapshot the replan solves against,
 so the solve's entry check only tests it finite instead of stepping it
 again (see ``trajectory.py``).  Passing ``t_fixed`` runs the fixed
@@ -110,8 +112,9 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     resumes from it (see ``optimize_trajectory``), so neither the
     regularization nor the horizon trust radius is re-learned every
     replan.  When ``observed_x0`` is its plan's next state to the bit, the
-    warm start is read off its sweep's rows instead of rolled out, and the
-    solve's first sweep reuses the rows it shares (see ``backward_sweep``).
+    warm start is read off its sweep's rows instead of rolled out, the
+    solve's first pass builds no prefix, and its sweep reuses the rows it
+    shares (see ``optimize_trajectory`` and ``backward_sweep``).
     ``info["iterations"]`` and ``info["degraded"]`` describe the replan,
     and ``info["previous"]`` is the result the next replan resumes from.
     Returns (action, new_controls, new_horizon, info), and raises

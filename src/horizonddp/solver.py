@@ -14,6 +14,20 @@ where that solve ended; a carried radius first regrows by
 ``_RADIUS_REGROWTH``, so one bad replan cannot freeze the horizon for the
 rest of an episode.
 
+A solve carries its last sweep out only when it ended at the stationarity
+test, so a carried sweep is more than a cache: it certifies that along its
+nominal no admissible horizon of its window, up to T-bar + S, was priced
+below T-bar's own price.  The first pass of a solve whose nominal is that nominal's
+tail to the bit, under the same model object and in the same mode (the
+test ``backward.shared_tail`` makes for the row reuse), builds no prefix.
+A longer plan from its first state that starts after the dropped controls
+is also a longer plan from the carried nominal's start (Bellman's
+principle of optimality), and the carried solve has priced those.  The
+pass still prices the lower reach, from the reused rows, and runs the
+stationarity test; every later pass of the solve builds the full prefix.
+A new nav snapshot (a new model object), noise or a one-ulp offset each
+fail the test, and such a replan builds its prefix on every pass.
+
 The window is [T-bar - window_s, T-bar + S], except after an accepted move
 onto its lower edge (with that edge above the lower bound): the next pass
 then prices every horizon its sweep covers, down to the lower bound.  As
@@ -56,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
-                       BackwardSweepError, backward_sweep)
+                       BackwardSweepError, backward_sweep, shared_tail)
 from .model import (SystemModel, check_count, check_nonnegative,
                     check_range, from_fields)
 from .trajectory import Trajectory, _path_cost, trajectory_cost
@@ -145,11 +159,13 @@ class SolverResult:
     ``sweep``.  ``sweep`` is the last pass's
     :class:`BackwardResult` when the solve ended at the stationarity test,
     so that its nominal is the returned trajectory, and None otherwise; a
-    converged solve carries it unless it ended on an exact step.  A replan
-    along that trajectory's tail reads its warm start off it, and its
-    first sweep copies the rows it shares, as a gamma retry keeps the rows
-    above the first knot the new gamma may lift.  ``==`` is identity, as
-    for every library record that holds arrays.
+    converged solve carries it unless it ended on an exact step.  Carrying
+    it also certifies the trajectory stationary, not only caches its rows:
+    a replan along that trajectory's tail reads its warm start off it, its
+    first pass builds no prefix (see the module docstring), and its first
+    sweep copies the rows it shares, as a gamma retry keeps the rows above
+    the first knot the new gamma may lift.  ``==`` is identity, as for
+    every library record that holds arrays.
     """
 
     trajectory: Trajectory
@@ -340,8 +356,15 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
       > 0, or no horizon would be admissible.  Without ``previous`` it is
       infinite: every priced horizon is admitted until a shifted try is
       rejected, and a doubling keeps it infinite;
-    - the first pass's sweep reuses the rows it shares with its ``sweep``
-      (see ``backward_sweep``).
+    - its ``sweep``, carried only by a solve that ended at the
+      stationarity test, certifies that solve's trajectory stationary.
+      When ``initial`` is that trajectory's tail to the bit, under this
+      model object and in this mode (``backward.shared_tail``), the first
+      pass builds no prefix and prices only the horizons up to T-bar;
+      every later pass builds the full ``window_s`` prefix.  The first
+      pass's sweep also reuses the rows it shares with ``sweep`` (see
+      ``backward_sweep``).  A ``sweep`` that no stationary solve carried
+      out voids that certificate: pass ``replace(previous, sweep=None)``.
 
     An inconsistent ``initial`` is rejected by ``assert_consistent``:
     FloatingPointError on a non-finite defect, ValueError on one above
@@ -371,8 +394,11 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        prefix = extend_backward(model, traj, cfg.window_s)
         reuse, sweep = sweep, None
+        # along the tail of a carried sweep, the stationary solve that
+        # carried it has priced every horizon above T-bar (module docstring)
+        on_plan = shared_tail(reuse, model, traj, cfg.second_order) >= 0
+        prefix = extend_backward(model, traj, 0 if on_plan else cfg.window_s)
         try:
             back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                                   gamma=gamma, second_order=cfg.second_order,

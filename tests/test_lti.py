@@ -1,13 +1,16 @@
 """Exact LQ machinery: Riccati recursion and horizon pricing."""
 
+import copy
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import random_lq
-from horizonddp import (IllPosedStepError, LtiProblem, lqr_gain,
-                        lqr_rollout_cost, lti_optimal_horizon, riccati_step,
-                        riccati_sweep)
+from horizonddp import (DoubleIntegratorModel, IllPosedStepError,
+                        LtiProblem, lqr_gain, lqr_rollout_cost,
+                        lti_optimal_horizon, riccati_step, riccati_sweep)
 
 
 def scalar_problem(q=1.0, r=1.0, qf=1.0, t_max=10, c_t=0.0):
@@ -197,6 +200,24 @@ def test_validation_rejects_bad_data():
     ]:
         with pytest.raises(ValueError, match=message):
             LtiProblem(**{**data, **change})
+
+
+@pytest.mark.parametrize("route", [
+    copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["deepcopy", "pickle"])
+def test_copied_problem_stays_frozen(route):
+    # numpy hands a copied or unpickled array back writable; a copy must not
+    # be editable in place after __post_init__ checked the original
+    problem = DoubleIntegratorModel().to_lti_problem((1, 30))
+    copied = route(problem)
+    assert (copied.horizon_bounds, copied.c_t) == (problem.horizon_bounds,
+                                                   problem.c_t)
+    for name in ("A", "B", "Q", "R", "Qf"):
+        a = getattr(copied, name)
+        npt.assert_array_equal(a, getattr(problem, name))
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] += 0.5
 
 
 def test_ill_posed_step_reported():

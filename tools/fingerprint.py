@@ -27,7 +27,8 @@ line-search rollouts the run made, how many of them rolled out a shifted
 horizon (t0 != 0), how many rolled out the tail's interpolated step size
 (an alpha not in ``solver._STEP_SIZES``), how many shifted tries were
 rejected and how many rollouts those tries spent, the model ``step`` calls
-the run made, its knot backups (``backward.q_expansion`` calls), how its
+the run made, its knot backups (``backward.q_expansion`` calls), the
+knots of every prefix it built (``solver.extend_backward``), how its
 converged solves ended (``stationary``: the last trace record was not
 accepted, so the solve stopped at a stationary sweep; ``stepped``: it
 was, so the solve stopped on an exact step; an episode counts its first
@@ -40,12 +41,12 @@ reported, not hashed.
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts, shifted and interpolated rollouts, rejected shifted tries and
-their rollouts, step calls, knot backups and stationary and stepped ends,
-with the relative gap between their final costs, the two plan digests and
-the two run digests, so that a moved total digest can be traced to its
-runs, and a moved run digest to the answer or only to the trace.  The exit
-status is 1 when a count differs or a gap exceeds 1e-12; plan or run
-digests that differ do not change it.
+their rollouts, step calls, knot backups, prefix knots and stationary and
+stepped ends, with the relative gap between their final costs, the two
+plan digests and the two run digests, so that a moved total digest can be
+traced to its runs, and a moved run digest to the answer or only to the
+trace.  The exit status is 1 when a count differs or a gap exceeds 1e-12;
+plan or run digests that differ do not change it.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ import numpy as np
 _SKIP_FIELDS = {"solve_time"}
 # the per-run counts of the summary line, reset between runs
 _COUNTS = ("rollouts", "shifted", "interpolated", "rejected_shifts",
-           "rejected_rollouts", "step_calls", "backups", "stationary",
-           "stepped")
+           "rejected_rollouts", "step_calls", "backups", "prefix_knots",
+           "stationary", "stepped")
 
 
 def _feed(h, obj) -> None:
@@ -236,6 +237,19 @@ def _count_backups(backward, counts: dict) -> None:
     backward.q_expansion = q_expansion
 
 
+def _count_prefix_knots(solver, counts: dict) -> None:
+    """Wrap ``solver.extend_backward`` so the knots of each prefix it
+    builds are counted."""
+    inner = solver.extend_backward
+
+    def extend_backward(model, traj, S):
+        prefix = inner(model, traj, S)
+        counts["prefix_knots"] += len(prefix)
+        return prefix
+
+    solver.extend_backward = extend_backward
+
+
 def _count_ends(modules, counts: dict) -> None:
     """Wrap ``optimize_trajectory`` at each module's binding (the package's,
     which the one-shot runs call, and ``mpc``'s, which an episode calls for
@@ -269,6 +283,7 @@ def fingerprint(tree: Path) -> str:
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
     _count_backups(horizonddp.backward, counts)
+    _count_prefix_knots(horizonddp.solver, counts)
     _count_ends((hd, horizonddp.mpc), counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
