@@ -27,12 +27,9 @@ prefix knots.  It copies the blocks, values, gains and floors of the
 shared rows, the terminal value block among them, and starts its backup
 at the highest row whose floor is not at least its gamma: the rows above
 it get the same bits as a sweep from the terminal, by the induction
-above.  ``shared_tail`` makes that test, and the solver makes the same
-one to decide that such a replan's first pass needs no prefix: a solve
-carries its sweep only when it ended at the stationarity test, so the
-carried sweep also certifies its plan stationary.  That first sweep then
-linearizes nothing, and backs up only the shared rows its gamma may
-lift.
+above.  ``shared_tail`` makes that test.  A replan builds no prefix (see
+``solver.py``), so such a first sweep linearizes nothing, and backs up
+only the shared rows its gamma may lift.
 
 Each quadratic is one symmetric block in homogeneous coordinates, with a
 constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
@@ -405,8 +402,8 @@ def _sweep_once(costs, dyns, gamma, out, top):
 def shared_tail(reuse, model, traj: Trajectory, second_order) -> int:
     """The row of ``reuse`` at which ``traj`` starts, when ``reuse``
     linearized the same model object in the same mode and its nominal ends
-    in ``traj`` to the bit, or -1.  The one test both for the rows a sweep
-    reuses and for the solver's first pass without a prefix."""
+    in ``traj`` to the bit, or -1: the test for the rows a sweep
+    reuses."""
     if (reuse is None or reuse.model is not model
             or (reuse.F2 is not None) != second_order):
         return -1

@@ -5,20 +5,24 @@ previous plan's controls (first knot dropped) are rolled out from the
 observed state to warm-start a budgeted solve against the current world
 snapshot, the first control is applied to the (possibly noisy) plant, and
 the episode ends once the plan's last control has been applied.  Each replan
-resumes from the previous solve's ``SolverResult``, and the solver alone
-decides what it reads from it: the regularization and horizon trust radius
-that solve ended on, and the sweep it ended on when it stopped at the
-stationarity test, which the carried sweep certifies.  Along a noise-free
+resumes from the previous solve's ``SolverResult``, and passing it makes
+the solve a replan: one real-time iteration that ends on its first
+accepted step and prices no horizon above its warm start (see
+``solver.py``).  Its warm start is the previous plan less its applied
+knot, so the planned horizon falls by at least one every step, and an
+optimal-horizon episode ends within its first solve's T* steps.  The
+solver alone decides what else it reads from the result: the
+regularization and horizon trust radius that solve ended on, and the sweep
+it ended on when it stopped at the stationarity test.  Along a noise-free
 plan the observed state is then the plan's next state to the bit: the warm
-start is read off that sweep's rows, and the replan's first pass builds no
-prefix, since the solve that carried the sweep has priced the horizons
-above its plan.  That pass's sweep keeps every row whose floor is at least
-its gamma, as a gamma retry does, and backs up only the others.  Either way
-the warm start is simulated under the snapshot the replan solves against,
-so the solve's entry check only tests it finite instead of stepping it
-again (see ``trajectory.py``).  Passing ``t_fixed`` runs the fixed
-receding-horizon baseline through the same loop: every replan solves at
-that horizon, and the episode runs to the step limit.
+start is read off that sweep's rows, and the replan's first sweep keeps
+every row whose floor is at least its gamma, as a gamma retry does, and
+backs up only the others.  Either way the warm start is simulated under
+the snapshot the replan solves against, so the solve's entry check only
+tests it finite instead of stepping it again (see ``trajectory.py``).
+Passing ``t_fixed`` runs the fixed receding-horizon baseline through the
+same loop: every replan solves at that horizon, and the episode runs to
+the step limit.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from .trajectory import Trajectory, rollout_controls, initial_trajectory
 @dataclass
 class MpcConfig:
     solver: SolverConfig
-    inner_iterations: int = 5     # warm-start budget per MPC step
+    # passes a replan may spend without accepting a step (its gamma
+    # retries); a replan ends on its first accepted step
+    inner_iterations: int = 5
     noise_scale: float = 0.0      # additive plant state noise, stddev
     step_limit: int = 500
     seed: int = 0
@@ -111,10 +117,13 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     ``previous`` is the result of the solve before, or None; the solve
     resumes from it (see ``optimize_trajectory``), so neither the
     regularization nor the horizon trust radius is re-learned every
-    replan.  When ``observed_x0`` is its plan's next state to the bit, the
-    warm start is read off its sweep's rows instead of rolled out, the
-    solve's first pass builds no prefix, and its sweep reuses the rows it
-    shares (see ``optimize_trajectory`` and ``backward_sweep``).
+    replan.  Given ``previous`` the solve is one real-time iteration: it
+    ends on its first accepted step, within ``cfg.inner_iterations``
+    passes, and returns a plan no longer than the warm start.  When
+    ``observed_x0`` is its plan's next state to the bit, the warm start is
+    read off its sweep's rows instead of rolled out, and the solve's sweep
+    reuses the rows it shares (see ``optimize_trajectory`` and
+    ``backward_sweep``).
     ``info["iterations"]`` and ``info["degraded"]`` describe the replan,
     and ``info["previous"]`` is the result the next replan resumes from.
     Returns (action, new_controls, new_horizon, info), and raises
@@ -146,8 +155,9 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
                 t_fixed: int | None = None) -> EpisodeLog:
     """Closed-loop optimal-horizon episode, or the receding baseline.
 
-    Without ``t_fixed`` every replan chooses its horizon, and the episode
-    terminates once the planned horizon has counted down to zero, so a
+    Without ``t_fixed`` every replan chooses its horizon, no longer than
+    its warm start, and the episode terminates once the planned horizon
+    has counted down to zero, within the first solve's T* steps.  So a
     noise-free episode applies its plan to the end and costs what the plan
     costs.  With ``t_fixed`` every solve uses that horizon, each replan
     holding the last control to fill the knot the previous step dropped,

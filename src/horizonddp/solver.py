@@ -14,19 +14,18 @@ where that solve ended; a carried radius first regrows by
 ``_RADIUS_REGROWTH``, so one bad replan cannot freeze the horizon for the
 rest of an episode.
 
-A solve carries its last sweep out only when it ended at the stationarity
-test, so a carried sweep is more than a cache: it certifies that along its
-nominal no admissible horizon of its window, up to T-bar + S, was priced
-below T-bar's own price.  The first pass of a solve whose nominal is that nominal's
-tail to the bit, under the same model object and in the same mode (the
-test ``backward.shared_tail`` makes for the row reuse), builds no prefix.
-A longer plan from its first state that starts after the dropped controls
-is also a longer plan from the carried nominal's start (Bellman's
-principle of optimality), and the carried solve has priced those.  The
-pass still prices the lower reach, from the reused rows, and runs the
-stationarity test; every later pass of the solve builds the full prefix.
-A new nav snapshot (a new model object), noise or a one-ulp offset each
-fail the test, and such a replan builds its prefix on every pass.
+A solve given a previous result is a replan, and it is one real-time
+iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 43(5), 2005):
+it ends after its first accepted step, with status "replanned" unless
+that step converged it.  A stationary pass would take no step, so it
+could only certify the plan that step made.  Its passes build no prefix
+either: a replan prices no horizon above its warm start's T-bar, which an
+MPC loop makes the previous plan less its applied knot.  So every replan
+shortens the plan by at least one knot, a degraded replan keeps its plan
+and counts down too, and an episode ends within its first solve's T*
+steps.  A replan gives up lengthening its plan for that; the first solve
+and a one-shot solve build the full ``window_s`` prefix on every pass,
+so an episode's first plan chooses its horizon freely.
 
 The window is [T-bar - window_s, T-bar + S], except after an accepted move
 onto its lower edge (with that edge above the lower bound): the next pass
@@ -70,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import (GAMMA_MAX, GAMMA_MIN, BackwardResult,
-                       BackwardSweepError, backward_sweep, shared_tail)
+                       BackwardSweepError, backward_sweep)
 from .model import (SystemModel, check_count, check_nonnegative,
                     check_range, from_fields)
 from .trajectory import Trajectory, _path_cost, trajectory_cost
@@ -145,11 +144,16 @@ class SolverResult:
     through its last three failed rungs rules out the rest (see the module
     docstring).
 
-    ``status`` is "converged"; "max_iterations" when the iteration budget
-    ran out first; "backward_failure" when a sweep still failed at the
-    regularization ceiling (the pass leaves no trace record); or
-    "line_search_failure" when no step lowered the cost with regularization
-    at its ceiling.  ``converged`` is ``status == "converged"``.  Along the
+    ``status`` is "converged"; "replanned" when a replan (a solve given
+    ``previous``) ended after its first accepted step, which did not
+    converge it; "max_iterations" when the iteration budget ran out first;
+    "backward_failure" when a sweep still failed at the regularization
+    ceiling (the pass leaves no trace record); or "line_search_failure"
+    when no step lowered the cost with regularization at its ceiling.
+    ``converged`` is ``status == "converged"``.  A replan's plan is never
+    longer than its initial trajectory, so an MPC episode whose replans
+    each start from the plan before less its applied knot counts down to
+    termination (see the module docstring).  Along the
     solve regularization, the trust radius and the window's lower edge
     adapt: a pass prices down to T-bar - ``window_s``, or down to the
     lower bound right after an accepted move onto that edge.
@@ -159,13 +163,12 @@ class SolverResult:
     ``sweep``.  ``sweep`` is the last pass's
     :class:`BackwardResult` when the solve ended at the stationarity test,
     so that its nominal is the returned trajectory, and None otherwise; a
-    converged solve carries it unless it ended on an exact step.  Carrying
-    it also certifies the trajectory stationary, not only caches its rows:
-    a replan along that trajectory's tail reads its warm start off it, its
-    first pass builds no prefix (see the module docstring), and its first
-    sweep copies the rows it shares, as a gamma retry keeps the rows above
-    the first knot the new gamma may lift.  ``==`` is identity, as for
-    every library record that holds arrays.
+    converged solve carries it unless it ended on an exact step, and a
+    replan that steps carries none.  A replan along that trajectory's tail
+    reads its warm start off it, and its first sweep copies the rows it
+    shares, as a gamma retry keeps the rows above the first knot the new
+    gamma may lift.  ``==`` is identity, as for every library record that
+    holds arrays.
     """
 
     trajectory: Trajectory
@@ -343,10 +346,20 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     an accepted full step that lands on its sweep's price to rounding, the
     quadratic model being exact there, unless it landed on an end of the
     window its pass priced.  A small decrease alone ends nothing: the
-    solve goes on until its sweep is stationary.
+    solve goes on until its sweep is stationary, unless it is a replan.
 
     ``previous`` is the result of the solve a warm-started replan resumes
-    from, and this function alone decides what it reads from it:
+    from.  Passing it makes the solve a replan, one real-time iteration
+    (see the module docstring):
+    - every pass asks ``extend_backward`` for 0 knots, so it prices no
+      horizon above T-bar and the plan it returns is no longer than
+      ``initial``; without ``previous`` every pass builds the full
+      ``window_s`` prefix;
+    - the solve ends after its first accepted step, with status
+      "replanned" unless that step converged it, so ``max_iterations``
+      bounds only the passes that accept no step, its gamma retries.
+
+    This function alone decides what else it reads from ``previous``:
     - the first sweep's Q_uu regularization starts from its
       ``gamma_final`` (``GAMMA_MIN`` without one); that sweep raises
       ValueError unless it is finite and >= 0;
@@ -357,14 +370,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
       infinite: every priced horizon is admitted until a shifted try is
       rejected, and a doubling keeps it infinite;
     - its ``sweep``, carried only by a solve that ended at the
-      stationarity test, certifies that solve's trajectory stationary.
-      When ``initial`` is that trajectory's tail to the bit, under this
-      model object and in this mode (``backward.shared_tail``), the first
-      pass builds no prefix and prices only the horizons up to T-bar;
-      every later pass builds the full ``window_s`` prefix.  The first
-      pass's sweep also reuses the rows it shares with ``sweep`` (see
-      ``backward_sweep``).  A ``sweep`` that no stationary solve carried
-      out voids that certificate: pass ``replace(previous, sweep=None)``.
+      stationarity test: the first pass's sweep reuses the rows it shares
+      with it (see ``backward_sweep``).
 
     An inconsistent ``initial`` is rejected by ``assert_consistent``:
     FloatingPointError on a non-finite defect, ValueError on one above
@@ -391,14 +398,13 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     status = "max_iterations"
     lift = False
     iterations = 0
+    # a replan prices no horizon above T-bar (module docstring)
+    prefix_len = cfg.window_s if previous is None else 0
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         reuse, sweep = sweep, None
-        # along the tail of a carried sweep, the stationary solve that
-        # carried it has priced every horizon above T-bar (module docstring)
-        on_plan = shared_tail(reuse, model, traj, cfg.second_order) >= 0
-        prefix = extend_backward(model, traj, 0 if on_plan else cfg.window_s)
+        prefix = extend_backward(model, traj, prefix_len)
         try:
             back = backward_sweep(model, traj, (prefix.states, prefix.controls),
                                   gamma=gamma, second_order=cfg.second_order,
@@ -498,6 +504,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
         gamma = max(gamma / 2.0, GAMMA_MIN)
         if exact_model and not at_window_edge:
             status = "converged"
+            break
+        if previous is not None:
+            status = "replanned"
             break
 
     return SolverResult(trajectory=traj, t_star=t_bar, cost=J,

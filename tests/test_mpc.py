@@ -409,49 +409,38 @@ def checking_carried_sweeps(monkeypatch):
     return counts
 
 
-def assert_same_episode(a, b, iterations=True):
+def assert_same_episode(a, b):
     assert a.steps_used == b.steps_used and a.total_cost == b.total_cost
     for ra, rb in zip(a.steps, b.steps):
         npt.assert_array_equal(ra.state, rb.state)
         npt.assert_array_equal(ra.action, rb.action)
         assert ra.planned_horizon == rb.planned_horizon
-        assert not iterations or ra.inner_iterations == rb.inner_iterations
+        assert ra.inner_iterations == rb.inner_iterations
     npt.assert_array_equal(a.final_state, b.final_state)
 
 
-@pytest.mark.parametrize("build,carried,reused,uncarried_twice", [
-    (quadrotor_episode, 31, 31, None),
-    (lambda: cartpole_episode(10.0), 29, 29, None),
-    (lambda: cartpole_episode(30.0), 22, 22, None),
-    (lambda: cartpole_episode(10.0, second_order=True), 30, 30, (6, 7)),
-    (noise_free_nav_episode, 30, 0, None)],
+@pytest.mark.parametrize("build,carried,reused", [
+    (quadrotor_episode, 31, 31),
+    (lambda: cartpole_episode(10.0), 29, 29),
+    (lambda: cartpole_episode(30.0), 22, 22),
+    (lambda: cartpole_episode(10.0, second_order=True), 30, 30),
+    (noise_free_nav_episode, 8, 0)],
     ids=["quadrotor", "cartpole-10", "cartpole-30", "cartpole-ddp", "nav"])
-def test_carried_sweep_is_a_fresh_sweep(build, carried, reused,
-                                        uncarried_twice, monkeypatch):
+def test_carried_sweep_is_a_fresh_sweep(build, carried, reused, monkeypatch):
     # along a noise-free plan a replan's warm start and first sweep are
     # read off the sweep the previous solve ended on, to the bit, and the
     # episode is the one solved without carrying it.  Every replan after a
-    # solve that ended at the stationarity test carries its sweep; the nav
-    # planner sees a new snapshot model every step, so it never reuses one
+    # solve that ended at the stationarity test carries its sweep, and a
+    # replan that steps carries none: most nav replans step, since the
+    # obstacles move under the plan.  The nav planner sees a new snapshot
+    # model every step, so it never reuses a sweep
     model, x0, cfg = build()
     without_carried_sweeps(monkeypatch)
     reference = run_episode(model, x0, cfg)
     monkeypatch.undo()
     counts = checking_carried_sweeps(monkeypatch)
     log = run_episode(model, x0, cfg)
-    assert_same_episode(log, reference, iterations=uncarried_twice is None)
-    if uncarried_twice is not None:
-        # a carried replan prices no horizon above its plan, which the
-        # stationary solve before it already priced.  Uncarried, replans 6
-        # and 7 of the second-order episode price T-bar + 10, the last
-        # preimage guess, below T-bar; the shifted ladder and the retry at
-        # T-bar both fail, gamma rises tenfold, and a second pass, now
-        # stationary, keeps the same plan
-        assert [rec.inner_iterations for rec in log.steps] \
-            == [1] * log.steps_used
-        assert [rec.inner_iterations for rec in reference.steps] == [
-            2 if i in uncarried_twice else 1
-            for i in range(reference.steps_used)]
+    assert_same_episode(log, reference)
     assert not any(rec.degraded for rec in log.steps)
     assert counts["solves"] == log.steps_used + 1
     assert counts["carried"] == carried and counts["reused"] == reused
@@ -505,41 +494,51 @@ def first_carried_replan(monkeypatch):
 
 
 def test_replan_along_its_carried_plan_builds_no_prefix(monkeypatch):
-    # the sweep carried in certifies its plan stationary, horizons above
-    # T-bar priced, so the first pass along its tail builds no prefix and
-    # reaches the replan the same sweep-less solve reaches
+    # a replan prices no horizon above its warm start's T-bar, so every
+    # pass asks for 0 knots, with or without the carried sweep, though a
+    # full prefix chains back from x1; both reach the same replan
     model, cfg, x1, plan, previous = first_carried_replan(monkeypatch)
     prefixes, counts = recording_prefixes(monkeypatch)
     action, controls, t_bar, info = mpc_step(plan[1:], x1, model, cfg,
                                              previous)
-    assert prefixes == [(0, 0)] and counts["inverse_steps"] == 0
-    # without the sweep the replan builds its full prefix
+    assert prefixes == [(0, 0)] * info["iterations"]
     prefixes.clear()
     ref = mpc_step(plan[1:], x1, model, cfg, replace(previous, sweep=None))
-    S = cfg.solver.window_s
-    assert prefixes[0] == (S, S)
+    assert prefixes == [(0, 0)] * ref[3]["iterations"]
+    assert counts["inverse_steps"] == 0
     npt.assert_array_equal(action, ref[0])
     npt.assert_array_equal(controls, ref[1])
     assert t_bar == ref[2]
     assert info["iterations"] == ref[3]["iterations"]
 
 
-def test_nav_episode_builds_every_prefix(monkeypatch):
-    # each nav replan solves against a new snapshot model object, so no
-    # carried sweep vouches for it: every pass builds its full prefix
+def test_nav_episode_builds_only_its_first_prefixes(monkeypatch):
+    # every pass of the first solve builds its full prefix, so the
+    # episode's first plan chooses its horizon freely; every pass of every
+    # replan asks for 0 knots, so no replan prices a horizon above its plan
     model, x0, cfg = noise_free_nav_episode()
     prefixes, _ = recording_prefixes(monkeypatch)
+    solves = []
+
+    def recording(model, initial, cfg, previous=None):
+        result = optimize_trajectory(model, initial, cfg, previous)
+        solves.append((previous is None, result.iterations))
+        return result
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
     log = run_episode(model, x0, cfg)
     assert log.terminated and not any(rec.degraded for rec in log.steps)
-    assert len(prefixes) > log.steps_used
     S = cfg.solver.window_s
-    assert prefixes == [(S, S)] * len(prefixes)
+    assert solves[0][0] and solves[0][1] > 1
+    assert prefixes == [(S, S) if first else (0, 0)
+                        for first, iterations in solves
+                        for _ in range(iterations)]
 
 
 def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
     # a replan from a state one ulp away from the carried plan rolls its
-    # warm start out, builds its full prefix and backs up every knot, as a
-    # replan carrying nothing
+    # warm start out and backs up every knot, as a replan carrying nothing;
+    # on the plan or off it, a replan builds no prefix
     model, cfg, x1, plan, previous = first_carried_replan(monkeypatch)
     sweep = previous.sweep
     npt.assert_array_equal(sweep.controls[sweep.prefix_len:], plan)
@@ -554,9 +553,7 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
                                                  previous)
         assert counts["reused"] == reused
         assert counts["rolled_out"] == 1 - reused
-        if not reused:
-            S = cfg.solver.window_s
-            assert prefixes[0] == (S, S)
+        assert prefixes == [(0, 0)] * info["iterations"]
         # the same replan resumed from the same levels without the sweep
         ref = mpc_step(plan[1:], x, model, cfg, replace(previous, sweep=None))
         npt.assert_array_equal(action, ref[0])
@@ -575,10 +572,12 @@ def test_quadrotor_episode_work_counts(monkeypatch):
     # initial trajectory is one the library simulated, so no consistency
     # check steps it again: that spares 635 more steps, the 40 knots of
     # the first solve's initial trajectory and the 595 of the 34 warm
-    # starts.  A carried replan builds no prefix: 28 of the 31 carried
-    # replans would have built 10 knots (the other chains leave the
-    # admissible region), so 28 x 10 = 280 knots are spared, each a backup
-    # and a defect step
+    # starts.  A replan builds no prefix: 29 of the 34 replans would have
+    # built 10 knots (the other chains leave the admissible region), so
+    # 29 x 10 = 290 knots are spared, each a backup and a defect step.  The
+    # second replan's rejected shifted try is then T-bar - 1, not the
+    # prefix's T-bar + 3, so its three rungs step 32 knots each, not 36:
+    # 12 steps fewer
     counts = Counter()
     q_expansion, step = backward_mod.q_expansion, QuadrotorModel.step
 
@@ -595,4 +594,4 @@ def test_quadrotor_episode_work_counts(monkeypatch):
     model, x0, cfg = quadrotor_episode()
     log = run_episode(model, x0, cfg)
     assert log.steps_used == 34
-    assert counts == {"backups": 533, "steps": 1024}
+    assert counts == {"backups": 523, "steps": 1002}

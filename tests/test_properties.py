@@ -1,21 +1,28 @@
 """Property tests of the paper's linear-quadratic claim: on LQ problems one
 backward sweep prices every nearby horizon exactly, so the solver lands on
-the horizon and cost of the exact recursion.
+the horizon and cost of the exact recursion.  An MPC replan is one such
+pass, and an optimal-horizon episode counts its horizon down to
+termination.
 
 Draws are derandomized, so every run checks the same instances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NumericLq, random_lq
-from horizonddp import (LtiProblem, MpcConfig, PointMassNavModel,
-                        SolverConfig, backward_sweep, initial_trajectory,
-                        lti_optimal_horizon, optimize_trajectory,
-                        riccati_sweep, run_episode)
+from horizonddp import (DoubleIntegratorModel, LtiProblem, MpcConfig,
+                        PointMassNavModel, SolverConfig, backward_sweep,
+                        initial_trajectory, lti_optimal_horizon,
+                        optimize_trajectory, riccati_sweep, run_episode)
+import horizonddp.mpc as mpc_mod
 from horizonddp.solver import _STEP_SIZES, evaluate_candidates
+from test_acceptance import nav_scenario
 
 BOUNDS = (1, 60)
 WINDOW = 10
@@ -168,3 +175,71 @@ def test_lq_tracking_reaches_the_exact_optimum(goal, c_t, w_u, w_vel,
         assert res.t_star == t_exact
         assert _close(res.cost, j_exact)
         assert res.iterations == 1
+
+
+def _recorded_episode(model, x0, cfg):
+    """The optimal-horizon episode and its solves, each as (initial,
+    previous, result): the first solve, then one per replan."""
+    solves = []
+
+    def recording(model, initial, cfg, previous=None):
+        result = optimize_trajectory(model, initial, cfg, previous)
+        solves.append((initial, previous, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpc_mod, "optimize_trajectory", recording)
+        log = run_episode(model, x0, cfg)
+    return log, solves
+
+
+@pytest.mark.parametrize("c_t", [0.02, 0.2])
+def test_noisy_lq_replan_is_one_exact_pass(c_t):
+    # the criterion-1 double integrator under plant noise: every replan is
+    # one pass whose exact step lands on the optimum over the horizons it
+    # can count down to, [1, its warm start's length], from the observed
+    # state
+    model = DoubleIntegratorModel(c_t=c_t, Q=0.01 * np.eye(2),
+                                  Qf=10 * np.eye(2))
+    for seed in range(10):
+        cfg = MpcConfig(solver=SolverConfig(horizon_bounds=(1, 120),
+                                            window_s=10),
+                        noise_scale=0.05, seed=seed)
+        log, solves = _recorded_episode(model, np.array([2.0, 0.0]), cfg)
+        assert log.terminated and not any(rec.degraded for rec in log.steps)
+        for warm, previous, res in solves[1:]:
+            assert previous is not None
+            t_exact, j_exact, _ = lti_optimal_horizon(
+                model.to_lti_problem((1, warm.horizon)), warm.states[0])
+            assert res.iterations == 1
+            assert res.t_star == t_exact
+            assert abs(res.cost - j_exact) <= 1e-12 * abs(j_exact)
+
+
+def _assert_counts_down(log, solves):
+    """Each replan's plan is shorter than the one before, so the episode
+    ends within the first solve's T* steps."""
+    first = solves[0][2]
+    horizons = [first.t_star] + [rec.planned_horizon for rec in log.steps]
+    assert horizons[1] <= horizons[0]
+    assert all(b <= a - 1 for a, b in zip(horizons[1:], horizons[2:]))
+    assert log.terminated and log.steps_used <= first.t_star
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(**lq_cases, noise=st.floats(0.01, 0.5))
+def test_noisy_lq_episode_counts_down(seed, c_t, scale, offset, noise):
+    _, model, x0, _, _, _, T0 = _case(seed, c_t, scale, offset)
+    cfg = MpcConfig(solver=SolverConfig(horizon_bounds=BOUNDS,
+                                        window_s=WINDOW),
+                    noise_scale=noise, seed=seed % 1000, initial_horizon=T0)
+    _assert_counts_down(*_recorded_episode(model, x0, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_noisy_nav_episode_counts_down(seed):
+    # moving obstacles and plant noise move every replan's start, and no
+    # replan lengthens its plan
+    model, cfg = nav_scenario()
+    _assert_counts_down(*_recorded_episode(model, np.zeros(4),
+                                           replace(cfg, seed=seed)))

@@ -105,7 +105,7 @@ def test_radius_argument_regrows_once_and_is_returned():
 def test_result_carries_the_sweep_of_a_stationary_end(monkeypatch):
     # only a solve that ends at the stationarity test returns its last
     # sweep, whose nominal is the returned trajectory; a carried sweep goes
-    # to the first pass alone
+    # to the first pass, and a replan that steps carries none out
     m = DoubleIntegratorModel()
     init = initial_trajectory(m, np.array([1.0, 0.0]), 20)
     # a window of 2 walks from T = 20 to the lower edge, then to T* = 1
@@ -130,8 +130,13 @@ def test_result_carries_the_sweep_of_a_stationary_end(monkeypatch):
         return backward_sweep(*args, reuse=reuse, **kwargs)
 
     monkeypatch.setattr(solver_mod, "backward_sweep", recording)
-    optimize_trajectory(m, init, cfg, again)
-    assert carried == [sweep, None]
+    # given a result the solve is a replan: it ends on its first accepted
+    # step, here onto its window's lower edge, T = 18
+    replan = optimize_trajectory(m, init, cfg, again)
+    assert carried == [sweep]
+    assert replan.status == "replanned" and not replan.converged
+    assert (replan.iterations, replan.t_star) == (1, 18)
+    assert replan.sweep is None
 
 
 @pytest.mark.parametrize("tol, J, iterations", [

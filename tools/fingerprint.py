@@ -32,21 +32,23 @@ knots of every prefix it built (``solver.extend_backward``), how its
 converged solves ended (``stationary``: the last trace record was not
 accepted, so the solve stopped at a stationary sweep; ``stepped``: it
 was, so the solve stopped on an exact step; an episode counts its first
-solve and every replan), the first 12 hex digits of the digest of the
-run's answer (``plan``: a solve's trajectory, or an episode's step states,
-actions and planned horizons and its final state) and those of the run's
-own digest; the digest of all runs goes to stdout.  The counts are
+solve and every replan), on an episode's line how many of its replans
+returned a plan longer than their warm start (``grown``), the first 12
+hex digits of the digest of the run's answer (``plan``: a solve's
+trajectory, or an episode's step states, actions and planned horizons and
+its final state) and those of the run's own digest; the digest of all runs
+goes to stdout.  The counts are
 reported, not hashed.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts, shifted and interpolated rollouts, rejected shifted tries and
-their rollouts, step calls, knot backups, prefix knots and stationary and
-stepped ends, with the relative gap between their final costs, the two
-plan digests and the two run digests, so that a moved total digest can be
-traced to its runs, and a moved run digest to the answer or only to the
-trace.  The exit status is 1 when a count differs or a gap exceeds 1e-12;
-plan or run digests that differ do not change it.
+their rollouts, step calls, knot backups, prefix knots, stationary and
+stepped ends and grown replans, with the relative gap between their final
+costs, the two plan digests and the two run digests, so that a moved total
+digest can be traced to its runs, and a moved run digest to the answer or
+only to the trace.  The exit status is 1 when a count differs or a gap
+exceeds 1e-12; plan or run digests that differ do not change it.
 """
 
 from __future__ import annotations
@@ -269,6 +271,21 @@ def _count_ends(modules, counts: dict) -> None:
         module.optimize_trajectory = optimize_trajectory
 
 
+def _count_grown(mpc, counts: dict) -> None:
+    """Wrap ``optimize_trajectory`` at ``mpc``'s binding so each replan (a
+    solve given ``previous``) whose plan is longer than its warm start is
+    counted as ``grown``."""
+    inner = mpc.optimize_trajectory
+
+    def optimize_trajectory(model, initial, cfg, previous=None):
+        result = inner(model, initial, cfg, previous)
+        if previous is not None:
+            counts["grown"] += result.t_star > initial.horizon
+        return result
+
+    mpc.optimize_trajectory = optimize_trajectory
+
+
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
@@ -279,12 +296,13 @@ def fingerprint(tree: Path) -> str:
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
-    counts = dict.fromkeys(_COUNTS, 0)
+    counts = dict.fromkeys((*_COUNTS, "grown"), 0)
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
     _count_backups(horizonddp.backward, counts)
     _count_prefix_knots(horizonddp.solver, counts)
     _count_ends((hd, horizonddp.mpc), counts)
+    _count_grown(horizonddp.mpc, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
         run, plan = hashlib.sha256(), hashlib.sha256()
@@ -293,10 +311,12 @@ def fingerprint(tree: Path) -> str:
             _feed(digest, result)
         _feed(plan, _plan(result))
         tally = " ".join(f"{key}={counts[key]}" for key in _COUNTS)
+        if hasattr(result, "steps_used"):
+            tally += f" grown={counts['grown']}"
         print(f"{label}: {_summary(result)} {tally} "
               f"plan={plan.hexdigest()[:12]} digest={run.hexdigest()[:12]}",
               file=sys.stderr)
-        counts.update(dict.fromkeys(_COUNTS, 0))
+        counts.update(dict.fromkeys(counts, 0))
     return h.hexdigest()
 
 
