@@ -13,16 +13,24 @@ knot, so the planned horizon falls by at least one every step, and an
 optimal-horizon episode ends within its first solve's T* steps.  The
 solver alone decides what else it reads from the result: the
 regularization and horizon trust radius that solve ended on, and the sweep
-it ended on when it stopped at the stationarity test.  Along a noise-free
-plan the observed state is then the plan's next state to the bit: the warm
-start is read off that sweep's rows, and the replan's first sweep keeps
-every row whose floor is at least its gamma, as a gamma retry does, and
-backs up only the others.  Either way the warm start is simulated under
-the snapshot the replan solves against, so the solve's entry check only
-tests it finite instead of stepping it again (see ``trajectory.py``).
-Passing ``t_fixed`` runs the fixed receding-horizon baseline through the
-same loop: every replan solves at that horizon, and the episode runs to
-the step limit.
+it ended on when it stopped at the stationarity test.
+
+What the previous solve computed is not computed again.  Along a
+noise-free plan, under the snapshot object that simulated it, the observed
+state is the plan's next state to the bit, so the warm start is read off
+the plan instead of rolled out, however that solve ended.  When the solve
+also carried its sweep, the replan's first sweep keeps every row whose
+floor is at least its gamma, as a gamma retry does, and backs up only the
+others.  Step 0 of an episode replans at the start its first solve began
+from, with that solve's plan, against the same snapshot object: when that
+solve converged, its plan is kept without a pass, as in a real-time
+iteration scheme, where the initial solve serves the first sampling
+instant (Diehl, Bock & Schloeder, SIAM J. Control Optim. 43(5), 2005).
+Either way the warm start is simulated under the snapshot the replan
+solves against, so the solve's entry check only tests it finite instead
+of stepping it again (see ``trajectory.py``).  Passing ``t_fixed`` runs
+the fixed receding-horizon baseline through the same loop: every replan
+solves at that horizon, and the episode runs to the step limit.
 """
 
 from __future__ import annotations
@@ -92,19 +100,28 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
 
 def _warm_start(model: SystemModel, x0, controls: np.ndarray,
                 previous: SolverResult | None) -> Trajectory:
-    """The rollout of ``controls`` from ``x0``: the rows of ``previous``'s
-    sweep from its plan's next knot on when they hold it to the bit (the
-    same model object, those controls and that state), else a new rollout.
-    Either is marked as ``model``'s own: the rows are the tail of a
-    nominal that model simulated or checked, and the sweep's nominal is
-    read-only."""
-    sweep = previous.sweep if previous is not None else None
-    if sweep is not None and sweep.model is model:
-        g = sweep.prefix_len + 1
-        if (np.array_equal(controls, sweep.controls[g:])
-                and np.array_equal(x0, sweep.states[g])):
-            return Trajectory.simulated(model, sweep.states[g:],
-                                        sweep.controls[g:])
+    """The rollout of ``controls`` from ``x0``: read off ``previous``'s plan
+    from knot ``g = plan.horizon - len(controls)`` on when the plan holds
+    it to the bit, else a new rollout.
+
+    The plan holds it when ``model`` simulated the plan (the same model
+    object, and both arrays still read-only), ``g >= 0``, ``x0`` is the
+    plan's state at ``g`` and ``controls`` its controls from ``g`` on:
+    stepping them again would give back the plan's own states.  At
+    ``g == 0`` the plan itself is returned; a later knot's tail is marked
+    as ``model``'s own, as the plan is.
+    """
+    if previous is not None:
+        plan = previous.trajectory
+        g = plan.horizon - controls.shape[0]
+        if (plan._simulated_by is model and not plan.states.flags.writeable
+                and not plan.controls.flags.writeable and g >= 0
+                and np.array_equal(x0, plan.states[g])
+                and np.array_equal(controls, plan.controls[g:])):
+            if g == 0:
+                return plan
+            return Trajectory.simulated(model, plan.states[g:],
+                                        plan.controls[g:])
     return rollout_controls(model, x0, controls)
 
 
@@ -120,10 +137,13 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     replan.  Given ``previous`` the solve is one real-time iteration: it
     ends on its first accepted step, within ``cfg.inner_iterations``
     passes, and returns a plan no longer than the warm start.  When
-    ``observed_x0`` is its plan's next state to the bit, the warm start is
-    read off its sweep's rows instead of rolled out, and the solve's sweep
-    reuses the rows it shares (see ``optimize_trajectory`` and
-    ``backward_sweep``).
+    ``previous``'s plan holds the warm start to the bit, it is read off
+    that plan instead of rolled out (see ``_warm_start``), and a sweep
+    ``previous`` carries lends the solve's first sweep the rows it shares
+    (see ``optimize_trajectory`` and ``backward_sweep``).  When the warm
+    start is ``previous``'s plan itself and that solve converged, the
+    replan is that solve's own problem: the plan is returned after 0
+    passes, and ``previous`` is handed on unchanged.
     ``info["iterations"]`` and ``info["degraded"]`` describe the replan,
     and ``info["previous"]`` is the result the next replan resumes from.
     Returns (action, new_controls, new_horizon, info), and raises
@@ -141,10 +161,15 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
         controls = np.pad(controls, ((0, short), (0, 0)), mode="edge")
     try:
         warm = _warm_start(model_snapshot, observed_x0, controls, previous)
-        previous = optimize_trajectory(model_snapshot, warm, inner_cfg,
-                                       previous)
+        iterations = 0
+        # the converged solve's own problem again: it is kept as it stands
+        if not (previous is not None and previous.converged
+                and warm is previous.trajectory):
+            previous = optimize_trajectory(model_snapshot, warm, inner_cfg,
+                                           previous)
+            iterations = previous.iterations
         controls = previous.trajectory.controls
-        info = {"iterations": previous.iterations, "degraded": False}
+        info = {"iterations": iterations, "degraded": False}
     except FloatingPointError:
         info = {"iterations": 0, "degraded": True}
     info["previous"] = previous
@@ -162,6 +187,12 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     costs.  With ``t_fixed`` every solve uses that horizon, each replan
     holding the last control to fill the knot the previous step dropped,
     so the episode always runs to the step limit.
+
+    The world is snapshot once per simulation time: the first solve, step
+    0's replan and the plant step from the start share the t = 0 snapshot
+    object, and the terminal cost is taken on the snapshot of the time the
+    episode ends at.  So when the first solve converged, step 0 keeps its
+    plan without a pass (see ``mpc_step``).
     """
     if t_fixed is not None:
         # the controls left after the applied knot warm-start the next replan
@@ -180,7 +211,8 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
     x = np.asarray(x_init, dtype=float)
     log = EpisodeLog()
 
-    # initial computed trajectory: full-budget solve against the t=0 world
+    # initial computed trajectory: full-budget solve against the t=0 world;
+    # ``snapshot`` is the world at ``sim_time`` throughout
     snapshot = _snapshot(model, 0.0)
     lo, hi = cfg.solver.horizon_bounds
     init = initial_trajectory(snapshot, x,
@@ -193,7 +225,6 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
         if t_fixed is None and controls.shape[0] < 1:
             log.terminated = True
             break
-        snapshot = _snapshot(model, sim_time)
 
         tic = time.perf_counter()
         action, controls, t_bar, info = mpc_step(controls, x, snapshot, cfg,
@@ -216,10 +247,10 @@ def run_episode(model: SystemModel, x_init, cfg: MpcConfig,
         # drop the applied knot: the planned horizon counts down
         controls = controls[1:]
         sim_time += dt
+        snapshot = _snapshot(model, sim_time)
 
     log.final_state = x
     log.steps_used = len(log.steps)
-    final_snapshot = _snapshot(model, sim_time)
-    log.terminal_cost = float(final_snapshot.terminal_cost(x))
+    log.terminal_cost = float(snapshot.terminal_cost(x))
     log.total_cost += log.terminal_cost
     return log

@@ -3,11 +3,11 @@
 A trajectory is checked against a model by stepping every knot through it
 again, except one the library simulated itself: ``rollout_controls`` (and
 so ``initial_trajectory``), the solver's ``rollout`` and an MPC warm start
-read off a carried sweep build theirs with ``Trajectory.simulated``, which
-records the model object that stepped it and makes both arrays read-only.
-Checked against that same model object, such a trajectory is only tested
-finite: its defects are 0 by construction, or, for a warm start, those of
-a nominal that already passed the check.  A trajectory built by a
+read off the previous plan build theirs with ``Trajectory.simulated``,
+which records the model object that stepped it and makes both arrays
+read-only.  Checked against that same model object, such a trajectory is
+only tested finite: its defects are 0 by construction, and a warm start's
+are those of a plan that model simulated.  A trajectory built by a
 caller, an edited copy (whose arrays are new or writable again) and a
 check against any other model object, such as a new navigation snapshot,
 are stepped through in full.  As the carried sweep of ``backward.py`` does,

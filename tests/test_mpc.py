@@ -122,8 +122,12 @@ def test_degraded_step_falls_back_to_previous_plan(rng, monkeypatch):
         raise ExpansionError("solver knocked out")
 
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", boom)
+    # one ulp off the plan's start, so the replan is not the converged
+    # solve's own problem, which mpc_step would keep without a solve
+    x = np.ones(model.dim_x)
+    x[0] = np.nextafter(1.0, 2.0)
     action, new_controls, t_bar, info = mpc_step(
-        plan.controls, np.ones(model.dim_x), model, cfg, previous)
+        plan.controls, x, model, cfg, previous)
     assert info["degraded"] and info["iterations"] == 0
     # the next replan resumes from the same solve, sweep and all
     assert info["previous"] is previous
@@ -228,7 +232,8 @@ def test_gamma_carries_between_steps(monkeypatch):
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
     log = run_episode(model, np.zeros(4), cfg)
     assert not any(rec.degraded for rec in log.steps)
-    assert len(solves) == log.steps_used + 1
+    # step 0 keeps the converged first plan without a solve
+    assert len(solves) == log.steps_used
     # each replan resumes from the solve before it
     assert solves[0][0] is None
     assert all(previous is result for (previous, _), (_, result)
@@ -254,7 +259,8 @@ def test_trust_radius_carries_between_steps(monkeypatch):
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
     log = run_episode(model, np.zeros(4), cfg)
     assert not any(rec.degraded for rec in log.steps)
-    assert len(solves) == log.steps_used + 1
+    # step 0 keeps the converged first plan without a solve
+    assert len(solves) == log.steps_used
     assert solves[0][0] == math.inf
     starts = [radius for radius, _ in solves[1:]]
     assert starts == [result.radius_final for _, result in solves[:-1]]
@@ -419,21 +425,24 @@ def assert_same_episode(a, b):
     npt.assert_array_equal(a.final_state, b.final_state)
 
 
-@pytest.mark.parametrize("build,carried,reused", [
-    (quadrotor_episode, 31, 31),
-    (lambda: cartpole_episode(10.0), 29, 29),
-    (lambda: cartpole_episode(30.0), 22, 22),
-    (lambda: cartpole_episode(10.0, second_order=True), 30, 30),
-    (noise_free_nav_episode, 8, 0)],
+@pytest.mark.parametrize("build,carried,reused,rolled_out", [
+    (quadrotor_episode, 31, 31, 0),
+    (lambda: cartpole_episode(10.0), 28, 28, 0),
+    (lambda: cartpole_episode(30.0), 21, 21, 0),
+    (lambda: cartpole_episode(10.0, second_order=True), 29, 29, 0),
+    (noise_free_nav_episode, 7, 0, 32)],
     ids=["quadrotor", "cartpole-10", "cartpole-30", "cartpole-ddp", "nav"])
-def test_carried_sweep_is_a_fresh_sweep(build, carried, reused, monkeypatch):
-    # along a noise-free plan a replan's warm start and first sweep are
-    # read off the sweep the previous solve ended on, to the bit, and the
-    # episode is the one solved without carrying it.  Every replan after a
-    # solve that ended at the stationarity test carries its sweep, and a
-    # replan that steps carries none: most nav replans step, since the
-    # obstacles move under the plan.  The nav planner sees a new snapshot
-    # model every step, so it never reuses a sweep
+def test_carried_sweep_is_a_fresh_sweep(build, carried, reused, rolled_out,
+                                        monkeypatch):
+    # along a noise-free plan a replan's warm start is read off the plan
+    # before and its first sweep off the sweep the previous solve ended on,
+    # to the bit, and the episode is the one solved without carrying the
+    # sweep.  Every replan after a solve that ended at the stationarity
+    # test carries its sweep, and a replan that steps carries none: most
+    # nav replans step, since the obstacles move under the plan.  Step 0
+    # keeps the converged first plan without a solve.  The nav planner
+    # sees a new snapshot model every later step, so it never reuses a
+    # sweep and rolls out every later warm start
     model, x0, cfg = build()
     without_carried_sweeps(monkeypatch)
     reference = run_episode(model, x0, cfg)
@@ -442,9 +451,10 @@ def test_carried_sweep_is_a_fresh_sweep(build, carried, reused, monkeypatch):
     log = run_episode(model, x0, cfg)
     assert_same_episode(log, reference)
     assert not any(rec.degraded for rec in log.steps)
-    assert counts["solves"] == log.steps_used + 1
+    # the first solve and one per step after step 0
+    assert counts["solves"] == log.steps_used
     assert counts["carried"] == carried and counts["reused"] == reused
-    assert counts["rolled_out"] == log.steps_used - reused
+    assert counts["rolled_out"] == rolled_out
 
 
 def recording_prefixes(monkeypatch):
@@ -467,10 +477,9 @@ def recording_prefixes(monkeypatch):
     return prefixes, counts
 
 
-def first_carried_replan(monkeypatch):
-    """The quadrotor episode's first replan that carries its sweep on and
-    leaves the plant in a state x1 from which a full prefix chains back:
-    (model, cfg, x1, plan, previous)."""
+def recorded_replans(monkeypatch):
+    """The quadrotor episode's model, config and replans, each as the
+    observed state and what ``mpc_step`` returned there."""
     model, x0, cfg = quadrotor_episode()
     replans = []
     step = mpc_mod.mpc_step
@@ -483,6 +492,14 @@ def first_carried_replan(monkeypatch):
     monkeypatch.setattr(mpc_mod, "mpc_step", recording)
     run_episode(model, x0, cfg)
     monkeypatch.undo()
+    return model, cfg, replans
+
+
+def first_carried_replan(monkeypatch):
+    """The quadrotor episode's first replan that carries its sweep on and
+    leaves the plant in a state x1 from which a full prefix chains back:
+    (model, cfg, x1, plan, previous)."""
+    model, cfg, replans = recorded_replans(monkeypatch)
     S = cfg.solver.window_s
     for x, (action, plan, _, info) in replans:
         x1 = model.step(x, action)
@@ -567,17 +584,25 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
 
 def test_quadrotor_episode_work_counts(monkeypatch):
     # the criterion-5 quadrotor episode backs up 1309 knots and takes 2435
-    # model steps when every replan rolls out its warm start and backs up
-    # every knot; the carried sweep spares 496 of each.  Every solve's
-    # initial trajectory is one the library simulated, so no consistency
-    # check steps it again: that spares 635 more steps, the 40 knots of
-    # the first solve's initial trajectory and the 595 of the 34 warm
-    # starts.  A replan builds no prefix: 29 of the 34 replans would have
-    # built 10 knots (the other chains leave the admissible region), so
-    # 29 x 10 = 290 knots are spared, each a backup and a defect step.  The
-    # second replan's rejected shifted try is then T-bar - 1, not the
-    # prefix's T-bar + 3, so its three rungs step 32 knots each, not 36:
-    # 12 steps fewer
+    # model steps when every replan, step 0's included, rolls out its warm
+    # start and backs up every knot; the carried sweep spares 496 of each.
+    # Every solve's initial trajectory is one the library simulated, so no
+    # consistency check steps it again: that spares 635 more steps, the 40
+    # knots of the first solve's initial trajectory and the 595 of the 34
+    # warm starts.  A replan builds no prefix: 29 of the 34 replans would
+    # have built 10 knots (the other chains leave the admissible region),
+    # so 29 x 10 = 290 knots are spared, each a backup and a defect step.
+    # The second replan's rejected shifted try is then T-bar - 1, not the
+    # prefix's T-bar + 3, so its three rungs step 32 knots each, not 36: 12
+    # steps fewer.  That leaves 523 backups and 1002 steps.  Step 0 keeps
+    # the converged first plan: its replan's sweep of 34 knots, its 34-knot
+    # warm start and its four rollouts (three rungs at T = 30 and the retry
+    # at T-bar = 34, 124 steps) are spared, 34 backups and 158 steps.  The
+    # replans at steps 1 and 2 follow solves that stopped on an exact step,
+    # and their warm starts are read off the plan, not rolled out: 33 + 32
+    # = 65 steps.  Step 1 then resumes from the first solve's trust radius,
+    # so its rejected shifted try is T-bar - 2, not T-bar - 1: its three
+    # rungs step 31 knots each, not 32, 3 steps fewer
     counts = Counter()
     q_expansion, step = backward_mod.q_expansion, QuadrotorModel.step
 
@@ -594,4 +619,110 @@ def test_quadrotor_episode_work_counts(monkeypatch):
     model, x0, cfg = quadrotor_episode()
     log = run_episode(model, x0, cfg)
     assert log.steps_used == 34
-    assert counts == {"backups": 523, "steps": 1002}
+    assert counts == {"backups": 489, "steps": 776}
+
+
+# ---------------------------------------------------------------------------
+# what the previous solve computed is not computed again
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build,t_fixed", [
+    (quadrotor_episode, None),
+    (lambda: cartpole_episode(10.0), None),
+    (noise_free_nav_episode, None),
+    (noise_free_nav_episode, 40)],
+    ids=["quadrotor", "cartpole-10", "nav", "nav-receding"])
+def test_step_0_keeps_the_first_plan(build, t_fixed, monkeypatch):
+    # step 0 replans at the episode's start, with the converged first plan,
+    # against the snapshot object the first solve used: that solve's own
+    # problem, so its plan is kept without a solve or a model step
+    model, x0, cfg = build()
+    solves, calls, step0 = [], Counter(), []
+    solve, replan, step = (mpc_mod.optimize_trajectory, mpc_mod.mpc_step,
+                           type(model).step)
+
+    def recording_solve(model, initial, cfg, previous=None):
+        solves.append(solve(model, initial, cfg, previous))
+        return solves[-1]
+
+    def counting_step(self, x, u):
+        calls["steps"] += 1
+        return step(self, x, u)
+
+    def recording_replan(controls, x, snapshot, cfg, previous):
+        before = (len(solves), calls["steps"])
+        out = replan(controls, x, snapshot, cfg, previous)
+        if not step0:
+            step0.append((before, (len(solves), calls["steps"]), out))
+        return out
+
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording_solve)
+    monkeypatch.setattr(mpc_mod, "mpc_step", recording_replan)
+    monkeypatch.setattr(type(model), "step", counting_step)
+    log = run_episode(model, x0, replace(cfg, step_limit=2), t_fixed=t_fixed)
+    [(before, after, (action, controls, t_bar, info))] = step0
+    first = solves[0]
+    assert first.converged and before == after
+    assert log.steps[0].inner_iterations == info["iterations"] == 0
+    assert not log.steps[0].degraded
+    assert info["previous"] is first
+    assert controls is first.trajectory.controls
+    assert t_bar == first.t_star
+
+
+@pytest.mark.parametrize("change", ["ulp", "snapshot", "max_iterations"])
+def test_step_0_off_the_first_solve_runs_a_pass(change):
+    # the plan is kept only for the converged solve's own problem: a state
+    # one ulp off its start, a new snapshot object of the same world, or a
+    # solve that ran out of iterations each make step 0 run a pass
+    model, x0, cfg = noise_free_nav_episode()
+    snapshot = mpc_mod._snapshot(model, 0.0)
+    first = optimize_trajectory(
+        snapshot, initial_trajectory(snapshot, x0, cfg.initial_horizon),
+        cfg.solver)
+    assert first.converged
+    plan = first.trajectory
+    if change == "ulp":
+        x0 = x0.copy()
+        x0[0] = np.nextafter(x0[0], 1.0)
+    elif change == "snapshot":
+        snapshot = mpc_mod._snapshot(model, 0.0)
+        assert snapshot is not plan._simulated_by
+    else:
+        first = replace(first, status="max_iterations", converged=False)
+    action, controls, t_bar, info = mpc_step(plan.controls, x0, snapshot,
+                                             cfg, first)
+    assert info["iterations"] >= 1 and not info["degraded"]
+    assert info["previous"] is not first
+
+
+def test_warm_start_after_an_exact_step_is_read_off_the_plan(monkeypatch):
+    # a replan that converged on an exact step carries no sweep; the next
+    # noise-free replan reads its warm start off that replan's plan, to the
+    # bit of the rollout it spares
+    model, cfg, replans = recorded_replans(monkeypatch)
+    x, action, plan, previous = next(
+        (x, action, plan, info["previous"])
+        for x, (action, plan, _, info) in replans
+        if info["iterations"] > 0 and info["previous"].converged
+        and info["previous"].sweep is None)
+    x1 = model.step(x, action)
+    rolled_out, warm_starts = [], []
+
+    def counting_rollout(model, x0, controls):
+        rolled_out.append(x0)
+        return rollout_controls(model, x0, controls)
+
+    def recording(model, initial, cfg, previous=None):
+        warm_starts.append(initial)
+        return optimize_trajectory(model, initial, cfg, previous)
+
+    monkeypatch.setattr(mpc_mod, "rollout_controls", counting_rollout)
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", recording)
+    mpc_step(plan[1:], x1, model, cfg, previous)
+    assert rolled_out == []
+    (warm,) = warm_starts
+    ref = rollout_controls(model, x1, plan[1:])
+    npt.assert_array_equal(warm.states, ref.states)
+    npt.assert_array_equal(warm.controls, ref.controls)

@@ -33,7 +33,8 @@ converged solves ended (``stationary``: the last trace record was not
 accepted, so the solve stopped at a stationary sweep; ``stepped``: it
 was, so the solve stopped on an exact step; an episode counts its first
 solve and every replan), on an episode's line how many of its replans
-returned a plan longer than their warm start (``grown``), the first 12
+returned a plan longer than their warm start (``grown``) and how many
+returned their previous solve after 0 passes (``kept``), the first 12
 hex digits of the digest of the run's answer (``plan``: a solve's
 trajectory, or an episode's step states, actions and planned horizons and
 its final state) and those of the run's own digest; the digest of all runs
@@ -44,10 +45,10 @@ Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
 rollouts, shifted and interpolated rollouts, rejected shifted tries and
 their rollouts, step calls, knot backups, prefix knots, stationary and
-stepped ends and grown replans, with the relative gap between their final
-costs, the two plan digests and the two run digests, so that a moved total
-digest can be traced to its runs, and a moved run digest to the answer or
-only to the trace.  The exit status is 1 when a count differs or a gap
+stepped ends, and grown and kept replans, with the relative gap between
+their final costs, the two plan digests and the two run digests, so that
+a moved total digest can be traced to its runs, and a moved run digest to
+the answer or only to the trace.  The exit status is 1 when a count differs or a gap
 exceeds 1e-12; plan or run digests that differ do not change it.
 """
 
@@ -286,6 +287,23 @@ def _count_grown(mpc, counts: dict) -> None:
     mpc.optimize_trajectory = optimize_trajectory
 
 
+def _count_kept(mpc, counts: dict) -> None:
+    """Wrap ``mpc.mpc_step``, which an episode calls once per step, so each
+    replan that hands back its previous solve after 0 passes is counted
+    as ``kept``."""
+    inner = mpc.mpc_step
+
+    def mpc_step(controls, x, snapshot, cfg, previous=None):
+        out = inner(controls, x, snapshot, cfg, previous)
+        info = out[3]
+        counts["kept"] += (info["previous"] is previous
+                           and info["iterations"] == 0
+                           and not info["degraded"])
+        return out
+
+    mpc.mpc_step = mpc_step
+
+
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
@@ -296,13 +314,14 @@ def fingerprint(tree: Path) -> str:
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
-    counts = dict.fromkeys((*_COUNTS, "grown"), 0)
+    counts = dict.fromkeys((*_COUNTS, "grown", "kept"), 0)
     _count_rollouts(horizonddp.solver, counts)
     _count_steps(horizonddp.models, counts)
     _count_backups(horizonddp.backward, counts)
     _count_prefix_knots(horizonddp.solver, counts)
     _count_ends((hd, horizonddp.mpc), counts)
     _count_grown(horizonddp.mpc, counts)
+    _count_kept(horizonddp.mpc, counts)
     h = hashlib.sha256()
     for label, result in _runs(hd):
         run, plan = hashlib.sha256(), hashlib.sha256()
@@ -312,7 +331,7 @@ def fingerprint(tree: Path) -> str:
         _feed(plan, _plan(result))
         tally = " ".join(f"{key}={counts[key]}" for key in _COUNTS)
         if hasattr(result, "steps_used"):
-            tally += f" grown={counts['grown']}"
+            tally += f" grown={counts['grown']} kept={counts['kept']}"
         print(f"{label}: {_summary(result)} {tally} "
               f"plan={plan.hexdigest()[:12]} digest={run.hexdigest()[:12]}",
               file=sys.stderr)
