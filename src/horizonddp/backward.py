@@ -18,18 +18,17 @@ has a floor of at least gamma' and, by induction down from the terminal,
 the same successor, so a restart from the terminal would back it up to the
 same bits; the failed row is always backed up again.
 
-The same rule carries backups across solves.  A sweep keeps its blocks C,
-F and F2, its floors and the model it linearized.  A later sweep given it
-as ``reuse``, by the same model object and in the same mode, whose
-trajectory is the tail of the carried nominal to the bit (an MPC replan
-along the plan the previous solve ended on), linearizes only its new
-prefix knots.  It copies the blocks, values, gains and floors of the
-shared rows, the terminal value block among them, and starts its backup
-at the highest row whose floor is not at least its gamma: the rows above
-it get the same bits as a sweep from the terminal, by the induction
-above.  ``shared_tail`` makes that test.  A replan builds no prefix (see
-``solver.py``), so such a first sweep linearizes nothing, and backs up
-only the shared rows its gamma may lift.
+A replan reads its first sweep off the sweep its previous solve ended on.
+``BackwardResult.tail`` returns that record from the row at which the
+replan's trajectory starts, with no prefix, when the same model object
+made it, in the same mode, at the replan's gamma, and the trajectory is
+the tail of its nominal to the bit.  A sweep of that tail at that gamma
+would give the same rows: by the rule above, every row holds the bits of
+a backup at ``gamma_used`` from the same terminal block, and the rows of
+a tail depend on nothing below it.  A solve carries its sweep only when it
+ended at the stationarity test, on the gamma that sweep used (see
+``solver.py``), and a replan builds no prefix, so the tail serves as its
+first pass's sweep.
 
 Each quadratic is one symmetric block in homogeneous coordinates, with a
 constant 1 appended to the state (Tassa, Erez & Todorov, IROS 2012).  Over
@@ -69,7 +68,7 @@ is then exact whatever the prefix states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,10 +202,8 @@ class BackwardResult:
     ``V_xx``, ``V_x`` and ``V_0``, and ``K``, ``k`` the gains of the N
     steps, so the policy at time t is
     ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
-    ``C``, ``F`` and ``F2`` are the knots' blocks (F2 None in first-order
-    mode), ``floors`` the gamma up to which each row's backup holds, and
-    ``model`` the model linearized: what a later sweep along the same
-    nominal tail reuses.
+    ``second_order`` is the mode and ``model`` the model the sweep
+    linearized, which ``tail`` tests.
     """
 
     states: np.ndarray
@@ -216,10 +213,7 @@ class BackwardResult:
     k: np.ndarray
     gamma_used: float
     prefix_len: int
-    C: np.ndarray | None = None
-    F: np.ndarray | None = None
-    F2: np.ndarray | None = None
-    floors: list = field(default_factory=list)
+    second_order: bool = False
     model: SystemModel | None = None
 
     V_xx = property(lambda self: self.P[:, :-1, :-1])
@@ -233,6 +227,23 @@ class BackwardResult:
         """Largest ||k_t||_inf over the nominal's own steps, t >= 0: the
         feedforward of the policy at T-bar, without the prefix."""
         return float(np.max(np.abs(self.k[self.prefix_len:]), initial=0.0))
+
+    def tail(self, model: SystemModel, traj: Trajectory, gamma: float,
+             second_order: bool) -> "BackwardResult | None":
+        """This sweep from the row at which ``traj`` starts on, with no
+        prefix: the sweep of ``traj`` at ``gamma`` in that mode to the bit
+        (see the module docstring).  None unless ``model`` is the model
+        object this sweep linearized, in the same mode, at ``gamma_used ==
+        gamma``, and ``traj`` is the tail of its nominal to the bit."""
+        r0 = self.controls.shape[0] - traj.horizon
+        if not (model is self.model and second_order == self.second_order
+                and gamma == self.gamma_used and r0 >= 0
+                and np.array_equal(self.controls[r0:], traj.controls)
+                and np.array_equal(self.states[r0:], traj.states)):
+            return None
+        return replace(self, states=self.states[r0:],
+                       controls=self.controls[r0:], P=self.P[r0:],
+                       K=self.K[r0:], k=self.k[r0:], prefix_len=0)
 
 
 def q_expansion(C: np.ndarray, dyn, nxt: ValueExpansion) -> QExpansion:
@@ -399,24 +410,9 @@ def _sweep_once(costs, dyns, gamma, out, top):
         raise
 
 
-def shared_tail(reuse, model, traj: Trajectory, second_order) -> int:
-    """The row of ``reuse`` at which ``traj`` starts, when ``reuse``
-    linearized the same model object in the same mode and its nominal ends
-    in ``traj`` to the bit, or -1: the test for the rows a sweep
-    reuses."""
-    if (reuse is None or reuse.model is not model
-            or (reuse.F2 is not None) != second_order):
-        return -1
-    r0 = reuse.controls.shape[0] - traj.horizon
-    if (r0 >= 0 and np.array_equal(reuse.controls[r0:], traj.controls)
-            and np.array_equal(reuse.states[r0:], traj.states)):
-        return r0
-    return -1
-
-
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
-                   gamma: float = GAMMA_MIN, second_order: bool = False,
-                   reuse: BackwardResult | None = None) -> BackwardResult:
+                   gamma: float = GAMMA_MIN,
+                   second_order: bool = False) -> BackwardResult:
     """Value expansions and gains for t from the terminal step down to -S.
 
     ``prefix`` is a (states, controls) pair of negative-time knots ordered
@@ -426,13 +422,9 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     each; on factorization failure gamma is escalated tenfold, and from at
     least GAMMA_MIN, until it exceeds GAMMA_MAX, reusing both and every
     backup above the highest knot the new gamma may lift (see the module
-    docstring).  Given a carried sweep ``reuse`` whose nominal ends in
-    ``traj`` to the bit, by the same model object and in the same mode,
-    only the prefix knots are linearized, and the trajectory's rows and
-    terminal block are copied from it under the same rule.  An expansion
-    that comes out non-finite, which would fail every gamma, raises its
-    ExpansionError (see ``model.py``); the sweep raises ValueError unless
-    gamma is finite and >= 0.
+    docstring).  An expansion that comes out non-finite, which would fail
+    every gamma, raises its ExpansionError (see ``model.py``); the sweep
+    raises ValueError unless gamma is finite and >= 0.
     """
     if not 0.0 <= gamma < math.inf:
         raise ValueError("gamma must be finite and >= 0")
@@ -445,40 +437,23 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     S = pre_states.shape[0]
     states = np.vstack([pre_states, traj.states])
     controls = np.vstack([pre_controls, traj.controls])
-    # read-only: a later sweep reuses these rows, and a warm start read
-    # off them is trusted as simulated (see trajectory.py)
+    # read-only: a later replan reads its first sweep off these rows (see
+    # ``BackwardResult.tail``)
     states.flags.writeable = controls.flags.writeable = False
-    r0 = shared_tail(reuse, model, traj, second_order)
-    lin = len(controls) if r0 < 0 else S
-    if r0 < 0:
-        phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
-        terminal = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi).P
-    else:
-        # the same terminal state and model object: expand_terminal's
-        # block to the bit
-        terminal = reuse.P[-1]
-    C, F, F2 = _linearize(model, states[:lin], controls[:lin], second_order)
-
-    P = np.empty((len(controls) + 1, n + 1, n + 1))
-    P[-1] = terminal
-    K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
-    floors = [-math.inf] * len(controls)
-    if r0 >= 0:
-        C = np.concatenate([C, reuse.C[r0:]])
-        F = np.concatenate([F, reuse.F[r0:]])
-        if second_order:
-            F2 = np.concatenate([F2, reuse.F2[r0:]])
-        P[S:-1], K[S:], k[S:] = reuse.P[r0:-1], reuse.K[r0:], reuse.k[r0:]
-        floors[S:] = reuse.floors[r0:]
+    phi, phi_x, phi_xx = expand_terminal(model, traj.states[-1])
+    C, F, F2 = _linearize(model, states[:-1], controls, second_order)
     for g, (x, u) in enumerate(zip(pre_states, pre_controls)):
         F[g, :n, n] = model.step(x, u) - states[g + 1]
     dyns = list(zip(F, [None] * len(F) if F2 is None else F2))
 
+    P = np.empty((len(controls) + 1, n + 1, n + 1))
+    P[-1] = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi).P
+    K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
+    floors = [-math.inf] * len(controls)
     g = float(gamma)
     while True:
-        # from the terminal down: a row kept from the carried sweep or
-        # through a retry may be lifted by this gamma, and a failed row's
-        # -inf ends the scan
+        # from the terminal down: a row kept through a retry may be lifted
+        # by this gamma, and a failed row's -inf ends the scan
         top = next((i for i in range(len(floors) - 1, -1, -1)
                     if not floors[i] >= g), -1)
         try:
@@ -491,5 +466,5 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
                     f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
 
     return BackwardResult(states=states, controls=controls, P=P, K=K, k=k,
-                          gamma_used=g, prefix_len=S, C=C, F=F, F2=F2,
-                          floors=floors, model=model)
+                          gamma_used=g, prefix_len=S,
+                          second_order=second_order, model=model)

@@ -314,10 +314,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means
+        # non-convergence, and 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     out = Path(args.out)
     try:
+        # numpy's generators take no negative seed
+        check_count("--seed", args.seed, 0)
         cfg = _load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out, args.seed)

@@ -1,36 +1,37 @@
 """Optimal-horizon model-predictive control loop.
 
 The episode loop follows the replan / apply / drop pattern: every step the
-previous plan's controls (first knot dropped) are rolled out from the
-observed state to warm-start a budgeted solve against the current world
-snapshot, the first control is applied to the (possibly noisy) plant, and
-the episode ends once the plan's last control has been applied.  Each replan
-resumes from the previous solve's ``SolverResult``, and passing it makes
-the solve a replan: one real-time iteration that ends on its first
-accepted step and prices no horizon above its warm start (see
-``solver.py``).  Its warm start is the previous plan less its applied
-knot, so the planned horizon falls by at least one every step, and an
-optimal-horizon episode ends within its first solve's T* steps.  The
-solver alone decides what else it reads from the result: the
-regularization and horizon trust radius that solve ended on, and the sweep
-it ended on when it stopped at the stationarity test.
+previous plan's controls (first knot dropped) warm-start a budgeted solve
+against the current world snapshot from the observed state, the first
+control is applied to the (possibly noisy) plant, and the episode ends
+once the plan's last control has been applied.  Each replan resumes from
+the previous solve's ``SolverResult``, and passing it makes the solve a
+replan: one real-time iteration that ends on its first accepted step and
+prices no horizon above its warm start (see ``solver.py``).  Its warm
+start is the previous plan less its applied knot, so the planned horizon
+falls by at least one every step, and an optimal-horizon episode ends
+within its first solve's T* steps.  The solver alone decides what else it
+reads from the result: the regularization and horizon trust radius that
+solve ended on, and the sweep it ended on when it stopped at the
+stationarity test.
 
 What the previous solve computed is not computed again.  Along a
 noise-free plan, under the snapshot object that simulated it, the observed
 state is the plan's next state to the bit, so the warm start is read off
-the plan instead of rolled out, however that solve ended.  When the solve
-also carried its sweep, the replan's first sweep keeps every row whose
-floor is at least its gamma, as a gamma retry does, and backs up only the
-others.  Step 0 of an episode replans at the start its first solve began
-from, with that solve's plan, against the same snapshot object: when that
-solve converged, its plan is kept without a pass, as in a real-time
-iteration scheme, where the initial solve serves the first sampling
-instant (Diehl, Bock & Schloeder, SIAM J. Control Optim. 43(5), 2005).
-Either way the warm start is simulated under the snapshot the replan
-solves against, so the solve's entry check only tests it finite instead
-of stepping it again (see ``trajectory.py``).  Passing ``t_fixed`` runs
-the fixed receding-horizon baseline through the same loop: every replan
-solves at that horizon, and the episode runs to the step limit.
+the plan instead of rolled out, however that solve ended
+(``Trajectory.tail``).  When the solve also carried its sweep, the
+replan's first pass takes that sweep's tail instead of sweeping again
+(``BackwardResult.tail``).  Step 0 of an episode replans at the start its
+first solve began from, with that solve's plan, against the same snapshot
+object: when that solve converged, its plan is kept without a pass, as in
+a real-time iteration scheme, where the initial solve serves the first
+sampling instant (Diehl, Bock & Schloeder, SIAM J. Control Optim. 43(5),
+2005).  Otherwise the warm start is rolled out under the snapshot the
+replan solves against.  Either way it is simulated under that snapshot, so
+the solve's entry check only tests it finite instead of stepping it again
+(see ``trajectory.py``).  Passing ``t_fixed`` runs the fixed
+receding-horizon baseline through the same loop: every replan solves at
+that horizon, and the episode runs to the step limit.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .model import SystemModel, check_count, check_nonnegative
 from .models import PointMassNavModel, obstacle_schedule_advance
 from .solver import SolverConfig, SolverResult, optimize_trajectory
-from .trajectory import Trajectory, rollout_controls, initial_trajectory
+from .trajectory import rollout_controls, initial_trajectory
 
 
 @dataclass
@@ -60,6 +61,7 @@ class MpcConfig:
     def __post_init__(self):
         check_count("inner_iterations", self.inner_iterations, 1)
         check_count("step_limit", self.step_limit, 1)
+        check_count("seed", self.seed, 0)
         if self.initial_horizon is not None:
             check_count("initial_horizon", self.initial_horizon, 1)
         check_nonnegative("noise_scale", self.noise_scale)
@@ -98,39 +100,12 @@ def _snapshot(model: SystemModel, sim_time: float) -> SystemModel:
     return model
 
 
-def _warm_start(model: SystemModel, x0, controls: np.ndarray,
-                previous: SolverResult | None) -> Trajectory:
-    """The rollout of ``controls`` from ``x0``: read off ``previous``'s plan
-    from knot ``g = plan.horizon - len(controls)`` on when the plan holds
-    it to the bit, else a new rollout.
-
-    The plan holds it when ``model`` simulated the plan (the same model
-    object, and both arrays still read-only), ``g >= 0``, ``x0`` is the
-    plan's state at ``g`` and ``controls`` its controls from ``g`` on:
-    stepping them again would give back the plan's own states.  At
-    ``g == 0`` the plan itself is returned; a later knot's tail is marked
-    as ``model``'s own, as the plan is.
-    """
-    if previous is not None:
-        plan = previous.trajectory
-        g = plan.horizon - controls.shape[0]
-        if (plan._simulated_by is model and not plan.states.flags.writeable
-                and not plan.controls.flags.writeable and g >= 0
-                and np.array_equal(x0, plan.states[g])
-                and np.array_equal(controls, plan.controls[g:])):
-            if g == 0:
-                return plan
-            return Trajectory.simulated(model, plan.states[g:],
-                                        plan.controls[g:])
-    return rollout_controls(model, x0, controls)
-
-
 def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
              cfg: MpcConfig, previous: SolverResult | None = None):
     """One budgeted replan from the previous plan's remaining controls.
 
     The controls, with the last one held up to the solver's lower horizon
-    bound, are rolled out from ``observed_x0`` to warm-start the solve.
+    bound, warm-start the solve from ``observed_x0``.
     ``previous`` is the result of the solve before, or None; the solve
     resumes from it (see ``optimize_trajectory``), so neither the
     regularization nor the horizon trust radius is re-learned every
@@ -138,11 +113,11 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     ends on its first accepted step, within ``cfg.inner_iterations``
     passes, and returns a plan no longer than the warm start.  When
     ``previous``'s plan holds the warm start to the bit, it is read off
-    that plan instead of rolled out (see ``_warm_start``), and a sweep
-    ``previous`` carries lends the solve's first sweep the rows it shares
-    (see ``optimize_trajectory`` and ``backward_sweep``).  When the warm
-    start is ``previous``'s plan itself and that solve converged, the
-    replan is that solve's own problem: the plan is returned after 0
+    that plan instead of rolled out (see ``Trajectory.tail``), and the
+    tail of a sweep ``previous`` carries serves as the solve's first
+    sweep (see ``optimize_trajectory`` and ``BackwardResult.tail``).  When
+    the warm start is ``previous``'s plan itself and that solve converged,
+    the replan is that solve's own problem: the plan is returned after 0
     passes, and ``previous`` is handed on unchanged.
     ``info["iterations"]`` and ``info["degraded"]`` describe the replan,
     and ``info["previous"]`` is the result the next replan resumes from.
@@ -160,7 +135,10 @@ def mpc_step(controls: np.ndarray, observed_x0, model_snapshot: SystemModel,
     if short > 0:
         controls = np.pad(controls, ((0, short), (0, 0)), mode="edge")
     try:
-        warm = _warm_start(model_snapshot, observed_x0, controls, previous)
+        warm = None if previous is None else previous.trajectory.tail(
+            model_snapshot, observed_x0, controls)
+        if warm is None:
+            warm = rollout_controls(model_snapshot, observed_x0, controls)
         iterations = 0
         # the converged solve's own problem again: it is kept as it stands
         if not (previous is not None and previous.converged

@@ -25,7 +25,10 @@ shortens the plan by at least one knot, a degraded replan keeps its plan
 and counts down too, and an episode ends within its first solve's T*
 steps.  A replan gives up lengthening its plan for that; the first solve
 and a one-shot solve build the full ``window_s`` prefix on every pass,
-so an episode's first plan chooses its horizon freely.
+so an episode's first plan chooses its horizon freely.  A replan along a
+plan its previous solve certified stationary needs no new backup either:
+its first pass takes that solve's sweep from the replan's first knot on
+(see ``BackwardResult.tail``).
 
 The window is [T-bar - window_s, T-bar + S], except after an accepted move
 onto its lower edge (with that edge above the lower bound): the next pass
@@ -102,6 +105,9 @@ class SolverConfig:
         check_count("max_iterations", self.max_iterations, 1)
         check_nonnegative("convergence_tol", self.convergence_tol)
         check_nonnegative("k_tol", self.k_tol)
+        # a JSON string such as "false" is truthy
+        if not isinstance(self.second_order, bool):
+            raise ValueError("second_order must be a boolean, true or false")
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
@@ -164,11 +170,11 @@ class SolverResult:
     :class:`BackwardResult` when the solve ended at the stationarity test,
     so that its nominal is the returned trajectory, and None otherwise; a
     converged solve carries it unless it ended on an exact step, and a
-    replan that steps carries none.  A replan along that trajectory's tail
-    reads its warm start off it, and its first sweep copies the rows it
-    shares, as a gamma retry keeps the rows above the first knot the new
-    gamma may lift.  ``==`` is identity, as for every library record that
-    holds arrays.
+    replan that steps carries none.  Its ``gamma_used`` is then
+    ``gamma_final``, so a replan along that trajectory's tail takes the
+    sweep's tail as its first pass's sweep instead of sweeping again (see
+    ``BackwardResult.tail``).  ``==`` is identity, as for every library
+    record that holds arrays.
     """
 
     trajectory: Trajectory
@@ -339,7 +345,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                         previous: SolverResult | None = None) -> SolverResult:
     """Outer loop: sweep, select horizon, line-searched forward pass.
 
-    Iterations count outer passes (one backward sweep each).  Convergence
+    Iterations count outer passes (one backward sweep each, or one carried
+    sweep's tail; see ``previous`` below).  Convergence
     is declared in one of two ways: before any rollout, when the sweep is
     stationary at T-bar (T-bar selected, feedforward below ``k_tol``, and
     T-bar's price within ``convergence_tol`` relative of J); or right after
@@ -351,10 +358,11 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     ``previous`` is the result of the solve a warm-started replan resumes
     from.  Passing it makes the solve a replan, one real-time iteration
     (see the module docstring):
-    - every pass asks ``extend_backward`` for 0 knots, so it prices no
-      horizon above T-bar and the plan it returns is no longer than
-      ``initial``; without ``previous`` every pass builds the full
-      ``window_s`` prefix;
+    - every pass that sweeps asks ``extend_backward`` for 0 knots, and a
+      pass that takes a carried sweep's tail has no prefix either, so the
+      solve prices no horizon above T-bar and the plan it returns is no
+      longer than ``initial``; without ``previous`` every pass builds the
+      full ``window_s`` prefix;
     - the solve ends after its first accepted step, with status
       "replanned" unless that step converged it, so ``max_iterations``
       bounds only the passes that accept no step, its gamma retries.
@@ -370,8 +378,9 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
       infinite: every priced horizon is admitted until a shifted try is
       rejected, and a doubling keeps it infinite;
     - its ``sweep``, carried only by a solve that ended at the
-      stationarity test: the first pass's sweep reuses the rows it shares
-      with it (see ``backward_sweep``).
+      stationarity test: when ``BackwardResult.tail`` gives one for
+      ``initial`` at the first pass's gamma, that pass takes it as its
+      sweep, and neither builds a prefix nor sweeps.
 
     An inconsistent ``initial`` is rejected by ``assert_consistent``:
     FloatingPointError on a non-finite defect, ValueError on one above
@@ -382,10 +391,12 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
     t_min, t_max = cfg.horizon_bounds
     if not (t_min <= initial.horizon <= t_max):
         raise ValueError("initial horizon outside bounds")
-    gamma, radius, sweep = GAMMA_MIN, math.inf, None
+    gamma, radius, back, sweep = GAMMA_MIN, math.inf, None, None
     if previous is not None:
         gamma, radius = previous.gamma_final, previous.radius_final
-        sweep = previous.sweep
+        if previous.sweep is not None:
+            back = previous.sweep.tail(model, initial, gamma,
+                                       cfg.second_order)
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius!r}")
     initial.assert_consistent(model)
@@ -403,15 +414,17 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        reuse, sweep = sweep, None
-        prefix = extend_backward(model, traj, prefix_len)
-        try:
-            back = backward_sweep(model, traj, (prefix.states, prefix.controls),
-                                  gamma=gamma, second_order=cfg.second_order,
-                                  reuse=reuse)
-        except BackwardSweepError:
-            status = "backward_failure"
-            break
+        # the first pass of a replan along a plan its previous solve
+        # certified stationary takes the tail of that solve's sweep
+        if it > 1 or back is None:
+            prefix = extend_backward(model, traj, prefix_len)
+            try:
+                back = backward_sweep(
+                    model, traj, (prefix.states, prefix.controls),
+                    gamma=gamma, second_order=cfg.second_order)
+            except BackwardSweepError:
+                status = "backward_failure"
+                break
         gamma = max(back.gamma_used, GAMMA_MIN)
 
         candidates = evaluate_candidates(back, cfg.horizon_bounds,

@@ -3,16 +3,17 @@
 A trajectory is checked against a model by stepping every knot through it
 again, except one the library simulated itself: ``rollout_controls`` (and
 so ``initial_trajectory``), the solver's ``rollout`` and an MPC warm start
-read off the previous plan build theirs with ``Trajectory.simulated``,
-which records the model object that stepped it and makes both arrays
-read-only.  Checked against that same model object, such a trajectory is
-only tested finite: its defects are 0 by construction, and a warm start's
-are those of a plan that model simulated.  A trajectory built by a
-caller, an edited copy (whose arrays are new or writable again) and a
-check against any other model object, such as a new navigation snapshot,
-are stepped through in full.  As the carried sweep of ``backward.py`` does,
-the mark keys on the model object, whose parameters and arrays are
-frozen (see ``models.py``).
+read off the previous plan (``Trajectory.tail``) build theirs with
+``Trajectory.simulated``, which records the model object that stepped it
+and makes both arrays read-only.  Checked against that same model
+object, such a trajectory is only tested finite: its defects are 0 by
+construction, and a warm start's are those of a plan that model
+simulated.  A trajectory built by a caller, an edited copy (whose arrays
+are new or writable again) and a check against any other model object,
+such as a new navigation snapshot, are stepped through in full.  As a
+carried sweep's tail (``BackwardResult.tail``) does, the mark keys on the
+model object, whose parameters and arrays are frozen (see
+``models.py``).
 """
 
 from __future__ import annotations
@@ -65,6 +66,32 @@ class Trajectory:
     def horizon(self) -> int:
         return self.controls.shape[0]
 
+    def _simulated_under(self, model: SystemModel) -> bool:
+        """Whether this model object simulated the trajectory, and both
+        arrays are still read-only (see the module docstring)."""
+        return (self._simulated_by is model and not self.states.flags.writeable
+                and not self.controls.flags.writeable)
+
+    def tail(self, model: SystemModel, x0, controls) -> "Trajectory | None":
+        """The rollout of ``controls`` from ``x0`` under ``model``, read off
+        this trajectory from knot g = horizon - len(controls) on, or None.
+
+        It is read off when ``model`` simulated this trajectory, ``g >=
+        0``, ``x0`` is its state at g and ``controls`` its controls from g
+        on, to the bit: stepping them again would give back its own
+        states.  At ``g == 0`` the trajectory itself is returned; a later
+        knot's tail is marked as ``model``'s own, as this one is.  The
+        plan-side twin of ``BackwardResult.tail``.
+        """
+        g = self.horizon - controls.shape[0]
+        if not (self._simulated_under(model) and g >= 0
+                and np.array_equal(x0, self.states[g])
+                and np.array_equal(controls, self.controls[g:])):
+            return None
+        if g == 0:
+            return self
+        return Trajectory.simulated(model, self.states[g:], self.controls[g:])
+
     def consistency_error(self, model: SystemModel) -> float:
         """Max dynamics defect ||x_{t+1} - f(x_t, u_t)||_inf along the path,
         stepping every knot: NaN or inf when a defect is non-finite, and inf
@@ -82,8 +109,7 @@ class Trajectory:
         one above CONSISTENCY_TOL.  A trajectory simulated by this model
         object, whose arrays are still read-only, has no defect: only its
         states are tested finite (see the module docstring)."""
-        if (self._simulated_by is model and not self.states.flags.writeable
-                and not self.controls.flags.writeable):
+        if self._simulated_under(model):
             err = 0.0 if np.isfinite(self.states).all() else math.inf
         else:
             err = self.consistency_error(model)

@@ -732,9 +732,9 @@ def test_second_order_mode_matches_ilqr_on_linear_dynamics(rng):
 
 
 def _replan_case(name, rng):
-    """(model, sweep of a rolled-out nominal with a 3-knot prefix, the
-    trajectory along its tail that the next replan sweeps, that replan's
-    3-knot prefix), both prefixes pinned at their first state."""
+    """(model, sweep of a rolled-out nominal with a 3-knot prefix pinned at
+    its first state, the trajectory along its tail that the next replan
+    starts from)."""
     if name == "cartpole":
         model = CartpoleModel(c_t=3.0)
         x0, u = np.zeros(4), 3.0 * rng.standard_normal((25, 1))
@@ -744,13 +744,10 @@ def _replan_case(name, rng):
         hover = model.nominal_control(x0)
         u = hover + 0.05 * hover * rng.standard_normal((25, 4))
     traj = rollout_controls(model, x0, u)
-
-    def pinned(t):
-        return (np.tile(t.states[0], (3, 1)), np.tile(t.controls[0], (3, 1)))
-
+    prefix = (np.tile(traj.states[0], (3, 1)),
+              np.tile(traj.controls[0], (3, 1)))
     tail = Trajectory(states=traj.states[1:], controls=traj.controls[1:])
-    return (model, backward_sweep(model, traj, pinned(traj)), tail,
-            pinned(tail))
+    return model, backward_sweep(model, traj, prefix), tail
 
 
 def _counting_sweeps(monkeypatch):
@@ -779,82 +776,36 @@ def _counting_sweeps(monkeypatch):
 
 
 def assert_same_sweep(a, b):
-    for name in ("states", "controls", "P", "K", "k", "C", "F"):
+    for name in ("states", "controls", "P", "K", "k"):
         npt.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert (a.F2 is None) == (b.F2 is None)
-    if a.F2 is not None:
-        npt.assert_array_equal(a.F2, b.F2)
     assert a.gamma_used == b.gamma_used
-    assert a.floors == b.floors
+    assert a.second_order == b.second_order
     assert a.prefix_len == b.prefix_len and a.model is b.model
 
 
 @pytest.mark.parametrize("name", ["cartpole", "quadrotor"])
 def test_carried_sweep_backs_up_only_the_new_prefix(name, rng, monkeypatch):
-    # at the gamma it ended on, every row the carried sweep shares with the
-    # replan is kept, its terminal block among them, and the replan's
-    # sweep is a fresh one to the bit
-    model, carried, tail, prefix = _replan_case(name, rng)
+    # a replan builds no prefix, so at the gamma the carried sweep ended on
+    # its tail is the replan's first sweep: a fresh sweep of the tail to the
+    # bit, with no knot linearized or backed up and no terminal expansion
+    model, carried, tail = _replan_case(name, rng)
     counts = _counting_sweeps(monkeypatch)
-    back = backward_sweep(model, tail, prefix, gamma=carried.gamma_used,
-                          reuse=carried)
-    assert counts == {"linearized": 3, "backups": 3}   # and no terminal
-    counts.clear()
-    fresh = backward_sweep(model, tail, prefix, gamma=carried.gamma_used)
-    assert counts["backups"] == 3 + tail.horizon and counts["terminals"] == 1
-    assert_same_sweep(back, fresh)
-
-
-def test_gamma_above_reused_floors_recomputes_those_rows(rng, monkeypatch):
-    # the rows from the highest one whose floor lies below the new gamma
-    # down are backed up again, the rows above it are kept
-    model, carried, tail, prefix = _replan_case("cartpole", rng)
-    shared = carried.floors[carried.prefix_len + 1:]
-    gamma = shared[len(shared) // 2] * (1 + 1e-9)
-    top = 3 + max(i for i, floor in enumerate(shared) if floor < gamma)
-    assert 3 < top < 3 + tail.horizon - 1
-    counts = _counting_sweeps(monkeypatch)
-    back = backward_sweep(model, tail, prefix, gamma=gamma, reuse=carried)
-    assert counts == {"linearized": 3, "backups": top + 1}
-    assert_same_sweep(back, backward_sweep(model, tail, prefix, gamma=gamma))
-
-
-def test_prefix_failure_retries_into_the_reused_rows(rng, monkeypatch):
-    # a forced NeedsRegularization at the first prefix row escalates gamma;
-    # the quadrotor's Gershgorin rows hold only up to the gamma they were
-    # backed up at, so the retry backs up every shared row again
-    model, carried, tail, prefix = _replan_case("quadrotor", rng)
-    C_pre = backward._cost_block(expand_cost(model, prefix[0][0],
-                                             prefix[1][0]))
-    expansion = backward.q_expansion
-    armed = []
-
-    def failing_once(C, dyn, nxt):
-        if armed and np.array_equal(C, C_pre):
-            armed.clear()
-            raise NeedsRegularization("forced")
-        return expansion(C, dyn, nxt)
-
-    monkeypatch.setattr(backward, "q_expansion", failing_once)
-    counts = _counting_sweeps(monkeypatch)
-    armed.append(True)
-    back = backward_sweep(model, tail, prefix, gamma=carried.gamma_used,
-                          reuse=carried)
-    assert not armed and back.gamma_used == 10 * carried.gamma_used
-    assert counts["backups"] == 1 + 3 + tail.horizon
-    armed.append(True)
-    fresh = backward_sweep(model, tail, prefix, gamma=carried.gamma_used)
-    assert not armed
+    back = carried.tail(model, tail, carried.gamma_used, False)
+    assert counts == {}
+    fresh = backward_sweep(model, tail, empty_prefix(model),
+                           gamma=carried.gamma_used)
+    assert counts["backups"] == tail.horizon and counts["terminals"] == 1
     assert_same_sweep(back, fresh)
 
 
 @pytest.mark.parametrize("change", [
-    "second_order", "equal_model", "state_ulp", "control_ulp", "padded"])
-def test_no_reuse_off_the_carried_tail(change, rng, monkeypatch):
-    # reuse needs the same model object, the same mode and the carried
-    # nominal's tail to the bit; otherwise every knot is linearized
-    model, carried, tail, prefix = _replan_case("cartpole", rng)
-    second_order = change == "second_order"
+    "second_order", "equal_model", "state_ulp", "control_ulp", "padded",
+    "gamma"])
+def test_no_reuse_off_the_carried_tail(change, rng):
+    # the tail needs the same model object, the same mode, the gamma the
+    # carried sweep used and its nominal's tail to the bit
+    model, carried, tail = _replan_case("cartpole", rng)
+    gamma = carried.gamma_used
     if change == "equal_model":
         model = CartpoleModel(c_t=3.0)
     elif change in ("state_ulp", "control_ulp"):
@@ -867,11 +818,7 @@ def test_no_reuse_off_the_carried_tail(change, rng, monkeypatch):
         # the receding baseline's replan: the last control held once more
         tail = rollout_controls(model, tail.states[0], np.vstack(
             [tail.controls, tail.controls[-1:]]))
-    counts = _counting_sweeps(monkeypatch)
-    back = backward_sweep(model, tail, prefix, gamma=carried.gamma_used,
-                          second_order=second_order, reuse=carried)
-    knots = back.controls.shape[0]
-    assert counts == {"linearized": knots, "backups": knots, "terminals": 1}
-    assert_same_sweep(back, backward_sweep(model, tail, prefix,
-                                           gamma=carried.gamma_used,
-                                           second_order=second_order))
+    elif change == "gamma":
+        gamma = np.nextafter(gamma, np.inf)
+    assert carried.tail(model, tail, gamma,
+                        change == "second_order") is None

@@ -141,7 +141,7 @@ def test_wrong_x0_size_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("max_iterations", 2.5), ("window_s", float("nan")),
     ("horizon_bounds", [1.7, 120.9]), ("horizon_bounds", 5),
-    ("horizon_bounds", [1])])
+    ("horizon_bounds", [1]), ("second_order", "false")])
 def test_bad_solver_value_exits_1(tmp_path, capsys, field, value):
     # one error line naming the field, not a traceback
     doc = di_solve_config()
@@ -483,6 +483,29 @@ def test_write_json_encodes_numpy_and_dataclasses(tmp_path):
 
 
 def test_requires_config_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve"])
-    assert exc.value.code == 2  # argparse usage error
+    # a usage error exits 1, as a config error does: 2 is non-convergence
+    assert main(["solve"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-ct", "mpc", "oracle",
+                                     "check"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    # numpy takes no negative seed, and solve once recorded one
+    cfg = write_config(tmp_path, {**di_solve_config(), "c_t_list": [0.02],
+                                  "t_range": [20, 22]})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--seed", "-2"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --seed must be an integer >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["bogus", "--config", "c.json"], 1, "invalid choice: 'bogus'"),
+    (["solve", "--config", "c.json", "--seed", "abc"], 1,
+     "argument --seed: invalid int value: 'abc'"),
+    (["--help"], 0, "")], ids=["command", "seed", "help"])
+def test_usage_exit_codes(capsys, argv, code, err):
+    assert main(argv) == code
+    assert err in capsys.readouterr().err

@@ -17,9 +17,9 @@ from horizonddp import (CartpoleModel, DoubleIntegratorModel,
 import horizonddp.backward as backward_mod
 import horizonddp.mpc as mpc_mod
 import horizonddp.solver as solver_mod
-from horizonddp.backward import GAMMA_MIN
+from horizonddp.backward import GAMMA_MIN, BackwardResult
 from test_acceptance import nav_scenario
-from test_backward import assert_same_sweep
+from test_backward import assert_same_sweep, empty_prefix
 
 
 def lq_mpc_setup(rng, c_t=0.05):
@@ -321,7 +321,8 @@ def test_config_and_mode_validation(rng):
     for budget in (0, 2.5):
         with pytest.raises(ValueError, match="inner_iterations"):
             MpcConfig(solver=cfg.solver, inner_iterations=budget)
-    for field, value in [("step_limit", 2.5), ("initial_horizon", 0),
+    for field, value in [("step_limit", 2.5), ("seed", -1), ("seed", 1.5),
+                         ("initial_horizon", 0),
                          ("initial_horizon", 40.5), ("noise_scale", -1.0),
                          ("noise_scale", np.nan), ("noise_scale", np.inf)]:
         with pytest.raises(ValueError, match=field):
@@ -374,26 +375,20 @@ def without_carried_sweeps(monkeypatch):
 
 
 def checking_carried_sweeps(monkeypatch):
-    """Check every sweep given a carried one against a fresh sweep, and every
-    warm start against ``rollout_controls``; count the replans, the sweeps
-    given a carried one, those that reused its rows, and the warm starts
-    rolled out."""
+    """Check every carried sweep's tail a replan reads against a fresh
+    sweep, and every warm start against ``rollout_controls``; count the
+    replans, the tails asked of a carried sweep, those read, and the warm
+    starts rolled out."""
     counts = Counter()
-    sweep_fn, linearize = solver_mod.backward_sweep, backward_mod._linearize
-    linearized = []
+    tail, sweep_fn = BackwardResult.tail, backward_mod.backward_sweep
 
-    def counting_linearize(model, states, controls, second_order):
-        linearized.append(controls.shape[0])
-        return linearize(model, states, controls, second_order)
-
-    def checked(model, traj, prefix, gamma=GAMMA_MIN, second_order=False,
-                reuse=None):
-        back = sweep_fn(model, traj, prefix, gamma=gamma,
-                        second_order=second_order, reuse=reuse)
-        if reuse is not None:
-            counts["carried"] += 1
-            counts["reused"] += linearized[-1] < back.controls.shape[0]
-            assert_same_sweep(back, sweep_fn(model, traj, prefix, gamma=gamma,
+    def checked(self, model, traj, gamma, second_order):
+        back = tail(self, model, traj, gamma, second_order)
+        counts["carried"] += 1
+        if back is not None:
+            counts["reused"] += 1
+            assert_same_sweep(back, sweep_fn(model, traj, empty_prefix(model),
+                                             gamma=gamma,
                                              second_order=second_order))
         return back
 
@@ -408,8 +403,7 @@ def checking_carried_sweeps(monkeypatch):
         counts["rolled_out"] += 1
         return rollout_controls(model, x0, controls)
 
-    monkeypatch.setattr(backward_mod, "_linearize", counting_linearize)
-    monkeypatch.setattr(solver_mod, "backward_sweep", checked)
+    monkeypatch.setattr(BackwardResult, "tail", checked)
     monkeypatch.setattr(mpc_mod, "optimize_trajectory", replan)
     monkeypatch.setattr(mpc_mod, "rollout_controls", counting_rollout)
     return counts
@@ -435,14 +429,14 @@ def assert_same_episode(a, b):
 def test_carried_sweep_is_a_fresh_sweep(build, carried, reused, rolled_out,
                                         monkeypatch):
     # along a noise-free plan a replan's warm start is read off the plan
-    # before and its first sweep off the sweep the previous solve ended on,
-    # to the bit, and the episode is the one solved without carrying the
-    # sweep.  Every replan after a solve that ended at the stationarity
-    # test carries its sweep, and a replan that steps carries none: most
-    # nav replans step, since the obstacles move under the plan.  Step 0
-    # keeps the converged first plan without a solve.  The nav planner
-    # sees a new snapshot model every later step, so it never reuses a
-    # sweep and rolls out every later warm start
+    # before and its first sweep is the tail of the sweep the previous
+    # solve ended on, to the bit, and the episode is the one solved
+    # without carrying the sweep.  Every replan after a solve that ended at
+    # the stationarity test carries its sweep, and a replan that steps
+    # carries none: most nav replans step, since the obstacles move under
+    # the plan.  Step 0 keeps the converged first plan without a solve.
+    # The nav planner sees a new snapshot model every later step, so it
+    # never reads a tail and rolls out every later warm start
     model, x0, cfg = build()
     without_carried_sweeps(monkeypatch)
     reference = run_episode(model, x0, cfg)
@@ -513,12 +507,14 @@ def first_carried_replan(monkeypatch):
 def test_replan_along_its_carried_plan_builds_no_prefix(monkeypatch):
     # a replan prices no horizon above its warm start's T-bar, so every
     # pass asks for 0 knots, with or without the carried sweep, though a
-    # full prefix chains back from x1; both reach the same replan
+    # full prefix chains back from x1; the first pass along the carried
+    # plan reads the carried sweep's tail and asks for none.  Both reach
+    # the same replan
     model, cfg, x1, plan, previous = first_carried_replan(monkeypatch)
     prefixes, counts = recording_prefixes(monkeypatch)
     action, controls, t_bar, info = mpc_step(plan[1:], x1, model, cfg,
                                              previous)
-    assert prefixes == [(0, 0)] * info["iterations"]
+    assert prefixes == [(0, 0)] * (info["iterations"] - 1)
     prefixes.clear()
     ref = mpc_step(plan[1:], x1, model, cfg, replace(previous, sweep=None))
     assert prefixes == [(0, 0)] * ref[3]["iterations"]
@@ -554,8 +550,9 @@ def test_nav_episode_builds_only_its_first_prefixes(monkeypatch):
 
 def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
     # a replan from a state one ulp away from the carried plan rolls its
-    # warm start out and backs up every knot, as a replan carrying nothing;
-    # on the plan or off it, a replan builds no prefix
+    # warm start out and sweeps every knot, as a replan carrying nothing;
+    # on the plan or off it, a replan builds no prefix, and a pass that
+    # reads the carried sweep's tail asks for none
     model, cfg, x1, plan, previous = first_carried_replan(monkeypatch)
     sweep = previous.sweep
     npt.assert_array_equal(sweep.controls[sweep.prefix_len:], plan)
@@ -570,7 +567,7 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
                                                  previous)
         assert counts["reused"] == reused
         assert counts["rolled_out"] == 1 - reused
-        assert prefixes == [(0, 0)] * info["iterations"]
+        assert prefixes == [(0, 0)] * (info["iterations"] - reused)
         # the same replan resumed from the same levels without the sweep
         ref = mpc_step(plan[1:], x, model, cfg, replace(previous, sweep=None))
         npt.assert_array_equal(action, ref[0])
@@ -602,13 +599,22 @@ def test_quadrotor_episode_work_counts(monkeypatch):
     # and their warm starts are read off the plan, not rolled out: 33 + 32
     # = 65 steps.  Step 1 then resumes from the first solve's trust radius,
     # so its rejected shifted try is T-bar - 2, not T-bar - 1: its three
-    # rungs step 31 knots each, not 32, 3 steps fewer
+    # rungs step 31 knots each, not 32, 3 steps fewer.  The first solve
+    # runs 12 sweeps, and each of the 33 replans after step 0 one pass:
+    # 45 sweeps.  31 of those replans follow a solve that ended at the
+    # stationarity test, and their one pass reads the tail of that solve's
+    # sweep instead of sweeping again, which backs up no knot: 14 sweeps
     counts = Counter()
     q_expansion, step = backward_mod.q_expansion, QuadrotorModel.step
+    sweep = solver_mod.backward_sweep
 
     def counting_q_expansion(C, dyn, nxt):
         counts["backups"] += 1
         return q_expansion(C, dyn, nxt)
+
+    def counting_sweep(*args, **kwargs):
+        counts["sweeps"] += 1
+        return sweep(*args, **kwargs)
 
     def counting_step(self, x, u):
         counts["steps"] += 1
@@ -616,10 +622,11 @@ def test_quadrotor_episode_work_counts(monkeypatch):
 
     monkeypatch.setattr(backward_mod, "q_expansion", counting_q_expansion)
     monkeypatch.setattr(QuadrotorModel, "step", counting_step)
+    monkeypatch.setattr(solver_mod, "backward_sweep", counting_sweep)
     model, x0, cfg = quadrotor_episode()
     log = run_episode(model, x0, cfg)
     assert log.steps_used == 34
-    assert counts == {"backups": 489, "steps": 776}
+    assert counts == {"backups": 489, "steps": 776, "sweeps": 14}
 
 
 # ---------------------------------------------------------------------------

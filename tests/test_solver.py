@@ -44,7 +44,8 @@ def test_config_validation():
         SolverConfig(horizon_bounds=(6, 5))
     with pytest.raises(ValueError):
         SolverConfig(window_s=-1)
-    for field, value in [("window_s", 2.5), ("window_s", np.nan),
+    for field, value in [("second_order", "false"), ("second_order", 1),
+                         ("window_s", 2.5), ("window_s", np.nan),
                          ("window_s", "4"), ("max_iterations", 2.5),
                          ("max_iterations", 0), ("max_iterations", True),
                          ("convergence_tol", np.nan),
@@ -122,18 +123,20 @@ def test_result_carries_the_sweep_of_a_stationary_end(monkeypatch):
                            again.trajectory.states)
     npt.assert_array_equal(sweep.controls[sweep.prefix_len:],
                            again.trajectory.controls)
-    carried = []
-    backward_sweep = solver_mod.backward_sweep
+    tails = []
+    tail = BackwardResult.tail
 
-    def recording(*args, reuse=None, **kwargs):
-        carried.append(reuse)
-        return backward_sweep(*args, reuse=reuse, **kwargs)
+    def recording(self, *args):
+        tails.append((self, tail(self, *args)))
+        return tails[-1][1]
 
-    monkeypatch.setattr(solver_mod, "backward_sweep", recording)
+    monkeypatch.setattr(BackwardResult, "tail", recording)
     # given a result the solve is a replan: it ends on its first accepted
-    # step, here onto its window's lower edge, T = 18
+    # step, here onto its window's lower edge, T = 18.  Its initial
+    # trajectory is not along the carried nominal, so its first pass
+    # sweeps afresh
     replan = optimize_trajectory(m, init, cfg, again)
-    assert carried == [sweep]
+    assert tails == [(sweep, None)]
     assert replan.status == "replanned" and not replan.converged
     assert (replan.iterations, replan.t_star) == (1, 18)
     assert replan.sweep is None

@@ -27,3 +27,13 @@ def test_library_imports_no_concurrency_module():
              for name in _imported(ast.parse(path.read_text()))
              if name in _CONCURRENCY}
     assert found == set()
+
+
+def test_only_trajectory_reads_the_simulation_mark():
+    # which model object simulated a trajectory is tested in one place,
+    # Trajectory._simulated_under, which assert_consistent and tail share
+    found = {path.name for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr == "_simulated_by"}
+    assert found <= {"trajectory.py"}
