@@ -203,7 +203,9 @@ class BackwardResult:
     steps, so the policy at time t is
     ``u = controls[g] + alpha * k[g] + K[g] @ (x - states[g])``.
     ``second_order`` is the mode and ``model`` the model the sweep
-    linearized, which ``tail`` tests.
+    linearized, which ``tail`` tests.  ``backups`` counts the knots its
+    attempts backed up, a regularization retry's included, and is 0 on a
+    ``tail``, which backs up none.
     """
 
     states: np.ndarray
@@ -215,6 +217,7 @@ class BackwardResult:
     prefix_len: int
     second_order: bool = False
     model: SystemModel | None = None
+    backups: int = 0
 
     V_xx = property(lambda self: self.P[:, :-1, :-1])
     V_x = property(lambda self: self.P[:, -1, :-1])
@@ -243,7 +246,8 @@ class BackwardResult:
             return None
         return replace(self, states=self.states[r0:],
                        controls=self.controls[r0:], P=self.P[r0:],
-                       K=self.K[r0:], k=self.k[r0:], prefix_len=0)
+                       K=self.K[r0:], k=self.k[r0:], prefix_len=0,
+                       backups=0)
 
 
 def q_expansion(C: np.ndarray, dyn, nxt: ValueExpansion) -> QExpansion:
@@ -390,7 +394,8 @@ def _linearize(model: SystemModel, states, controls, second_order):
 
 def _sweep_once(costs, dyns, gamma, out, top):
     """Fill rows ``top`` down to 0 of ``out = (P, K, k, floors)`` from the
-    value block P[top + 1], with each row's floor; a failed row's is -inf."""
+    value block P[top + 1], with each row's floor; a failed row's is -inf.
+    Returns the failed row, which was backed up too, or None."""
     P, K, k, floors = out
     n = P.shape[1] - 1
     nxt = ValueExpansion.of_block(P[top + 1])
@@ -407,7 +412,8 @@ def _sweep_once(costs, dyns, gamma, out, top):
             floors[i] = q.floor
     except NeedsRegularization:
         floors[i] = -math.inf
-        raise
+        return i
+    return None
 
 
 def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
@@ -450,21 +456,23 @@ def backward_sweep(model: SystemModel, traj: Trajectory, prefix,
     P[-1] = ValueExpansion(V_xx=phi_xx, V_x=phi_x, V_0=phi).P
     K, k = np.empty(controls.shape + (n,)), np.empty(controls.shape)
     floors = [-math.inf] * len(controls)
-    g = float(gamma)
+    g, backups = float(gamma), 0
     while True:
         # from the terminal down: a row kept through a retry may be lifted
         # by this gamma, and a failed row's -inf ends the scan
         top = next((i for i in range(len(floors) - 1, -1, -1)
                     if not floors[i] >= g), -1)
-        try:
-            _sweep_once(C, dyns, g, (P, K, k, floors), top)
+        failed = _sweep_once(C, dyns, g, (P, K, k, floors), top)
+        # rows top down to the failed one, or down to row 0
+        backups += top + 1 - (failed or 0)
+        if failed is None:
             break
-        except NeedsRegularization:
-            g = max(10.0 * g, GAMMA_MIN)
-            if g > GAMMA_MAX:
-                raise BackwardSweepError(
-                    f"backward sweep failed up to gamma = {GAMMA_MAX:g}") from None
+        g = max(10.0 * g, GAMMA_MIN)
+        if g > GAMMA_MAX:
+            raise BackwardSweepError(
+                f"backward sweep failed up to gamma = {GAMMA_MAX:g}")
 
     return BackwardResult(states=states, controls=controls, P=P, K=K, k=k,
                           gamma_used=g, prefix_len=S,
-                          second_order=second_order, model=model)
+                          second_order=second_order, model=model,
+                          backups=backups)

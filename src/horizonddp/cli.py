@@ -5,7 +5,8 @@ JSON config, writes machine-readable artifacts (CSV tables plus a JSON
 summary embedding the resolved config) into --out, and uses exit codes
 0 = success, 1 = usage/config error, 2 = non-convergence.  This is the only
 module that formats artifacts: the library returns records, and two
-writers here turn them into JSON and CSV.
+writers here turn them into JSON and CSV.  The writers make --out, so a
+command that fails on its config leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def _cell(value):
 def _write_table(path: Path, header, rows):
     """CSV with one cell rule: bool -> 0/1, array -> space-joined %.9g,
     None -> empty."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -121,6 +123,7 @@ def _json_default(obj):
 
 
 def _write_json(path: Path, doc):
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, default=_json_default))
 
 
@@ -321,13 +324,11 @@ def main(argv=None) -> int:
         # non-convergence, and 0 after --help
         return EXIT_CONFIG if exc.code else EXIT_OK
 
-    out = Path(args.out)
     try:
         # numpy's generators take no negative seed
         check_count("--seed", args.seed, 0)
         cfg = _load_config(args.config)
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.seed)
+        return COMMANDS[args.command](cfg, Path(args.out), args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

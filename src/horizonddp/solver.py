@@ -139,8 +139,13 @@ class SolverResult:
     interpolated alpha*; None when no step was accepted), ``gamma``,
     ``t_star``, ``t_tried``, ``rejected``, ``accepted``, ``trust_radius``
     (the radius the pass priced with: infinite in a one-shot solve until a
-    shifted try is rejected), ``t_low`` (the lowest horizon it priced) and
-    ``candidates``, the :class:`CandidateEvaluation` list the pass priced.
+    shifted try is rejected), ``t_low`` (the lowest horizon it priced),
+    ``candidates``, the :class:`CandidateEvaluation` list the pass priced,
+    and what the pass did: ``tried``, the (T, alpha) of every rollout it
+    made, in order (a shifted ladder, the retry at T-bar, the tail's
+    alpha*); ``backups``, the knots its sweep backed up over every gamma
+    attempt (``BackwardResult.backups``: 0 when it took a carried sweep's
+    tail); and ``prefix_knots``, the knots of the prefix it built.
     ``t_tried`` is the horizon the line search tried first and ``t_star``
     the one the iteration ended on: T-bar when a shifted try was rejected
     and retried.
@@ -285,14 +290,15 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
             x0: np.ndarray):
     """Forward simulation applying the shifted affine policy from x0.
 
-    Returns (trajectory, cost); a non-finite excursion yields cost inf so
-    the line search rejects the step, and no state past the first one out
-    of the box is stepped from.  The trajectory is marked as ``model``'s
-    own (see ``Trajectory.simulated``).  The feedforward of every knot is
-    formed in one op, and each knot adds its feedback into its row in
-    place, in the order of ``controls[g] + alpha * k[g] + K[g] @ dx``.
-    The running costs of all knots are taken in one call once the states
-    are rolled out.
+    Returns (trajectory, cost), or (None, inf) so the line search rejects
+    the step when a ``step`` or the path cost raises FloatingPointError, a
+    state leaves the box (no state past it is stepped from) or the cost
+    is not finite: all four leave through one exit.  The trajectory is
+    marked as ``model``'s own (see ``Trajectory.simulated``).  The
+    feedforward of every knot is formed in one op, and each knot adds its
+    feedback into its row in place, in the order of
+    ``controls[g] + alpha * k[g] + K[g] @ dx``.  The running costs of all
+    knots are taken in one call once the states are rolled out.
     """
     g0 = t0 + back.prefix_len
     T = back.controls.shape[0] - g0
@@ -300,25 +306,22 @@ def rollout(model: SystemModel, back: BackwardResult, t0: int, alpha: float,
     states[0] = np.asarray(x0, dtype=float)
     controls = back.controls[g0:] + alpha * back.k[g0:]
     K, ref, step = back.K[g0:], back.states[g0:], model.step
-    for t in range(T):
-        x, u = states[t], controls[t]
-        u += K[t] @ (x - ref[t])
-        try:
-            x_next = step(x, u)
-        except FloatingPointError:
-            return None, math.inf
-        # NaN compares false, so this also rejects a non-finite state; a
-        # loop over floats costs less than numpy's reduction of a few
-        if not all(abs(v) <= _STATE_BOUND for v in x_next.tolist()):
-            return None, math.inf
-        states[t + 1] = x_next
     try:
-        cost = _path_cost(model, states, controls)
+        for t in range(T):
+            x, u = states[t], controls[t]
+            u += K[t] @ (x - ref[t])
+            x_next = step(x, u)
+            # NaN compares false, so this also rejects a non-finite state;
+            # a loop over floats costs less than numpy's reduction of a few
+            if not all(abs(v) <= _STATE_BOUND for v in x_next.tolist()):
+                raise FloatingPointError("rollout left the state bound")
+            states[t + 1] = x_next
+        cost = float(_path_cost(model, states, controls))
+        if not math.isfinite(cost):
+            raise FloatingPointError("non-finite rollout cost")
     except FloatingPointError:
         return None, math.inf
-    if not math.isfinite(cost):
-        return None, math.inf
-    return Trajectory.simulated(model, states, controls), float(cost)
+    return Trajectory.simulated(model, states, controls), cost
 
 
 def _rest_ruled_out(J: float, rungs, rest) -> bool:
@@ -436,7 +439,8 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
             "iteration": it, "t_bar": t_bar, "j": J, "alpha": None,
             "gamma": gamma, "t_star": t_tried, "t_tried": t_tried,
             "rejected": None, "accepted": False, "trust_radius": radius,
-            "t_low": lo, "candidates": candidates,
+            "t_low": lo, "candidates": candidates, "tried": [],
+            "backups": back.backups, "prefix_knots": back.prefix_len,
         }
         trace.append(record)
 
@@ -459,6 +463,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                 # t0 by keyword: perfbench/tracing.py reads it from the call
                 new_traj, j_new = rollout(model, back, t0=t_bar - t_star,
                                           alpha=alpha, x0=traj.states[0])
+                record["tried"].append((t_star, alpha))
                 if j_new < J:
                     break
                 # only a shifted ladder may stop early (module docstring)
@@ -501,6 +506,7 @@ def optimize_trajectory(model: SystemModel, initial: Trajectory,
                 step_traj, j_step = rollout(model, back, t0=0,
                                             alpha=alpha_star,
                                             x0=traj.states[0])
+                record["tried"].append((t_bar, alpha_star))
                 if j_step < j_new:
                     new_traj, j_new, alpha = step_traj, j_step, alpha_star
         exact_model = (alpha == 1.0

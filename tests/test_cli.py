@@ -501,6 +501,23 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "solver", {"window_s": 2.5}),
+    ("sweep-ct", "solver", {"window_s": 2.5}),
+    ("oracle", "solver", {"window_s": 2.5}),
+    ("mpc", "solver", {"window_s": 2.5}), ("check", "samples", 2.5)])
+def test_config_error_makes_no_out_directory(tmp_path, capsys, command, key,
+                                             value):
+    # the writers make --out, so a command that rejects its config leaves
+    # no directory behind
+    cfg = write_config(tmp_path, {**di_solve_config(), "c_t_list": [0.02],
+                                  "t_range": [20, 22], key: value})
+    out = tmp_path / "new" / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("argv,code,err", [
     (["bogus", "--config", "c.json"], 1, "invalid choice: 'bogus'"),
     (["solve", "--config", "c.json", "--seed", "abc"], 1,

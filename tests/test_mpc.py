@@ -579,6 +579,14 @@ def test_one_ulp_off_the_plan_solves_afresh(monkeypatch):
             == (ref_result.gamma_final, ref_result.radius_final)
 
 
+def collecting(solves):
+    """An ``optimize_trajectory`` that keeps every result in ``solves``."""
+    def optimize(*args, **kwargs):
+        solves.append(optimize_trajectory(*args, **kwargs))
+        return solves[-1]
+    return optimize
+
+
 def test_quadrotor_episode_work_counts(monkeypatch):
     # the criterion-5 quadrotor episode backs up 1309 knots and takes 2435
     # model steps when every replan, step 0's included, rolls out its warm
@@ -603,30 +611,82 @@ def test_quadrotor_episode_work_counts(monkeypatch):
     # runs 12 sweeps, and each of the 33 replans after step 0 one pass:
     # 45 sweeps.  31 of those replans follow a solve that ended at the
     # stationarity test, and their one pass reads the tail of that solve's
-    # sweep instead of sweeping again, which backs up no knot: 14 sweeps
-    counts = Counter()
-    q_expansion, step = backward_mod.q_expansion, QuadrotorModel.step
-    sweep = solver_mod.backward_sweep
-
-    def counting_q_expansion(C, dyn, nxt):
-        counts["backups"] += 1
-        return q_expansion(C, dyn, nxt)
-
-    def counting_sweep(*args, **kwargs):
-        counts["sweeps"] += 1
-        return sweep(*args, **kwargs)
+    # sweep instead of sweeping again, which backs up no knot: 14 sweeps.
+    # Backups and sweeps are read off the trace records of the episode's
+    # solves (see test_trace_records_the_work_of_each_pass)
+    steps, solves = Counter(), []
+    step = QuadrotorModel.step
 
     def counting_step(self, x, u):
-        counts["steps"] += 1
+        steps["steps"] += 1
         return step(self, x, u)
 
-    monkeypatch.setattr(backward_mod, "q_expansion", counting_q_expansion)
     monkeypatch.setattr(QuadrotorModel, "step", counting_step)
-    monkeypatch.setattr(solver_mod, "backward_sweep", counting_sweep)
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", collecting(solves))
     model, x0, cfg = quadrotor_episode()
     log = run_episode(model, x0, cfg)
-    assert log.steps_used == 34
-    assert counts == {"backups": 489, "steps": 776, "sweeps": 14}
+    assert log.steps_used == 34 and len(solves) == 34
+    backups = [r["backups"] for s in solves for r in s.trace]
+    assert sum(backups) == 489 and sum(b > 0 for b in backups) == 14
+    assert steps == {"steps": 776}
+
+
+def test_trace_records_the_work_of_each_pass(monkeypatch):
+    # every trace record says what its pass did, call for call: the
+    # (T, alpha) of each rollout, the knots its sweep backed up over every
+    # gamma attempt, and the knots of the prefix it built
+    calls, solves = {"tried": [], "backups": [], "prefix_knots": []}, []
+    knots = Counter()
+    rollout, sweep = solver_mod.rollout, solver_mod.backward_sweep
+    extend, q_expansion = solver_mod.extend_backward, backward_mod.q_expansion
+
+    def recording_rollout(model, back, t0, alpha, x0):
+        t_bar = back.controls.shape[0] - back.prefix_len
+        calls["tried"].append((t_bar - t0, alpha))
+        return rollout(model, back, t0=t0, alpha=alpha, x0=x0)
+
+    def counting_q_expansion(C, dyn, nxt):
+        knots["backups"] += 1
+        return q_expansion(C, dyn, nxt)
+
+    def recording_sweep(*args, **kwargs):
+        before = knots["backups"]
+        back = sweep(*args, **kwargs)
+        calls["backups"].append(knots["backups"] - before)
+        return back
+
+    def recording_extend(model, traj, S):
+        prefix = extend(model, traj, S)
+        calls["prefix_knots"].append(len(prefix))
+        return prefix
+
+    monkeypatch.setattr(solver_mod, "rollout", recording_rollout)
+    monkeypatch.setattr(solver_mod, "backward_sweep", recording_sweep)
+    monkeypatch.setattr(solver_mod, "extend_backward", recording_extend)
+    monkeypatch.setattr(backward_mod, "q_expansion", counting_q_expansion)
+    monkeypatch.setattr(mpc_mod, "optimize_trajectory", collecting(solves))
+    # the criterion-5 quadrotor solve, and the noisy criterion-6 episode
+    model = QuadrotorModel(c_t=1.0)
+    x0 = np.concatenate([[1.5, 1.0, -1.0], np.zeros(9)])
+    solves.append(optimize_trajectory(
+        model, initial_trajectory(model, x0, 40),
+        SolverConfig(horizon_bounds=(5, 150), window_s=10)))
+    nav, cfg = nav_scenario()
+    run_episode(nav, np.zeros(4), cfg)
+
+    records = [r for s in solves for r in s.trace]
+    swept = [r for r in records if r["backups"] > 0]
+    assert [t for r in records for t in r["tried"]] == calls["tried"]
+    assert sum(r["backups"] for r in records) == knots["backups"]
+    assert [r["backups"] for r in swept] == calls["backups"]
+    assert [r["prefix_knots"] for r in swept] == calls["prefix_knots"]
+    # the runs shift, interpolate, build prefixes, and retry a sweep at a
+    # higher gamma, which backs up more knots than the sweep holds
+    assert any(T != r["t_bar"] for r in records for T, _ in r["tried"])
+    assert any(a not in solver_mod._STEP_SIZES
+               for r in records for _, a in r["tried"])
+    assert sum(calls["prefix_knots"]) > 0
+    assert any(r["backups"] > r["t_bar"] + r["prefix_knots"] for r in swept)
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,30 @@ Imports ``horizonddp`` from ``<tree>/src`` and runs:
   baseline at t_fixed = 40.
 
 The digest covers every trajectory, cost, trace record and candidate, and
-every MPC step record except its wall-clock solve time, so two trees with
-the same digest solve these problems bit for bit alike.  One summary line
-per run goes to stderr, with the run's final cost to the last bit, the
-line-search rollouts the run made, how many of them rolled out a shifted
-horizon (t0 != 0), how many rolled out the tail's interpolated step size
-(an alpha not in ``solver._STEP_SIZES``), how many shifted tries were
-rejected and how many rollouts those tries spent, the model ``step`` calls
-the run made, its knot backups (``backward.q_expansion`` calls), the
-knots of every prefix it built (``solver.extend_backward``), how its
-converged solves ended (``stationary``: the last trace record was not
-accepted, so the solve stopped at a stationary sweep; ``stepped``: it
-was, so the solve stopped on an exact step; an episode counts its first
-solve and every replan), on an episode's line how many of its replans
-returned a plan longer than their warm start (``grown``) and how many
-returned their previous solve after 0 passes (``kept``), the first 12
-hex digits of the digest of the run's answer (``plan``: a solve's
-trajectory, or an episode's step states, actions and planned horizons and
-its final state) and those of the run's own digest; the digest of all runs
-goes to stdout.  The counts are
-reported, not hashed.
+every MPC step record, except the wall-clock solve time and the work
+counts a trace record and a ``BackwardResult`` carry (``tried``,
+``backups``, ``prefix_knots``), so two trees with the same digest solve
+these problems bit for bit alike.  One summary line per run goes to
+stderr, with the run's final cost to the last bit and counts read off the
+trace records of its solves (an episode's first solve and every replan,
+kept as ``mpc``'s binding of ``optimize_trajectory`` returns them): the
+line-search rollouts the run made (``tried``), how many of them rolled out
+a shifted horizon (T != T-bar), how many rolled out the tail's
+interpolated step size (an alpha not in ``solver._STEP_SIZES``), how many
+shifted tries were rejected (a record with ``t_tried != t_bar ==
+t_star``: the pass retried at T-bar) and how many rollouts those tries
+spent, the model ``step`` calls the run made (the one count taken by a
+wrapper, on the model classes), its knot backups, the knots of every
+prefix it built, how its converged solves ended (``stationary``: the last
+trace record was not accepted, so the solve stopped at a stationary
+sweep; ``stepped``: it was, so the solve stopped on an exact step), on an
+episode's line how many of its replans returned a plan longer than their
+warm start (``grown``) and, read off its step records, how many steps
+kept their previous solve (``kept``: not degraded, 0 inner iterations),
+the first 12 hex digits of the digest of the run's answer (``plan``: a
+solve's trajectory, or an episode's step states, actions and planned
+horizons and its final state) and those of the run's own digest; the
+digest of all runs goes to stdout.
 
 Given two trees, each is fingerprinted in its own subprocess, and one line
 per run says whether the two agree on iterations, T*, status, steps,
@@ -48,8 +52,11 @@ their rollouts, step calls, knot backups, prefix knots, stationary and
 stepped ends, and grown and kept replans, with the relative gap between
 their final costs, the two plan digests and the two run digests, so that
 a moved total digest can be traced to its runs, and a moved run digest to
-the answer or only to the trace.  The exit status is 1 when a count differs or a gap
-exceeds 1e-12; plan or run digests that differ do not change it.
+the answer or only to the trace.  The exit status is 1 when a count
+differs or a gap exceeds 1e-12; plan or run digests that differ do not
+change it.  Both trees must write the trace keys the counts are read
+from; a tree older than them is fingerprinted with its own copy of this
+script.
 """
 
 from __future__ import annotations
@@ -63,12 +70,10 @@ from pathlib import Path
 
 import numpy as np
 
-# wall-clock fields, the only ones that differ between identical runs
-_SKIP_FIELDS = {"solve_time"}
-# the per-run counts of the summary line, reset between runs
-_COUNTS = ("rollouts", "shifted", "interpolated", "rejected_shifts",
-           "rejected_rollouts", "step_calls", "backups", "prefix_knots",
-           "stationary", "stepped")
+# dataclass fields and trace keys left out of the digest: the wall-clock
+# solve time, the only field that differs between identical runs, and the
+# work counts, which the summary lines report
+_UNHASHED = frozenset({"solve_time", "tried", "backups", "prefix_knots"})
 
 
 def _feed(h, obj) -> None:
@@ -93,15 +98,16 @@ def _feed(h, obj) -> None:
             _feed(h, item)
         h.update(b"]")
     elif isinstance(obj, dict):
-        h.update(b"D" + str(len(obj)).encode() + b"{")
-        for key in sorted(obj):
+        keys = sorted(obj.keys() - _UNHASHED)
+        h.update(b"D" + str(len(keys)).encode() + b"{")
+        for key in keys:
             _feed(h, key)
             _feed(h, obj[key])
         h.update(b"}")
     elif dataclasses.is_dataclass(obj):
         h.update(b"C" + type(obj).__name__.encode() + b"(")
         for f in dataclasses.fields(obj):
-            if f.name not in _SKIP_FIELDS:
+            if f.name not in _UNHASHED:
                 _feed(h, f.name)
                 _feed(h, getattr(obj, f.name))
         h.update(b")")
@@ -186,142 +192,66 @@ def _summary(result) -> str:
             f"status={result.status} J={result.cost!r}")
 
 
-def _count_rollouts(solver, counts: dict) -> None:
-    """Wrap ``solver.rollout`` so each call, each shifted one, each one off
-    the step-size ladder, and each rejected shifted try with the rollouts
-    it spent are counted.
-
-    A shifted try is rejected exactly when its pass retries at T-bar: the
-    next rollout then reads the same sweep record at t0 = 0, while the
-    pass after an accepted shifted try makes a new record.
-    """
-    inner = solver.rollout
-    ladder = {"back": None, "rollouts": 0}
-
-    def rollout(model, back, **kwargs):
-        counts["rollouts"] += 1
-        counts["interpolated"] += kwargs["alpha"] not in solver._STEP_SIZES
-        if kwargs["t0"] != 0:
-            counts["shifted"] += 1
-            if back is not ladder["back"]:
-                ladder.update(back=back, rollouts=0)
-            ladder["rollouts"] += 1
-        elif back is ladder["back"]:
-            counts["rejected_shifts"] += 1
-            counts["rejected_rollouts"] += ladder["rollouts"]
-            ladder.update(back=None, rollouts=0)
-        return inner(model, back, **kwargs)
-
-    solver.rollout = rollout
-
-
-def _count_steps(models, counts: dict) -> None:
+def _count_steps(models, steps: dict) -> None:
     """Wrap ``step`` on every registered model class so each call is
     counted."""
     for cls in models.MODEL_REGISTRY.values():
         inner = cls.step
 
         def step(self, x, u, inner=inner):
-            counts["step_calls"] += 1
+            steps["calls"] += 1
             return inner(self, x, u)
 
         cls.step = step
 
 
-def _count_backups(backward, counts: dict) -> None:
-    """Wrap ``backward.q_expansion``, which the sweep calls once per knot it
-    backs up, so each knot backup is counted."""
-    inner = backward.q_expansion
-
-    def q_expansion(C, dyn, nxt):
-        counts["backups"] += 1
-        return inner(C, dyn, nxt)
-
-    backward.q_expansion = q_expansion
-
-
-def _count_prefix_knots(solver, counts: dict) -> None:
-    """Wrap ``solver.extend_backward`` so the knots of each prefix it
-    builds are counted."""
-    inner = solver.extend_backward
-
-    def extend_backward(model, traj, S):
-        prefix = inner(model, traj, S)
-        counts["prefix_knots"] += len(prefix)
-        return prefix
-
-    solver.extend_backward = extend_backward
-
-
-def _count_ends(modules, counts: dict) -> None:
-    """Wrap ``optimize_trajectory`` at each module's binding (the package's,
-    which the one-shot runs call, and ``mpc``'s, which an episode calls for
-    its first solve and every replan), so each converged solve is counted
-    as ``stepped`` when its last trace record was accepted, and as
-    ``stationary`` otherwise."""
-    for module in modules:
-        inner = module.optimize_trajectory
-
-        def optimize_trajectory(*args, inner=inner, **kwargs):
-            result = inner(*args, **kwargs)
-            if result.converged:
-                accepted = result.trace[-1]["accepted"]
-                counts["stepped" if accepted else "stationary"] += 1
-            return result
-
-        module.optimize_trajectory = optimize_trajectory
-
-
-def _count_grown(mpc, counts: dict) -> None:
-    """Wrap ``optimize_trajectory`` at ``mpc``'s binding so each replan (a
-    solve given ``previous``) whose plan is longer than its warm start is
-    counted as ``grown``."""
+def _collect_solves(mpc, solves: list) -> None:
+    """Wrap ``optimize_trajectory`` at ``mpc``'s binding, which an episode
+    calls for its first solve and every replan, so each result is kept."""
     inner = mpc.optimize_trajectory
 
-    def optimize_trajectory(model, initial, cfg, previous=None):
-        result = inner(model, initial, cfg, previous)
-        if previous is not None:
-            counts["grown"] += result.t_star > initial.horizon
-        return result
+    def optimize_trajectory(*args, **kwargs):
+        solves.append(inner(*args, **kwargs))
+        return solves[-1]
 
     mpc.optimize_trajectory = optimize_trajectory
 
 
-def _count_kept(mpc, counts: dict) -> None:
-    """Wrap ``mpc.mpc_step``, which an episode calls once per step, so each
-    replan that hands back its previous solve after 0 passes is counted
-    as ``kept``."""
-    inner = mpc.mpc_step
-
-    def mpc_step(controls, x, snapshot, cfg, previous=None):
-        out = inner(controls, x, snapshot, cfg, previous)
-        info = out[3]
-        counts["kept"] += (info["previous"] is previous
-                           and info["iterations"] == 0
-                           and not info["degraded"])
-        return out
-
-    mpc.mpc_step = mpc_step
+def _tally(solves, step_calls: int, step_sizes) -> dict:
+    """The counts of a run's solves, read off their trace records."""
+    records = [r for s in solves for r in s.trace]
+    tried = [(r, T, alpha) for r in records for T, alpha in r["tried"]]
+    # a rejected shifted try was retried at T-bar
+    rejected = [r for r in records
+                if r["t_tried"] != r["t_bar"] == r["t_star"]]
+    ends = [s.trace[-1]["accepted"] for s in solves if s.converged]
+    return {
+        "rollouts": len(tried),
+        "shifted": sum(T != r["t_bar"] for r, T, _ in tried),
+        "interpolated": sum(a not in step_sizes for _, _, a in tried),
+        "rejected_shifts": len(rejected),
+        "rejected_rollouts": sum(T != r["t_bar"] for r in rejected
+                                 for T, _ in r["tried"]),
+        "step_calls": step_calls,
+        "backups": sum(r["backups"] for r in records),
+        "prefix_knots": sum(r["prefix_knots"] for r in records),
+        "stationary": ends.count(False),
+        "stepped": ends.count(True),
+    }
 
 
 def fingerprint(tree: Path) -> str:
     sys.path.insert(0, str(tree / "src"))
     import horizonddp as hd
-    import horizonddp.backward
     import horizonddp.models
     import horizonddp.mpc
     import horizonddp.solver
 
     if Path(hd.__file__).resolve().parent.parent != (tree / "src").resolve():
         raise ImportError(f"horizonddp was imported from {hd.__file__}")
-    counts = dict.fromkeys((*_COUNTS, "grown", "kept"), 0)
-    _count_rollouts(horizonddp.solver, counts)
-    _count_steps(horizonddp.models, counts)
-    _count_backups(horizonddp.backward, counts)
-    _count_prefix_knots(horizonddp.solver, counts)
-    _count_ends((hd, horizonddp.mpc), counts)
-    _count_grown(horizonddp.mpc, counts)
-    _count_kept(horizonddp.mpc, counts)
+    steps, solves = {"calls": 0}, []
+    _count_steps(horizonddp.models, steps)
+    _collect_solves(horizonddp.mpc, solves)
     h = hashlib.sha256()
     for label, result in _runs(hd):
         run, plan = hashlib.sha256(), hashlib.sha256()
@@ -329,13 +259,21 @@ def fingerprint(tree: Path) -> str:
             _feed(digest, label)
             _feed(digest, result)
         _feed(plan, _plan(result))
-        tally = " ".join(f"{key}={counts[key]}" for key in _COUNTS)
-        if hasattr(result, "steps_used"):
-            tally += f" grown={counts['grown']} kept={counts['kept']}"
+        episode = hasattr(result, "steps_used")
+        counts = _tally(solves if episode else [result], steps["calls"],
+                        horizonddp.solver._STEP_SIZES)
+        if episode:
+            # replans only: the first solve chooses its horizon freely
+            counts["grown"] = sum(s.t_star > s.trace[0]["t_bar"]
+                                  for s in solves[1:] if s.trace)
+            counts["kept"] = sum(not r.degraded and r.inner_iterations == 0
+                                 for r in result.steps)
+        tally = " ".join(f"{key}={value}" for key, value in counts.items())
         print(f"{label}: {_summary(result)} {tally} "
               f"plan={plan.hexdigest()[:12]} digest={run.hexdigest()[:12]}",
               file=sys.stderr)
-        counts.update(dict.fromkeys(counts, 0))
+        steps["calls"] = 0
+        solves.clear()
     return h.hexdigest()
 
 
