@@ -11,8 +11,9 @@ the quadratic model misprices is not tried again every pass, and an
 accepted one doubles it.  Nothing else bounds the radius.  Both are
 returned, so an MPC replan that passes the previous result starts from
 where that solve ended; a carried radius first regrows by
-``_RADIUS_REGROWTH``, so one bad replan cannot freeze the horizon for the
-rest of an episode.
+``_RADIUS_REGROWTH``, so a later replan can admit again a shorter horizon
+whose gap a rejected shifted try ruled out.  (The horizon cannot freeze
+without it: every replan shortens the plan by at least one knot, below.)
 
 A solve given a previous result is a replan, and it is one real-time
 iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 43(5), 2005):

@@ -123,10 +123,17 @@ class Trajectory:
 def rollout_controls(model: SystemModel, x0: np.ndarray,
                      controls: np.ndarray) -> Trajectory:
     """Simulate an open-loop control sequence from x0; the trajectory
-    holds a copy of the controls."""
-    controls = np.array(controls, dtype=float, ndmin=2)
+    holds a copy of the controls.  Raises ValueError unless x0 has shape
+    (dim_x,) and the controls (T, dim_u); their values are not checked."""
+    x0 = np.asarray(x0, dtype=float)
+    controls = np.array(controls, dtype=float)
+    if x0.shape != (model.dim_x,):
+        raise ValueError(f"x0 must have shape ({model.dim_x},), not {x0.shape}")
+    if controls.ndim != 2 or controls.shape[1] != model.dim_u:
+        raise ValueError(f"controls must have shape (T, {model.dim_u}), "
+                         f"not {controls.shape}")
     states = np.zeros((controls.shape[0] + 1, model.dim_x))
-    states[0] = np.asarray(x0, dtype=float)
+    states[0] = x0
     for t in range(controls.shape[0]):
         states[t + 1] = model.step(states[t], controls[t])
     return Trajectory.simulated(model, states, controls)

@@ -8,15 +8,16 @@ import pytest
 import scipy.optimize
 
 from conftest import LinearQuadraticModel, nan_derivative_cartpole, random_lq
-from horizonddp import (CartpoleModel, DoubleIntegratorModel, QExpansion,
-                        QuadrotorModel, ValueExpansion, backward, backward_sweep, expand_cost,
-                        expand_dynamics, expand_terminal, initial_trajectory,
-                        optimize_trajectory, q_expansion, regularize,
-                        riccati_sweep, rollout_controls, value_recurrence,
+from horizonddp import (CartpoleModel, DoubleIntegratorModel, QuadrotorModel,
+                        backward, backward_sweep, initial_trajectory,
+                        optimize_trajectory, riccati_sweep, rollout_controls,
                         ExpansionError, Obstacle, PointMassNavModel,
                         SolverConfig, Trajectory, trajectory_cost)
-from horizonddp.backward import GAMMA_MIN, NeedsRegularization
-from horizonddp.model import sym
+from horizonddp.backward import (GAMMA_MIN, NeedsRegularization, QExpansion,
+                                 ValueExpansion, q_expansion, regularize,
+                                 value_recurrence)
+from horizonddp.model import (expand_cost, expand_dynamics, expand_terminal,
+                              sym)
 from test_model_api import CubicModel
 
 
@@ -408,7 +409,7 @@ def test_sweep_matches_riccati_on_lq(rng):
 
 
 def test_sweep_gains_match_lqr(rng):
-    from horizonddp import lqr_gain
+    from horizonddp.lti import lqr_gain
 
     model = random_lq(rng)
     T = 12

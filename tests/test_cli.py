@@ -482,6 +482,11 @@ def test_write_json_encodes_numpy_and_dataclasses(tmp_path):
     }
 
 
+def test_write_json_rejects_what_it_cannot_encode(tmp_path):
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        _write_json(tmp_path / "doc.json", {"x": object()})
+
+
 def test_requires_config_flag(capsys):
     # a usage error exits 1, as a config error does: 2 is non-convergence
     assert main(["solve"]) == 1

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import random_lq
 from horizonddp import (DoubleIntegratorModel, IllPosedStepError,
-                        LtiProblem, lqr_gain, lqr_rollout_cost,
-                        lti_optimal_horizon, riccati_step, riccati_sweep)
+                        LtiProblem, lti_optimal_horizon, riccati_sweep)
+from horizonddp.lti import lqr_gain, lqr_rollout_cost, riccati_step
 
 
 def scalar_problem(q=1.0, r=1.0, qf=1.0, t_max=10, c_t=0.0):

@@ -10,8 +10,8 @@ import pytest
 import horizonddp.model as model_api
 from conftest import (LinearQuadraticModel, NumericLq, nan_derivative_cartpole,
                       random_lq)
-from horizonddp import (ExpansionError, SystemModel, check_derivatives,
-                        expand_cost, expand_dynamics, expand_terminal)
+from horizonddp import ExpansionError, SystemModel, check_derivatives
+from horizonddp.model import expand_cost, expand_dynamics, expand_terminal
 
 
 class CubicModel(SystemModel):
@@ -28,6 +28,18 @@ class CubicModel(SystemModel):
 
     def terminal_cost(self, x):
         return float(math.cos(x[0]))
+
+
+def test_bare_model_names_what_it_lacks():
+    class Bare(SystemModel):
+        dim_x = 1
+        dim_u = 1
+
+    model, x, u = Bare(), np.zeros(1), np.zeros(1)
+    for call in (lambda: model.step(x, u), lambda: model.running_cost(x, u),
+                 lambda: model.terminal_cost(x)):
+        with pytest.raises(NotImplementedError):
+            call()
 
 
 def test_fd_exact_on_quadratics(rng):

@@ -10,13 +10,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from horizonddp import (CartpoleModel, CostExpansion, DoubleIntegratorModel,
-                        DynamicsExpansion, Obstacle, PointMassNavModel,
-                        QuadrotorModel, Trajectory, check_derivatives,
-                        expand_cost, expand_dynamics, initial_trajectory,
-                        make_model,
-                        obstacle_schedule_advance, rk4_step,
-                        rk4_step_with_jacobian)
+from horizonddp import (CartpoleModel, DoubleIntegratorModel, Obstacle,
+                        PointMassNavModel, QuadrotorModel, Trajectory,
+                        check_derivatives, initial_trajectory, make_model,
+                        obstacle_schedule_advance, rollout_controls)
+from horizonddp.model import (CostExpansion, DynamicsExpansion, expand_cost,
+                              expand_dynamics)
+from horizonddp.models import rk4_step, rk4_step_with_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +460,22 @@ def test_consistency_check_rejects_nan_and_defects(model):
         Trajectory(states=states[0], controls=traj.controls)
     with pytest.raises(ValueError, match="one more row"):
         Trajectory(states=states[1:], controls=traj.controls)
+
+
+@pytest.mark.parametrize("simulate, name", [
+    # numpy would broadcast the one entry into both states of the start
+    (lambda: initial_trajectory(DoubleIntegratorModel(c_t=0.02),
+                                np.array([3.0]), 5), "x0"),
+    # five scalars for one control would fail inside step, unnamed
+    (lambda: rollout_controls(DoubleIntegratorModel(), np.zeros(2),
+                              np.zeros(5)), "controls"),
+    # two scalars for two controls would pass as one knot
+    (lambda: rollout_controls(PointMassNavModel(), np.zeros(4), np.zeros(2)),
+     "controls"),
+], ids=["x0", "flat-controls", "one-knot-controls"])
+def test_rollout_rejects_misshapen_inputs(simulate, name):
+    with pytest.raises(ValueError, match=f"^{name} must have shape"):
+        simulate()
 
 
 def counting_steps(monkeypatch, cls):

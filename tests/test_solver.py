@@ -11,11 +11,11 @@ from horizonddp import (BackwardResult, CandidateEvaluation, CartpoleModel,
                         DoubleIntegratorModel, SolverConfig, SystemModel,
                         Trajectory, backward_sweep, initial_trajectory,
                         lti_optimal_horizon, optimize_trajectory,
-                        riccati_sweep, rollout_controls, select_horizon,
-                        trajectory_cost)
+                        riccati_sweep, rollout_controls, trajectory_cost)
 from horizonddp.model import running_costs
 import horizonddp.solver as solver_mod
-from horizonddp.solver import evaluate_candidates, extend_backward, rollout
+from horizonddp.solver import (evaluate_candidates, extend_backward, rollout,
+                               select_horizon)
 
 
 def empty_prefix(model):
